@@ -264,50 +264,36 @@ mod tests {
     /// (`GeomError::NonFiniteCoordinate`), so the only NaN that can reach
     /// the branch-and-bound traversal is the `bound` argument itself. A NaN
     /// bound must yield `None` — every `lb <= bound` comparison is false —
-    /// and the SIMD lower-bound arrays must not change that: lanes computed
-    /// for padded sentinel envelopes are `+inf`, never NaN, and comparisons
-    /// against a NaN bound are uniformly false in both paths.
+    /// and the lane-parallel leaf lower bounds must not change that: lanes
+    /// computed for padded sentinel envelopes are `+inf`, never NaN, and
+    /// comparisons against a NaN bound are uniformly false.
     #[test]
     fn distance_within_nan_bound_is_none_scalar_and_simd() {
-        let _guard = crate::simd::test_toggle_lock();
         let a = line(&[(0.0, 0.0), (10.0, 0.0), (20.0, 5.0), (30.0, 0.0)]);
         let b = rect(3.0, 2.0, 40.0, 9.0);
-        for on in [false, true] {
-            crate::simd::set_simd_enabled(on);
-            assert_eq!(geometry_distance_within(&a, &b, f64::NAN), None);
-            assert_eq!(geometry_distance_within(&a, &b, f64::NEG_INFINITY), None);
-            // A +inf bound admits everything and must agree with the
-            // unbounded distance exactly.
-            assert_eq!(
-                geometry_distance_within(&a, &b, f64::INFINITY),
-                Some(geometry_distance(&a, &b))
-            );
-        }
-        crate::simd::set_simd_enabled(true);
+        assert_eq!(geometry_distance_within(&a, &b, f64::NAN), None);
+        assert_eq!(geometry_distance_within(&a, &b, f64::NEG_INFINITY), None);
+        // A +inf bound admits everything and must agree with the
+        // unbounded distance exactly.
+        assert_eq!(
+            geometry_distance_within(&a, &b, f64::INFINITY),
+            Some(geometry_distance(&a, &b))
+        );
     }
 
-    /// The SIMD leaf lower bounds replicate `Rect::distance_to_point` /
-    /// `distance_to_rect` op-for-op, so bounded distances are bit-identical
-    /// with the vector path on and off — including bounds that land exactly
-    /// on the true distance (inclusive contract).
+    /// The lane-parallel leaf lower bounds replicate
+    /// `Rect::distance_to_point` / `distance_to_rect` op-for-op, so bounded
+    /// distances equal the scalar unbounded kernel's — including bounds
+    /// that land exactly on the true distance (inclusive contract).
     #[test]
     fn distance_within_bit_identical_scalar_vs_simd() {
-        let _guard = crate::simd::test_toggle_lock();
         let a = line(&[(0.0, 0.0), (4.0, 3.0), (8.0, -1.0), (12.0, 2.0), (16.0, 0.0)]);
         let b = rect(5.0, 6.0, 18.0, 11.0);
-        crate::simd::set_simd_enabled(false);
-        let scalar: Vec<_> = [0.5, 2.99, 3.0, 3.01, 100.0]
-            .iter()
-            .map(|&t| geometry_distance_within(&a, &b, t))
-            .collect();
-        crate::simd::set_simd_enabled(true);
-        let simd: Vec<_> = [0.5, 2.99, 3.0, 3.01, 100.0]
-            .iter()
-            .map(|&t| geometry_distance_within(&a, &b, t))
-            .collect();
-        assert_eq!(scalar, simd);
         let exact = geometry_distance(&a, &b);
-        assert_eq!(geometry_distance_within(&a, &b, exact), Some(exact));
+        for t in [0.5, 2.99, 3.0, 3.01, 100.0, exact] {
+            let want = (exact <= t).then_some(exact);
+            assert_eq!(geometry_distance_within(&a, &b, t), want, "bound {t}");
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@
 use crate::bbox::Rect;
 use crate::coord::Coord;
 use crate::geometry::{GeomDim, Geometry};
-use crate::relate::shapes::PreparedShape;
+use crate::polygon::PointLocation;
+use crate::relate::shapes::{PreparedAreal, PreparedShape};
 use crate::relate::{relate_shapes, Dim, IntersectionMatrix, Part};
 use crate::segment::Segment;
 use crate::segtree::{self, SegTree};
@@ -132,9 +133,8 @@ fn min_distance_within(a: &PreparedShape, b: &PreparedShape, bound: f64) -> f64 
         }
         (PS::P { coords }, PS::A(pa)) | (PS::A(pa), PS::P { coords }) => {
             // A point inside (or on) the region is at distance exactly 0,
-            // matching the unbounded kernel's containment case. The batch
-            // sweep answers the same boolean as the scalar `any`.
-            if pa.any_not_outside(coords) {
+            // matching the unbounded kernel's containment case.
+            if any_not_outside(pa, coords) {
                 return 0.0;
             }
             points_to_tree(coords, &pa.tree, &pa.boundary, bound)
@@ -148,7 +148,7 @@ fn min_distance_within(a: &PreparedShape, b: &PreparedShape, bound: f64) -> f64 
             // curve crossing the boundary with no vertex inside resolves
             // to an exact 0.0 through an intersecting segment pair below,
             // exactly as in the unbounded kernel.
-            if pa.any_endpoint_not_outside(segments) {
+            if segments.iter().any(|s| any_not_outside(pa, &[s.a, s.b])) {
                 return 0.0;
             }
             tree.pair_distance_within(segments, &pa.tree, &pa.boundary, bound)
@@ -158,12 +158,18 @@ fn min_distance_within(a: &PreparedShape, b: &PreparedShape, bound: f64) -> f64 
             // overlap ⇒ distance exactly 0 (the unbounded kernel's
             // containment test). Overlaps with no contained vertex cross
             // boundaries, which the segment pairs below resolve to 0.0.
-            if pb.any_not_outside(&pa.ext_coords) || pa.any_not_outside(&pb.ext_coords) {
+            if any_not_outside(pb, &pa.ext_coords) || any_not_outside(pa, &pb.ext_coords) {
                 return 0.0;
             }
             pa.tree.pair_distance_within(&pa.boundary, &pb.tree, &pb.boundary, bound)
         }
     }
+}
+
+/// True when any coordinate lies inside or on the region — the
+/// containment sweep of the bounded-distance kernel.
+fn any_not_outside(pa: &PreparedAreal, coords: &[Coord]) -> bool {
+    coords.iter().any(|&c| pa.locate(c) != PointLocation::Outside)
 }
 
 /// Minimum distance from a point set to an indexed segment set, bounded.

@@ -1,13 +1,14 @@
 //! Quantized integer fast path under the prepared-geometry layer.
 //!
-//! The SIMD kernels of [`crate::simd`] still pay two `f64` costs per
-//! lane: a division in the Franklin crossing test and a Shewchuk
-//! error-bound filter for boundary detection. This module removes both
-//! by snapping coordinates onto an `i32` grid sized from the geometry's
+//! Point location on a prepared ring runs in two tiers ([`PreparedRing`]):
+//! this module's integer grid first, then the exact `f64` [`RingIndex`].
+//! An `f64` crossing scan pays a division per edge and, to detect the
+//! boundary, a robust collinearity test. The grid tier removes both by
+//! snapping coordinates onto an `i32` grid sized from the geometry's
 //! bounding box ([`Quantizer`]) and evaluating the crossing and
 //! proximity predicates in widened `i64`/`i128` integer arithmetic —
-//! *exact on the grid*, with no rounding and no epsilon bands. Lanes are
-//! also denser: eight `i32`s fill a 256-bit block where four `f64`s did.
+//! *exact on the grid*, with no rounding and no epsilon bands. Eight
+//! `i32` lanes fill one 256-bit block.
 //!
 //! # The certain/ambiguous classification invariant
 //!
@@ -37,21 +38,16 @@
 //!   some quantized edge — in particular every true boundary point,
 //!   whose quantized image sits within `2/√2 ≈ 1.42` cells of the
 //!   quantized boundary — is ambiguous and falls back to the exact `f64`
-//!   path ([`crate::segtree::RingIndex`]), counted under
-//!   `geom/quant_fallback_exact`. Certain answers are counted under
-//!   `geom/quant_cells_resolved`.
+//!   path ([`RingIndex`]), counted under `geom/quant_fallback_exact`.
+//!   Certain answers are counted under `geom/quant_cells_resolved`.
 //!
-//! Together these give the same contract as the SIMD layer: every
-//! observable output is **bit-identical** to the scalar path, and the
-//! runtime toggle (`GEOPATTERN_QUANT=0`, or [`set_quant_enabled`])
-//! trades speed, never answers.
+//! Together these make the grid a pure accelerator: every observable
+//! output is **bit-identical** to the reference scan, [`Ring::locate`].
 
 use crate::bbox::Rect;
 use crate::coord::Coord;
 use crate::polygon::{PointLocation, Ring};
-use crate::segtree::note_quant_lanes;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use crate::segtree::{note_quant_fallback, note_quant_lanes, note_quant_resolved, RingIndex};
 
 /// Lane width of the quantized kernels: eight `i32`s per 256-bit block.
 pub const QLANES: usize = 8;
@@ -72,46 +68,18 @@ pub const SPAN: i32 = 1 << GRID_BITS;
 /// noise in computing the query's cell.
 pub const BAND: i64 = 2;
 
-static QUANT_ENABLED: OnceLock<AtomicBool> = OnceLock::new();
-
-fn state() -> &'static AtomicBool {
-    QUANT_ENABLED.get_or_init(|| {
-        let on = std::env::var("GEOPATTERN_QUANT").map(|v| v != "0").unwrap_or(true);
-        AtomicBool::new(on)
-    })
-}
-
-/// True when the quantized integer fast paths are active (the default;
-/// `GEOPATTERN_QUANT=0` in the environment starts the process disabled).
-pub fn quant_enabled() -> bool {
-    state().load(Ordering::Relaxed)
-}
-
-/// Enables or disables the quantized fast paths process-wide.
-///
-/// Safe to flip at any time: both paths produce bit-identical results,
-/// so the setting affects wall-clock and the `geom/quant_*` counters
-/// only. Exposed for A/B benchmarks (`experiments kernel`).
-pub fn set_quant_enabled(on: bool) {
-    state().store(on, Ordering::Relaxed);
-}
-
 /// Affine map from `f64` coordinates onto an `i32` cell grid.
 ///
 /// `quantize` rounds to the nearest grid point, so the displacement is
-/// at most half a cell per axis. The map is shared between the in-memory
-/// fast path and the `.gpb` v2 quantized column: both sides snap the
-/// same `f64` input to the same grid point.
+/// at most half a cell per axis.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quantizer {
     x0: f64,
     y0: f64,
     cell: f64,
     /// `1.0 / cell`, precomputed so `quantize` multiplies instead of
-    /// divides. Always derived from `cell` the same way (including on
-    /// the `.gpb` reconstruction path), so both sides of a round-trip
-    /// snap identically; the ≤ 1-ulp difference against true division
-    /// is covered by [`BAND`]'s slack.
+    /// divides; the ≤ 1-ulp difference against true division is covered
+    /// by [`BAND`]'s slack.
     inv_cell: f64,
 }
 
@@ -130,9 +98,10 @@ impl Quantizer {
         Quantizer { x0: r.min.x, y0: r.min.y, cell, inv_cell: 1.0 / cell }
     }
 
-    /// Reassembles a quantizer from stored header fields (the `.gpb` v2
-    /// path). `None` when the header is malformed: non-finite origin or
-    /// a cell that is not strictly positive and finite.
+    /// Reassembles a quantizer from stored header fields (the legacy
+    /// `.gpb` version-2 column header). `None` when the header is
+    /// malformed: non-finite origin or a cell that is not strictly
+    /// positive and finite.
     pub fn from_parts(x0: f64, y0: f64, cell: f64) -> Option<Quantizer> {
         if x0.is_finite() && y0.is_finite() && cell.is_finite() && cell > 0.0 {
             Some(Quantizer { x0, y0, cell, inv_cell: 1.0 / cell })
@@ -166,7 +135,7 @@ impl Quantizer {
 }
 
 /// A ring quantized onto an `i32` grid, in stripe-bucketed, padded
-/// struct-of-arrays form — the integer sibling of [`crate::simd::SoaRing`].
+/// struct-of-arrays form.
 ///
 /// Stripes bucket edges by quantized y-interval *expanded by [`BAND`]
 /// cells on each side*, so a query's stripe is guaranteed to contain
@@ -220,20 +189,6 @@ impl QuantRing {
         }
     }
 
-    /// Builds a quantized ring directly from pre-quantized grid
-    /// vertices — the `.gpb` v2 windowed-fetch path, which never
-    /// materializes `f64` coordinates. `envelope` must be the exact
-    /// `f64` envelope of the original ring (it gates the same
-    /// fast-reject as [`Ring::locate`]), and the grid points must be
-    /// `qz.quantize` images of the original vertices.
-    pub fn from_grid(qz: Quantizer, envelope: Rect, coords: &[(i32, i32)]) -> QuantRing {
-        if coords.iter().any(|&(x, y)| x.unsigned_abs() > SPAN as u32 || y.unsigned_abs() > SPAN as u32)
-        {
-            return QuantRing::degenerate(qz, envelope);
-        }
-        QuantRing::from_grid_points(qz, envelope, coords)
-    }
-
     fn degenerate(qz: Quantizer, envelope: Rect) -> QuantRing {
         QuantRing {
             qz,
@@ -275,9 +230,9 @@ impl QuantRing {
         let qy0 = qymin - BAND - 1;
         let height = (qymax + BAND + 1) - qy0 + 1;
 
-        // Same coarsening heuristic as SoaRing::build: start near one
-        // stripe per few edges, halve until the duplicated footprint is
-        // modest.
+        // Start near one stripe per few edges and halve until the
+        // duplicated-edge footprint is modest; tall-edge rings degrade
+        // toward a single stripe rather than exploding memory.
         let mut stripes = (len / 4).clamp(1, 256);
         let mut counts;
         let mut stripe_h;
@@ -378,9 +333,8 @@ impl QuantRing {
     ///
     /// A `Some` answer equals [`Ring::locate`]'s by the module-level
     /// homotopy argument; the integer arithmetic itself is exact, so
-    /// unlike the `f64` SIMD path there is no error-bound filter — the
-    /// only approximation is the grid snap, and the band test accounts
-    /// for it.
+    /// there is no error-bound filter — the only approximation is the
+    /// grid snap, and the band test accounts for it.
     pub fn try_locate(&self, p: Coord) -> Option<PointLocation> {
         if !self.envelope.contains_point(p) {
             return Some(PointLocation::Outside);
@@ -492,15 +446,72 @@ fn within_band(px: i64, py: i64, ax: i64, ay: i64, bx: i64, by: i64) -> bool {
     cross * cross <= band2 * len2
 }
 
+/// A prepared ring's point location: the quantized grid answers every
+/// query it can certify, and the exact [`RingIndex`] answers the rest.
+#[derive(Debug, Clone)]
+pub struct PreparedRing {
+    quant: QuantRing,
+    index: RingIndex,
+}
+
+impl PreparedRing {
+    /// Builds both tiers over a ring.
+    pub fn build(ring: &Ring) -> PreparedRing {
+        PreparedRing { quant: QuantRing::build(ring), index: RingIndex::build(ring) }
+    }
+
+    /// The exact tier on its own, which answers identically to
+    /// [`PreparedRing::locate`].
+    pub fn index(&self) -> &RingIndex {
+        &self.index
+    }
+
+    /// Classifies `p`. Certain grid answers count under
+    /// `geom/quant_cells_resolved`; snap-band queries go to the exact
+    /// index and count under `geom/quant_fallback_exact`. Bit-identical
+    /// to [`RingIndex::locate`] and [`Ring::locate`].
+    pub fn locate(&self, p: Coord) -> PointLocation {
+        match self.quant.try_locate(p) {
+            Some(loc) => {
+                note_quant_resolved(1);
+                loc
+            }
+            None => {
+                note_quant_fallback(1);
+                self.index.locate(p)
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coord::coord;
     use crate::segtree::take_kernel_counters;
-    use crate::simd::test_toggle_lock;
 
     fn ring(pts: &[(f64, f64)]) -> Ring {
         Ring::from_xy(pts).unwrap()
+    }
+
+    /// A square, a concave ring (horizontal edges at several ordinates,
+    /// an edge count that leaves a partial lane) and a general triangle.
+    fn sample_rings() -> [Ring; 3] {
+        [
+            ring(&[(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)]),
+            ring(&[
+                (0.0, 0.0),
+                (8.0, 0.0),
+                (8.0, 3.0),
+                (4.0, 3.0),
+                (4.0, 6.0),
+                (8.0, 6.0),
+                (8.0, 9.0),
+                (0.0, 9.0),
+                (0.0, 5.0),
+            ]),
+            ring(&[(0.0, 0.0), (7.0, 1.0), (3.0, 8.0)]),
+        ]
     }
 
     #[test]
@@ -527,22 +538,7 @@ mod tests {
 
     #[test]
     fn certain_answers_match_ring_locate() {
-        let rings = [
-            ring(&[(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)]),
-            ring(&[
-                (0.0, 0.0),
-                (8.0, 0.0),
-                (8.0, 3.0),
-                (4.0, 3.0),
-                (4.0, 6.0),
-                (8.0, 6.0),
-                (8.0, 9.0),
-                (0.0, 9.0),
-                (0.0, 5.0),
-            ]),
-            ring(&[(0.0, 0.0), (7.0, 1.0), (3.0, 8.0)]),
-        ];
-        for r in &rings {
+        for r in &sample_rings() {
             let q = QuantRing::build(r);
             assert_eq!(q.len(), r.num_points());
             assert!(!q.is_empty());
@@ -558,33 +554,42 @@ mod tests {
     }
 
     #[test]
+    fn prepared_ring_matches_ring_locate_on_probe_grid() {
+        for r in &sample_rings() {
+            let prepared = PreparedRing::build(r);
+            let mut probes: Vec<Coord> = Vec::new();
+            for i in 0..45 {
+                for j in 0..45 {
+                    probes.push(coord(i as f64 * 0.27 - 1.0, j as f64 * 0.27 - 1.0));
+                }
+            }
+            probes.extend(r.coords().iter().copied());
+            probes.extend(r.segments().map(|s| s.midpoint()));
+            for p in probes {
+                assert_eq!(prepared.locate(p), r.locate(p), "ring={r:?} p={p:?}");
+                assert_eq!(prepared.index().locate(p), r.locate(p), "ring={r:?} p={p:?}");
+            }
+        }
+    }
+
+    #[test]
     fn boundary_points_are_ambiguous() {
         let r = ring(&[(0.0, 0.0), (9.0, 2.0), (5.0, 8.0)]);
         let q = QuantRing::build(&r);
+        let prepared = PreparedRing::build(&r);
         for s in r.segments() {
             for t in [0.0, 0.25, 0.5, 0.75, 1.0] {
                 let p = s.a.lerp(s.b, t);
                 if r.locate(p) == PointLocation::OnBoundary {
                     assert_eq!(q.try_locate(p), None, "boundary probe {p:?} answered fast");
+                    assert_eq!(prepared.locate(p), PointLocation::OnBoundary);
                 }
             }
         }
     }
 
     #[test]
-    fn toggle_reads_environment_once_and_flips() {
-        let _guard = test_toggle_lock();
-        let was = quant_enabled();
-        set_quant_enabled(false);
-        assert!(!quant_enabled());
-        set_quant_enabled(true);
-        assert!(quant_enabled());
-        set_quant_enabled(was);
-    }
-
-    #[test]
     fn lanes_counter_records_integer_scan() {
-        let _guard = test_toggle_lock();
         let r = ring(&[(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)]);
         let q = QuantRing::build(&r);
         let _ = take_kernel_counters();
@@ -594,32 +599,32 @@ mod tests {
     }
 
     #[test]
-    fn from_grid_matches_build() {
-        let r = ring(&[(0.0, 0.0), (7.0, 1.0), (3.0, 8.0)]);
-        let envelope = r.envelope();
-        let qz = Quantizer::for_rect(&envelope);
-        let coords: Vec<(i32, i32)> =
-            r.coords().iter().map(|&c| qz.quantize(c).unwrap()).collect();
-        let built = QuantRing::build(&r);
-        let fed = QuantRing::from_grid(qz, envelope, &coords);
-        for i in 0..30 {
-            for j in 0..30 {
-                let p = coord(i as f64 * 0.3 - 0.5, j as f64 * 0.3 - 0.5);
-                assert_eq!(built.try_locate(p), fed.try_locate(p), "p={p:?}");
-            }
-        }
+    fn counters_record_lanes_and_fallbacks() {
+        let r = ring(&[(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)]);
+        let prepared = PreparedRing::build(&r);
+        let _ = take_kernel_counters();
+        assert_eq!(prepared.locate(coord(5.0, 5.0)), PointLocation::Inside);
+        let c = take_kernel_counters();
+        assert_eq!((c.quant_cells_resolved, c.quant_fallback_exact), (1, 0));
+        assert!(c.quant_lanes_tested > 0, "interior probe must scan integer lanes");
+        assert_eq!(prepared.locate(coord(5.0, 0.0)), PointLocation::OnBoundary);
+        let c = take_kernel_counters();
+        assert_eq!((c.quant_cells_resolved, c.quant_fallback_exact), (0, 1));
+        assert_eq!(c.simd_fallback_exact, 0, "no f64 lane tier sits between grid and index");
     }
 
     #[test]
     fn out_of_range_grid_points_degenerate_safely() {
-        let r = ring(&[(0.0, 0.0), (7.0, 1.0), (3.0, 8.0)]);
-        let envelope = r.envelope();
-        let qz = Quantizer::for_rect(&envelope);
-        let q = QuantRing::from_grid(qz, envelope, &[(0, 0), (i32::MAX, 3), (5, 5)]);
+        // The x-extent overflows to infinity, so the quantizer falls back
+        // to a unit cell and the far vertices cannot be snapped.
+        let r = ring(&[(-1e308, 0.0), (1e308, 0.0), (0.0, 1.0)]);
+        let q = QuantRing::build(&r);
         assert!(q.is_empty());
         // In-envelope queries are ambiguous (fall back), outside stays
         // certain via the f64 envelope.
-        assert_eq!(q.try_locate(coord(3.0, 3.0)), None);
-        assert_eq!(q.try_locate(coord(-5.0, -5.0)), Some(PointLocation::Outside));
+        assert_eq!(q.try_locate(coord(0.0, 0.5)), None);
+        assert_eq!(q.try_locate(coord(0.0, -5.0)), Some(PointLocation::Outside));
+        let prepared = PreparedRing::build(&r);
+        assert_eq!(prepared.locate(coord(0.0, 0.5)), r.locate(coord(0.0, 0.5)));
     }
 }

@@ -21,9 +21,9 @@ use crate::bbox::Rect;
 use crate::coord::Coord;
 use crate::geometry::Geometry;
 use crate::polygon::{MultiPolygon, PointLocation, Polygon};
+use crate::quant::PreparedRing;
 use crate::segment::{merge_intervals, SegSegIntersection, Segment};
 use crate::segtree::SegTree;
-use crate::simd::SoaRing;
 use std::borrow::Cow;
 
 /// Relative tolerance for parameter-space bookkeeping (splitting segments
@@ -224,11 +224,10 @@ pub struct PreparedAreal {
 
 #[derive(Debug, Clone)]
 struct PreparedPoly {
-    /// Exterior ring: SoA SIMD mirror wrapping the exact monotone-edge
-    /// index ([`SoaRing::locate`] is bit-identical to the scalar index
-    /// in every mode).
-    exterior: SoaRing,
-    holes: Vec<SoaRing>,
+    /// Exterior ring: quantized grid over the exact monotone-edge index
+    /// ([`PreparedRing::locate`] is bit-identical to the index alone).
+    exterior: PreparedRing,
+    holes: Vec<PreparedRing>,
 }
 
 impl PreparedPoly {
@@ -266,8 +265,8 @@ impl PreparedAreal {
         let polys = members
             .iter()
             .map(|p| PreparedPoly {
-                exterior: SoaRing::build(p.exterior()),
-                holes: p.holes().iter().map(SoaRing::build).collect(),
+                exterior: PreparedRing::build(p.exterior()),
+                holes: p.holes().iter().map(PreparedRing::build).collect(),
             })
             .collect();
         let boundary = view.boundary_segments();
@@ -302,47 +301,6 @@ impl PreparedAreal {
         } else {
             PointLocation::Outside
         }
-    }
-
-    /// Classifies many query points in one call. For the common
-    /// single-polygon, hole-free region the whole batch runs through the
-    /// exterior ring's SIMD kernel ([`SoaRing::locate_batch`]); otherwise
-    /// each point takes the per-ring path. Equivalent to mapping
-    /// [`PreparedAreal::locate`] over `points` in either case.
-    pub fn locate_batch(&self, points: &[Coord]) -> Vec<PointLocation> {
-        if let [poly] = self.polys.as_slice() {
-            if poly.holes.is_empty() {
-                return poly.exterior.locate_batch(points);
-            }
-        }
-        points.iter().map(|&c| self.locate(c)).collect()
-    }
-
-    /// True when any coordinate lies inside or on the region — the
-    /// containment sweep of the bounded-distance kernel. Runs the batch
-    /// point-location kernel block-wise so a hit early in a long
-    /// coordinate list still short-circuits, exactly like the scalar
-    /// `any` it replaces.
-    pub fn any_not_outside(&self, coords: &[Coord]) -> bool {
-        const BLOCK: usize = 16;
-        coords.chunks(BLOCK).any(|block| {
-            self.locate_batch(block).iter().any(|&l| l != PointLocation::Outside)
-        })
-    }
-
-    /// [`PreparedAreal::any_not_outside`] over segment endpoints, in the
-    /// scalar sweep's visit order (`a` then `b`, segment by segment).
-    pub fn any_endpoint_not_outside(&self, segments: &[Segment]) -> bool {
-        const BLOCK: usize = 8;
-        let mut buf: Vec<Coord> = Vec::with_capacity(2 * BLOCK);
-        segments.chunks(BLOCK).any(|block| {
-            buf.clear();
-            for s in block {
-                buf.push(s.a);
-                buf.push(s.b);
-            }
-            self.locate_batch(&buf).iter().any(|&l| l != PointLocation::Outside)
-        })
     }
 }
 

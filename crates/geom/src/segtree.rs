@@ -11,7 +11,12 @@
 //!   like the brute-force scans they replace. Besides envelope queries it
 //!   supports branch-and-bound minimum-distance searches (point-to-tree
 //!   and tree-to-tree) that prune any subtree pair whose box-to-box
-//!   distance already exceeds the caller's bound.
+//!   distance already exceeds the caller's bound. At the leaves, entry
+//!   envelope lower bounds are evaluated four lanes at a time over a
+//!   struct-of-arrays mirror — dependency-free `f64` loops the compiler
+//!   auto-vectorizes — replicating `Rect::distance_to_point` /
+//!   `distance_to_rect` operation for operation, so pruning is exactly
+//!   the scalar computation's.
 //! * [`RingIndex`] — a monotone-edge structure for O(log n + k)
 //!   point-in-ring tests: ring edges sorted by their envelope's minimum y,
 //!   with an implicit binary max-tree over the maximum y, so only the
@@ -39,7 +44,6 @@ thread_local! {
     static PAIRS_EXACT: Cell<u64> = const { Cell::new(0) };
     static DISTANCE_EARLY_EXIT: Cell<u64> = const { Cell::new(0) };
     static SIMD_LANES_TESTED: Cell<u64> = const { Cell::new(0) };
-    static SIMD_FALLBACK_EXACT: Cell<u64> = const { Cell::new(0) };
     static QUANT_CELLS_RESOLVED: Cell<u64> = const { Cell::new(0) };
     static QUANT_FALLBACK_EXACT: Cell<u64> = const { Cell::new(0) };
     static QUANT_LANES_TESTED: Cell<u64> = const { Cell::new(0) };
@@ -61,12 +65,12 @@ pub struct KernelCounters {
     /// Subtree (pairs) pruned by a bound or best-so-far comparison, plus
     /// envelope-level early exits in bounded-distance queries.
     pub distance_early_exit: u64,
-    /// `f64` lanes evaluated by the SIMD leaf kernels
-    /// ([`crate::simd`]): ring-crossing lanes plus vectorized envelope
-    /// lower bounds.
+    /// `f64` lanes evaluated by the segment tree's lane-parallel leaf
+    /// envelope lower bounds in bounded-distance traversals.
     pub simd_lanes_tested: u64,
-    /// Queries the SIMD fast path handed back to the exact robust
-    /// predicates because a lane landed in the boundary epsilon band.
+    /// Always 0: point location has no `f64` lane tier between the
+    /// quantized grid and the exact index. Kept so consumers of the
+    /// counter set keep compiling and reading the same keys.
     pub simd_fallback_exact: u64,
     /// Point-location queries the quantized integer fast path
     /// ([`crate::quant`]) answered with certainty (the query cell was
@@ -93,24 +97,17 @@ pub fn take_kernel_counters() -> KernelCounters {
         pairs_exact: PAIRS_EXACT.with(|c| c.take()),
         distance_early_exit: DISTANCE_EARLY_EXIT.with(|c| c.take()),
         simd_lanes_tested: SIMD_LANES_TESTED.with(|c| c.take()),
-        simd_fallback_exact: SIMD_FALLBACK_EXACT.with(|c| c.take()),
+        simd_fallback_exact: 0,
         quant_cells_resolved: QUANT_CELLS_RESOLVED.with(|c| c.take()),
         quant_fallback_exact: QUANT_FALLBACK_EXACT.with(|c| c.take()),
         quant_lanes_tested: QUANT_LANES_TESTED.with(|c| c.take()),
     }
 }
 
-/// Records `f64` lanes evaluated by the SIMD leaf kernels.
+/// Records `f64` lanes evaluated by the leaf lower-bound kernels.
 #[inline]
-pub(crate) fn note_simd_lanes(n: u64) {
+fn note_simd_lanes(n: u64) {
     SIMD_LANES_TESTED.with(|c| c.set(c.get() + n));
-}
-
-/// Records epsilon-band fallbacks from the SIMD fast path to the exact
-/// robust predicates.
-#[inline]
-pub(crate) fn note_simd_fallback(n: u64) {
-    SIMD_FALLBACK_EXACT.with(|c| c.set(c.get() + n));
 }
 
 /// Records point-location queries the quantized integer fast path
@@ -168,6 +165,10 @@ pub(crate) fn exceeds(lb: f64, limit: f64) -> bool {
 /// Leaf fan-out and internal fan-out of the packed tree.
 const NODE_CAPACITY: usize = 8;
 
+/// Lane width of the leaf lower-bound kernels: four `f64`s fill one
+/// AVX2 register; narrower hosts split the chunk, wider ones fuse two.
+const LANES: usize = 4;
+
 #[derive(Debug, Clone, Copy)]
 struct Node {
     rect: Rect,
@@ -188,8 +189,8 @@ pub struct SegTree {
     entries: Vec<(Rect, u32)>,
     /// Arena of nodes, packed level by level, root last.
     nodes: Vec<Node>,
-    /// Entry envelopes mirrored in struct-of-arrays form for the SIMD
-    /// leaf lower bounds, padded to a multiple of [`crate::simd::LANES`]
+    /// Entry envelopes mirrored in struct-of-arrays form for the
+    /// lane-parallel leaf lower bounds, padded to a multiple of `LANES`
     /// with [`Rect::EMPTY`] components (`+∞`/`−∞`, never consulted by the
     /// decision loop). Leaves cover entry runs starting at multiples of
     /// [`NODE_CAPACITY`], itself a lane-width multiple, so every leaf's
@@ -390,9 +391,9 @@ impl SegTree {
     }
 
     /// Finishes construction by mirroring the entry envelopes into the
-    /// padded SoA arrays the SIMD lower-bound kernels scan.
+    /// padded SoA arrays the lane-parallel lower-bound kernels scan.
     fn with_env_soa(entries: Vec<(Rect, u32)>, nodes: Vec<Node>) -> SegTree {
-        let padded = entries.len().div_ceil(crate::simd::LANES) * crate::simd::LANES;
+        let padded = entries.len().div_ceil(LANES) * LANES;
         let mut env_minx = vec![f64::INFINITY; padded];
         let mut env_miny = vec![f64::INFINITY; padded];
         let mut env_maxx = vec![f64::NEG_INFINITY; padded];
@@ -415,7 +416,7 @@ impl SegTree {
     /// the values prunes exactly as the scalar computation would.
     #[inline]
     fn leaf_point_lbs(&self, first: usize, count: usize, p: Coord) -> [f64; NODE_CAPACITY] {
-        let padded = count.div_ceil(crate::simd::LANES) * crate::simd::LANES;
+        let padded = count.div_ceil(LANES) * LANES;
         let (minx, miny) = (&self.env_minx[first..first + padded], &self.env_miny[first..first + padded]);
         let (maxx, maxy) = (&self.env_maxx[first..first + padded], &self.env_maxy[first..first + padded]);
         let mut dx = [0.0f64; NODE_CAPACITY];
@@ -437,7 +438,7 @@ impl SegTree {
     /// `r.distance_to_rect(&entries[first + j].0)` bit for bit.
     #[inline]
     fn leaf_rect_lbs(&self, first: usize, count: usize, r: &Rect) -> [f64; NODE_CAPACITY] {
-        let padded = count.div_ceil(crate::simd::LANES) * crate::simd::LANES;
+        let padded = count.div_ceil(LANES) * LANES;
         let (minx, miny) = (&self.env_minx[first..first + padded], &self.env_miny[first..first + padded]);
         let (maxx, maxy) = (&self.env_maxx[first..first + padded], &self.env_maxy[first..first + padded]);
         let mut dx = [0.0f64; NODE_CAPACITY];
@@ -523,11 +524,7 @@ impl SegTree {
         // would have pruned each entry individually (the integer gap is a
         // conservative lower bound with margin), so skipping the leaf
         // changes no answer and keeps `distance_early_exit` identical.
-        let qpoint = if crate::quant::quant_enabled() {
-            self.qenv.as_ref().and_then(|qe| qe.point_query(p, limit))
-        } else {
-            None
-        };
+        let qpoint = self.qenv.as_ref().and_then(|qe| qe.point_query(p, limit));
         let mut stack: Vec<usize> = vec![root];
         'search: while let Some(ni) = stack.pop() {
             visited += 1;
@@ -546,15 +543,11 @@ impl SegTree {
                         continue;
                     }
                 }
-                // Lane-parallel envelope lower bounds; the decision loop
-                // below consumes the same values the scalar computation
-                // yields, so pruning is bit-identical either way.
-                let lbs = crate::simd::simd_enabled().then(|| self.leaf_point_lbs(first, count, p));
-                for (off, e) in self.entries[first..first + count].iter().enumerate() {
-                    let elb = match &lbs {
-                        Some(lbs) => lbs[off],
-                        None => e.0.distance_to_point(p),
-                    };
+                // Lane-parallel envelope lower bounds: the same values
+                // `e.0.distance_to_point(p)` yields, so pruning is exactly
+                // the scalar computation's.
+                let lbs = self.leaf_point_lbs(first, count, p);
+                for (e, &elb) in self.entries[first..first + count].iter().zip(&lbs) {
                     if exceeds(elb, limit) || elb >= best {
                         pruned += 1;
                         continue;
@@ -610,11 +603,7 @@ impl SegTree {
         let mut pruned = 0u64;
         // Quantized whole-leaf rejection against `other`'s grid: same
         // conservative contract as in point_distance_within.
-        let qlimit = if crate::quant::quant_enabled() {
-            other.qenv.as_ref().and_then(|qe| qe.limit_cells(limit))
-        } else {
-            None
-        };
+        let qlimit = other.qenv.as_ref().and_then(|qe| qe.limit_cells(limit));
         let mut stack: Vec<(usize, usize)> = vec![(ra, rb)];
         'search: while let Some((ia, ib)) = stack.pop() {
             visited += 1;
@@ -629,7 +618,6 @@ impl SegTree {
                 (true, true) => {
                     let ea = &self.entries[na.first as usize..(na.first + na.count) as usize];
                     let eb = &other.entries[nb.first as usize..(nb.first + nb.count) as usize];
-                    let simd = crate::simd::simd_enabled();
                     for a in ea {
                         if let (Some(lc), Some(qe)) = (qlimit, other.qenv.as_ref()) {
                             if let Some(qr) = qe.snap_rect(&a.0) {
@@ -644,13 +632,8 @@ impl SegTree {
                                 }
                             }
                         }
-                        let lbs = simd
-                            .then(|| other.leaf_rect_lbs(nb.first as usize, nb.count as usize, &a.0));
-                        for (off, b) in eb.iter().enumerate() {
-                            let elb = match &lbs {
-                                Some(lbs) => lbs[off],
-                                None => a.0.distance_to_rect(&b.0),
-                            };
+                        let lbs = other.leaf_rect_lbs(nb.first as usize, nb.count as usize, &a.0);
+                        for (b, &elb) in eb.iter().zip(&lbs) {
                             if exceeds(elb, limit) || elb >= best {
                                 pruned += 1;
                                 continue;
@@ -750,12 +733,6 @@ impl RingIndex {
     /// True when the index holds no edges (never for a valid ring).
     pub fn is_empty(&self) -> bool {
         self.edges.is_empty()
-    }
-
-    /// The indexed edges, ascending by `envelope().min.y` — the order the
-    /// SIMD struct-of-arrays mirror ([`crate::simd::SoaRing`]) shares.
-    pub(crate) fn edges(&self) -> &[Segment] {
-        &self.edges
     }
 
     /// Envelope of the indexed ring.

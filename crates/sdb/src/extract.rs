@@ -526,7 +526,7 @@ fn build_self_join_memo(
 /// Moves the thread-local geometry-kernel counters accumulated since the
 /// last reset into `metrics`.
 ///
-/// Every counter — including the SIMD/quant fallback counters — is
+/// Every counter — including the quant fallback counter — is
 /// drained per extraction task (row or memo entry) into that task's own
 /// `Metrics` and merged in deterministic row order, so totals are
 /// invariant under the worker thread count.

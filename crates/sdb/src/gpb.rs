@@ -6,7 +6,7 @@
 //! stores the same [`SpatialDataset`] as typed little-endian arrays:
 //!
 //! ```text
-//! "GPB1"  u32 version            — 1 (plain) or 2 (adds the quant column)
+//! "GPB1"  u32 version            — 1 (written), or legacy 2 (read only)
 //! string table          — interned layer names and attribute keys/values,
 //!                         in first-use order (deterministic output)
 //! u32 layer count
@@ -17,20 +17,17 @@
 //!     per feature: id bytes, u8 geometry tag, envelope (4×f64),
 //!                  part/ring structure (u32 lengths), attribute id pairs
 //!     u64 coord count, xs (n×f64), ys (n×f64)       ← columnar coords
-//!     version ≥ 2: u8 has_quant, then if set:
-//!       quantizer header (x0, y0, cell — 3×f64, validated)
+//!     version 2 only: u8 has_quant, then if set:
+//!       quantizer header (x0, y0, cell — 3×f64)
 //!       qx deltas (n×i32), qy deltas (n×i32)        ← quantized column
 //! ```
 //!
-//! The version-2 quantized column stores each layer's coordinates snapped
-//! onto the per-layer `i32` grid of [`geopattern_geom::Quantizer`]
-//! (sized from the layer's bounding box), delta-encoded against the
-//! previous coordinate. [`GpbReader::read_layer_window_quant`] decodes it
-//! with pure integer accumulation — no `f64` round-trip — into a
-//! [`QuantColumn`] whose per-feature spans feed
-//! [`geopattern_geom::QuantRing::from_grid`] directly. Version-1 files
-//! contain no column and read unchanged; corrupt headers or
-//! out-of-range deltas surface as typed [`GpbError`]s.
+//! The writer emits version 1; the reader accepts versions 1 and 2.
+//! Version-2 files, written by earlier releases, append a quantized copy
+//! of each layer's coordinates that nothing reads: the decoder checks its
+//! structure (flag byte, a valid quantizer header, payloads inside the
+//! layer body) and skips it, so a corrupt column still surfaces as a
+//! typed [`GpbError`].
 //!
 //! Because each layer's directory record carries its body length, a
 //! [`GpbReader`] can open a dataset and decode **one layer at a time** —
@@ -61,10 +58,10 @@ use std::collections::HashMap;
 use std::fmt;
 
 const MAGIC: &[u8; 4] = b"GPB1";
-/// Version written by [`to_gpb`]; [`GpbReader::open`] accepts both this
-/// and the quant-column-free version 1.
-const VERSION: u32 = 2;
-const VERSION_V1: u32 = 1;
+/// Version written by [`to_gpb`].
+const VERSION: u32 = 1;
+/// The legacy version with a quantized column per layer, still read.
+const VERSION_V2: u32 = 2;
 
 const TAG_POINT: u8 = 1;
 const TAG_MULTIPOINT: u8 = 2;
@@ -175,45 +172,7 @@ fn put_polygon_structure(out: &mut Vec<u8>, p: &Polygon, xs: &mut Vec<f64>, ys: 
     }
 }
 
-fn put_i32(out: &mut Vec<u8>, v: i32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Builds the version-2 quantized column for one layer's coordinate
-/// arrays: a per-layer quantizer sized from the coordinate bounding box,
-/// and the delta-encoded grid coordinates. `None` when the layer has no
-/// coordinates or any coordinate refuses to quantize (the column is then
-/// omitted and readers fall back to the f64 arrays).
-fn quant_column(xs: &[f64], ys: &[f64]) -> Option<(Quantizer, Vec<i32>, Vec<i32>)> {
-    if xs.is_empty() {
-        return None;
-    }
-    let fold = |vs: &[f64]| {
-        vs.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)))
-    };
-    let (min_x, max_x) = fold(xs);
-    let (min_y, max_y) = fold(ys);
-    if !(min_x.is_finite() && max_x.is_finite() && min_y.is_finite() && max_y.is_finite()) {
-        return None;
-    }
-    let qz = Quantizer::for_rect(&Rect { min: coord(min_x, min_y), max: coord(max_x, max_y) });
-    let mut qx = Vec::with_capacity(xs.len());
-    let mut qy = Vec::with_capacity(ys.len());
-    for (&x, &y) in xs.iter().zip(ys) {
-        let (gx, gy) = qz.quantize(coord(x, y))?;
-        qx.push(gx);
-        qy.push(gy);
-    }
-    Some((qz, qx, qy))
-}
-
-fn encode_layer(
-    layer: &Layer,
-    is_reference: bool,
-    version: u32,
-    strings: &mut StringTable,
-    out: &mut Vec<u8>,
-) {
+fn encode_layer(layer: &Layer, is_reference: bool, strings: &mut StringTable, out: &mut Vec<u8>) {
     put_u32(out, strings.intern(&layer.feature_type));
     out.push(u8::from(is_reference));
 
@@ -283,28 +242,6 @@ fn encode_layer(
         put_f64(&mut body, y);
     }
 
-    if version >= 2 {
-        match quant_column(&xs, &ys) {
-            Some((qz, qx, qy)) => {
-                body.push(1);
-                let (x0, y0) = qz.origin();
-                put_f64(&mut body, x0);
-                put_f64(&mut body, y0);
-                put_f64(&mut body, qz.cell());
-                for col in [&qx, &qy] {
-                    let mut prev = 0i32;
-                    for &v in col {
-                        // Grid coords stay within [0, 2^28], so the delta
-                        // of consecutive values always fits i32.
-                        put_i32(&mut body, v.wrapping_sub(prev));
-                        prev = v;
-                    }
-                }
-            }
-            None => body.push(0),
-        }
-    }
-
     put_u64(out, body.len() as u64);
     out.extend_from_slice(&body);
 }
@@ -318,34 +255,22 @@ pub fn write_gpb(path: impl AsRef<std::path::Path>, dataset: &SpatialDataset) ->
     geopattern_par::atomic_write(path, &to_gpb(dataset))
 }
 
-/// Serialises a dataset to the binary format (version 2, with the
-/// quantized coordinate column). Deterministic: the same dataset always
-/// produces the same bytes.
+/// Serialises a dataset to the binary format (version 1).
+/// Deterministic: the same dataset always produces the same bytes.
 pub fn to_gpb(dataset: &SpatialDataset) -> Vec<u8> {
-    to_gpb_version(dataset, VERSION)
-}
-
-/// Serialises a dataset to format version 1 — byte-identical to the
-/// pre-quantization writer. Kept so compatibility tests (and tooling
-/// that wants the smaller file) can still produce v1 bytes.
-pub fn to_gpb_v1(dataset: &SpatialDataset) -> Vec<u8> {
-    to_gpb_version(dataset, VERSION_V1)
-}
-
-fn to_gpb_version(dataset: &SpatialDataset, version: u32) -> Vec<u8> {
     let mut strings = StringTable::new();
     // Layer records are encoded first so string ids are assigned in
     // first-use order, then spliced in after the string table.
     let mut layers = Vec::new();
     put_u32(&mut layers, 1 + dataset.relevant.len() as u32);
-    encode_layer(&dataset.reference, true, version, &mut strings, &mut layers);
+    encode_layer(&dataset.reference, true, &mut strings, &mut layers);
     for layer in &dataset.relevant {
-        encode_layer(layer, false, version, &mut strings, &mut layers);
+        encode_layer(layer, false, &mut strings, &mut layers);
     }
 
     let mut out = Vec::with_capacity(layers.len() + 64);
     out.extend_from_slice(MAGIC);
-    put_u32(&mut out, version);
+    put_u32(&mut out, VERSION);
     put_u32(&mut out, strings.strings.len() as u32);
     for s in &strings.strings {
         put_str(&mut out, s);
@@ -461,7 +386,7 @@ impl<'a> GpbReader<'a> {
             return Err(GpbError::BadMagic);
         }
         let version = cur.u32()?;
-        if version != VERSION_V1 && version != VERSION {
+        if version != VERSION && version != VERSION_V2 {
             return Err(GpbError::UnsupportedVersion(version));
         }
         let n_strings = cur.count(4)?;
@@ -523,50 +448,6 @@ impl<'a> GpbReader<'a> {
     /// load one tile's slice of a dataset.
     pub fn read_layer_window(&self, i: usize, window: &Rect) -> Result<Layer, GpbError> {
         self.decode_layer(i, Some(window))
-    }
-
-    /// Windowed read that also decodes the version-2 quantized column
-    /// for the surviving features (`None` on version-1 input or layers
-    /// written without a column).
-    ///
-    /// The layer equals [`GpbReader::read_layer_window`]'s output; the
-    /// column is produced by pure integer delta accumulation — grid
-    /// coordinates never round-trip through `f64` — with out-of-range
-    /// values reported as typed [`GpbError::Malformed`].
-    pub fn read_layer_window_quant(
-        &self,
-        i: usize,
-        window: &Rect,
-    ) -> Result<(Layer, Option<QuantColumn>), GpbError> {
-        let pl = self.parse_layer_records(i)?;
-        let kept: Vec<&Pending<'a>> =
-            pl.pending.iter().filter(|p| window.intersects(&p.envelope)).collect();
-        let mut features = Vec::with_capacity(kept.len());
-        let mut envelopes = Vec::with_capacity(kept.len());
-        for p in &kept {
-            let (feature, envelope) = self.assemble_one(p, pl.xs, pl.ys)?;
-            envelopes.push(envelope);
-            features.push(feature);
-        }
-        let layer = Layer::with_envelopes(self.layer_name(i).to_string(), features, &envelopes);
-        let quant = match &pl.quant {
-            None => None,
-            Some(qb) => {
-                let full_x = QuantBlock::accumulate(qb.dqx, qb.qx_off)?;
-                let full_y = QuantBlock::accumulate(qb.dqy, qb.qy_off)?;
-                let mut spans = Vec::with_capacity(kept.len());
-                let mut qx = Vec::new();
-                let mut qy = Vec::new();
-                for p in &kept {
-                    let (s, n) = (p.coord_start, p.structure.coord_count());
-                    spans.push((qx.len(), n));
-                    qx.extend_from_slice(&full_x[s..s + n]);
-                    qy.extend_from_slice(&full_y[s..s + n]);
-                }
-                Some(QuantColumn { quantizer: qb.quantizer, spans, qx, qy })
-            }
-        };
-        Ok((layer, quant))
     }
 
     /// Decodes the whole dataset, enforcing the one-reference-layer rule.
@@ -707,29 +588,25 @@ impl<'a> GpbReader<'a> {
             .ok_or(GpbError::Truncated { offset: coords_offset })?;
         let xs = cur.take(coord_bytes)?;
         let ys = cur.take(coord_bytes)?;
-        // Version 2 appends the optional quantized column; its header is
-        // validated here, delta payloads are located (bounds-checked) but
-        // decoded lazily by the quant accessors.
-        let quant = if self.version >= 2 {
+        // Version 2 appends an optional quantized column that nothing
+        // reads: check its structure, then skip it.
+        if self.version == VERSION_V2 {
             let offset = cur.at;
             match cur.u8()? {
-                0 => None,
+                0 => {}
                 1 => {
                     let (x0, y0, cell) = (cur.f64()?, cur.f64()?, cur.f64()?);
-                    let quantizer = Quantizer::from_parts(x0, y0, cell).ok_or_else(|| {
-                        GpbError::Malformed {
+                    if Quantizer::from_parts(x0, y0, cell).is_none() {
+                        return Err(GpbError::Malformed {
                             offset,
                             message: "invalid quantizer header".into(),
-                        }
-                    })?;
+                        });
+                    }
                     let delta_bytes = coord_at
                         .checked_mul(4)
                         .ok_or(GpbError::Truncated { offset: cur.at })?;
-                    let qx_off = cur.at;
-                    let dqx = cur.take(delta_bytes)?;
-                    let qy_off = cur.at;
-                    let dqy = cur.take(delta_bytes)?;
-                    Some(QuantBlock { quantizer, dqx, qx_off, dqy, qy_off })
+                    cur.take(delta_bytes)?;
+                    cur.take(delta_bytes)?;
                 }
                 other => {
                     return Err(GpbError::Malformed {
@@ -738,16 +615,14 @@ impl<'a> GpbReader<'a> {
                     })
                 }
             }
-        } else {
-            None
-        };
+        }
         if cur.at != entry.body.end {
             return Err(GpbError::Malformed {
                 offset: cur.at,
                 message: "trailing bytes after layer body".into(),
             });
         }
-        Ok(PendingLayer { pending, xs, ys, quant })
+        Ok(PendingLayer { pending, xs, ys })
     }
 
     /// Assembles one pending feature from its layer's columnar coords.
@@ -806,58 +681,6 @@ struct PendingLayer<'a> {
     pending: Vec<Pending<'a>>,
     xs: &'a [u8],
     ys: &'a [u8],
-    /// Located (not yet decoded) version-2 quantized column.
-    quant: Option<QuantBlock<'a>>,
-}
-
-/// A located version-2 quantized column: validated quantizer header plus
-/// the raw delta payloads, decoded on demand with integer accumulation.
-struct QuantBlock<'a> {
-    quantizer: Quantizer,
-    dqx: &'a [u8],
-    /// Absolute input offset of `dqx` (for error reporting).
-    qx_off: usize,
-    dqy: &'a [u8],
-    qy_off: usize,
-}
-
-impl QuantBlock<'_> {
-    /// Accumulates one delta payload into absolute grid coordinates —
-    /// pure `i32`/`i64` arithmetic, no `f64` involved. Out-of-range
-    /// accumulated values (beyond the quantizer's arithmetic-safety span)
-    /// are malformed input, reported at `payload_offset`.
-    fn accumulate(deltas: &[u8], payload_offset: usize) -> Result<Vec<i32>, GpbError> {
-        let span = geopattern_geom::quant::SPAN as i64;
-        let mut out = Vec::with_capacity(deltas.len() / 4);
-        let mut acc = 0i64;
-        for (k, d) in deltas.chunks_exact(4).enumerate() {
-            acc += i32::from_le_bytes(d.try_into().expect("4 bytes")) as i64;
-            if acc.abs() > span {
-                return Err(GpbError::Malformed {
-                    offset: payload_offset + k * 4,
-                    message: format!("quantized coordinate {acc} outside grid span"),
-                });
-            }
-            out.push(acc as i32);
-        }
-        Ok(out)
-    }
-}
-
-/// A layer's decoded version-2 quantized column, windowed to the same
-/// features as the accompanying [`Layer`]: `spans[k]` is the
-/// `(start, len)` range of kept feature `k`'s coordinates within
-/// `qx`/`qy`. Grid coordinates are exact `Quantizer::quantize` images of
-/// the stored f64 coordinates, decoded without any f64 round-trip, so
-/// they can seed [`geopattern_geom::QuantRing::from_grid`] directly.
-#[derive(Debug, Clone)]
-pub struct QuantColumn {
-    /// The per-layer quantizer the writer sized from the layer bbox.
-    pub quantizer: Quantizer,
-    /// Per-kept-feature `(start, len)` coordinate spans.
-    pub spans: Vec<(usize, usize)>,
-    pub qx: Vec<i32>,
-    pub qy: Vec<i32>,
 }
 
 /// One geometry's view of its layer's columnar coord arrays: slot `k` is
@@ -1114,131 +937,56 @@ mod tests {
         }
     }
 
+    /// A version-2 file (with quantized columns) written by an earlier
+    /// release of [`to_gpb`]: `generate_city` at grid 2, seed 7.
+    const FIXTURE_V2: &[u8] = include_bytes!("../testdata/city_grid2_seed7_v2.gpb");
+
+    fn version_of(bytes: &[u8]) -> u32 {
+        u32::from_le_bytes(bytes[4..8].try_into().unwrap())
+    }
+
     #[test]
     fn v1_writer_is_version_1_and_reads_identically() {
         let ds = sample();
-        let v1 = to_gpb_v1(&ds);
-        let v2 = to_gpb(&ds);
-        assert_eq!(u32::from_le_bytes(v1[4..8].try_into().unwrap()), 1);
-        assert_eq!(u32::from_le_bytes(v2[4..8].try_into().unwrap()), 2);
-        let from_v1 = from_gpb(&v1).unwrap();
-        let from_v2 = from_gpb(&v2).unwrap();
-        assert_eq!(from_v1.to_text(), ds.to_text());
-        assert_eq!(from_v1.to_text(), from_v2.to_text());
-        // v1 never carries a quant column.
-        let reader = GpbReader::open(&v1).unwrap();
-        assert_eq!(reader.version(), 1);
-        let (_, col) = reader
-            .read_layer_window_quant(1, &Rect::new(coord(-1e9, -1e9), coord(1e9, 1e9)))
-            .unwrap();
-        assert!(col.is_none());
-    }
-
-    #[test]
-    fn quant_column_matches_quantizer_images() {
-        let ds = sample();
-        let bytes = to_gpb(&ds);
-        let reader = GpbReader::open(&bytes).unwrap();
-        assert_eq!(reader.version(), 2);
-        let window = Rect::new(coord(-1e9, -1e9), coord(1e9, 1e9));
-        for i in 0..reader.num_layers() {
-            let (layer, col) = reader.read_layer_window_quant(i, &window).unwrap();
-            let col = col.expect("v2 layers with coords carry the column");
-            assert_eq!(col.spans.len(), layer.len());
-            for (f, &(start, len)) in layer.features().iter().zip(&col.spans) {
-                let mut k = start;
-                let mut check = |c: Coord| {
-                    let (gx, gy) = col.quantizer.quantize(c).expect("in-bbox coord");
-                    assert_eq!((col.qx[k], col.qy[k]), (gx, gy));
-                    k += 1;
-                };
-                match &f.geometry {
-                    Geometry::Point(p) => check(p.coord()),
-                    Geometry::Polygon(p) => {
-                        p.exterior().coords().iter().for_each(|&c| check(c));
-                        for h in p.holes() {
-                            h.coords().iter().for_each(|&c| check(c));
-                        }
-                    }
-                    g => {
-                        // Remaining classes checked via coord counts only.
-                        assert!(len > 0, "span for {g:?}");
-                        k += len;
-                    }
-                }
-                assert!(k <= start + len);
-            }
-        }
-    }
-
-    #[test]
-    fn windowed_quant_spans_follow_the_window() {
-        let ds = sample();
-        let bytes = to_gpb(&ds);
-        let reader = GpbReader::open(&bytes).unwrap();
-        let window = Rect::new(coord(2.5, 3.5), coord(3.5, 4.5));
-        let (layer, col) = reader.read_layer_window_quant(1, &window).unwrap();
-        let plain = reader.read_layer_window(1, &window).unwrap();
-        assert_eq!(layer.len(), plain.len());
-        let col = col.unwrap();
-        assert_eq!(col.spans.len(), layer.len());
-        // POINT (3 4) survives the window and is span 0.
-        assert_eq!(layer.features()[0].id, "p");
-        assert_eq!(col.spans[0].1, 1);
-        let (gx, gy) = col.quantizer.quantize(coord(3.0, 4.0)).unwrap();
-        assert_eq!((col.qx[0], col.qy[0]), (gx, gy));
+        let v1 = to_gpb(&ds);
+        assert_eq!(version_of(&v1), 1);
+        assert_eq!(GpbReader::open(&v1).unwrap().version(), 1);
+        assert_eq!(from_gpb(&v1).unwrap().to_text(), ds.to_text());
+        // A legacy v2 file reads, and re-encodes to v1 bytes that read
+        // back to the same dataset.
+        assert_eq!(GpbReader::open(FIXTURE_V2).unwrap().version(), 2);
+        let from_v2 = from_gpb(FIXTURE_V2).unwrap();
+        let reencoded = to_gpb(&from_v2);
+        assert_eq!(version_of(&reencoded), 1);
+        assert!(reencoded.len() < FIXTURE_V2.len(), "v1 drops the quantized columns");
+        assert_eq!(from_gpb(&reencoded).unwrap().to_text(), from_v2.to_text());
     }
 
     #[test]
     fn bad_quantizer_header_is_malformed() {
-        let ds = sample();
-        let bytes = to_gpb(&ds);
-        let reader = GpbReader::open(&bytes).unwrap();
-        let (_, col) = reader
-            .read_layer_window_quant(0, &Rect::new(coord(-1e9, -1e9), coord(1e9, 1e9)))
-            .unwrap();
-        let col = col.unwrap();
-        // Locate the reference layer's quant flag byte by re-encoding
-        // with a poisoned cell: flip the stored cell to 0.0 (invalid).
-        let cell_bytes = col.quantizer.cell().to_le_bytes();
-        let pos = bytes
-            .windows(8)
-            .rposition(|w| w == cell_bytes)
-            .expect("stored cell must appear in the encoding");
-        let mut v = bytes.clone();
-        v[pos..pos + 8].copy_from_slice(&0.0f64.to_le_bytes());
-        let reader = GpbReader::open(&v).unwrap();
-        let window = Rect::new(coord(-1e9, -1e9), coord(1e9, 1e9));
-        // One of the layers now has an invalid header; decoding that
-        // layer must be a typed error, never a panic.
-        let err = (0..reader.num_layers())
-            .find_map(|i| reader.read_layer_window_quant(i, &window).err())
-            .expect("poisoned quantizer header must be rejected");
-        assert!(matches!(err, GpbError::Malformed { .. }), "{err}");
-    }
-
-    #[test]
-    fn out_of_range_deltas_are_malformed() {
-        let ds = sample();
-        let bytes = to_gpb(&ds);
-        let reader = GpbReader::open(&bytes).unwrap();
-        let window = Rect::new(coord(-1e9, -1e9), coord(1e9, 1e9));
-        let (_, col) = reader.read_layer_window_quant(1, &window).unwrap();
-        assert!(col.is_some());
-        // Blast a delta to i32::MAX: accumulation leaves the grid span.
-        // The first delta of the zoo layer's column sits right after its
-        // quantizer header; find the header by its stored cell bytes.
-        let cell_bytes = col.unwrap().quantizer.cell().to_le_bytes();
-        let pos = bytes
+        // The legacy writer sized each layer's quantizer from the union
+        // of its feature envelopes; recompute the reference layer's cell
+        // to find its stored header, then poison the cell with 0.0.
+        let ds = from_gpb(FIXTURE_V2).unwrap();
+        let bbox = ds
+            .reference
+            .features()
+            .iter()
+            .fold(Rect::EMPTY, |acc, f| acc.union(&f.envelope()));
+        let cell_bytes = Quantizer::for_rect(&bbox).cell().to_le_bytes();
+        let pos = FIXTURE_V2
             .windows(8)
             .position(|w| w == cell_bytes)
             .expect("stored cell must appear in the encoding");
-        let mut v = bytes.clone();
-        v[pos + 8..pos + 12].copy_from_slice(&i32::MAX.to_le_bytes());
-        let reader = GpbReader::open(&v).unwrap();
-        let err = (0..reader.num_layers())
-            .find_map(|i| reader.read_layer_window_quant(i, &window).err())
-            .expect("out-of-range accumulated delta must be rejected");
+        let mut v = FIXTURE_V2.to_vec();
+        v[pos..pos + 8].copy_from_slice(&0.0f64.to_le_bytes());
+        let err = from_gpb(&v).expect_err("poisoned quantizer header must be rejected");
+        assert!(matches!(err, GpbError::Malformed { .. }), "{err}");
+        // An unknown column flag is rejected the same way: the flag byte
+        // sits just before the header's origin and cell.
+        let mut v = FIXTURE_V2.to_vec();
+        v[pos - 17] = 7;
+        let err = from_gpb(&v).expect_err("unknown quant-column flag must be rejected");
         assert!(matches!(err, GpbError::Malformed { .. }), "{err}");
     }
 }

@@ -40,7 +40,7 @@ pub(crate) mod tiled;
 pub use dataset::{DatasetError, SpatialDataset};
 pub use discretize::{discretize_attribute, BinningStrategy, DiscretizeError};
 pub use extract::{extract_predicates, ExtractionConfig, ExtractionStats, Tiling};
-pub use gpb::{from_gpb, to_gpb, to_gpb_v1, write_gpb, GpbError, GpbReader, QuantColumn};
+pub use gpb::{from_gpb, to_gpb, write_gpb, GpbError, GpbReader};
 pub use feature::{Feature, Layer};
 pub use join::{spatial_join, spatial_join_intersecting, JoinPair};
 pub use knowledge::KnowledgeBase;

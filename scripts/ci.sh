@@ -10,6 +10,9 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> perfbench tests (the benchmark compiles against the public API, KernelCounters included)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -85,10 +88,7 @@ echo "==> strategy-equivalence gate (all counting backends incl. hybrid/auto bit
 cargo test --release -q -p geopattern-integration --test strategy_equivalence
 cargo test --release -q -p geopattern-integration --test bitmap_properties
 
-echo "==> SIMD leaf-kernel gate (lane paths bit-identical to scalar)"
-cargo test --release -q -p geopattern-integration --test simd_properties
-
-echo "==> quantized-kernel gate (int32 grid bit-identical to f64; certain answers exact; .gpb v2 column feeds from_grid)"
+echo "==> point-location gate (quant → exact equals Ring::locate and RingIndex::locate; certain grid answers exact)"
 cargo test --release -q -p geopattern-integration --test quant_properties
 
 echo "==> tiling-equivalence gate (tiled extraction bit-identical to flat)"
@@ -102,7 +102,7 @@ echo "==> experiments counting smoke (emits BENCH_counting.json; bitmap > hash-s
 cargo run --release -q -p geopattern-bench --bin experiments -- counting --check
 test -s BENCH_counting.json
 
-echo "==> experiments kernel (emits BENCH_kernel.json; SIMD ≥1.5x scalar locate, quant ≥1.3x SIMD locate, lattice fallbacks <5%, extraction bit-identical across SIMD×quant toggles)"
+echo "==> experiments kernel (emits BENCH_kernel.json; quant → exact locate ≥2x the exact index alone, lattice fallbacks <5%, extraction bit-identical at 1/2/8 threads)"
 cargo run --release -q -p geopattern-bench --bin experiments -- kernel --max 256 --check
 test -s BENCH_kernel.json
 

@@ -15,8 +15,12 @@
 
 use geopattern::{from_gpb, to_gpb, SpatialDataset};
 use geopattern_datagen::{generate_city, CityConfig};
-use geopattern_sdb::{to_gpb_v1, GpbReader};
+use geopattern_sdb::GpbReader;
 use geopattern_testkit::Rng;
+
+/// A version-2 `.gpb` file (quantized columns included) written by an
+/// earlier release's `to_gpb` from `generate_city` at grid 2, seed 7.
+const FIXTURE_V2: &[u8] = include_bytes!("../../crates/sdb/testdata/city_grid2_seed7_v2.gpb");
 
 /// Hostile fragments spliced into the text at random positions.
 const POISON: &[&str] = &[
@@ -191,16 +195,10 @@ fn corrupted_binary_bytes_never_panic_the_reader() {
         if let Ok(decoded) = from_gpb(&bytes) {
             let _ = decoded.to_text();
         }
-        // The quantized-column decode path (version-2 payloads: quantizer
-        // headers, delta streams) must hold the same property — every
-        // layer, never a panic, typed errors only.
+        // The streaming per-layer path must hold the same property.
         if let Ok(reader) = GpbReader::open(&bytes) {
-            let window = geopattern_geom::Rect::new(
-                geopattern_geom::coord(f64::MIN, f64::MIN),
-                geopattern_geom::coord(f64::MAX, f64::MAX),
-            );
             for layer in 0..reader.num_layers() {
-                let _ = reader.read_layer_window_quant(layer, &window);
+                let _ = reader.read_layer(layer);
             }
         }
         let _ = i;
@@ -213,8 +211,7 @@ fn corrupted_quant_sections_never_panic_the_reader() {
     // header (three f64s after the has-quant flag) and the two i32 delta
     // columns. Random stomps over the back half of the payload land there
     // far more often than whole-file mutation does.
-    let ds = generate_city(&CityConfig { grid: 3, seed: 5, ..Default::default() });
-    let pristine = to_gpb(&ds);
+    let pristine = FIXTURE_V2.to_vec();
     let mut rng = Rng::seed_from_u64(0x0_4A17_B10C);
     for i in 0..400 {
         let mut bytes = pristine.clone();
@@ -240,16 +237,14 @@ fn corrupted_quant_sections_never_panic_the_reader() {
                 _ => bytes[at] = rng.below(256) as u8,
             }
         }
+        // Ok or a typed GpbError, through both read paths; a decoded
+        // dataset must be well-formed enough to re-serialise.
+        if let Ok(decoded) = from_gpb(&bytes) {
+            let _ = to_gpb(&decoded);
+        }
         if let Ok(reader) = GpbReader::open(&bytes) {
-            let window = geopattern_geom::Rect::new(
-                geopattern_geom::coord(f64::MIN, f64::MIN),
-                geopattern_geom::coord(f64::MAX, f64::MAX),
-            );
             for layer in 0..reader.num_layers() {
-                // Ok or typed GpbError; a decoded column must be usable.
-                if let Ok((_, Some(col))) = reader.read_layer_window_quant(layer, &window) {
-                    assert_eq!(col.qx.len(), col.qy.len());
-                }
+                let _ = reader.read_layer(layer);
             }
         }
         let _ = i;
@@ -258,24 +253,26 @@ fn corrupted_quant_sections_never_panic_the_reader() {
 
 #[test]
 fn v1_writer_output_reads_back_byte_identically() {
-    // The legacy writer must still produce version-1 bytes that decode to
-    // the same dataset as the version-2 writer, and re-encoding the
-    // decoded dataset must reproduce the exact same v1 byte stream
-    // (binary determinism, no quantized column involved).
+    // The writer produces version-1 bytes, and re-encoding the decoded
+    // dataset reproduces the exact same byte stream (binary determinism).
     let ds = generate_city(&CityConfig { grid: 3, seed: 5, ..Default::default() });
-    let v1 = to_gpb_v1(&ds);
+    let v1 = to_gpb(&ds);
     let reader = GpbReader::open(&v1).expect("v1 bytes open");
     assert_eq!(reader.version(), 1);
     let back = from_gpb(&v1).expect("v1 bytes decode");
     assert_eq!(back.to_text(), ds.to_text());
-    assert_eq!(to_gpb_v1(&back), v1, "v1 encoding is not a fixed point");
-    // And no layer reports a quantized column.
-    let window = geopattern_geom::Rect::new(
-        geopattern_geom::coord(f64::MIN, f64::MIN),
-        geopattern_geom::coord(f64::MAX, f64::MAX),
-    );
-    for layer in 0..reader.num_layers() {
-        let (_, col) = reader.read_layer_window_quant(layer, &window).expect("v1 windowed read");
-        assert!(col.is_none(), "v1 layer {layer} grew a quantized column");
-    }
+    assert_eq!(to_gpb(&back), v1, "v1 encoding is not a fixed point");
+}
+
+#[test]
+fn v2_fixture_decodes_to_the_regenerated_city() {
+    // Files written before the writer dropped the quantized column still
+    // load: the committed v2 bytes decode to the dataset the generator
+    // reproduces today, and re-encode to today's version-1 bytes.
+    let reader = GpbReader::open(FIXTURE_V2).expect("v2 fixture opens");
+    assert_eq!(reader.version(), 2);
+    let back = from_gpb(FIXTURE_V2).expect("v2 fixture decodes");
+    let city = generate_city(&CityConfig { grid: 2, seed: 7, ..Default::default() });
+    assert_eq!(back.to_text(), city.to_text());
+    assert_eq!(to_gpb(&back), to_gpb(&city), "v2 fixture re-encodes to different v1 bytes");
 }

@@ -10,8 +10,8 @@
 
 use geopattern_datagen::{lattice_geometry, lattice_polygon, random_linestring, star_polygon};
 use geopattern_geom::{
-    coord, geometry_distance, geometry_distance_within, relate, Geometry, PreparedGeometry, Ring,
-    RingIndex,
+    coord, geometry_distance, geometry_distance_within, relate, take_kernel_counters, Geometry,
+    PreparedGeometry, Ring, RingIndex,
 };
 use geopattern_testkit::Rng;
 
@@ -101,6 +101,63 @@ fn indexed_kernel_agrees_with_brute_on_lattice_degenerates() {
         }
     }
     assert!(touching > 20, "lattice workload should produce many touching pairs ({touching})");
+}
+
+/// The segment tree's lane-parallel leaf lower bounds prune exactly as
+/// the scalar envelope distances would: bounded distance equals the
+/// unbounded reference at generous, exact, one-ulp-short, NaN and
+/// infinite bounds, on star pairs whose vertex counts leave partial
+/// lanes.
+#[test]
+fn bounded_distance_matches_reference_at_edge_bounds() {
+    let mut rng = Rng::seed_from_u64(99);
+    let geoms: Vec<Geometry> = (0..10)
+        .map(|i| {
+            let center = coord(rng.f64() * 40.0, rng.f64() * 40.0);
+            star_polygon(&mut rng, center, 1.0, 4.0, 6 + i % 9).into()
+        })
+        .collect();
+    let _ = take_kernel_counters();
+    for a in &geoms {
+        for b in &geoms {
+            let d = geometry_distance(a, b);
+            let mut bounds = vec![d * 2.0 + 1.0, d, f64::NAN, f64::INFINITY];
+            if d > 0.0 {
+                bounds.push(prev_f64(d));
+            }
+            for &bound in &bounds {
+                let want = (d <= bound).then_some(d.to_bits());
+                let got = geometry_distance_within(a, b, bound).map(f64::to_bits);
+                assert_eq!(got, want, "distance_within diverged at bound {bound}");
+            }
+        }
+    }
+    assert!(take_kernel_counters().simd_lanes_tested > 0, "leaf lower bounds never ran");
+}
+
+/// The kernel counters surface through the extraction metrics drain: a
+/// bounded-distance extraction reports the leaf lower-bound lanes, and
+/// `geom/simd_fallback_exact` stays 0 — point location has no `f64` lane
+/// tier to fall back from.
+#[test]
+fn simd_counters_surface_in_pipeline_metrics() {
+    use geopattern::Recorder;
+    use geopattern_datagen::{generate_city, CityConfig};
+    use geopattern_qsr::DistanceScheme;
+    use geopattern_sdb::{extract_predicates, ExtractionConfig};
+
+    let ds = generate_city(&CityConfig { grid: 6, seed: 11, ..Default::default() });
+    let cell = CityConfig::default().cell;
+    let scheme = DistanceScheme::new(vec![("veryCloseTo", 0.6 * cell), ("closeTo", 1.5 * cell)])
+        .expect("bounded scheme");
+    let rec = Recorder::new();
+    let config =
+        ExtractionConfig::topological_only().with_distance(scheme).with_recorder(rec.clone());
+    extract_predicates(&ds.reference, &ds.relevant_refs(), &config).expect("extraction");
+    let m = rec.snapshot();
+    let lanes = m.counter("geom/simd_lanes_tested").unwrap_or(0);
+    assert!(lanes > 0, "bounded extraction recorded no leaf lanes: {}", m.to_json());
+    assert_eq!(m.counter("geom/simd_fallback_exact").unwrap_or(0), 0);
 }
 
 #[test]

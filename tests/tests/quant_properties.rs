@@ -1,34 +1,23 @@
-//! Property tests for the quantized integer fast path (`QuantRing`).
+//! Property tests for quant → exact point location (`PreparedRing`).
 //!
-//! The i32-grid layer under the prepared-geometry path is a pure
+//! The i32-grid tier under the prepared-geometry path is a pure
 //! accelerator: certain answers are exact by the snap-band homotopy
-//! argument, ambiguous queries fall back to the exact `f64` path, and
-//! every observable output must be **bit-identical** with the layer on
-//! and off — per ring, per prepared pair, and through a full extraction
-//! at any thread count and tiling. These tests drive it with seeded
-//! star and lattice generators plus adversarial probes: exact grid
-//! points, points a fraction of a snap band off an edge, and ±one-ulp
+//! argument, ambiguous queries fall back to the exact `RingIndex`, and
+//! every observable output must be **bit-identical** to the reference
+//! implementations — `Ring::locate` per ring, and a full extraction at
+//! any thread count and tiling. These tests drive it with seeded star,
+//! lattice and city rings plus adversarial probes: exact grid points,
+//! points a fraction of a snap band off an edge, and ±one-ulp
 //! perturbations of boundary points.
 
 use geopattern::{Recorder, Threads};
 use geopattern_datagen::{generate_city, lattice_polygon, star_polygon, CityConfig};
 use geopattern_geom::{
-    coord, geometry_distance, geometry_distance_within, quant_enabled, set_quant_enabled,
-    take_kernel_counters, Coord, Geometry, PointLocation, PreparedGeometry, QuantRing, Ring,
-    SoaRing,
+    coord, take_kernel_counters, Coord, Geometry, PointLocation, PreparedRing, QuantRing, Ring,
+    RingIndex,
 };
-use geopattern_sdb::{
-    extract_predicates, to_gpb, ExtractionConfig, GpbReader, Predicate, PredicateTable, Tiling,
-};
+use geopattern_sdb::{extract_predicates, ExtractionConfig, Predicate, PredicateTable, Tiling};
 use geopattern_testkit::Rng;
-use std::sync::{Mutex, MutexGuard};
-
-/// Serialises the tests that flip the process-wide quant toggle or
-/// assert on its counters.
-fn toggle_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn ulp_up(v: f64) -> f64 {
     f64::from_bits(if v >= 0.0 { v.to_bits() + 1 } else { v.to_bits() - 1 })
@@ -94,28 +83,25 @@ fn quant_probes(ring: &Ring, q: &QuantRing) -> Vec<Coord> {
     probes
 }
 
-/// The quant contract on one ring: a certain (`Some`) answer from
-/// `try_locate` equals the exact `Ring::locate`, a robust boundary probe
-/// is never certain, and `SoaRing::locate` stays bit-identical with the
-/// quant layer on and off.
+/// The quant → exact contract on one ring, against the reference
+/// `Ring::locate`: a certain (`Some`) answer from `try_locate` is right,
+/// a robust boundary probe is never certain, and both `RingIndex::locate`
+/// and `PreparedRing::locate` agree with the reference on every probe.
 fn assert_quant_contract(ring: &Ring) {
     let q = QuantRing::build(ring);
-    let soa = SoaRing::build(ring);
+    let index = RingIndex::build(ring);
+    let prepared = PreparedRing::build(ring);
     assert_eq!(q.len(), ring.num_points());
     for &p in &quant_probes(ring, &q) {
-        let scalar = ring.locate(p);
+        let reference = ring.locate(p);
         if let Some(fast) = q.try_locate(p) {
-            assert_eq!(fast, scalar, "certain answer wrong at {p:?}");
+            assert_eq!(fast, reference, "certain answer wrong at {p:?}");
         }
-        if scalar == PointLocation::OnBoundary {
+        if reference == PointLocation::OnBoundary {
             assert_eq!(q.try_locate(p), None, "boundary probe {p:?} answered certain");
         }
-        set_quant_enabled(false);
-        let off = soa.locate(p);
-        set_quant_enabled(true);
-        let on = soa.locate(p);
-        assert_eq!(off, scalar, "quant-off locate diverged at {p:?}");
-        assert_eq!(on, scalar, "quant-on locate diverged at {p:?}");
+        assert_eq!(index.locate(p), reference, "exact index diverged at {p:?}");
+        assert_eq!(prepared.locate(p), reference, "quant → exact locate diverged at {p:?}");
     }
 }
 
@@ -123,8 +109,6 @@ fn assert_quant_contract(ring: &Ring) {
 /// lanes in the eight-wide integer blocks.
 #[test]
 fn quant_matches_scalar_on_star_rings() {
-    let _guard = toggle_lock();
-    let was = quant_enabled();
     let mut rng = Rng::seed_from_u64(42);
     for vertices in [3usize, 5, 8, 9, 13, 16, 21, 64] {
         let center = coord(rng.f64() * 20.0, rng.f64() * 20.0);
@@ -132,7 +116,6 @@ fn quant_matches_scalar_on_star_rings() {
         let poly = star_polygon(&mut rng, center, r_min, r_max, vertices);
         assert_quant_contract(poly.exterior());
     }
-    set_quant_enabled(was);
 }
 
 /// Lattice-quantised rings: collinear chains, axis-parallel edges, and
@@ -140,78 +123,69 @@ fn quant_matches_scalar_on_star_rings() {
 /// degenerate cases where the snap band must force a fallback.
 #[test]
 fn quant_matches_scalar_on_lattice_rings() {
-    let _guard = toggle_lock();
-    let was = quant_enabled();
     let mut rng = Rng::seed_from_u64(7);
     for _ in 0..12 {
         let poly = lattice_polygon(&mut rng, 12);
         assert_quant_contract(poly.exterior());
     }
-    set_quant_enabled(was);
 }
 
-/// DE-9IM matrices from the prepared path are identical with the quant
-/// layer on and off.
+/// The synthetic city's rings — districts, slums and parks whose edges
+/// are shared with their neighbours — are where the grid misses most on
+/// real workloads; every miss must land on the exact index.
 #[test]
-fn relate_bit_identical_with_quant_toggle() {
-    let _guard = toggle_lock();
-    let was = quant_enabled();
-    let mut rng = Rng::seed_from_u64(5);
-    let geoms: Vec<Geometry> = (0..8)
-        .map(|_| {
-            let center = coord(rng.f64() * 20.0, rng.f64() * 20.0);
-            star_polygon(&mut rng, center, 1.5, 5.0, 12).into()
-        })
-        .collect();
-    let prepared: Vec<PreparedGeometry> =
-        geoms.iter().map(|g| PreparedGeometry::new(g.clone())).collect();
-    for a in &prepared {
-        for b in &prepared {
-            set_quant_enabled(false);
-            let off = a.relate_to(b);
-            set_quant_enabled(true);
-            let on = a.relate_to(b);
-            assert_eq!(off, on, "relate matrix changed with the quant toggle");
-        }
-    }
-    set_quant_enabled(was);
-}
-
-/// Bounded distance is bit-identical with the quant layer on and off,
-/// across generous, exact, one-ulp-short, NaN and infinite bounds (the
-/// segment-tree prescreen must prune only what f64 would prune).
-#[test]
-fn bounded_distance_bit_identical_with_quant_toggle() {
-    let _guard = toggle_lock();
-    let was = quant_enabled();
-    let mut rng = Rng::seed_from_u64(99);
-    let geoms: Vec<Geometry> = (0..10)
-        .map(|i| {
-            let center = coord(rng.f64() * 40.0, rng.f64() * 40.0);
-            star_polygon(&mut rng, center, 1.0, 4.0, 6 + i % 9).into()
-        })
-        .collect();
-    for a in &geoms {
-        for b in &geoms {
-            let d = geometry_distance(a, b);
-            let mut bounds = vec![d * 2.0 + 1.0, d, f64::NAN, f64::INFINITY];
-            if d > 0.0 {
-                bounds.push(ulp_down(d));
-            }
-            for &bound in &bounds {
-                set_quant_enabled(false);
-                let off = geometry_distance_within(a, b, bound);
-                set_quant_enabled(true);
-                let on = geometry_distance_within(a, b, bound);
-                assert_eq!(
-                    off.map(f64::to_bits),
-                    on.map(f64::to_bits),
-                    "distance_within diverged at bound {bound}"
-                );
+fn quant_matches_scalar_on_city_rings() {
+    let ds = generate_city(&CityConfig { grid: 3, seed: 11, ..Default::default() });
+    let mut rings = 0usize;
+    for layer in std::iter::once(&ds.reference).chain(&ds.relevant) {
+        for f in layer.features() {
+            let polys = match &f.geometry {
+                Geometry::Polygon(p) => std::slice::from_ref(p),
+                Geometry::MultiPolygon(mp) => mp.polygons(),
+                _ => continue,
+            };
+            for p in polys {
+                for ring in std::iter::once(p.exterior()).chain(p.holes()) {
+                    assert_quant_contract(ring);
+                    rings += 1;
+                }
             }
         }
     }
-    set_quant_enabled(was);
+    assert!(rings > 0, "the city produced no polygon rings");
+}
+
+/// The sentinel pads replicate vertex 0; a query exactly at vertex 0 hits
+/// the snap band in every stripe that scans a pad, and must still
+/// classify as the boundary point it genuinely is.
+#[test]
+fn sentinel_pad_coincidence_is_boundary() {
+    // 9 edges: the lane width does not divide it, so every stripe run is
+    // padded with vertex-0 sentinels.
+    let ring = Ring::from_xy(&[
+        (0.0, 0.0),
+        (8.0, 0.0),
+        (8.0, 3.0),
+        (4.0, 3.0),
+        (4.0, 6.0),
+        (8.0, 6.0),
+        (8.0, 9.0),
+        (0.0, 9.0),
+        (0.0, 5.0),
+    ])
+    .unwrap();
+    let q = QuantRing::build(&ring);
+    let prepared = PreparedRing::build(&ring);
+    let v0 = ring.coords()[0];
+    assert_eq!(ring.locate(v0), PointLocation::OnBoundary);
+    assert_eq!(prepared.locate(v0), PointLocation::OnBoundary);
+    assert_eq!(q.try_locate(v0), None, "vertex-0 probe must fall back");
+    // The top vertex sits on the last stripe's boundary; off-by-one in
+    // stripe selection would misclassify it.
+    let top = coord(4.0, 9.0);
+    assert_eq!(prepared.locate(top), ring.locate(top));
+    let above = coord(4.0, ulp_up(9.0));
+    assert_eq!(prepared.locate(above), PointLocation::Outside);
 }
 
 fn table_key(t: &PredicateTable) -> (Vec<Predicate>, Vec<(String, Vec<u32>)>) {
@@ -219,12 +193,10 @@ fn table_key(t: &PredicateTable) -> (Vec<Predicate>, Vec<(String, Vec<u32>)>) {
 }
 
 /// A full extraction — topological plus bounded qualitative distance —
-/// emits the same predicate table, rows and stats for every combination
-/// of quant toggle × thread count {1, 2, 8} × tiling {flat, 1, 7}.
+/// emits the same predicate table, rows and stats at every thread count
+/// {1, 2, 8} × tiling {flat, 1, 7}.
 #[test]
 fn extraction_bit_identical_across_quant_threads_and_tiles() {
-    let _guard = toggle_lock();
-    let was = quant_enabled();
     let ds = generate_city(&CityConfig { grid: 6, seed: 11, ..Default::default() });
     let cell = CityConfig::default().cell;
     let base = ExtractionConfig::topological_only().with_distance(
@@ -236,38 +208,30 @@ fn extraction_bit_identical_across_quant_threads_and_tiles() {
     );
     let refs = ds.relevant_refs();
     let mut baseline = None;
-    for quant in [false, true] {
-        set_quant_enabled(quant);
-        for n in [1usize, 2, 8] {
-            let t = if n == 1 { Threads::Serial } else { Threads::Fixed(n) };
-            for tiles in [None, Some(1), Some(7)] {
-                let mut config = base.clone().with_threads(t);
-                if let Some(tiles_per_axis) = tiles {
-                    config = config.with_tiling(Tiling::Grid { tiles_per_axis });
-                }
-                let (table, stats) =
-                    extract_predicates(&ds.reference, &refs, &config).expect("extraction");
-                let key = (table_key(&table), stats);
-                match &baseline {
-                    None => baseline = Some(key),
-                    Some(b) => {
-                        assert_eq!(&key, b, "quant={quant} threads={n} tiles={tiles:?} diverged")
-                    }
-                }
+    for n in [1usize, 2, 8] {
+        let t = if n == 1 { Threads::Serial } else { Threads::Fixed(n) };
+        for tiles in [None, Some(1), Some(7)] {
+            let mut config = base.clone().with_threads(t);
+            if let Some(tiles_per_axis) = tiles {
+                config = config.with_tiling(Tiling::Grid { tiles_per_axis });
+            }
+            let (table, stats) =
+                extract_predicates(&ds.reference, &refs, &config).expect("extraction");
+            let key = (table_key(&table), stats);
+            match &baseline {
+                None => baseline = Some(key),
+                Some(b) => assert_eq!(&key, b, "threads={n} tiles={tiles:?} diverged"),
             }
         }
     }
-    set_quant_enabled(was);
 }
 
-/// The quant counters surface through the standard metrics drain, are
-/// zero with the layer disabled, and — because each extraction task
-/// drains its thread-local residue — the per-run totals are invariant
-/// across thread counts.
+/// The quant counters surface through the standard metrics drain, and —
+/// because each extraction task drains its thread-local residue — the
+/// per-run totals are invariant across thread counts. No query passes
+/// through an `f64` lane tier, so `geom/simd_fallback_exact` stays 0.
 #[test]
 fn quant_counters_surface_and_are_thread_invariant() {
-    let _guard = toggle_lock();
-    let was = quant_enabled();
     let ds = generate_city(&CityConfig { grid: 6, seed: 11, ..Default::default() });
     let refs = ds.relevant_refs();
     let config = ExtractionConfig::topological_only();
@@ -284,72 +248,17 @@ fn quant_counters_surface_and_are_thread_invariant() {
             table_key(&table),
             m.counter("geom/quant_cells_resolved").unwrap_or(0),
             m.counter("geom/quant_fallback_exact").unwrap_or(0),
+            m.counter("geom/simd_fallback_exact").unwrap_or(0),
         )
     };
 
     let _ = take_kernel_counters();
-    set_quant_enabled(true);
     let serial = run(Threads::Serial);
-    assert!(serial.1 > 0, "quant-on extraction resolved no cells");
+    assert!(serial.1 > 0, "extraction resolved no cells on the grid");
+    assert!(serial.2 > 0, "shared-edge city rings must send some queries to the exact index");
+    assert_eq!(serial.3, 0, "no f64 lane tier sits between the grid and the exact index");
     for n in [2usize, 8] {
         let parallel = run(Threads::Fixed(n));
         assert_eq!(parallel, serial, "quant counters changed at {n} threads");
     }
-
-    set_quant_enabled(false);
-    let off = run(Threads::Serial);
-    assert_eq!(off.1, 0, "disabled layer still resolved cells");
-    assert_eq!(off.2, 0, "disabled layer still counted fallbacks");
-    assert_eq!(off.0, serial.0, "mined rows changed with the quant toggle");
-    set_quant_enabled(was);
-}
-
-/// The `.gpb` v2 quantized column feeds `QuantRing::from_grid` without
-/// any `f64` coordinate round-trip, and the resulting ring honours the
-/// same certainty contract as one built in memory: certain answers equal
-/// the exact locate of the decoded geometry.
-#[test]
-fn gpb_v2_column_feeds_from_grid_exactly() {
-    let ds = generate_city(&CityConfig { grid: 4, seed: 3, ..Default::default() });
-    let bytes = to_gpb(&ds);
-    let reader = GpbReader::open(&bytes).unwrap();
-    assert_eq!(reader.version(), 2);
-    let window = geopattern_geom::Rect::new(coord(f64::MIN, f64::MIN), coord(f64::MAX, f64::MAX));
-    let mut rings_checked = 0usize;
-    for i in 0..reader.num_layers() {
-        let (layer, col) = reader.read_layer_window_quant(i, &window).unwrap();
-        let col = match col {
-            Some(col) => col,
-            None => continue, // empty layer: no column written
-        };
-        assert_eq!(col.spans.len(), layer.len());
-        for (feature, &(start, count)) in layer.features().iter().zip(&col.spans) {
-            let ring = match &feature.geometry {
-                Geometry::Polygon(p) => p.exterior(),
-                _ => continue,
-            };
-            let n = ring.num_points();
-            assert!(n <= count, "span shorter than the exterior ring");
-            let pts: Vec<(i32, i32)> = (start..start + n)
-                .map(|k| (col.qx[k], col.qy[k]))
-                .collect();
-            let q = QuantRing::from_grid(col.quantizer, ring.envelope(), &pts);
-            assert!(!q.is_empty());
-            let env = ring.envelope();
-            let (w, h) = (env.max.x - env.min.x, env.max.y - env.min.y);
-            for gi in 0..12 {
-                for gj in 0..12 {
-                    let p = coord(
-                        env.min.x - 0.1 * w + (gi as f64 / 11.0) * 1.2 * w,
-                        env.min.y - 0.1 * h + (gj as f64 / 11.0) * 1.2 * h,
-                    );
-                    if let Some(fast) = q.try_locate(p) {
-                        assert_eq!(fast, ring.locate(p), "gpb-fed ring diverged at {p:?}");
-                    }
-                }
-            }
-            rings_checked += 1;
-        }
-    }
-    assert!(rings_checked > 0, "dataset produced no polygon rings to check");
 }

@@ -276,10 +276,8 @@ fn choose_is_a_pure_function_of_its_stats() {
     // concurrently and must agree on its value.)
     wide_host();
     std::env::set_var("GEOPATTERN_THREADS", "7");
-    std::env::set_var("GEOPATTERN_SIMD", "0");
     let after: Vec<_> = samples.iter().map(|&s| choose(s)).collect();
     std::env::remove_var("GEOPATTERN_THREADS");
-    std::env::remove_var("GEOPATTERN_SIMD");
     assert_eq!(before, after, "choose() must not read the environment");
     // And it never returns Auto itself.
     for (strategy, _) in before {
