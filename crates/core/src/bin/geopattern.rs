@@ -17,11 +17,13 @@
 //! `generate-city --out` for a sample) or the compact binary `.gpb`
 //! format (`generate-city --format gpb`). `--format auto` (the default)
 //! sniffs the `GPB1` magic. `--tile-size N` shards predicate extraction
-//! over an `N × N` spatial tile grid; the mined patterns are
-//! bit-identical to the flat (untiled) path.
+//! over an `N × N` spatial tile grid (at most 4096 per axis), run one tile
+//! after another; the default is one tile, and the mined patterns are
+//! bit-identical at every tile size.
 //!
-//! `--journal FILE` makes the run crash-safe: extraction tiles and mining
-//! levels append durable records as they complete, and `--resume` reopens
+//! `--journal FILE` makes the run crash-safe: extraction tiles (one tile
+//! without `--tile-size`) and mining levels append durable records as
+//! they complete, and `--resume` reopens
 //! the journal so a rerun skips everything already journaled — the
 //! resumed output is bit-identical to an uninterrupted run. The journal
 //! is fingerprinted over the output-affecting configuration; `--resume`
@@ -42,7 +44,7 @@
 use geopattern::{
     atomic_write, fnv1a64, from_gpb, to_gpb, Algorithm, CancelToken, CountingStrategy,
     ExtractionConfig, JobRunner, Journal, KnowledgeBase, MemoryBudget, MiningPipeline, MinSupport,
-    Recorder, SpatialDataset, Threads, Tiling,
+    Recorder, SpatialDataset, Threads, TileGrid, Tiling,
 };
 use geopattern_datagen::{generate_city, CityConfig};
 use geopattern_geom::from_wkt;
@@ -122,14 +124,16 @@ fn print_usage() {
          bitmap/diffset/hybrid run the vertical triangular-C2 engine, and\n            \
          auto samples the workload to pick a backend (mining/auto_choice)\n\n\
          --format selects the dataset encoding: wkt text, gpb binary, or auto\n\
-         (default; sniffs the GPB1 magic). --tile-size N shards extraction over an\n\
-         N x N spatial tile grid — output is bit-identical to the flat path.\n\
+         (default; sniffs the GPB1 magic). --tile-size N (at most 4096) shards extraction\n\
+         over an N x N spatial tile grid, one tile at a time — output is bit-identical\n\
+         to the default single tile.\n\
          --metrics json dumps span timings / counters / histograms for the run as JSON\n\
          on stdout after the report (a partial report on interrupted runs).\n\
          --timeout SECS cancels the run at a deadline (exit code 4).\n\
          --memory-budget BYTES (suffixes k/m/g) degrades gracefully instead of failing:\n\
          AprioriTid restarts as plain Apriori; Eclat / FP-Growth abandon branches.\n\
-         --journal FILE makes the run crash-safe (durable per-tile / per-level records);\n\
+         --journal FILE makes the run crash-safe (durable per-tile / per-level records;\n\
+         extraction is one tile unless --tile-size says otherwise);\n\
          --resume reopens the journal and skips everything already journaled, with\n\
          bit-identical output. --max-retries N retries worker panics with capped\n\
          exponential backoff; each retry resumes from the shared journal.\n\n\
@@ -284,7 +288,14 @@ fn cmd_mine(args: &[String]) -> Result<(), CmdError> {
         None => MemoryBudget::unlimited(),
     };
     let tile_size: usize = take_flag(&mut args, "--tile-size")?
-        .map(|v| v.parse().map_err(|_| format!("bad --tile-size {v:?}")))
+        .map(|v| match v.parse() {
+            Ok(n) if n > TileGrid::MAX_TILES_PER_AXIS => Err(format!(
+                "--tile-size {n} is absurd (maximum {} tiles per axis)",
+                TileGrid::MAX_TILES_PER_AXIS
+            )),
+            Ok(n) => Ok(n),
+            Err(_) => Err(format!("bad --tile-size {v:?}")),
+        })
         .transpose()?
         .unwrap_or(0);
     let format = take_flag(&mut args, "--format")?
@@ -352,11 +363,7 @@ fn cmd_mine(args: &[String]) -> Result<(), CmdError> {
         None => None,
     };
 
-    let tiling = if tile_size > 0 {
-        Tiling::Grid { tiles_per_axis: tile_size }
-    } else {
-        Tiling::Flat
-    };
+    let tiling = Tiling::Grid { tiles_per_axis: tile_size };
     let runner = JobRunner::new(max_retries).with_recorder(recorder.clone());
     let outcome = runner.run(|_attempt| {
         let cancel = match timeout {

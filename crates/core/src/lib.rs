@@ -123,7 +123,7 @@ pub use geopattern_mining::{
 pub use geopattern_geom::TileGrid;
 pub use geopattern_obs::{Metrics, Recorder};
 pub use geopattern_par::{
-    atomic_write, fnv1a64, CancelToken, Interrupt, Journal, MemoryBudget, ShardLog, Threads,
+    atomic_write, fnv1a64, CancelToken, Interrupt, Journal, MemoryBudget, Threads,
 };
 pub use geopattern_qsr::{DistanceScheme, SpatialPredicate, TopologicalRelation};
 pub use geopattern_sdb::{

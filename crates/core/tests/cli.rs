@@ -226,15 +226,19 @@ fn tiled_mining_matches_flat_output() {
             tiles,
         ]);
         assert_eq!(tiled.status.code(), Some(0), "tiles={tiles}: {}", stderr(&tiled));
-        assert_eq!(stdout(&tiled), stdout(&flat), "tile-size {tiles} diverged from flat");
+        assert_eq!(stdout(&tiled), stdout(&flat), "tile-size {tiles} diverged from the default");
     }
 }
 
 #[test]
 fn bad_tile_size_is_usage_error() {
-    let out = run(&["mine", "x.gpd", "--tile-size", "many"]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(stderr(&out).contains("--tile-size"));
+    // Past TileGrid::MAX_TILES_PER_AXIS (4096) a tile count is rejected up
+    // front, like an absurd --threads, instead of aborting the run.
+    for size in ["many", "100000", "5000000000"] {
+        let out = run(&["mine", "x.gpd", "--tile-size", size]);
+        assert_eq!(out.status.code(), Some(1), "{size}");
+        assert!(stderr(&out).contains("--tile-size"), "{size}");
+    }
 }
 
 #[test]

@@ -43,19 +43,24 @@ fn axis_cell(v: f64, lo: f64, extent: f64, n: usize) -> usize {
 }
 
 impl TileGrid {
+    /// Upper bound on tiles per axis. It keeps [`TileGrid::len`] far from
+    /// overflow (at most 2^24 tiles) and any per-tile bookkeeping bounded.
+    pub const MAX_TILES_PER_AXIS: usize = 4096;
+
     /// Partitions `domain` into `tiles_per_axis × tiles_per_axis` tiles
-    /// (clamped to at least one). Zero-extent axes — including the empty
-    /// domain — collapse to a single tile along that axis.
+    /// (clamped to `1..=MAX_TILES_PER_AXIS`). Zero-extent axes — including
+    /// the empty domain — collapse to a single tile along that axis.
     pub fn new(domain: Rect, tiles_per_axis: usize) -> TileGrid {
-        let n = tiles_per_axis.max(1);
+        let n = tiles_per_axis.clamp(1, TileGrid::MAX_TILES_PER_AXIS);
         let nx = if domain.width() > 0.0 { n } else { 1 };
         let ny = if domain.height() > 0.0 { n } else { 1 };
         TileGrid { domain, nx, ny }
     }
 
     /// Partitions `domain` into square tiles of side `size` (ground units),
-    /// taking `ceil(extent / size)` tiles per axis. Non-positive or
-    /// non-finite sizes yield a single tile.
+    /// taking `ceil(extent / size)` tiles per axis, at most
+    /// [`TileGrid::MAX_TILES_PER_AXIS`]. Non-positive or non-finite sizes
+    /// yield a single tile.
     pub fn from_tile_size(domain: Rect, size: f64) -> TileGrid {
         let cells = |extent: f64| -> usize {
             if size.is_nan() || size <= 0.0 || extent.is_nan() || extent <= 0.0 {
@@ -63,7 +68,7 @@ impl TileGrid {
             }
             let n = (extent / size).ceil();
             if n.is_finite() {
-                (n as usize).max(1)
+                (n as usize).clamp(1, TileGrid::MAX_TILES_PER_AXIS)
             } else {
                 1
             }
@@ -90,7 +95,8 @@ impl TileGrid {
         self.ny
     }
 
-    /// Total number of tiles (`nx * ny`, always at least 1).
+    /// Total number of tiles (`nx * ny`, always at least 1 and at most
+    /// `MAX_TILES_PER_AXIS²`).
     pub fn len(&self) -> usize {
         self.nx * self.ny
     }
@@ -209,6 +215,18 @@ mod tests {
         assert_eq!(TileGrid::from_tile_size(r(0.0, 0.0, 1.0, 1.0), 0.0).len(), 1);
         assert_eq!(TileGrid::from_tile_size(r(0.0, 0.0, 1.0, 1.0), f64::NAN).len(), 1);
         assert_eq!(TileGrid::from_tile_size(Rect::EMPTY, 10.0).len(), 1);
+        // A tiny size clamps instead of overflowing `len`.
+        let tiny = TileGrid::from_tile_size(r(0.0, 0.0, 1.0, 1.0), 1e-300);
+        assert_eq!(tiny.nx(), TileGrid::MAX_TILES_PER_AXIS);
+    }
+
+    #[test]
+    fn tiles_per_axis_is_clamped() {
+        let max = TileGrid::MAX_TILES_PER_AXIS;
+        let g = TileGrid::new(r(0.0, 0.0, 1.0, 1.0), 5_000_000_000);
+        assert_eq!((g.nx(), g.ny(), g.len()), (max, max, max * max));
+        assert_eq!(g.tile_index(coord(1.0, 1.0)), max * max - 1);
+        assert_eq!(TileGrid::new(r(0.0, 0.0, 1.0, 1.0), 0).len(), 1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Durable on-disk job journal: the persistent generalisation of
-//! [`ShardLog`](crate::ShardLog).
+//! Durable on-disk job journal: the one checkpoint mechanism for sharded
+//! work.
 //!
 //! A [`Journal`] is an append-only file of checksummed records, each
 //! identifying one completed unit of work — a tile, a lattice level, an
@@ -244,9 +244,20 @@ impl Journal {
     /// Appends a completion record and makes it durable (flush +
     /// `sync_data`) before returning. Safe to call concurrently from
     /// worker threads; records are serialised by the journal's lock.
+    ///
+    /// A record whose body would exceed the 1 GiB frame limit fails with
+    /// [`io::ErrorKind::InvalidInput`] and writes nothing: [`Journal::open`]
+    /// would discard such a frame, and every record after it, as a
+    /// corrupt tail.
     pub fn append(&self, kind: &str, shard: u64, payload: &[u8]) -> io::Result<()> {
-        let mut body =
-            Vec::with_capacity(2 + kind.len() + 8 + payload.len());
+        let body_len = 2 + kind.len() + 8 + payload.len();
+        if body_len > MAX_BODY as usize {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("journal record of {body_len} bytes exceeds the {MAX_BODY}-byte limit"),
+            ));
+        }
+        let mut body = Vec::with_capacity(body_len);
         body.extend_from_slice(&(kind.len() as u16).to_le_bytes());
         body.extend_from_slice(kind.as_bytes());
         body.extend_from_slice(&shard.to_le_bytes());
@@ -478,6 +489,27 @@ mod tests {
         let reopened = Journal::open(&path, 5).unwrap();
         assert_eq!(reopened.lookup("tile", 0).unwrap(), b"good");
         assert!(reopened.lookup("tile", 1).is_none());
+    }
+
+    #[test]
+    fn oversized_record_is_rejected_and_earlier_records_survive() {
+        let dir = Scratch::new("oversized");
+        let path = dir.path("job.journal");
+        let journal = Journal::create(&path, 3).unwrap();
+        journal.append("tile", 0, b"small").unwrap();
+        let bytes = journal.bytes();
+        // Zero-filled, so the allocator hands out untouched pages.
+        let huge = vec![0u8; MAX_BODY as usize + 1];
+        let err = journal.append("tile", 1, &huge).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        drop(huge);
+        assert_eq!(journal.bytes(), bytes, "nothing was written");
+        assert!(!journal.contains("tile", 1));
+        journal.append("tile", 2, b"after").unwrap();
+        let reopened = Journal::open(&path, 3).unwrap();
+        assert_eq!(reopened.lookup("tile", 0).unwrap(), b"small");
+        assert_eq!(reopened.lookup("tile", 2).unwrap(), b"after");
+        assert_eq!(reopened.len(), 2);
     }
 
     #[test]

@@ -58,7 +58,7 @@ use std::sync::Mutex;
 pub mod control;
 pub mod journal;
 
-pub use control::{ApproxBytes, BudgetGuard, CancelToken, Interrupt, MemoryBudget, ShardLog};
+pub use control::{ApproxBytes, BudgetGuard, CancelToken, Interrupt, MemoryBudget};
 pub use journal::{atomic_write, fnv1a64, Journal};
 
 /// Upper bound on configurable worker counts; anything above this is a

@@ -32,13 +32,21 @@
 //! [`CancelToken`], the [`MemoryBudget`], the [`Tiling`] policy and the
 //! optional durable [`Journal`] — is carried on [`ExtractionConfig`].
 //!
-//! Extraction parallelises over reference features (rows are independent)
-//! on the in-tree [`geopattern_par`] pool — or, under [`Tiling::Grid`],
-//! over spatial tiles (the `tiled` module). Workers emit *predicate
-//! batches*, not interned codes; the single-threaded merge afterwards
-//! interns them in row order, so the resulting table — predicate
-//! numbering included — is byte-identical to a serial run regardless of
-//! thread count or tiling.
+//! Every run takes the same five steps:
+//!
+//! 1. plan the reference rows into the *occupied* tiles of a
+//!    [`geopattern_geom::TileGrid`] (the `tiled` module; the default
+//!    grid is one tile holding every row in row order);
+//! 2. prepare the relevant layers once (`prepare_layers`);
+//! 3. run the tiles one after another, each tile's rows in parallel on
+//!    the in-tree [`geopattern_par`] pool (rows are independent);
+//! 4. append each finished tile to the [`Journal`], if one is attached;
+//! 5. merge in global row order (`merge_batches`).
+//!
+//! Workers emit *predicate batches*, not interned codes; the
+//! single-threaded merge interns them in row order, so the resulting
+//! table — predicate numbering included — is byte-identical to a serial
+//! run regardless of thread count or tiling.
 //!
 //! The configured [`Recorder`] receives per-phase timings and counters:
 //! workers fill a private [`geopattern_obs::Metrics`] (no locking on the
@@ -46,39 +54,45 @@
 //! keeps the table deterministic keeps the metrics deterministic.
 //!
 //! The configured [`CancelToken`] is checked at pool chunk boundaries and
-//! *inside each row's pair loops* (fail point: `sdb/extract.row`), so even
-//! a single enormous row stops promptly; a worker panic is isolated by the
-//! pool and surfaced as [`Interrupt::WorkerPanic`]. Runs that complete
-//! normally are byte-identical to uncontrolled runs.
+//! *inside each row's pair loops* (fail point: `sdb/extract.row`, inside
+//! the pool), so even a single enormous row stops promptly; a worker
+//! panic is isolated by the pool and surfaced as
+//! [`Interrupt::WorkerPanic`]. The fail point `sdb/extract.tile` fires on
+//! the coordinating thread at each tile start — a sequential site. Runs
+//! that complete normally are byte-identical to uncontrolled runs.
 
 use crate::feature::{Feature, Layer};
 use crate::predicate_table::{Predicate, PredicateTable};
+use crate::tiled;
 use geopattern_geom::{take_kernel_counters, GeomDim, IntersectionMatrix, PreparedGeometry};
 use geopattern_obs::{Metrics, Recorder};
-use geopattern_par::{try_par_map, CancelToken, Interrupt, Journal, MemoryBudget, ShardLog, Threads};
+use geopattern_par::{try_par_map, CancelToken, Interrupt, Journal, MemoryBudget, Threads};
 use geopattern_qsr::{
     classify, geometry_direction, DistanceScheme, SpatialPredicate, TopologicalRelation,
 };
 
 /// How extraction shards its spatial work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tiling {
-    /// One flat work list over the reference rows — the default, and the
-    /// baseline every other policy must reproduce bit-identically.
-    #[default]
-    Flat,
     /// Shard over a [`geopattern_geom::TileGrid`] covering the reference
     /// layer's envelope: each tile owns the reference rows whose envelope
-    /// center falls inside it, materialises per-tile sub-layers of the
-    /// relevant features its rows can reach (buffered by the largest
-    /// bounded distance band), and extracts independently. Output is
-    /// bit-identical to [`Tiling::Flat`] at any tile size and thread
-    /// count; only the sharding (and therefore the wall-clock and memory
-    /// profile) changes.
+    /// center falls inside it. Tiles run one after another, each tile's
+    /// rows in parallel, and each tile is the unit of working-set
+    /// accounting and journaling. Output is bit-identical at any tile
+    /// size and thread count; only the sharding (and therefore the
+    /// wall-clock and memory profile) changes. The default is one tile,
+    /// which holds every row in row order.
     Grid {
-        /// Tiles per axis (an `n × n` grid; clamped to at least 1).
+        /// Tiles per axis (an `n × n` grid; clamped to
+        /// `1..=TileGrid::MAX_TILES_PER_AXIS`).
         tiles_per_axis: usize,
     },
+}
+
+impl Default for Tiling {
+    fn default() -> Tiling {
+        Tiling::Grid { tiles_per_axis: 1 }
+    }
 }
 
 /// What to extract, and under which execution regime.
@@ -113,10 +127,10 @@ pub struct ExtractionConfig {
     /// Include the reference features' non-spatial attributes as
     /// `attribute=value` predicates.
     pub nonspatial_attributes: bool,
-    /// Worker threads for the per-row (or per-tile) loop. The output is
-    /// identical for every setting; this only changes wall-clock.
+    /// Worker threads for each tile's row loop. The output is identical
+    /// for every setting; this only changes wall-clock.
     pub threads: Threads,
-    /// Spatial sharding policy. [`Tiling::Flat`] by default.
+    /// Spatial sharding policy: one tile by default.
     pub tiling: Tiling,
     /// Metric sink for phase timings, counters and histograms. Disabled
     /// by default; recording never changes the extracted output.
@@ -124,23 +138,19 @@ pub struct ExtractionConfig {
     /// Cooperative cancellation (and deadline) token. Checked at pool
     /// chunk boundaries and inside each row's pair loops.
     pub cancel: CancelToken,
-    /// Memory budget. Extraction's accounting is *track-only* (the tiled
-    /// path reserves/releases its materialised sub-layers so the
-    /// high-water mark is observable); it never degrades the output.
+    /// Memory budget. Extraction's accounting is *track-only*: each tile
+    /// reserves its working set while its rows run, so the high-water
+    /// mark is observable; it never degrades the output.
     pub budget: MemoryBudget,
-    /// Optional per-tile checkpoint log: under [`Tiling::Grid`], each tile
-    /// is marked completed once all its rows finished un-interrupted, so
-    /// after a fault the log names exactly the finished shards.
-    pub shard_log: Option<ShardLog>,
-    /// Optional durable journal: under [`Tiling::Grid`], each completed
-    /// tile's rows are persisted as they finish, and tiles already present
-    /// in the journal are *reloaded instead of re-extracted* — the on-disk
-    /// generalisation of `shard_log`. The caller is responsible for
-    /// matching the journal to the run (the journal's fingerprint guards
-    /// this at the CLI level); resumed output is bit-identical to an
-    /// uninterrupted run at any thread count. Resumed tiles skip their
-    /// per-row metrics (histograms, kernel counters) — the counters
-    /// derived from the persisted [`ExtractionStats`] still match.
+    /// Optional durable journal, the one extraction checkpoint: each
+    /// completed tile's rows are persisted as the tile finishes, and tiles
+    /// already present in the journal are *reloaded instead of
+    /// re-extracted*. The caller is responsible for matching the journal
+    /// to the run (the journal's fingerprint guards this at the CLI
+    /// level); resumed output is bit-identical to an uninterrupted run at
+    /// any thread count. Resumed tiles skip their per-row metrics
+    /// (histograms, kernel counters) — the counters derived from the
+    /// persisted [`ExtractionStats`] still match.
     pub journal: Option<Journal>,
 }
 
@@ -154,11 +164,10 @@ impl Default for ExtractionConfig {
             direction: false,
             nonspatial_attributes: true,
             threads: Threads::Serial,
-            tiling: Tiling::Flat,
+            tiling: Tiling::default(),
             recorder: Recorder::disabled(),
             cancel: CancelToken::none(),
             budget: MemoryBudget::unlimited(),
-            shard_log: None,
             journal: None,
         }
     }
@@ -213,16 +222,9 @@ impl ExtractionConfig {
         self
     }
 
-    /// Attaches a per-tile checkpoint log (effective under
-    /// [`Tiling::Grid`]).
-    pub fn with_shard_log(mut self, log: ShardLog) -> ExtractionConfig {
-        self.shard_log = Some(log);
-        self
-    }
-
-    /// Attaches a durable journal (effective under [`Tiling::Grid`]):
-    /// completed tiles persist as they finish and journaled tiles are
-    /// reloaded instead of re-extracted. See the `journal` field docs.
+    /// Attaches a durable journal: completed tiles persist as they finish
+    /// and journaled tiles are reloaded instead of re-extracted. See the
+    /// `journal` field docs.
     pub fn with_journal(mut self, journal: Journal) -> ExtractionConfig {
         self.journal = Some(journal);
         self
@@ -250,9 +252,8 @@ pub struct ExtractionStats {
     pub candidate_pairs: usize,
     /// Pairs pruned by an R-tree filter with no exact computation: the
     /// envelope prefilter for topological relations and the buffered
-    /// window query for bounded distance schemes. Tiled extraction counts
-    /// against the *full* layer size, so the number matches the flat path
-    /// exactly.
+    /// window query for bounded distance schemes. Every row counts against
+    /// the *full* layer size, so the number does not depend on the tiling.
     pub pruned_pairs: usize,
     /// Spatial predicates emitted (row-level occurrences).
     pub spatial_predicates: usize,
@@ -267,8 +268,8 @@ impl ExtractionStats {
 }
 
 /// A relevant layer with every feature prepared once, shared read-only by
-/// all workers — flat rows and tiles alike extract against the same
-/// prepared set, so no geometry is ever prepared twice.
+/// all workers — every tile extracts against the same prepared set, so no
+/// geometry is ever prepared twice.
 pub(crate) struct PreparedLayer<'a> {
     pub(crate) layer: &'a Layer,
     pub(crate) prepared: Vec<PreparedGeometry>,
@@ -360,58 +361,67 @@ pub fn extract_predicates(
     relevant: &[&Layer],
     config: &ExtractionConfig,
 ) -> Result<(PredicateTable, ExtractionStats), Interrupt> {
-    match config.tiling {
-        Tiling::Flat => extract_flat(reference, relevant, config),
-        Tiling::Grid { tiles_per_axis } => {
-            crate::tiled::extract_tiled(reference, relevant, config, tiles_per_axis)
-        }
-    }
-}
-
-/// The flat (untiled) extraction path: one parallel work list over the
-/// reference rows.
-fn extract_flat(
-    reference: &Layer,
-    relevant: &[&Layer],
-    config: &ExtractionConfig,
-) -> Result<(PredicateTable, ExtractionStats), Interrupt> {
     let recorder = &config.recorder;
-    let cancel = &config.cancel;
     let _extract_span = recorder.span("extract");
     let window = config.bounded_window();
     let record = recorder.is_enabled();
+    let Tiling::Grid { tiles_per_axis } = config.tiling;
+    let tiles = {
+        let _plan_span = recorder.span("plan");
+        tiled::plan_tiles(reference, tiles_per_axis, recorder)
+    };
     let layers = {
         let _prepare_span = recorder.span("prepare");
         prepare_layers(reference, relevant, config, window, record)?
     };
 
-    let batches = {
+    // Each finished tile's batches, in the tile's (ascending) row order.
+    let mut done: Vec<std::vec::IntoIter<RowBatch>> = Vec::with_capacity(tiles.len());
+    let mut resumed = 0u64;
+    {
         let _rows_span = recorder.span("rows");
-        try_par_map(
-            config.threads,
-            cancel,
-            "extract/rows",
-            reference.features(),
-            |row, ref_feature| {
-                if geopattern_testkit::failpoint::trigger("sdb/extract.row") {
-                    cancel.cancel();
+        for tile in &tiles {
+            // A journaled tile is reloaded, not re-extracted — and skips
+            // the fail point: the unit already completed in a past run.
+            let batches = match tiled::resume(tile, config) {
+                Some(batches) => {
+                    resumed += 1;
+                    batches
                 }
-                extract_row(row, ref_feature, &layers, config, record)
-            },
-        )?
-    };
+                None => {
+                    let batches = tiled::extract_tile(tile, reference, &layers, config, record)?;
+                    tiled::checkpoint(tile, &batches, config);
+                    batches
+                }
+            };
+            recorder.record("extract.tile_rows", tile.rows.len() as u64);
+            done.push(batches.into_iter());
+        }
+    }
+    if config.journal.is_some() {
+        recorder.counter("robust/resume_tiles_skipped", resumed);
+    }
 
     let _merge_span = recorder.span("merge");
+    // Every row is owned by exactly one tile, which yields its rows in
+    // ascending order: drawing from each row's owner restores row order.
+    let mut owner = vec![0u32; reference.len()];
+    for (t, tile) in tiles.iter().enumerate() {
+        for &row in &tile.rows {
+            owner[row as usize] = t as u32;
+        }
+    }
+    let batches = owner.iter().map(|&t| done[t as usize].next().expect("one batch per owned row"));
     Ok(merge_batches(reference.features().iter().zip(batches), recorder))
 }
 
 /// Prepares every relevant layer exactly once: geometry preparation plus
 /// the self-join memo when a relevant layer *is* the reference layer
-/// (pointer identity). Shared by the flat and tiled paths — preparing the
-/// same layers the same way is one half of why their outputs, kernel
-/// counters included, are identical (the other half is the row-order
-/// merge in [`merge_batches`]).
-pub(crate) fn prepare_layers<'a>(
+/// (pointer identity). Every tile extracts against this one prepared set
+/// — one half of why outputs, kernel counters included, do not depend on
+/// the tiling (the other half is the row-order merge in
+/// [`merge_batches`]).
+fn prepare_layers<'a>(
     reference: &Layer,
     relevant: &[&'a Layer],
     config: &ExtractionConfig,
@@ -433,10 +443,10 @@ pub(crate) fn prepare_layers<'a>(
 
 /// Single-threaded merge: interning in row order reproduces the serial
 /// predicate numbering exactly, and absorbing worker metrics in the same
-/// order keeps the aggregate deterministic. Shared by the flat and tiled
-/// paths — the tiled path feeds its batches in global row order, which is
-/// exactly why its table is bit-identical to the flat path's.
-pub(crate) fn merge_batches<'a>(
+/// order keeps the aggregate deterministic. Batches arrive in global row
+/// order whatever the tiling, which is exactly why every tiling yields
+/// the same table.
+fn merge_batches<'a>(
     rows: impl Iterator<Item = (&'a Feature, RowBatch)>,
     recorder: &Recorder,
 ) -> (PredicateTable, ExtractionStats) {
@@ -688,10 +698,18 @@ pub(crate) fn extract_row(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::feature::Feature;
     use geopattern_geom::{coord, Point, Polygon};
+
+    /// Serialises the tests that arm a fail point or run an enabled cancel
+    /// token: the fail-point registry is process-global, and every
+    /// extraction passes both extraction sites.
+    pub(crate) fn failpoint_gate() -> std::sync::MutexGuard<'static, ()> {
+        static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     /// Uncontrolled extraction for tests: the new entry point with the
     /// config as given (which defaults to no recorder / no token).
@@ -973,6 +991,7 @@ mod tests {
 
     #[test]
     fn idle_token_is_identical_and_counts_checks() {
+        let _gate = failpoint_gate();
         let (district, slums, schools, police) = toy_layers();
         let layers = [&slums, &schools, &police];
         let config = ExtractionConfig::topological_only();
@@ -1017,6 +1036,7 @@ mod tests {
     #[test]
     fn extract_row_fail_point_cancels_deterministically() {
         use geopattern_testkit::failpoint;
+        let _gate = failpoint_gate();
         let (district, slums, _schools, _police) = toy_layers();
         failpoint::activate("sdb/extract.row", failpoint::FailAction::Cancel, 1.0, 7);
         let err = extract_predicates(

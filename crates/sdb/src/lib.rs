@@ -19,9 +19,9 @@
 //! * [`gpb`] — the compact binary dataset format (`.gpb`), with a
 //!   streaming reader that loads layers — or envelope windows of layers —
 //!   without materialising the whole dataset;
-//! * `tiled` — the tiled extraction path behind
-//!   [`Tiling::Grid`], surfaced through
-//!   [`extract::extract_predicates`].
+//! * `tiled` — the tiles [`extract::extract_predicates`] runs in
+//!   sequence under [`Tiling::Grid`] (one tile by default): planning,
+//!   per-tile row execution and the tile journal codec.
 
 pub mod dataset;
 pub mod discretize;

@@ -1,244 +1,173 @@
-//! Tiled (sharded) predicate extraction.
+//! Tiles: the unit of extraction scheduling, accounting and journaling.
 //!
-//! [`extract_tiled`] shards extraction over a [`TileGrid`] covering the
-//! reference layer's envelope, instead of one flat work list over the
-//! rows. Each tile **owns** the reference rows whose envelope *center*
-//! falls inside it — the grid's canonical owner rule, a pure function of
-//! coordinates, so every row has exactly one owner and no boundary pair
-//! is ever processed twice. Tiles run on the worker pool; each extracts
-//! its owned rows serially with the same per-row kernel as the flat path.
+//! [`plan_tiles`] shards the reference rows over a [`TileGrid`] covering
+//! the reference layer's envelope. Each tile **owns** the reference rows
+//! whose envelope *center* falls inside it — the grid's canonical owner
+//! rule, a pure function of coordinates, so every row has exactly one
+//! owner and no boundary pair is ever processed twice. Only occupied
+//! tiles are planned, so the plan is O(rows) whatever the grid size. The
+//! default grid is one tile holding every row in row order.
 //!
-//! Relevant layers are prepared **once**, by the same
-//! [`prepare_layers`](crate::extract::prepare_layers) call the flat path
-//! uses (self-join memo included), and shared read-only by every tile —
-//! a row's candidate queries hit the full layer's R-tree either way, so
-//! sharding adds no per-tile preparation work and cannot change any
-//! row's candidate set. The per-tile row batches are then placed back
-//! into **global row order** and merged by the same row-order interning
-//! the flat path uses, which is why the resulting table — predicate
-//! numbering included — is bit-identical to
-//! [`Tiling::Flat`](crate::extract::Tiling::Flat) at any tile size and
+//! `extract_predicates` runs the planned tiles one after another, each
+//! tile's rows in parallel on the pool ([`extract_tile`]), against one
+//! prepared-layer set shared by every tile — a row's candidate queries
+//! hit the full layer's R-tree either way, so the tiling cannot change
+//! any row's candidate set. The row batches are placed back into
+//! **global row order** before the merge, which is why the table —
+//! predicate numbering included — is bit-identical at any tile size and
 //! thread count.
 //!
-//! The tile is the unit of *scheduling, accounting and checkpointing*:
+//! Per tile:
 //!
-//! * each tile's **reach** — the union envelope of its owned rows,
-//!   buffered by the largest bounded distance band — bounds the features
-//!   any of its rows can query, i.e. the working set an out-of-core run
-//!   would stream for it (via `GpbReader::read_layer_window`). That
-//!   footprint is counted (`extract.tile_sub_features`) and reserved
-//!   against the config's [`MemoryBudget`] (track-only) while the tile
-//!   runs, so the tiled path's working-set high-water mark is observable.
-//!   When the distance/direction path needs a **full scan** (open-ended
-//!   distance band, or direction predicates on), a tile's reach is the
-//!   whole layer and nothing tile-local is counted;
-//! * each tile checks the config's [`CancelToken`] between rows (and
-//!   inside rows, like the flat path), and the deterministic fail point
-//!   `sdb/extract.tile` fires at tile starts;
-//! * a configured [`ShardLog`](geopattern_par::ShardLog) records exactly
-//!   the tiles that completed all their rows un-interrupted — the
-//!   checkpoint a retry would resume from;
-//! * a configured [`Journal`](geopattern_par::Journal) is the *durable*
-//!   version of the same checkpoint: a completed tile's rows (predicates,
-//!   stats, and footprint) are appended the moment the tile finishes, and
-//!   a tile already present in the journal is decoded and returned
-//!   instead of re-extracted (`robust/resume_tiles_skipped` counts them).
-//!   Because the merge below consumes per-tile batches in global row
-//!   order either way, a resumed run's table — predicate numbering
-//!   included — is bit-identical to an uninterrupted one at any thread
-//!   count. A journaled tile whose payload fails to decode (torn or
-//!   corrupted beyond the journal's own frame checks) is re-extracted.
+//! * its **reach** — the union envelope of its owned rows, buffered by
+//!   the largest bounded distance band — bounds the features any of its
+//!   rows can query, i.e. the working set an out-of-core run would stream
+//!   for it (via `GpbReader::read_layer_window`). Tiles run in sequence,
+//!   so only one working set is reserved at a time. It is sized only when
+//!   something reads it — a limited [`MemoryBudget`](geopattern_par::MemoryBudget)
+//!   (track-only reservation while the rows run) or an enabled recorder
+//!   (`extract.tile_sub_features`). When the distance/direction path
+//!   needs a **full scan** (open-ended distance band, or direction
+//!   predicates on), the reach is the whole layer and nothing tile-local
+//!   is counted;
+//! * the deterministic fail point `sdb/extract.tile` fires at the tile's
+//!   start on the coordinating thread (a sequential site); the rows check
+//!   the config's [`CancelToken`](geopattern_par::CancelToken) as usual;
+//! * a configured [`Journal`](geopattern_par::Journal) receives the tile's
+//!   rows (predicates and stats) the moment the tile finishes, and a tile
+//!   already present in the journal is decoded and returned instead of
+//!   re-extracted (`robust/resume_tiles_skipped` counts them). An
+//!   interrupted tile never reaches the journal. A journaled tile whose
+//!   payload fails to decode (torn or corrupted beyond the journal's own
+//!   frame checks) is re-extracted.
 
-use crate::extract::{
-    extract_row, merge_batches, prepare_layers, ExtractionConfig, ExtractionStats, PreparedLayer,
-    RowBatch,
-};
+use crate::extract::{extract_row, ExtractionConfig, ExtractionStats, PreparedLayer, RowBatch};
 use crate::feature::Layer;
 use crate::journal_codec::{self as codec, Reader};
-use crate::predicate_table::PredicateTable;
 use geopattern_geom::{Geometry, Rect, TileGrid};
-use geopattern_obs::Metrics;
+use geopattern_obs::{Metrics, Recorder};
 use geopattern_par::{try_par_map, Interrupt};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Journal record kind for one completed tile.
-pub(crate) const TILE_KIND: &str = "extract/tile";
+const TILE_KIND: &str = "extract/tile";
 
-/// One tile's plan: the reference rows it owns (ascending) and their
-/// union envelope.
-struct TileTask {
-    rows: Vec<u32>,
-    envelope: Rect,
+/// One occupied tile: its linear grid index (its journal shard) and the
+/// reference rows it owns, ascending.
+pub(crate) struct TileTask {
+    pub(crate) id: usize,
+    pub(crate) rows: Vec<u32>,
 }
 
-/// One tile's output: per-owned-row batches (ascending by row), plus the
-/// tile's working-set footprint for metrics.
-struct TileBatch {
-    batches: Vec<(u32, RowBatch)>,
-    /// Features inside the tile's reach (0 when layers are full-scanned).
-    sub_features: usize,
-}
-
-/// Sharded extraction over an `n × n` tile grid. Output is bit-identical
-/// to the flat path; see the module docs for the argument.
-pub(crate) fn extract_tiled(
+/// Plans the occupied tiles of an `n × n` grid over the reference layer,
+/// in ascending tile order. Empty tiles are never materialised.
+pub(crate) fn plan_tiles(
     reference: &Layer,
-    relevant: &[&Layer],
-    config: &ExtractionConfig,
     tiles_per_axis: usize,
-) -> Result<(PredicateTable, ExtractionStats), Interrupt> {
-    let recorder = &config.recorder;
-    let cancel = &config.cancel;
-    let _extract_span = recorder.span("extract");
-    let window = config.bounded_window();
-    let record = recorder.is_enabled();
-    // Open-ended distance bands and direction predicates scan whole
-    // layers, so no tile-local working set can stand in for them.
-    let full_scan = (config.distance.is_some() || config.direction) && window.is_none();
-    let buffer = window.unwrap_or(0.0);
-
-    let tasks: Vec<TileTask> = {
-        let _plan_span = recorder.span("plan");
-        let grid = TileGrid::new(reference.envelope(), tiles_per_axis);
-        let mut tasks: Vec<TileTask> = (0..grid.len())
-            .map(|_| TileTask { rows: Vec::new(), envelope: Rect::EMPTY })
-            .collect();
-        // Rows arrive in ascending order, so each tile's list is sorted.
-        for (row, feature) in reference.features().iter().enumerate() {
-            let envelope = feature.envelope();
-            let task = &mut tasks[grid.tile_index(envelope.center())];
-            task.rows.push(row as u32);
-            task.envelope = task.envelope.union(&envelope);
-        }
-        recorder.counter("extract.tiles", grid.len() as u64);
-        recorder.counter(
-            "extract.tiles_occupied",
-            tasks.iter().filter(|t| !t.rows.is_empty()).count() as u64,
-        );
-        tasks
-    };
-
-    // One shared prepared set — exactly the flat path's.
-    let layers = {
-        let _prepare_span = recorder.span("prepare");
-        prepare_layers(reference, relevant, config, window, record)?
-    };
-
-    let resumed = AtomicU64::new(0);
-    let tile_batches = {
-        let _tiles_span = recorder.span("tiles");
-        try_par_map(config.threads, cancel, "extract/tiles", &tasks, |tile, task| {
-            // A journaled tile is reloaded, not re-extracted — and skips
-            // the fail point: the unit already completed in a past run.
-            if let Some(journal) = &config.journal {
-                if let Some(payload) = journal.lookup(TILE_KIND, tile as u64) {
-                    if let Some(batch) = decode_tile(&payload, task) {
-                        resumed.fetch_add(1, Ordering::Relaxed);
-                        return batch;
-                    }
-                }
-            }
-            if geopattern_testkit::failpoint::trigger("sdb/extract.tile") {
-                cancel.cancel();
-            }
-            let batch = extract_one_tile(task, reference, &layers, config, full_scan, buffer, record);
-            // A tile whose row loop was cut short must not checkpoint.
-            if !cancel.interrupted() {
-                if let Some(log) = &config.shard_log {
-                    log.mark(tile);
-                }
-                if let Some(journal) = &config.journal {
-                    // Best-effort: a full disk must not fail the run — the
-                    // tile simply isn't resumable.
-                    let _ = journal.append(TILE_KIND, tile as u64, &encode_tile(&batch));
-                }
-            }
-            batch
-        })?
-    };
-    if config.journal.is_some() {
-        recorder.counter("robust/resume_tiles_skipped", resumed.load(Ordering::Relaxed));
-    }
-
-    let _merge_span = recorder.span("merge");
-    // Re-order per-tile batches into global row order: every row was
-    // owned by exactly one tile, so the slots fill exactly once.
-    let mut slots: Vec<Option<RowBatch>> = Vec::with_capacity(reference.len());
-    slots.resize_with(reference.len(), || None);
-    for tile_batch in tile_batches {
-        recorder.record("extract.tile_rows", tile_batch.batches.len() as u64);
-        recorder.counter("extract.tile_sub_features", tile_batch.sub_features as u64);
-        for (row, batch) in tile_batch.batches {
-            let slot = &mut slots[row as usize];
-            debug_assert!(slot.is_none(), "row {row} produced by two tiles");
-            *slot = Some(batch);
-        }
-    }
-    let rows = reference
+    recorder: &Recorder,
+) -> Vec<TileTask> {
+    let grid = TileGrid::new(reference.envelope(), tiles_per_axis);
+    let mut owned: Vec<(usize, u32)> = reference
         .features()
         .iter()
-        .zip(slots.into_iter().map(|s| s.expect("every row is owned by exactly one tile")));
-    Ok(merge_batches(rows, recorder))
+        .enumerate()
+        .map(|(row, f)| (grid.tile_index(f.envelope().center()), row as u32))
+        .collect();
+    // Sorting by (tile, row) groups each tile's rows, ascending.
+    owned.sort_unstable();
+    let mut tiles: Vec<TileTask> = Vec::new();
+    for (id, row) in owned {
+        match tiles.last_mut() {
+            Some(tile) if tile.id == id => tile.rows.push(row),
+            _ => tiles.push(TileTask { id, rows: vec![row] }),
+        }
+    }
+    recorder.counter("extract.tiles", grid.len() as u64);
+    recorder.counter("extract.tiles_occupied", tiles.len() as u64);
+    tiles
 }
 
-fn extract_one_tile(
-    task: &TileTask,
+/// Extracts one tile's rows on the pool, in the tile's row order, holding
+/// the tile's working-set reservation while they run.
+pub(crate) fn extract_tile(
+    tile: &TileTask,
     reference: &Layer,
     layers: &[PreparedLayer],
     config: &ExtractionConfig,
-    full_scan: bool,
-    buffer: f64,
     record: bool,
-) -> TileBatch {
-    if task.rows.is_empty() {
-        return TileBatch { batches: Vec::new(), sub_features: 0 };
-    }
+) -> Result<Vec<RowBatch>, Interrupt> {
     let cancel = &config.cancel;
-    // The tile's reach: no candidate query of an owned row — envelope
-    // prefilter or buffered window — can return a feature outside it.
-    // Size the working set an out-of-core run would stream for this tile
-    // and hold the reservation while the tile's rows extract.
-    let (sub_features, sub_bytes) = if full_scan {
-        (0, 0)
+    if geopattern_testkit::failpoint::trigger("sdb/extract.tile") {
+        cancel.cancel();
+    }
+    let (sub_features, sub_bytes) = if config.budget.is_limited() || record {
+        working_set(tile, reference, layers, config)
     } else {
-        let reach = task.envelope.buffered(buffer);
-        layers
-            .iter()
-            .map(|pl| {
-                let keep = pl.layer.query_envelope(&reach);
-                let bytes: usize =
-                    keep.iter().map(|&i| feature_bytes(&pl.layer.features()[i])).sum();
-                (keep.len(), bytes)
-            })
-            .fold((0, 0), |(f, b), (kf, kb)| (f + kf, b + kb))
+        (0, 0)
     };
-    let reserved = sub_bytes > 0 && {
-        let _ = config.budget.reserve(sub_bytes);
-        true
-    };
-
-    let mut batches = Vec::with_capacity(task.rows.len());
-    for &row in &task.rows {
-        if cancel.interrupted() {
-            break;
+    config.recorder.counter("extract.tile_sub_features", sub_features as u64);
+    let _ = config.budget.reserve(sub_bytes);
+    let batches = try_par_map(config.threads, cancel, "extract/rows", &tile.rows, |_, &row| {
+        if geopattern_testkit::failpoint::trigger("sdb/extract.row") {
+            cancel.cancel();
         }
-        let feature = &reference.features()[row as usize];
-        batches.push((row, extract_row(row as usize, feature, layers, config, record)));
-    }
-
-    if reserved {
-        config.budget.release(sub_bytes);
-    }
-    TileBatch { batches, sub_features }
+        let row = row as usize;
+        extract_row(row, &reference.features()[row], layers, config, record)
+    });
+    config.budget.release(sub_bytes);
+    batches
 }
 
-/// Encodes one completed tile for the journal: its footprint plus every
-/// owned row's predicates and stats, in row order.
-fn encode_tile(batch: &TileBatch) -> Vec<u8> {
+/// The features and approximate bytes inside the tile's reach: no
+/// candidate query of an owned row — envelope prefilter or buffered
+/// window — can return a feature outside it. `(0, 0)` when the layers are
+/// full-scanned.
+fn working_set(
+    tile: &TileTask,
+    reference: &Layer,
+    layers: &[PreparedLayer],
+    config: &ExtractionConfig,
+) -> (usize, usize) {
+    let window = config.bounded_window();
+    if (config.distance.is_some() || config.direction) && window.is_none() {
+        return (0, 0);
+    }
+    let reach = tile
+        .rows
+        .iter()
+        .fold(Rect::EMPTY, |acc, &row| acc.union(&reference.features()[row as usize].envelope()))
+        .buffered(window.unwrap_or(0.0));
+    layers
+        .iter()
+        .map(|pl| {
+            let keep = pl.layer.query_envelope(&reach);
+            let bytes: usize = keep.iter().map(|&i| feature_bytes(&pl.layer.features()[i])).sum();
+            (keep.len(), bytes)
+        })
+        .fold((0, 0), |(f, b), (kf, kb)| (f + kf, b + kb))
+}
+
+/// The tile's batches from the config's journal, if a past run journaled
+/// it and the record decodes.
+pub(crate) fn resume(tile: &TileTask, config: &ExtractionConfig) -> Option<Vec<RowBatch>> {
+    let payload = config.journal.as_ref()?.lookup(TILE_KIND, tile.id as u64)?;
+    decode_tile(&payload, tile)
+}
+
+/// Appends a finished tile to the config's journal, if any. Best-effort:
+/// a full disk or an oversized record must not fail the run — the tile
+/// simply isn't resumable.
+pub(crate) fn checkpoint(tile: &TileTask, batches: &[RowBatch], config: &ExtractionConfig) {
+    if let Some(journal) = &config.journal {
+        let _ = journal.append(TILE_KIND, tile.id as u64, &encode_tile(tile, batches));
+    }
+}
+
+/// Encodes one completed tile for the journal: every owned row's
+/// predicates and stats, in row order.
+fn encode_tile(tile: &TileTask, batches: &[RowBatch]) -> Vec<u8> {
     let mut out = Vec::new();
-    codec::put_u64(&mut out, batch.sub_features as u64);
-    codec::put_u32(&mut out, batch.batches.len() as u32);
-    for (row, rb) in &batch.batches {
+    codec::put_u32(&mut out, batches.len() as u32);
+    for (row, rb) in tile.rows.iter().zip(batches) {
         codec::put_u32(&mut out, *row);
         codec::put_u64(&mut out, rb.stats.candidate_pairs as u64);
         codec::put_u64(&mut out, rb.stats.pruned_pairs as u64);
@@ -252,21 +181,18 @@ fn encode_tile(batch: &TileBatch) -> Vec<u8> {
 }
 
 /// Decodes a journaled tile, validating that it covers exactly the rows
-/// `task` owns (in order). `None` — re-extract — on any mismatch or
+/// `tile` owns (in order). `None` — re-extract — on any mismatch or
 /// malformed byte. Resumed rows carry empty [`Metrics`]: per-row
 /// histograms and kernel counters describe work that was *not redone*;
 /// the table and stats are what bit-identity is defined over.
-fn decode_tile(payload: &[u8], task: &TileTask) -> Option<TileBatch> {
+fn decode_tile(payload: &[u8], tile: &TileTask) -> Option<Vec<RowBatch>> {
     let mut r = Reader::new(payload);
-    let sub_features = r.take_u64()? as usize;
-    let rows = r.take_u32()? as usize;
-    if rows != task.rows.len() {
+    if r.take_u32()? as usize != tile.rows.len() {
         return None;
     }
-    let mut batches = Vec::with_capacity(rows);
-    for &expected_row in &task.rows {
-        let row = r.take_u32()?;
-        if row != expected_row {
+    let mut batches = Vec::with_capacity(tile.rows.len());
+    for &expected_row in &tile.rows {
+        if r.take_u32()? != expected_row {
             return None;
         }
         let stats = ExtractionStats {
@@ -279,9 +205,9 @@ fn decode_tile(payload: &[u8], task: &TileTask) -> Option<TileBatch> {
         for _ in 0..npred {
             predicates.push(codec::take_predicate(&mut r)?);
         }
-        batches.push((row, RowBatch { predicates, stats, metrics: Metrics::new() }));
+        batches.push(RowBatch { predicates, stats, metrics: Metrics::new() });
     }
-    r.done().then_some(TileBatch { batches, sub_features })
+    r.done().then_some(batches)
 }
 
 /// Rough heap footprint of one feature (coordinates dominate), for
@@ -312,7 +238,7 @@ mod tests {
     use crate::feature::Feature;
     use geopattern_geom::{coord, Point, Polygon};
     use geopattern_obs::Recorder;
-    use geopattern_par::{CancelToken, MemoryBudget, ShardLog, Threads};
+    use geopattern_par::{CancelToken, Journal, MemoryBudget, Threads};
     use geopattern_qsr::DistanceScheme;
 
     /// A 6×6 grid of districts with slums and schools scattered around,
@@ -357,8 +283,10 @@ mod tests {
         )
     }
 
+    /// Every tiling × thread count must reproduce the config's own
+    /// (default one-tile) table, rows and stats.
     fn assert_identical(config: &ExtractionConfig, relevant: &[&Layer], reference: &Layer) {
-        let flat = extract_predicates(reference, relevant, config).unwrap();
+        let default = extract_predicates(reference, relevant, config).unwrap();
         for tiles in [1usize, 2, 7] {
             for threads in [Threads::Serial, Threads::Fixed(2), Threads::Fixed(8)] {
                 let tiled_config = config
@@ -368,11 +296,11 @@ mod tests {
                 let tiled = extract_predicates(reference, relevant, &tiled_config).unwrap();
                 assert_eq!(
                     tiled.0.predicates(),
-                    flat.0.predicates(),
+                    default.0.predicates(),
                     "{tiles} tiles, {threads:?}"
                 );
-                assert_eq!(tiled.0.rows(), flat.0.rows(), "{tiles} tiles, {threads:?}");
-                assert_eq!(tiled.1, flat.1, "{tiles} tiles, {threads:?}");
+                assert_eq!(tiled.0.rows(), default.0.rows(), "{tiles} tiles, {threads:?}");
+                assert_eq!(tiled.1, default.1, "{tiles} tiles, {threads:?}");
             }
         }
     }
@@ -408,9 +336,8 @@ mod tests {
 
     #[test]
     fn tiled_self_join_matches_flat_with_memo() {
-        // Both paths share `prepare_layers`, so the tiled path uses the
-        // same self-join memo as the flat path. The tables and stats must
-        // agree exactly.
+        // Every tiling extracts against one `prepare_layers` set, self-join
+        // memo included. The tables and stats must agree exactly.
         let (districts, _slums, _schools) = scene();
         let config = ExtractionConfig::topological_only()
             .with_distance(DistanceScheme::new(vec![("near", 12.0)]).unwrap());
@@ -474,47 +401,53 @@ mod tests {
         assert_eq!(budget.used(), 0);
     }
 
+    /// A fresh journal in a per-test temp directory.
+    fn temp_journal(tag: &str) -> (std::path::PathBuf, Journal) {
+        let dir = std::env::temp_dir()
+            .join(format!("geopattern-tile-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = Journal::create(dir.join("run.journal"), 7).unwrap();
+        (dir, journal)
+    }
+
     #[test]
-    fn shard_log_checkpoints_completed_tiles_only() {
+    fn journal_checkpoints_completed_tiles_only() {
         use geopattern_testkit::failpoint;
+        let _gate = crate::extract::tests::failpoint_gate();
         let (districts, slums, _schools) = scene();
+        let config = ExtractionConfig::topological_only()
+            .with_tiling(Tiling::Grid { tiles_per_axis: 2 });
 
         // Un-interrupted run: every tile checkpoints.
-        let log = ShardLog::new();
-        let config = ExtractionConfig::topological_only()
-            .with_tiling(Tiling::Grid { tiles_per_axis: 2 })
-            .with_shard_log(log.clone());
-        extract_predicates(&districts, &[&slums], &config).unwrap();
-        assert_eq!(log.completed(), vec![0, 1, 2, 3]);
+        let (dir, journal) = temp_journal("checkpoint");
+        extract_predicates(&districts, &[&slums], &config.clone().with_journal(journal.clone()))
+            .unwrap();
+        let shards: Vec<u64> = journal.records(TILE_KIND).iter().map(|r| r.0).collect();
+        assert_eq!(shards, vec![0, 1, 2, 3]);
 
-        // Serial run cancelled by the fail point at the first tile's
-        // start: the interrupted tile must not checkpoint, so the log
-        // stays empty, deterministically.
-        let log = ShardLog::new();
+        // Cancelled by the fail point at the first tile's start: the
+        // interrupted tile must not checkpoint, so the journal stays
+        // empty, deterministically.
+        let journal = Journal::create(dir.join("cancelled.journal"), 7).unwrap();
         failpoint::activate("sdb/extract.tile", failpoint::FailAction::Cancel, 1.0, 11);
         let err = extract_predicates(
             &districts,
             &[&slums],
-            &ExtractionConfig::topological_only()
-                .with_tiling(Tiling::Grid { tiles_per_axis: 2 })
-                .with_shard_log(log.clone())
-                .with_cancel(CancelToken::new()),
+            &config.with_journal(journal.clone()).with_cancel(CancelToken::new()),
         )
         .unwrap_err();
         failpoint::deactivate("sdb/extract.tile");
         assert_eq!(err, Interrupt::Cancelled);
-        assert!(log.is_empty(), "an interrupted tile must not checkpoint");
+        assert!(journal.is_empty(), "an interrupted tile must not checkpoint");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn journaled_tiles_resume_bit_identical() {
-        use geopattern_par::Journal;
         let (districts, slums, schools) = scene();
         let relevant = [&slums, &schools];
-        let dir = std::env::temp_dir()
-            .join(format!("geopattern-tile-resume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let (dir, full) = temp_journal("resume");
 
         let control = extract_predicates(
             &districts,
@@ -525,7 +458,6 @@ mod tests {
         .unwrap();
 
         // A completed run fills the journal with every tile.
-        let full = Journal::create(dir.join("full.journal"), 7).unwrap();
         let config = ExtractionConfig::topological_only()
             .with_tiling(Tiling::Grid { tiles_per_axis: 3 })
             .with_journal(full.clone());

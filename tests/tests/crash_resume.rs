@@ -180,46 +180,60 @@ fn fpgrowth_branches_resume_bit_identically_after_crash() {
     );
 }
 
-#[test]
-fn tiled_extraction_resumes_and_skips_every_journaled_tile() {
-    let _g = locked();
-    let scratch = Scratch::new("tiles");
+/// Crashes a journaled city pipeline in mining, after extraction
+/// journaled all its tiles, then resumes at 1/2/8 threads: the output
+/// must match an uninterrupted control and every one of the `tiles`
+/// tiles must be served from the journal.
+fn extraction_resumes_from_every_journaled_tile(tag: &str, extraction: ExtractionConfig, tiles: u64) {
+    let scratch = Scratch::new(tag);
     let journal_path = scratch.path("run.journal");
     let dataset = generate_city(&CityConfig { grid: 4, seed: 9, ..Default::default() });
-    let tiled = || {
+    let pipeline = || {
         MiningPipeline::new()
             .algorithm(Algorithm::AprioriKcPlus)
             .min_support(MinSupport::Fraction(0.3))
-            .extraction(ExtractionConfig::default().with_tiling(Tiling::Grid { tiles_per_axis: 3 }))
+            .extraction(extraction.clone())
     };
-    let control = signature(&tiled().run(&dataset).expect("control run"));
+    let control = signature(&pipeline().run(&dataset).expect("control run"));
 
     // Crash in mining, AFTER extraction journaled all its tiles.
     let journal = Journal::create(&journal_path, FINGERPRINT).unwrap();
     failpoint::activate("mining/apriori.pass", FailAction::Cancel, 1.0, 7);
-    let crashed = tiled()
+    let crashed = pipeline()
         .cancel_token(CancelToken::new())
         .journal(journal.clone())
         .run(&dataset);
     failpoint::deactivate_all();
-    assert_eq!(crashed.unwrap_err(), Error::Cancelled);
-    assert!(!journal.is_empty(), "extraction journaled nothing");
+    assert_eq!(crashed.unwrap_err(), Error::Cancelled, "{tag}");
+    assert_eq!(journal.records("extract/tile").len() as u64, tiles, "{tag}");
 
     for threads in [Threads::Serial, Threads::Fixed(2), Threads::Fixed(8)] {
         let journal = Journal::open(&journal_path, FINGERPRINT).unwrap();
         let recorder = Recorder::new();
-        let resumed = tiled()
+        let resumed = pipeline()
             .threads(threads)
             .recorder(recorder.clone())
             .journal(journal)
             .run(&dataset)
-            .unwrap_or_else(|e| panic!("resume at {threads:?} failed: {e}"));
-        assert_eq!(signature(&resumed), control, "resume at {threads:?}");
+            .unwrap_or_else(|e| panic!("{tag}: resume at {threads:?} failed: {e}"));
+        assert_eq!(signature(&resumed), control, "{tag}: resume at {threads:?}");
         let skipped = recorder.snapshot().counter("robust/resume_tiles_skipped").unwrap_or(0);
-        // All 9 tiles completed before the mining crash, so every resume
-        // serves every tile from the journal.
-        assert_eq!(skipped, 9, "resume at {threads:?}");
+        assert_eq!(skipped, tiles, "{tag}: resume at {threads:?}");
     }
+}
+
+#[test]
+fn tiled_extraction_resumes_and_skips_every_journaled_tile() {
+    let _g = locked();
+    let tiled = ExtractionConfig::default().with_tiling(Tiling::Grid { tiles_per_axis: 3 });
+    extraction_resumes_from_every_journaled_tile("tiles", tiled, 9);
+}
+
+#[test]
+fn default_extraction_resumes_from_its_one_journaled_tile() {
+    // No tiling asked for: the default single tile is still journaled.
+    let _g = locked();
+    extraction_resumes_from_every_journaled_tile("one-tile", ExtractionConfig::default(), 1);
 }
 
 #[test]

@@ -10,9 +10,11 @@
 //! * **pool-closure sites** (`sdb/extract.row`, `mining/apriori.count`,
 //!   `mining/eclat.class`) run inside a worker closure the pool wraps in
 //!   `catch_unwind` — both `Cancel` and `Panic` actions are safe;
-//! * **sequential sites** (`core/encode`, `mining/*.pass`,
-//!   `mining/fpgrowth.grow`) run on the caller's stack — tests use the
-//!   `Cancel` action there (a panic would unwind through the test).
+//! * **sequential sites** (`sdb/extract.tile`, `core/encode`,
+//!   `mining/*.pass`, `mining/fpgrowth.grow`) run on the caller's stack —
+//!   extraction tiles run one after another on the coordinating thread —
+//!   so tests use the `Cancel` action there (a panic would unwind through
+//!   the test).
 
 use geopattern::{
     Algorithm, CancelToken, Error, MiningPipeline, MinSupport, Threads,
@@ -64,6 +66,18 @@ fn extract_row_site_cancels_extraction() {
     let (pipeline, dataset) = city_pipeline(Algorithm::AprioriKcPlus);
     let err = pipeline.run(&dataset).unwrap_err();
     assert_cancelled("sdb/extract.row", err);
+    failpoint::deactivate_all();
+}
+
+#[test]
+fn extract_tile_site_cancels_extraction() {
+    // A sequential site: it fires on the coordinating thread at each tile
+    // start, and the default run has one tile.
+    let _g = locked();
+    failpoint::activate("sdb/extract.tile", FailAction::Cancel, 1.0, 7);
+    let (pipeline, dataset) = city_pipeline(Algorithm::AprioriKcPlus);
+    let err = pipeline.run(&dataset).unwrap_err();
+    assert_cancelled("sdb/extract.tile", err);
     failpoint::deactivate_all();
 }
 

@@ -194,7 +194,7 @@ fn table_key(t: &PredicateTable) -> (Vec<Predicate>, Vec<(String, Vec<u32>)>) {
 
 /// A full extraction — topological plus bounded qualitative distance —
 /// emits the same predicate table, rows and stats at every thread count
-/// {1, 2, 8} × tiling {flat, 1, 7}.
+/// {1, 2, 8} × tiling {default (one tile), 2, 7}.
 #[test]
 fn extraction_bit_identical_across_quant_threads_and_tiles() {
     let ds = generate_city(&CityConfig { grid: 6, seed: 11, ..Default::default() });
@@ -210,7 +210,7 @@ fn extraction_bit_identical_across_quant_threads_and_tiles() {
     let mut baseline = None;
     for n in [1usize, 2, 8] {
         let t = if n == 1 { Threads::Serial } else { Threads::Fixed(n) };
-        for tiles in [None, Some(1), Some(7)] {
+        for tiles in [None, Some(2), Some(7)] {
             let mut config = base.clone().with_threads(t);
             if let Some(tiles_per_axis) = tiles {
                 config = config.with_tiling(Tiling::Grid { tiles_per_axis });

@@ -1,17 +1,18 @@
 //! Tile-boundary property suite: tiled extraction must be bit-identical
-//! to the flat path for every tiling granularity and thread count.
+//! to the default one-tile extraction for every tiling granularity and
+//! thread count.
 //!
-//! The tiled path shards the reference layer over a spatial [`TileGrid`]
-//! (each row owned by exactly one tile via its envelope center), builds a
-//! buffered sub-layer per tile, and merges row batches back in global row
+//! Extraction shards the reference layer over a spatial `TileGrid`
+//! (each row owned by exactly one tile via its envelope center), runs the
+//! tiles one after another, and merges row batches back in global row
 //! order. None of that may change a single predicate, row, or stats
 //! field — these tests sweep tile sizes {1, 2, 7} × threads {1, 2, 8}
 //! over structured (city) and unstructured (random scatter) layers, then
 //! probe the overlap-buffer edge cases and the control plane
-//! (cancellation, fail-point, shard log).
+//! (cancellation, fail-point, journal).
 
 use geopattern::{
-    extract_predicates, CancelToken, DistanceScheme, ExtractionConfig, Feature, Layer, ShardLog,
+    extract_predicates, CancelToken, DistanceScheme, ExtractionConfig, Feature, Journal, Layer,
     Threads, Tiling,
 };
 use geopattern_datagen::{generate_city, CityConfig};
@@ -29,10 +30,10 @@ fn locked() -> std::sync::MutexGuard<'static, ()> {
     guard
 }
 
-/// Asserts the tiled table, rows and stats equal the flat run's for tile
-/// sizes {1, 2, 7} × threads {serial, 2, 8}.
+/// Asserts the tiled table, rows and stats equal the default one-tile
+/// run's for tile sizes {1, 2, 7} × threads {serial, 2, 8}.
 fn assert_matches_flat(reference: &Layer, relevant: &[&Layer], config: &ExtractionConfig) {
-    let flat = extract_predicates(reference, relevant, config).expect("flat");
+    let flat = extract_predicates(reference, relevant, config).expect("default");
     for tiles in [1usize, 2, 7] {
         for threads in [Threads::Serial, Threads::Fixed(2), Threads::Fixed(8)] {
             let tiled_config = config
@@ -133,8 +134,8 @@ fn random_scatter_tiled_matches_flat() {
 
 #[test]
 fn self_join_tiled_matches_flat() {
-    // The flat path memoises the reference self-join; tiled recomputes
-    // per-tile. Tables and stats must still agree exactly.
+    // Every tiling shares one prepared set, self-join memo included;
+    // tables and stats must agree exactly whichever tile reads it.
     let (zones, _, _) = random_scatter(5);
     let config = ExtractionConfig::topological_only()
         .with_distance(DistanceScheme::new(vec![("near", 80.0)]).unwrap());
@@ -146,7 +147,7 @@ fn corner_straddling_feature_spans_four_tiles() {
     // A 2×2 reference grid tiled 2×2: each district lands in its own tile.
     // One slum is centred on the shared corner of all four districts, so
     // every tile's buffered sub-layer must include it, and each district
-    // must report the same overlap relation as the flat path.
+    // must report the same overlap relation as the one-tile default.
     let d = |id: &str, x0: f64, y0: f64| {
         Feature::new(id, Polygon::rect(coord(x0, y0), coord(x0 + 10.0, y0 + 10.0)).unwrap().into())
     };
@@ -217,19 +218,44 @@ fn pre_cancelled_token_interrupts_tiled_extraction() {
     assert!(result.is_err(), "pre-cancelled token must interrupt the tiled path");
 }
 
+/// A fresh temp-file journal, removed with its directory on drop.
+struct TempJournal(std::path::PathBuf, Journal);
+
+impl TempJournal {
+    fn new(tag: &str) -> TempJournal {
+        let dir = std::env::temp_dir()
+            .join(format!("gp-tiling-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = Journal::create(dir.join("run.journal"), 1).unwrap();
+        TempJournal(dir, journal)
+    }
+
+    /// The shard ids of the journaled extraction tiles, ascending.
+    fn tiles(&self) -> Vec<u64> {
+        self.1.records("extract/tile").into_iter().map(|(shard, _)| shard).collect()
+    }
+}
+
+impl Drop for TempJournal {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[test]
-fn shard_log_records_every_completed_tile() {
+fn journal_records_every_completed_tile() {
     let _guard = locked();
     let ds = city();
-    let log = ShardLog::new();
+    let journal = TempJournal::new("complete");
     let config = ExtractionConfig::topological_only()
         .with_tiling(Tiling::Grid { tiles_per_axis: 2 })
         .with_threads(Threads::Fixed(2))
-        .with_shard_log(log.clone());
+        .with_journal(journal.1.clone());
     let (table, _) = extract_predicates(&ds.reference, &ds.relevant_refs(), &config).unwrap();
     assert!(!table.rows().is_empty());
     // All four tiles of the 2×2 grid hold districts, and all completed.
-    assert_eq!(log.completed(), vec![0, 1, 2, 3]);
+    assert_eq!(journal.tiles(), vec![0, 1, 2, 3]);
 }
 
 #[test]
@@ -237,15 +263,16 @@ fn tile_failpoint_cancels_without_checkpointing() {
     let _guard = locked();
     let ds = city();
     failpoint::activate("sdb/extract.tile", FailAction::Cancel, 1.0, 17);
-    let log = ShardLog::new();
+    let journal = TempJournal::new("cancelled");
     let config = ExtractionConfig::topological_only()
         .with_tiling(Tiling::Grid { tiles_per_axis: 2 })
         .with_threads(Threads::Fixed(2))
         .with_cancel(CancelToken::new())
-        .with_shard_log(log.clone());
+        .with_journal(journal.1.clone());
     let result = extract_predicates(&ds.reference, &ds.relevant_refs(), &config);
     failpoint::deactivate_all();
     assert!(result.is_err(), "tile fail-point must cancel the run");
-    // The fault fires before any tile completes: nothing is checkpointed.
-    assert!(log.is_empty(), "interrupted tiles must not be marked done");
+    // The fault fires at the first tile's start, on the coordinating
+    // thread, before any tile completes: nothing is journaled.
+    assert!(journal.tiles().is_empty(), "interrupted tiles must not be journaled");
 }
