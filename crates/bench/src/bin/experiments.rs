@@ -21,13 +21,13 @@
 //! outputs bit-identical; with `--check` it exits non-zero unless
 //! quant → exact point location beats the exact index by ≥ 2x on the
 //! largest layer in the run and lattice fallbacks stay under 5%. The
-//! `counting` subcommand races every support-counting strategy
-//! (hash-subset, prefix-trie, eclat, bitmap, diffset, hybrid, auto) on
-//! the canonical seed-42 workload after verifying their outputs
-//! identical; with `--check` it exits non-zero unless bitmap beats
-//! hash-subset, hybrid is ≥ 3x hash-subset, and auto lands within 1.15x
-//! of the best fixed counting strategy (eclat excluded — it is a
-//! different algorithm). The `tiling` subcommand measures the out-of-core pair on
+//! `counting` subcommand races the support-counting strategies
+//! (hash-subset, bitmap and the default auto) and eclat on the canonical
+//! seed-42 workload after verifying their outputs identical; with
+//! `--check` it exits non-zero unless bitmap beats hash-subset, auto is
+//! ≥ 3x hash-subset, and auto lands within 1.15x of the best fixed
+//! counting strategy (eclat excluded — it is a different algorithm).
+//! The `tiling` subcommand measures the out-of-core pair on
 //! a metropolis-scale city (~1M features): WKT parse vs `.gpb` binary
 //! load (full materialisation and one-tile windowed fetch), and the
 //! one-tile default vs tiled extraction (verified bit-identical); with
@@ -92,7 +92,7 @@ fn main() {
         print_tiling(grid, tiles, check);
         return;
     }
-    if args.iter().any(|a| a == "counting" || a == "--counting") {
+    if args.iter().any(|a| a == "counting") {
         let check = args.iter().any(|a| a == "--check");
         print_counting(check);
         return;
@@ -491,11 +491,8 @@ fn strategy_runners<'a>(
     };
     vec![
         ("hash-subset", Box::new(apriori(CountingStrategy::HashSubset)) as StrategyRunner<'a>),
-        ("prefix-trie", Box::new(apriori(CountingStrategy::PrefixTrie))),
         ("eclat", Box::new(move |t| mine_eclat(data, &EclatConfig::new(minsup).with_threads(t)))),
         ("bitmap", Box::new(apriori(CountingStrategy::VerticalBitmap))),
-        ("diffset", Box::new(apriori(CountingStrategy::Diffset))),
-        ("hybrid", Box::new(apriori(CountingStrategy::Hybrid))),
         ("auto", Box::new(apriori(CountingStrategy::Auto))),
     ]
 }
@@ -504,12 +501,13 @@ fn strategy_runners<'a>(
 /// canonical seed-42 workload (the same one `scaling` uses), after
 /// verifying that all of them produce identical frequent itemsets and
 /// supports. Emits `BENCH_counting.json`; with `check` the process exits
-/// non-zero unless (1) the bitmap kernel beats hash-subset, (2) hybrid is
-/// at least 3x hash-subset, and (3) auto lands within 1.15x of the best
-/// *fixed* `--counting` strategy (eclat is a different algorithm, not a
-/// counting backend, so it is excluded from "best fixed").
+/// non-zero unless (1) the bitmap kernel beats hash-subset, (2) the
+/// default, auto, is at least 3x hash-subset, and (3) auto lands within
+/// 1.15x of the best *fixed* counting strategy (eclat is a different
+/// algorithm, not a counting backend, so it is excluded from "best
+/// fixed").
 fn print_counting(check: bool) {
-    header("Counting strategies — one workload, seven backends");
+    header("Counting strategies — one workload, hash-subset / eclat / bitmap / auto");
     let data = counting_workload();
     let minsup = MinSupport::Fraction(0.15);
     println!(
@@ -577,9 +575,8 @@ fn print_counting(check: bool) {
             times.iter().find(|(k, _)| *k == l).map(|&(_, v)| v).expect("strategy was timed")
         };
         let bitmap_us = us_of("bitmap");
-        let hybrid_us = us_of("hybrid");
         let auto_us = us_of("auto");
-        // "Best fixed" for the auto gate: the fastest `--counting`
+        // "Best fixed" for the auto gate: the fastest fixed counting
         // strategy. Eclat is a separate algorithm (its own DFS engine,
         // not a counting backend a caller could name), auto is the thing
         // under test.
@@ -597,11 +594,10 @@ fn print_counting(check: bool) {
             );
             failed = true;
         }
-        if hybrid_us.saturating_mul(3) > hash_us {
+        if auto_us.saturating_mul(3) > hash_us {
             eprintln!(
-                "FAIL: hybrid ({hybrid_us} µs) is under 3x hash-subset ({hash_us} µs, \
-                 {:.2}x)",
-                hash_us as f64 / hybrid_us.max(1) as f64
+                "FAIL: auto ({auto_us} µs) is under 3x hash-subset ({hash_us} µs, {:.2}x)",
+                hash_us as f64 / auto_us.max(1) as f64
             );
             failed = true;
         }
@@ -617,10 +613,10 @@ fn print_counting(check: bool) {
             std::process::exit(1);
         }
         println!(
-            "check passed: bitmap {:.2}x and hybrid {:.2}x over hash-subset; auto \
+            "check passed: bitmap {:.2}x and auto {:.2}x over hash-subset; auto \
              ({auto_us} µs) within 1.15x of best fixed ({best_label}, {best_us} µs)",
             hash_us as f64 / bitmap_us.max(1) as f64,
-            hash_us as f64 / hybrid_us.max(1) as f64
+            hash_us as f64 / auto_us.max(1) as f64
         );
     }
 }

@@ -3,7 +3,6 @@
 //! ```text
 //! geopattern mine <dataset.gpd|.gpb> [--minsup 0.3] [--minconf 0.7]
 //!                 [--algorithm apriori|kc|kc+|fpgrowth|fpgrowth-kc+|eclat|eclat-kc+|tid|tid-kc+]
-//!                 [--counting hash-subset|prefix-trie|bitmap|diffset|hybrid|auto]
 //!                 [--dep TYPE_A TYPE_B]... [--threads N|auto] [--itemsets] [--rules]
 //!                 [--metrics json] [--timeout SECS] [--memory-budget BYTES]
 //!                 [--tile-size N] [--format wkt|gpb|auto]
@@ -32,6 +31,11 @@
 //! panicked, with capped exponential backoff; each retry resumes from the
 //! journal the failed attempt left behind.
 //!
+//! The Apriori variants count support with the `auto` policy: the
+//! vertical bitmap engine, or hash-subset when `--memory-budget` cannot
+//! hold the bitmap engine's TID lists. `--metrics json` reports the pick
+//! as `mining/auto_choice/<name>`.
+//!
 //! Exit codes: `0` success, `1` usage or I/O error, `2` invalid mining
 //! configuration, `3` unusable data (e.g. empty reference layer), `4` run
 //! cancelled or `--timeout` exceeded, `5` worker panic (isolated by the
@@ -42,9 +46,9 @@
 //! `geopattern_testkit::failpoint`.
 
 use geopattern::{
-    atomic_write, fnv1a64, from_gpb, to_gpb, Algorithm, CancelToken, CountingStrategy,
-    ExtractionConfig, JobRunner, Journal, KnowledgeBase, MemoryBudget, MiningPipeline, MinSupport,
-    Recorder, SpatialDataset, Threads, TileGrid, Tiling,
+    atomic_write, fnv1a64, from_gpb, to_gpb, Algorithm, CancelToken, ExtractionConfig, JobRunner,
+    Journal, KnowledgeBase, MemoryBudget, MinSupport, MiningPipeline, Recorder, SpatialDataset,
+    Threads, TileGrid, Tiling,
 };
 use geopattern_datagen::{generate_city, CityConfig};
 use geopattern_geom::from_wkt;
@@ -110,8 +114,8 @@ fn print_usage() {
         "geopattern — frequent geographic pattern mining with QSR filters\n\n\
          USAGE:\n  \
          geopattern mine <dataset.gpd|.gpb> [--minsup F] [--minconf F] [--algorithm A]\n                  \
-         [--counting C] [--dep TYPE_A TYPE_B]... [--threads N|auto] [--itemsets]\n                  \
-         [--rules] [--metrics json] [--timeout SECS] [--memory-budget BYTES]\n                  \
+         [--dep TYPE_A TYPE_B]... [--threads N|auto] [--itemsets] [--rules]\n                  \
+         [--metrics json] [--timeout SECS] [--memory-budget BYTES]\n                  \
          [--tile-size N] [--format wkt|gpb|auto]\n                  \
          [--journal FILE] [--resume] [--max-retries N]\n  \
          geopattern generate-city [--grid N] [--seed S] [--out FILE] [--format wkt|gpb]\n  \
@@ -119,10 +123,9 @@ fn print_usage() {
          geopattern gain --t T1,T2,... --n N\n\n\
          ALGORITHMS: apriori, kc, kc+ (default), fpgrowth, fpgrowth-kc+, eclat, eclat-kc+,\n            \
          tid, tid-kc+\n\
-         COUNTING (Apriori variants): hash-subset, prefix-trie (default), bitmap, diffset,\n            \
-         hybrid, auto — all backends produce identical itemsets;\n            \
-         bitmap/diffset/hybrid run the vertical triangular-C2 engine, and\n            \
-         auto samples the workload to pick a backend (mining/auto_choice)\n\n\
+         COUNTING (Apriori variants): the vertical bitmap engine, or hash-subset when\n            \
+         --memory-budget cannot hold its TID lists; both produce identical itemsets,\n            \
+         and --metrics json reports the pick (mining/auto_choice)\n\n\
          --format selects the dataset encoding: wkt text, gpb binary, or auto\n\
          (default; sniffs the GPB1 magic). --tile-size N (at most 4096) shards extraction\n\
          over an N x N spatial tile grid, one tile at a time — output is bit-identical\n\
@@ -247,14 +250,6 @@ fn cmd_mine(args: &[String]) -> Result<(), CmdError> {
         .map(|v| parse_algorithm(&v))
         .transpose()?
         .unwrap_or(Algorithm::AprioriKcPlus);
-    // An unknown strategy is an invalid *mining* config (exit code 2,
-    // like the library's config errors), not a usage error: the flag was
-    // well-formed, its value wasn't. The parse error lists every
-    // accepted name.
-    let counting = match take_flag(&mut args, "--counting")? {
-        Some(v) => CountingStrategy::parse(&v).map_err(|msg| CmdError { code: 2, msg })?,
-        None => CountingStrategy::default(),
-    };
     let threads = take_flag(&mut args, "--threads")?
         .map(|v| Threads::parse(&v))
         .transpose()?
@@ -312,6 +307,7 @@ fn cmd_mine(args: &[String]) -> Result<(), CmdError> {
     };
 
     let mut knowledge = KnowledgeBase::new();
+    let mut deps: Vec<(String, String)> = Vec::new();
     while let Some(pos) = args.iter().position(|a| a == "--dep") {
         if pos + 2 >= args.len() {
             return Err("--dep needs two feature-type names".into());
@@ -319,7 +315,8 @@ fn cmd_mine(args: &[String]) -> Result<(), CmdError> {
         let b = args.remove(pos + 2);
         let a = args.remove(pos + 1);
         args.remove(pos);
-        knowledge.add_type_dependency(a, b);
+        knowledge.add_type_dependency(a.clone(), b.clone());
+        deps.push((a, b));
     }
 
     let path = match args.as_slice() {
@@ -335,14 +332,16 @@ fn cmd_mine(args: &[String]) -> Result<(), CmdError> {
 
     // The journal fingerprint covers every output-affecting knob, so a
     // stale journal from a different configuration is rejected up front
-    // instead of silently seeding the wrong resume state.
+    // instead of silently seeding the wrong resume state. `--dep` pairs
+    // go in the order given (their debug form quotes each name), and the
+    // budget changes what a lossy miner keeps.
     let journal = match &journal_path {
         Some(jp) => {
+            let budget_key = budget.limit().map_or("unlimited".to_string(), |b| b.to_string());
             let fingerprint = fnv1a64(
                 format!(
-                    "{}|{minsup}|{minconf}|{}|{tile_size}|{path}",
-                    algorithm.name(),
-                    counting.name()
+                    "{}|{minsup}|{minconf}|{tile_size}|{path}|{deps:?}|{budget_key}",
+                    algorithm.name()
                 )
                 .as_bytes(),
             );
@@ -375,7 +374,6 @@ fn cmd_mine(args: &[String]) -> Result<(), CmdError> {
             .min_support(MinSupport::Fraction(minsup))
             .min_confidence(minconf)
             .knowledge(knowledge.clone())
-            .counting(counting)
             .extraction(ExtractionConfig::default().with_tiling(tiling))
             .threads(threads)
             .recorder(recorder.clone())

@@ -65,10 +65,12 @@
 //! [`MiningPipeline::mine`]. Each stage validates its inputs and returns
 //! `Result<_, `[`Error`]`>`.
 //!
-//! Support counting is pluggable via
-//! [`MiningPipeline::counting`] ([`CountingStrategy`]): horizontal
-//! hash-subset / prefix-trie backends, or the vertical bitmap / diffset
-//! engine (triangular C₂ kernel over hybrid TID lists). All backends are
+//! The Apriori variants count support with one policy,
+//! [`CountingStrategy::Auto`]: the vertical bitmap engine (triangular C₂
+//! kernel over hybrid TID lists), or the horizontal hash-subset counter
+//! when the memory budget cannot hold the vertical lists. The decision is
+//! recorded as `mining/auto_choice` and readable via
+//! [`PatternReport::auto_counting_choice`]. Both backends are
 //! bit-identical in output; they differ only in speed and memory shape.
 //!
 //! # Observability

@@ -22,8 +22,7 @@ use crate::error::Error;
 use crate::report::PatternReport;
 use geopattern_mining::{
     generate_rules, try_mine, try_mine_apriori_tid, try_mine_eclat, try_mine_fp, AprioriConfig,
-    AprioriTidConfig, CountingStrategy, EclatConfig, FpGrowthConfig, MinSupport, PairFilter,
-    TransactionSet,
+    AprioriTidConfig, EclatConfig, FpGrowthConfig, MinSupport, PairFilter, TransactionSet,
 };
 use geopattern_obs::Recorder;
 use geopattern_par::{CancelToken, Journal, MemoryBudget, Threads};
@@ -119,7 +118,6 @@ pub struct MiningPipeline {
     min_confidence: f64,
     extraction: ExtractionConfig,
     knowledge: KnowledgeBase,
-    counting: CountingStrategy,
     taxonomy: Option<(FeatureTypeTaxonomy, usize)>,
     threads: Threads,
     recorder: Recorder,
@@ -136,7 +134,6 @@ impl Default for MiningPipeline {
             min_confidence: 0.6,
             extraction: ExtractionConfig::default(),
             knowledge: KnowledgeBase::new(),
-            counting: CountingStrategy::default(),
             taxonomy: None,
             threads: Threads::Serial,
             recorder: Recorder::disabled(),
@@ -181,21 +178,6 @@ impl MiningPipeline {
     /// Supplies background knowledge `Φ` (used by the KC/KC+ variants).
     pub fn knowledge(mut self, kb: KnowledgeBase) -> Self {
         self.knowledge = kb;
-        self
-    }
-
-    /// Selects the Apriori counting backend: horizontal `HashSubset` /
-    /// `PrefixTrie`, the vertical `VerticalBitmap` / `Diffset` / `Hybrid`
-    /// engine (triangular C₂ kernel + hybrid TID lists, dEclat diffsets,
-    /// or the bitmap→diffset flip), or `Auto`, which samples the workload
-    /// and resolves to a fixed strategy before mining (recorded as
-    /// `mining/auto_choice`, readable via
-    /// [`PatternReport::auto_counting_choice`]). Every backend produces
-    /// bit-identical itemsets, supports and rules.
-    ///
-    /// [`PatternReport::auto_counting_choice`]: crate::PatternReport::auto_counting_choice
-    pub fn counting(mut self, c: CountingStrategy) -> Self {
-        self.counting = c;
         self
     }
 
@@ -376,7 +358,6 @@ impl MiningPipeline {
                 &journaled(
                     &self.journal,
                     AprioriConfig::apriori(self.min_support)
-                        .with_counting(self.counting)
                         .with_threads(self.threads)
                         .with_recorder(rec.clone())
                         .with_cancel(cancel)
@@ -389,7 +370,6 @@ impl MiningPipeline {
                 &journaled(
                     &self.journal,
                     AprioriConfig::apriori_kc(self.min_support, deps)
-                        .with_counting(self.counting)
                         .with_threads(self.threads)
                         .with_recorder(rec.clone())
                         .with_cancel(cancel)
@@ -402,7 +382,6 @@ impl MiningPipeline {
                 &journaled(
                     &self.journal,
                     AprioriConfig::apriori_kc_plus(self.min_support, deps, same)
-                        .with_counting(self.counting)
                         .with_threads(self.threads)
                         .with_recorder(rec.clone())
                         .with_cancel(cancel)

@@ -37,9 +37,10 @@ impl PatternReport {
         &self.metrics
     }
 
-    /// The counting strategy the `auto` policy resolved to, by name, if
-    /// this run used [`CountingStrategy::Auto`] with a recorder attached
-    /// (read back from the `mining/auto_choice/<name>` counter family).
+    /// The counting strategy the [`CountingStrategy::Auto`] policy
+    /// resolved to, by name, if an Apriori variant ran with a recorder
+    /// attached (read back from the `mining/auto_choice/<name>` counter
+    /// family).
     ///
     /// [`CountingStrategy::Auto`]: geopattern_mining::CountingStrategy::Auto
     pub fn auto_counting_choice(&self) -> Option<&str> {

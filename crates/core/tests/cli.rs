@@ -104,56 +104,52 @@ fn exit_4_on_timeout_with_partial_metrics() {
 }
 
 #[test]
-fn counting_strategies_all_mine_the_same_summary() {
-    let path = city_file("counting");
-    let mut summaries = Vec::new();
-    for strategy in ["hash-subset", "prefix-trie", "bitmap", "diffset", "hybrid", "auto"] {
-        let out = run(&[
-            "mine",
-            path.to_str().unwrap(),
-            "--minsup",
-            "0.3",
-            "--counting",
-            strategy,
-        ]);
-        assert_eq!(out.status.code(), Some(0), "{strategy} stderr: {}", stderr(&out));
-        summaries.push(stdout(&out));
-    }
-    // Every backend prints the identical report — same itemsets, same
-    // supports, same rules.
-    assert!(summaries.windows(2).all(|w| w[0] == w[1]), "backend summaries diverge");
-}
-
-#[test]
-fn bad_counting_strategy_is_invalid_config_listing_all_names() {
-    // Exit code 2 (invalid mining config), and the message names every
-    // accepted strategy so the caller can fix the flag without docs.
-    let out = run(&["mine", "x.gpd", "--counting", "quantum"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = stderr(&out);
-    assert!(err.contains("unknown counting strategy"), "stderr: {err}");
-    for name in ["hash-subset", "prefix-trie", "bitmap", "diffset", "hybrid", "auto"] {
-        assert!(err.contains(name), "stderr must list {name:?}: {err}");
-    }
-}
-
-#[test]
 fn auto_counting_records_its_choice_in_metrics_json() {
+    // Counting is not a flag: every Apriori run resolves the `auto`
+    // policy, and the city goes to the bitmap engine.
     let path = city_file("auto-choice");
-    let out = run(&[
-        "mine",
-        path.to_str().unwrap(),
-        "--minsup",
-        "0.3",
-        "--counting",
-        "auto",
-        "--metrics",
-        "json",
-    ]);
+    let out = run(&["mine", path.to_str().unwrap(), "--minsup", "0.3", "--metrics", "json"]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     let text = stdout(&out);
-    assert!(text.contains("\"mining/auto_choice\""), "metrics lack the auto decision: {text}");
+    assert!(
+        text.contains("\"mining/auto_choice/bitmap\":1"),
+        "metrics lack the auto decision: {text}"
+    );
     assert!(text.contains("\"mining/auto_stats_transactions\""), "stats family missing: {text}");
+}
+
+/// Runs `first`, then `--resume` with `second` over the same journal, and
+/// returns the resumed run.
+fn resume_after(name: &str, first: &[&str], second: &[&str]) -> Output {
+    let path = city_file(name);
+    let journal = std::env::temp_dir().join(format!("geopattern-cli-test-{name}.journal"));
+    let _ = std::fs::remove_file(&journal);
+    let (path, journal) = (path.to_str().unwrap(), journal.to_str().unwrap());
+    let mut args = vec!["mine", path, "--minsup", "0.1", "--journal", journal];
+    args.extend_from_slice(first);
+    let out = run(&args);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let mut args = vec!["mine", path, "--minsup", "0.1", "--journal", journal, "--resume"];
+    args.extend_from_slice(second);
+    run(&args)
+}
+
+#[test]
+fn resume_without_the_journaled_deps_is_a_fingerprint_mismatch() {
+    let out = resume_after("fp-dep", &["--dep", "street", "illuminationPoint"], &[]);
+    assert_eq!(out.status.code(), Some(2), "stdout: {}", stdout(&out));
+    assert!(stderr(&out).contains("journal"), "stderr: {}", stderr(&out));
+}
+
+#[test]
+fn resume_without_the_journaled_budget_is_a_fingerprint_mismatch() {
+    let out = resume_after(
+        "fp-budget",
+        &["--algorithm", "eclat", "--memory-budget", "1"],
+        &["--algorithm", "eclat"],
+    );
+    assert_eq!(out.status.code(), Some(2), "stdout: {}", stdout(&out));
+    assert!(stderr(&out).contains("journal"), "stderr: {}", stderr(&out));
 }
 
 #[test]

@@ -10,27 +10,19 @@
 //!   and everything denser as a [`TidSet`], choosing the representation
 //!   per set so memory tracks density instead of database size;
 //! * [`TriangularC2`] + [`mine_vertical_levels`] — the vertical mining
-//!   engine behind the `bitmap`, `diffset` and `hybrid` counting
-//!   strategies: pass 2 counts **all** of C₂ in one streaming scan of the
-//!   encoded transactions through a triangular array indexed by item-pair
-//!   rank (built after the KC+ filters, so removed pairs never occupy a
-//!   counter), and deeper passes run an Eclat-style equivalence-class
-//!   DFS over materialised TID lists — or, in diffset mode, dEclat
-//!   *diffsets* (`d(P∪{y,z}) = d(P∪z) \ d(P∪y)`), whose memory is
-//!   proportional to support deltas rather than supports. The hybrid mode
-//!   ([`VerticalMode::Hybrid`]) keeps the first lattice level on
-//!   word-packed bitmaps (bounded popcount joins), then flips each
-//!   equivalence class to diffsets below the first recursion level with
-//!   members rank-ordered by ascending support — the dEclat layout that
-//!   keeps every diffset small — so the expensive top-level
-//!   `t(x) \ t(y)` builds from full per-item TID vectors never happen.
+//!   engine behind the `bitmap` counting strategy: pass 2 counts **all**
+//!   of C₂ in one streaming scan of the encoded transactions through a
+//!   triangular array indexed by item-pair rank (built after the KC+
+//!   filters, so removed pairs never occupy a counter), and deeper passes
+//!   run an Eclat-style equivalence-class DFS over materialised TID
+//!   lists, joined by bounded popcount / merge intersections.
 //!
 //! Every path is exact: the engine produces the same itemsets and
 //! supports as horizontal Apriori counting, bit for bit, at any thread
-//! count. Memory for materialised lists and diffsets is *tracked* against
-//! the run's [`MemoryBudget`] (feeding the peak watermark) but never
-//! degrades the output — the vertical strategies are counting backends,
-//! not lossy approximations.
+//! count. Memory for materialised lists is *tracked* against the run's
+//! [`MemoryBudget`] (feeding the peak watermark) but never degrades the
+//! output — the vertical engine is a counting backend, not a lossy
+//! approximation.
 
 use crate::filter::PairFilter;
 use crate::item::{ItemId, TransactionSet};
@@ -154,6 +146,27 @@ impl TidList {
         }
     }
 
+    /// An empty list over `n` transactions that will receive exactly
+    /// `support` TIDs through [`TidList::push`], in the representation
+    /// [`TidList::from_sorted_tids`] would pick for that many: a sorted
+    /// array reserved to its final length, or a zeroed bitmap.
+    fn with_support(n: usize, support: u64) -> TidList {
+        let repr = if (support as usize).saturating_mul(SPARSE_FACTOR) < n {
+            TidRepr::Sparse(Vec::with_capacity(support as usize))
+        } else {
+            TidRepr::Dense(TidSet::new(n))
+        };
+        TidList { n, count: support, repr }
+    }
+
+    /// Appends `tid`, which must exceed every TID already present.
+    fn push(&mut self, tid: u32) {
+        match &mut self.repr {
+            TidRepr::Dense(set) => set.insert(tid as usize),
+            TidRepr::Sparse(tids) => tids.push(tid),
+        }
+    }
+
     /// Cardinality — the itemset's support, cached at construction.
     pub fn support(&self) -> u64 {
         self.count
@@ -265,32 +278,6 @@ impl TidList {
         }
     }
 
-    /// The TIDs of `self` absent from `other`, ascending — the diffset
-    /// primitive lifted to every representation pair. For two dense lists
-    /// this is a word-wise `a & !b` with bit extraction; mixed and sparse
-    /// pairs fall back to merges, never materialising a bitmap.
-    pub fn difference_tids(&self, other: &TidList) -> Vec<u32> {
-        match (&self.repr, &other.repr) {
-            (TidRepr::Dense(a), TidRepr::Dense(b)) => {
-                let mut out = Vec::new();
-                for (w, &word) in a.words.iter().enumerate() {
-                    let mut bits = word & !b.words.get(w).copied().unwrap_or(0);
-                    while bits != 0 {
-                        let t = bits.trailing_zeros();
-                        out.push((w * 64) as u32 + t);
-                        bits &= bits - 1;
-                    }
-                }
-                out
-            }
-            (TidRepr::Sparse(tids), TidRepr::Dense(set)) => {
-                tids.iter().copied().filter(|&t| !set.contains(t as usize)).collect()
-            }
-            (TidRepr::Dense(_), TidRepr::Sparse(b)) => diff_sorted(&self.tids(), b),
-            (TidRepr::Sparse(a), TidRepr::Sparse(b)) => diff_sorted(a, b),
-        }
-    }
-
     /// Intersection with `other`, re-choosing the result's representation
     /// by its own density.
     pub fn intersect(&self, other: &TidList) -> TidList {
@@ -362,23 +349,6 @@ fn merge_count(a: &[u32], b: &[u32]) -> u64 {
         }
     }
     count
-}
-
-/// Sorted-set difference `a \ b` by two-pointer merge — the diffset
-/// primitive: `d(xy) = t(x) \ t(y)` at the top of the tree and
-/// `d(P∪{y,z}) = d(P∪z) \ d(P∪y)` below it.
-pub fn diff_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::new();
-    let mut j = 0usize;
-    for &x in a {
-        while j < b.len() && b[j] < x {
-            j += 1;
-        }
-        if j == b.len() || b[j] != x {
-            out.push(x);
-        }
-    }
-    out
 }
 
 /// Sentinel for "no rank" / "no counter": this item is infrequent, or
@@ -460,25 +430,6 @@ impl TriangularC2 {
     }
 }
 
-/// Which vertical payload the equivalence-class DFS carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VerticalMode {
-    /// Materialised hybrid [`TidList`]s at every depth, joined by bounded
-    /// popcount / merge intersections.
-    Bitmap,
-    /// dEclat diffsets at every depth below pass 2, including the
-    /// expensive top-level `t(x) \ t(y)` builds from full per-item TID
-    /// vectors.
-    Diffset,
-    /// Bitmaps for the first lattice level (class members are pair TID
-    /// lists built by bounded popcount joins), then a flip to diffsets
-    /// below the first recursion level, with class members rank-ordered
-    /// by ascending support so later joins subtract the larger sets and
-    /// every diffset stays small. Output is bit-identical to both other
-    /// modes; only wall-clock and memory shape change.
-    Hybrid,
-}
-
 /// What [`mine_vertical_levels`] found beyond level 2.
 #[derive(Debug, Default)]
 pub struct VerticalOutcome {
@@ -490,54 +441,45 @@ pub struct VerticalOutcome {
     /// analogue of the candidate count), `attempts_per_level[0]` for k=3.
     pub attempts_per_level: Vec<usize>,
     /// Total `u64` words across the materialised per-item hybrid lists —
-    /// the `mining/bitmap_words` metric (0 in diffset mode).
+    /// the `mining/bitmap_words` metric.
     pub bitmap_words: u64,
-    /// Total bytes across every materialised diffset — the
-    /// `mining/diffset_bytes` metric (0 in bitmap mode; hybrid reports
-    /// both this and `bitmap_words`).
-    pub diffset_bytes: u64,
 }
 
-/// One equivalence-class member during the DFS: the item extending the
-/// class prefix, its support, and the vertical payload (a TID list in
-/// bitmap mode and at the top level of hybrid mode, a diffset in diffset
-/// mode and below the hybrid flip level).
-enum Member {
-    Tids(ItemId, TidList),
-    Diff(ItemId, u64, Vec<u32>),
-}
-
-impl Member {
-    fn item(&self) -> ItemId {
-        match self {
-            Member::Tids(item, _) => *item,
-            Member::Diff(item, _, _) => *item,
+/// The hybrid [`TidList`] of every frequent item in `l1`, indexed like
+/// `l1`, built in one scan over the transactions. `rank` maps item id →
+/// index into `l1` ([`NO_SLOT`] for infrequent items). Each list's
+/// representation is chosen up front from its pass-1 support by the
+/// same rule [`TidList::from_sorted_tids`] applies, so no intermediate
+/// TID vector is ever collected.
+fn item_lists(data: &TransactionSet, l1: &[FrequentItemset], rank: &[u32]) -> Vec<TidList> {
+    let n = data.len();
+    let mut lists: Vec<TidList> = l1.iter().map(|f| TidList::with_support(n, f.support)).collect();
+    for (tid, t) in data.transactions().iter().enumerate() {
+        for &i in t {
+            let r = rank[i as usize];
+            if r != NO_SLOT {
+                lists[r as usize].push(tid as u32);
+            }
         }
     }
-
-    fn support(&self) -> u64 {
-        match self {
-            Member::Tids(_, t) => t.support(),
-            Member::Diff(_, support, _) => *support,
-        }
-    }
+    lists
 }
 
 /// Mines every frequent itemset of size ≥ 3 from the frequent items `l1`
 /// and the frequent post-filter pairs `l2` by equivalence-class DFS over
-/// vertical structures, in the payload discipline chosen by `mode` —
-/// materialised hybrid [`TidList`]s, dEclat diffsets, or the
-/// bitmap-then-diffset hybrid (see [`VerticalMode`]).
+/// materialised hybrid [`TidList`]s.
 ///
 /// Classes (one per first item of an `l2` pair) are independent, so they
 /// fan out on the pool; per-class results are merged in item order and
 /// each output level is sorted lexicographically, so the output — and
-/// every metric derived from it — is identical at any thread count *and*
-/// for any member ordering a mode chooses internally (hybrid rank-orders
-/// members by ascending support). Memory for materialised lists is
-/// reserved against `budget` for the lifetime of each class (feeding the
-/// peak watermark) but never rejects work: the vertical engine is an
-/// exact counting backend, not a degradation point.
+/// every metric derived from it — is identical at any thread count.
+///
+/// Memory is tracked on `budget` by this (the calling) thread only: the
+/// per-item lists for the whole descent, plus the largest peak any one
+/// class reports — what a serial run would hold at once. Workers never
+/// touch the shared budget, so its peak does not depend on scheduling.
+/// The budget never rejects work: the vertical engine is an exact
+/// counting backend, not a degradation point.
 #[allow(clippy::too_many_arguments)]
 pub fn mine_vertical_levels(
     data: &TransactionSet,
@@ -545,7 +487,6 @@ pub fn mine_vertical_levels(
     l2: &[FrequentItemset],
     threshold: u64,
     filter: &PairFilter,
-    mode: VerticalMode,
     threads: Threads,
     cancel: &CancelToken,
     budget: &MemoryBudget,
@@ -554,32 +495,14 @@ pub fn mine_vertical_levels(
     if l2.is_empty() {
         return Ok(outcome);
     }
-    let n = data.len();
 
-    // Vertical build: one pass over the transactions, TIDs ascending by
-    // construction. `rank` maps item id → index into `item_tids`.
-    let num_items = data.catalog.len();
-    let mut rank = vec![NO_SLOT; num_items];
+    // `rank` maps item id → index into `l1` and `lists`.
+    let mut rank = vec![NO_SLOT; data.catalog.len()];
     for (r, f) in l1.iter().enumerate() {
         rank[f.items[0] as usize] = r as u32;
     }
-    let mut item_tids: Vec<Vec<u32>> = vec![Vec::new(); l1.len()];
-    for (tid, t) in data.transactions().iter().enumerate() {
-        for &i in t {
-            let r = rank[i as usize];
-            if r != NO_SLOT {
-                item_tids[r as usize].push(tid as u32);
-            }
-        }
-    }
-    // Bitmap and hybrid modes materialise the hybrid per-item lists
-    // once, shared read-only by every class.
-    let item_lists: Vec<TidList> = if mode == VerticalMode::Diffset {
-        Vec::new()
-    } else {
-        item_tids.iter().map(|tids| TidList::from_sorted_tids(n, tids.clone())).collect()
-    };
-    outcome.bitmap_words = item_lists.iter().map(|l| l.words() as u64).sum();
+    let lists = item_lists(data, l1, &rank);
+    outcome.bitmap_words = lists.iter().map(|l| l.words() as u64).sum();
 
     // Group `l2` (lexicographic) into equivalence classes by first item.
     let mut classes: Vec<(usize, &[FrequentItemset])> = Vec::new();
@@ -597,79 +520,65 @@ pub fn mine_vertical_levels(
     struct ClassResult {
         found: Vec<FrequentItemset>,
         attempts: Vec<usize>,
-        diffset_bytes: u64,
+        /// Most bytes the class held at once: its members plus the
+        /// deepest chain of nested classes.
+        peak_bytes: usize,
     }
 
+    let lists_bytes: usize = lists.iter().map(ApproxBytes::approx_bytes).sum();
+    let _ = budget.reserve(lists_bytes);
     let per_class = try_par_map(
         threads,
         cancel,
         "mining/apriori.vertical",
         &classes,
         |_, &(root_rank, pairs)| {
-            let mut res =
-                ClassResult { found: Vec::new(), attempts: Vec::new(), diffset_bytes: 0 };
+            let mut res = ClassResult { found: Vec::new(), attempts: Vec::new(), peak_bytes: 0 };
             if pairs.len() < 2 {
                 return res; // nothing to join: no 3-set can form here
             }
             // Materialise the class members. Supports come from the
             // triangular pass-2 counts carried in `l2` — never recounted.
-            let mut member_bytes = 0usize;
-            let mut members: Vec<Member> = pairs
+            let members: Vec<(ItemId, TidList)> = pairs
                 .iter()
                 .map(|pair| {
                     let z = pair.items[1];
-                    let zr = rank[z as usize] as usize;
-                    if mode == VerticalMode::Diffset {
-                        let d = diff_sorted(&item_tids[root_rank], &item_tids[zr]);
-                        res.diffset_bytes += (d.len() * std::mem::size_of::<u32>()) as u64;
-                        member_bytes += d.len() * std::mem::size_of::<u32>();
-                        Member::Diff(z, pair.support, d)
-                    } else {
-                        let joined = item_lists[root_rank].intersect(&item_lists[zr]);
-                        member_bytes += joined.approx_bytes();
-                        Member::Tids(z, joined)
-                    }
+                    (z, lists[root_rank].intersect(&lists[rank[z as usize] as usize]))
                 })
                 .collect();
-            // Hybrid rank-orders members by ascending support so each
-            // member joins with larger-support partners, keeping the
-            // diffsets built at the flip level small. The item id breaks
-            // ties for determinism; the DFS enumerates the same itemset
-            // set in any member order, and emitted itemsets are sorted.
-            if mode == VerticalMode::Hybrid {
-                members.sort_by_key(|m| (m.support(), m.item()));
-            }
-            // Track-only reservation for the lifetime of the class.
-            let _ = budget.reserve(member_bytes);
-            let root = pairs[0].items[0];
-            let mut prefix = vec![root];
-            extend_class(
+            let member_bytes: usize = members.iter().map(|(_, t)| t.approx_bytes()).sum();
+            let mut prefix = vec![pairs[0].items[0]];
+            let nested = extend_class(
                 &members,
                 &mut prefix,
                 0,
                 threshold,
                 filter,
-                mode,
-                budget,
                 &mut res.attempts,
-                &mut res.diffset_bytes,
                 &mut res.found,
             );
-            budget.release(member_bytes);
+            res.peak_bytes = member_bytes + nested;
             res
         },
-    )?;
+    );
+    // Account the worst class the way a serial run would hold it: on top
+    // of the per-item lists, one class at a time.
+    if let Ok(results) = &per_class {
+        let class_peak = results.iter().map(|r| r.peak_bytes).max().unwrap_or(0);
+        let _ = budget.reserve(class_peak);
+        budget.release(class_peak);
+    }
+    budget.release(lists_bytes);
 
     // Deterministic merge in class (item) order.
     let mut found: Vec<FrequentItemset> = Vec::new();
-    for res in per_class {
+    for res in per_class? {
         for (depth, &attempts) in res.attempts.iter().enumerate() {
             if outcome.attempts_per_level.len() <= depth {
                 outcome.attempts_per_level.push(0);
             }
             outcome.attempts_per_level[depth] += attempts;
         }
-        outcome.diffset_bytes += res.diffset_bytes;
         found.extend(res.found);
     }
 
@@ -690,115 +599,55 @@ pub fn mine_vertical_levels(
 
 /// One DFS step: joins every ordered member pair `(yᵢ, yⱼ)` of the class
 /// into the candidate class `prefix ∪ {yᵢ}`, emits the frequent results
-/// and recurses.
+/// and recurses. Returns the most bytes its nested classes held at once.
 ///
 /// The only filter check needed is `blocks(yᵢ, yⱼ)`: by induction, every
 /// pair inside `prefix ∪ {yᵢ}` was checked when its members entered a
 /// class, and `(p, yⱼ)` for `p ∈ prefix` was checked when `yⱼ` entered
 /// the *current* class.
-///
-/// In [`VerticalMode::Hybrid`] the TID-list level is depth 0 and every
-/// child class it produces is diffsets: the join counts on bitmaps with
-/// a bounded popcount, then builds `d(P∪{yᵢ,yⱼ}) = t(P∪yᵢ) \ t(P∪yⱼ)`
-/// directly from the two lists, skipping the full top-level
-/// `t(x) \ t(y)` vectors that pure diffset mode pays for. Because hybrid
-/// members are rank-ordered by support rather than item id, emitted
-/// itemsets are sorted before being pushed.
-#[allow(clippy::too_many_arguments)]
 fn extend_class(
-    members: &[Member],
+    members: &[(ItemId, TidList)],
     prefix: &mut Vec<ItemId>,
     depth: usize,
     threshold: u64,
     filter: &PairFilter,
-    mode: VerticalMode,
-    budget: &MemoryBudget,
     attempts: &mut Vec<usize>,
-    diffset_bytes: &mut u64,
     out: &mut Vec<FrequentItemset>,
-) {
+) -> usize {
     if attempts.len() <= depth {
         attempts.push(0);
     }
-    let flip = mode == VerticalMode::Hybrid;
-    for i in 0..members.len() {
-        let mut new_members: Vec<Member> = Vec::new();
+    let mut peak = 0usize;
+    for (i, (yi, ti)) in members.iter().enumerate() {
+        let mut new_members: Vec<(ItemId, TidList)> = Vec::new();
         let mut new_bytes = 0usize;
-        for j in (i + 1)..members.len() {
-            let (yi, yj) = (members[i].item(), members[j].item());
-            if filter.blocks(yi, yj) {
+        for (yj, tj) in &members[i + 1..] {
+            if filter.blocks(*yi, *yj) {
                 continue;
             }
             attempts[depth] += 1;
-            match (&members[i], &members[j]) {
-                (Member::Tids(_, ti), Member::Tids(_, tj)) => {
-                    // Bounded count first: most joins fail the support
-                    // check, and the bound aborts without materialising.
-                    let Some(support) = ti.intersection_count_bounded(tj, threshold) else {
-                        continue;
-                    };
-                    let mut items = prefix.clone();
-                    items.push(yi);
-                    items.push(yj);
-                    if flip {
-                        items.sort_unstable();
-                    }
-                    out.push(FrequentItemset { items, support });
-                    if flip {
-                        // d(P∪{yᵢ,yⱼ}) = t(P∪yᵢ) \ t(P∪yⱼ), built from
-                        // the lists already in hand — no full per-item
-                        // TID vectors involved.
-                        let d = ti.difference_tids(tj);
-                        *diffset_bytes += (d.len() * std::mem::size_of::<u32>()) as u64;
-                        new_bytes += d.len() * std::mem::size_of::<u32>();
-                        new_members.push(Member::Diff(yj, support, d));
-                    } else {
-                        let joined = ti.intersect(tj);
-                        new_bytes += joined.approx_bytes();
-                        new_members.push(Member::Tids(yj, joined));
-                    }
-                }
-                (Member::Diff(_, sup_i, di), Member::Diff(_, _, dj)) => {
-                    // d(P∪{yᵢ,yⱼ}) = d(P∪yⱼ) \ d(P∪yᵢ);
-                    // sup(P∪{yᵢ,yⱼ}) = sup(P∪yᵢ) − |d(P∪{yᵢ,yⱼ})|.
-                    let d = diff_sorted(dj, di);
-                    let support = sup_i - d.len() as u64;
-                    if support < threshold {
-                        continue;
-                    }
-                    let mut items = prefix.clone();
-                    items.push(yi);
-                    items.push(yj);
-                    if flip {
-                        items.sort_unstable();
-                    }
-                    out.push(FrequentItemset { items, support });
-                    *diffset_bytes += (d.len() * std::mem::size_of::<u32>()) as u64;
-                    new_bytes += d.len() * std::mem::size_of::<u32>();
-                    new_members.push(Member::Diff(yj, support, d));
-                }
-                _ => unreachable!("a class never mixes member representations"),
-            }
+            // Bounded count first: most joins fail the support check, and
+            // the bound aborts without materialising.
+            let Some(support) = ti.intersection_count_bounded(tj, threshold) else {
+                continue;
+            };
+            let mut items = prefix.clone();
+            items.push(*yi);
+            items.push(*yj);
+            out.push(FrequentItemset { items, support });
+            let joined = ti.intersect(tj);
+            new_bytes += joined.approx_bytes();
+            new_members.push((*yj, joined));
         }
         if new_members.len() >= 2 {
-            let _ = budget.reserve(new_bytes);
-            prefix.push(members[i].item());
-            extend_class(
-                &new_members,
-                prefix,
-                depth + 1,
-                threshold,
-                filter,
-                mode,
-                budget,
-                attempts,
-                diffset_bytes,
-                out,
-            );
+            prefix.push(*yi);
+            let nested =
+                extend_class(&new_members, prefix, depth + 1, threshold, filter, attempts, out);
             prefix.pop();
-            budget.release(new_bytes);
+            peak = peak.max(new_bytes + nested);
         }
     }
+    peak
 }
 
 #[cfg(test)]
@@ -895,42 +744,77 @@ mod tests {
         assert!(!overlap_below.is_dense(), "one below the boundary must re-choose sparse");
     }
 
-    #[test]
-    fn difference_tids_matches_diff_sorted_across_representations() {
-        let n = 2048;
-        let a_tids: Vec<u32> = (0..n as u32).filter(|t| t % 3 == 0).collect(); // dense
-        let b_tids: Vec<u32> = (0..n as u32).filter(|t| t % 5 == 0).collect(); // dense
-        let c_tids: Vec<u32> = (0..n as u32).filter(|t| t % 97 == 0).collect(); // sparse
-        let a = list(n, &a_tids);
-        let b = list(n, &b_tids);
-        let c = list(n, &c_tids);
-        assert!(a.is_dense() && b.is_dense() && !c.is_dense());
-        for (x, xt, y, yt) in [
-            (&a, &a_tids, &b, &b_tids), // dense \ dense
-            (&a, &a_tids, &c, &c_tids), // dense \ sparse
-            (&c, &c_tids, &a, &a_tids), // sparse \ dense
-            (&c, &c_tids, &c, &c_tids), // sparse \ sparse
-        ] {
-            assert_eq!(x.difference_tids(y), diff_sorted(xt, yt));
+    /// `n` rows holding items 0, 1 and 2 at supports `n/32 − 1`, `n/32`
+    /// and `n/32 + 1` (straddling the sparse/dense switch-over) and item
+    /// 3 in every row, each item's TIDs spread evenly over the database.
+    /// Returns the rows, their L1 and each item's TIDs.
+    fn boundary_workload(n: usize) -> (TransactionSet, Vec<FrequentItemset>, Vec<Vec<u32>>) {
+        let boundary = n / SPARSE_FACTOR;
+        let tids: Vec<Vec<u32>> = [boundary - 1, boundary, boundary + 1, n]
+            .iter()
+            .map(|&s| (0..s).map(|k| (k * (n / s)) as u32).collect())
+            .collect();
+        let mut c = ItemCatalog::new();
+        for l in ["below", "at", "above", "all"] {
+            c.intern_attribute(l);
         }
-        // Support arithmetic the hybrid flip relies on:
-        // sup(x∩y) = sup(x) − |t(x) \ t(y)|.
-        assert_eq!(
-            a.support() - a.difference_tids(&b).len() as u64,
-            a.intersection_count(&b)
-        );
+        let mut ts = TransactionSet::new(c);
+        for tid in 0..n as u32 {
+            ts.push((0..4u32).filter(|&i| tids[i as usize].binary_search(&tid).is_ok()).collect());
+        }
+        let l1 = tids
+            .iter()
+            .enumerate()
+            .map(|(i, t)| FrequentItemset { items: vec![i as ItemId], support: t.len() as u64 })
+            .collect();
+        (ts, l1, tids)
     }
 
     #[test]
-    fn diff_sorted_is_set_difference() {
-        assert_eq!(diff_sorted(&[1, 2, 3, 5, 8], &[2, 5, 9]), vec![1, 3, 8]);
-        assert_eq!(diff_sorted(&[], &[1]), Vec::<u32>::new());
-        assert_eq!(diff_sorted(&[4, 7], &[]), vec![4, 7]);
-        // Support reconstruction: |t(x)| − |t(x)\t(y)| = |t(x)∩t(y)|.
-        let x: Vec<u32> = (0..100).filter(|t| t % 2 == 0).collect();
-        let y: Vec<u32> = (0..100).filter(|t| t % 3 == 0).collect();
-        let inter = x.iter().filter(|t| y.contains(t)).count();
-        assert_eq!(x.len() - diff_sorted(&x, &y).len(), inter);
+    fn one_scan_lists_match_from_sorted_tids_at_the_boundary() {
+        // Multiples of SPARSE_FACTOR, so `n/32` is exactly the first
+        // dense support.
+        for n in [4096usize, 6400, 64_000] {
+            let (ts, l1, tids) = boundary_workload(n);
+            let lists = item_lists(&ts, &l1, &[0, 1, 2, 3]);
+            for (item, built) in lists.iter().enumerate() {
+                let reference = TidList::from_sorted_tids(n, tids[item].clone());
+                assert_eq!(built, &reference, "n={n} item {item}");
+                assert_eq!(built.words(), reference.words(), "n={n} item {item}");
+            }
+            let dense: Vec<bool> = lists.iter().map(TidList::is_dense).collect();
+            assert_eq!(dense, [false, true, true, true], "n={n}");
+        }
+    }
+
+    #[test]
+    fn vertical_footprint_bounds_the_one_scan_build() {
+        use crate::strategy::WorkloadStats;
+        use geopattern_par::MemoryBudget;
+        for n in [1usize, 7, 64, 4096, 6400] {
+            let mut c = ItemCatalog::new();
+            for i in 0..5 {
+                c.intern_attribute(format!("i{i}"));
+            }
+            let mut ts = TransactionSet::new(c);
+            for tid in 0..n as u32 {
+                // Item i in every 4^i-th row: supports from n down to 1.
+                ts.push((0..5u32).filter(|&i| tid % (1 << (2 * i)) == 0).collect());
+            }
+            let l1: Vec<FrequentItemset> = (0..5u32)
+                .map(|i| FrequentItemset {
+                    items: vec![i],
+                    support: ts.transactions().iter().filter(|t| t.contains(&i)).count() as u64,
+                })
+                .collect();
+            let payload: usize = item_lists(&ts, &l1, &[0, 1, 2, 3, 4])
+                .iter()
+                .map(|l| l.approx_bytes() - std::mem::size_of::<TidList>())
+                .sum();
+            let footprint =
+                WorkloadStats::sample(&ts, &MemoryBudget::unlimited()).vertical_footprint();
+            assert!(payload <= footprint, "n={n}: lists hold {payload} B, footprint {footprint} B");
+        }
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //!
 //! * [`apriori`] — **Apriori**, **Apriori-KC** and **Apriori-KC+**
 //!   (Listing 1 of the paper) as one engine parameterised by the pairs
-//!   removed from `C₂`, with two support-counting backends;
-//! * [`bitmap`] — vertical TID representations (word-packed bitsets, a
-//!   hybrid dense/sparse [`TidList`], dEclat diffsets) and the triangular
-//!   pass-2 kernel behind the `bitmap`/`diffset`/`hybrid` counting
-//!   strategies;
-//! * [`strategy`] — the workload-sampled policy behind
+//!   removed from `C₂`, with two support-counting backends (hash-subset
+//!   and the vertical bitmap engine);
+//! * [`bitmap`] — vertical TID representations (word-packed bitsets and
+//!   a hybrid dense/sparse [`TidList`]) and the triangular pass-2 kernel
+//!   behind the `bitmap` counting strategy;
+//! * [`strategy`] — the workload-sampled policy behind the default
 //!   [`CountingStrategy::Auto`]: a pure [`choose`]`(`[`WorkloadStats`]`)`
 //!   mapping cheap encode-time statistics to a strategy + grain;
 //! * [`filter`] — the [`PairFilter`] abstraction: `Φ` dependency pairs
@@ -72,7 +72,7 @@ pub mod strategy;
 
 pub use apriori::{apriori_gen, mine, try_mine, AprioriConfig, CountingStrategy};
 pub use apriori_tid::{mine_apriori_tid, try_mine_apriori_tid, AprioriTidConfig};
-pub use bitmap::{diff_sorted, TidList, TidSet, TriangularC2, VerticalMode, SPARSE_FACTOR};
+pub use bitmap::{TidList, TidSet, TriangularC2, SPARSE_FACTOR};
 pub use strategy::{choose, WorkloadStats};
 pub use closed::{closed_itemsets, maximal_itemsets};
 pub use eclat::{mine_eclat, try_mine_eclat, EclatConfig};

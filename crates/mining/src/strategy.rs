@@ -13,29 +13,24 @@
 //!
 //! | condition (first match wins)                        | strategy    | grain  |
 //! |-----------------------------------------------------|-------------|--------|
-//! | no transactions or no items                         | prefix-trie | fine   |
 //! | budget headroom below the vertical footprint        | hash-subset | fine   |
-//! | tiny database (< [`TINY_TRANSACTIONS`] rows)        | prefix-trie | fine   |
-//! | dense (mean item support ≥ `n / SPARSE_FACTOR`)     | hybrid      | coarse |
+//! | dense (mean item support ≥ `n / SPARSE_FACTOR`)     | bitmap      | coarse |
 //! | otherwise (sparse)                                  | bitmap      | fine   |
 //!
-//! Density is judged against the same [`SPARSE_FACTOR`] threshold the
-//! hybrid [`TidList`](crate::TidList) uses to pick its representation:
-//! when the *mean* item column would be stored dense, bitmap popcount
-//! joins dominate and the hybrid flip pays off; when it would be stored
-//! sparse, plain bitmap mode (which downgrades to sorted arrays
-//! per-column) avoids building diffsets that are as large as the lists.
+//! The vertical engine wins at every size measured, down to a few hundred
+//! rows, and returns an empty result for a database without rows or
+//! items, so it needs no tiny or degenerate rule. Density is judged
+//! against the same [`SPARSE_FACTOR`] threshold the hybrid
+//! [`TidList`](crate::TidList) uses to pick its representation, and only
+//! sets the grain: dense columns mean few heavy classes, which want
+//! coarse chunks; sparse columns mean many light classes, which want fine
+//! chunks to balance.
 
 use geopattern_par::{Grain, MemoryBudget};
 
 use crate::apriori::CountingStrategy;
 use crate::bitmap::SPARSE_FACTOR;
 use crate::item::TransactionSet;
-
-/// Below this many transactions the fixed costs of the vertical engine
-/// (per-item TID builds, class fan-out) outweigh its joins; the
-/// horizontal prefix-trie wins.
-pub const TINY_TRANSACTIONS: usize = 4096;
 
 /// Cheap workload statistics sampled at encode time — everything
 /// [`choose`] is allowed to look at.
@@ -89,11 +84,14 @@ impl WorkloadStats {
         self.mean_item_support().saturating_mul(SPARSE_FACTOR) >= self.transactions
     }
 
-    /// Rough bytes the vertical engine needs resident at once: the
-    /// per-item TID vectors plus one materialised bitmap per item.
+    /// An upper bound on the bytes of the vertical engine's per-item TID
+    /// lists. Each list is either its sorted TIDs (4 bytes each) or a
+    /// bitmap of `transactions` bits in whole `u64` words; the bound
+    /// counts both forms for every item.
     pub fn vertical_footprint(&self) -> usize {
         let tid_bytes = self.total_entries.saturating_mul(std::mem::size_of::<u32>());
-        let bitmap_bytes = self.items.saturating_mul(self.transactions.div_ceil(8));
+        let bitmap_bytes =
+            self.items.saturating_mul(self.transactions.div_ceil(64) * std::mem::size_of::<u64>());
         tid_bytes.saturating_add(bitmap_bytes)
     }
 }
@@ -103,34 +101,17 @@ impl WorkloadStats {
 /// recordable (`mining/auto_choice`), and replayable. Never returns
 /// [`CountingStrategy::Auto`].
 pub fn choose(stats: WorkloadStats) -> (CountingStrategy, Grain) {
-    // Degenerate inputs: nothing to count, any strategy is instant.
-    if stats.transactions == 0 || stats.items == 0 {
-        return (CountingStrategy::PrefixTrie, Grain::Fine);
-    }
-    // The vertical engine materialises per-item TID vectors (and, for
-    // bitmap/hybrid, per-item bitmaps) up front. When the budget cannot
-    // hold that footprint, stay horizontal: hash-subset streams the
-    // transactions and holds only the candidate table.
+    // The vertical engine materialises one TID list per frequent item up
+    // front. When the budget cannot hold that footprint, stay horizontal:
+    // hash-subset streams the transactions and holds only the candidate
+    // table.
     if let Some(headroom) = stats.budget_headroom {
         if headroom < stats.vertical_footprint() {
             return (CountingStrategy::HashSubset, Grain::Fine);
         }
     }
-    // Tiny databases: vertical setup dominates; the trie's shared-prefix
-    // walk is the fastest horizontal counter.
-    if stats.transactions < TINY_TRANSACTIONS {
-        return (CountingStrategy::PrefixTrie, Grain::Fine);
-    }
-    if stats.is_dense() {
-        // Dense columns pack into bitmaps; classes are few and heavy, so
-        // coarse chunks amortise the per-worker fan-out.
-        (CountingStrategy::Hybrid, Grain::Coarse)
-    } else {
-        // Sparse columns stay sorted arrays either way; bitmap mode's
-        // bounded merge joins win, and many light classes want fine
-        // chunks to balance.
-        (CountingStrategy::VerticalBitmap, Grain::Fine)
-    }
+    let grain = if stats.is_dense() { Grain::Coarse } else { Grain::Fine };
+    (CountingStrategy::VerticalBitmap, grain)
 }
 
 #[cfg(test)]
@@ -148,8 +129,10 @@ mod tests {
 
     #[test]
     fn degenerate_workloads_fall_back_to_the_default() {
-        assert_eq!(choose(stats(0, 10, 0, None)).0, CountingStrategy::PrefixTrie);
-        assert_eq!(choose(stats(10, 0, 0, None)).0, CountingStrategy::PrefixTrie);
+        // No rows or no items: the vertical engine returns an empty
+        // result, so the default pick needs no special case.
+        assert_eq!(choose(stats(0, 10, 0, None)).0, CountingStrategy::VerticalBitmap);
+        assert_eq!(choose(stats(10, 0, 0, None)).0, CountingStrategy::VerticalBitmap);
     }
 
     #[test]
@@ -160,17 +143,17 @@ mod tests {
     }
 
     #[test]
-    fn tiny_databases_use_the_trie() {
+    fn tiny_databases_use_bitmap() {
         let s = stats(100, 20, 1_000, None);
-        assert_eq!(choose(s), (CountingStrategy::PrefixTrie, Grain::Fine));
+        assert_eq!(choose(s).0, CountingStrategy::VerticalBitmap);
     }
 
     #[test]
-    fn dense_workloads_pick_hybrid_and_sparse_pick_bitmap() {
+    fn density_picks_the_bitmap_grain() {
         // 60k rows, 17 items, mean support 20k: dense by a wide margin.
         let dense = stats(60_000, 17, 340_000, None);
         assert!(dense.is_dense());
-        assert_eq!(choose(dense), (CountingStrategy::Hybrid, Grain::Coarse));
+        assert_eq!(choose(dense), (CountingStrategy::VerticalBitmap, Grain::Coarse));
         // Mean support 100 of 60k rows: 100 * 32 < 60k, sparse.
         let sparse = stats(60_000, 500, 50_000, None);
         assert!(!sparse.is_dense());

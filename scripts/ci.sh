@@ -27,7 +27,7 @@ echo "==> degradation-equivalence gate (AprioriTid degraded == plain Apriori, Fi
 cargo test --release -q -p geopattern-integration --test robustness \
     apriori_tid_degradation_is_equivalent_to_plain_apriori
 
-echo "==> CLI exit-code contract (timeout=4, worker panic=5, absurd --tile-size=1)"
+echo "==> CLI exit-code contract (timeout=4, worker panic=5, absurd --tile-size=1, removed counting flag=1)"
 DATASET="$(mktemp -t geopattern-ci-XXXXXX.gpd)"
 trap 'rm -f "$DATASET"' EXIT
 cargo run --release -q -p geopattern --bin geopattern -- \
@@ -52,6 +52,13 @@ cargo run --release -q -p geopattern --bin geopattern -- \
 code=$?
 set -e
 test "$code" -eq 1 || { echo "expected exit 1 on --tile-size 100000, got $code"; exit 1; }
+# Counting has one policy (auto); the old flag is an unexpected argument.
+set +e
+cargo run --release -q -p geopattern --bin geopattern -- \
+    mine "$DATASET" --counting bitmap >/dev/null 2>&1
+code=$?
+set -e
+test "$code" -eq 1 || { echo "expected exit 1 on the removed --counting flag, got $code"; exit 1; }
 
 echo "==> kill-and-resume gate (journaled crash, resume bit-identical, journal fuzz)"
 cargo test --release -q -p geopattern-integration --test crash_resume
@@ -93,8 +100,20 @@ cargo run --release -q -p geopattern --bin geopattern -- \
 code=$?
 set -e
 test "$code" -eq 2 || { echo "expected exit 2 on journal fingerprint mismatch, got $code"; exit 1; }
+# The fingerprint covers the --dep pairs: resuming without them is exit 2.
+rm -f "$JOURNAL"
+cargo run --release -q -p geopattern --bin geopattern -- \
+    mine "$DATASET" --minsup 0.1 --dep street illuminationPoint --journal "$JOURNAL" \
+    >/dev/null 2>&1 \
+    || { echo "journaled run with --dep failed, exit $?"; exit 1; }
+set +e
+cargo run --release -q -p geopattern --bin geopattern -- \
+    mine "$DATASET" --minsup 0.1 --journal "$JOURNAL" --resume >/dev/null 2>&1
+code=$?
+set -e
+test "$code" -eq 2 || { echo "expected exit 2 on resume without the journaled --dep pairs, got $code"; exit 1; }
 
-echo "==> strategy-equivalence gate (all counting backends incl. hybrid/auto bit-identical; choose() pure)"
+echo "==> strategy-equivalence gate (hash-subset, bitmap, auto and eclat bit-identical; choose() pure; budget peak equal at 1/2/8 threads)"
 cargo test --release -q -p geopattern-integration --test strategy_equivalence
 cargo test --release -q -p geopattern-integration --test bitmap_properties
 
@@ -108,7 +127,7 @@ echo "==> experiments scaling (emits BENCH_scaling.json, default grid)"
 cargo run --release -q -p geopattern-bench --bin experiments -- scaling
 test -s BENCH_scaling.json
 
-echo "==> experiments counting smoke (emits BENCH_counting.json; bitmap > hash-subset, hybrid ≥ 3x hash-subset, auto ≤ 1.15x best fixed)"
+echo "==> experiments counting smoke (emits BENCH_counting.json; bitmap > hash-subset, auto ≥ 3x hash-subset, auto ≤ 1.15x best fixed)"
 cargo run --release -q -p geopattern-bench --bin experiments -- counting --check
 test -s BENCH_counting.json
 

@@ -71,12 +71,8 @@ fn counting_backends_identical_across_thread_counts() {
     let data = geopattern::to_transactions(&table);
     let minsup = MinSupport::Fraction(0.3);
 
-    let strategies = [
-        CountingStrategy::HashSubset,
-        CountingStrategy::PrefixTrie,
-        CountingStrategy::VerticalBitmap,
-        CountingStrategy::Diffset,
-    ];
+    let strategies =
+        [CountingStrategy::HashSubset, CountingStrategy::VerticalBitmap, CountingStrategy::Auto];
     let hash_serial = sets(&mine(
         &data,
         &AprioriConfig::apriori(minsup).with_counting(CountingStrategy::HashSubset),

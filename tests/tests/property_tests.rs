@@ -341,7 +341,7 @@ fn four_miners_agree() {
 }
 
 /// Downward closure holds for every mined result, and both counting
-/// backends agree.
+/// backends (hash-subset and the vertical bitmap engine) agree.
 #[test]
 fn downward_closure_and_backends() {
     use geopattern_mining::CountingStrategy;
@@ -353,14 +353,14 @@ fn downward_closure_and_backends() {
             &ts,
             &AprioriConfig::apriori(support).with_counting(CountingStrategy::HashSubset),
         );
-        let trie = mine(
+        let bitmap = mine(
             &ts,
-            &AprioriConfig::apriori(support).with_counting(CountingStrategy::PrefixTrie),
+            &AprioriConfig::apriori(support).with_counting(CountingStrategy::VerticalBitmap),
         );
         assert!(hash.check_downward_closure(), "case {case}");
         let h: Vec<_> = hash.all().map(|f| (f.items.clone(), f.support)).collect();
-        let t: Vec<_> = trie.all().map(|f| (f.items.clone(), f.support)).collect();
-        assert_eq!(h, t, "case {case}");
+        let b: Vec<_> = bitmap.all().map(|f| (f.items.clone(), f.support)).collect();
+        assert_eq!(h, b, "case {case}");
     }
 }
 

@@ -1,14 +1,14 @@
 //! Counting-strategy equivalence on the paper's experiment datasets.
 //!
-//! Every support-counting backend — `hash-subset`, `prefix-trie`,
-//! `eclat`, the vertical `bitmap` / `diffset` / `hybrid` engines, and
-//! the workload-sampled `auto` selector — must produce bit-identical
-//! frequent itemsets, supports, and association rules on the Figure-5
-//! (Experiment 1) and Figure-7 (Experiment 2) datasets, at 1/2/8
-//! threads, with and without KC+ filtering, and the vertical strategies
-//! must honour cancellation and memory-budget tracking without changing
-//! output. The `auto` policy itself must be a pure function of its
-//! sampled stats.
+//! Every support-counting backend — `hash-subset` (the reference), the
+//! vertical `bitmap` engine, and the default, workload-sampled `auto`
+//! selector — and `eclat` must produce bit-identical frequent itemsets,
+//! supports, and association rules on the Figure-5 (Experiment 1) and
+//! Figure-7 (Experiment 2) datasets, at 1/2/8 threads, with and without
+//! KC+ filtering, and the vertical engine must honour cancellation and
+//! memory-budget tracking without changing output. The `auto` policy
+//! itself must be a pure function of its sampled stats, and the budget
+//! peak it leaves behind must not depend on the thread count.
 //!
 //! The CI host may be single-core, which would clamp every "parallel"
 //! run to the serial path; the tests widen the reported host via
@@ -28,20 +28,8 @@ fn wide_host() {
     std::env::set_var("GEOPATTERN_HOST_PARALLELISM", "8");
 }
 
-const STRATEGIES: [CountingStrategy; 6] = [
-    CountingStrategy::HashSubset,
-    CountingStrategy::PrefixTrie,
-    CountingStrategy::VerticalBitmap,
-    CountingStrategy::Diffset,
-    CountingStrategy::Hybrid,
-    CountingStrategy::Auto,
-];
-
-const VERTICAL_STRATEGIES: [CountingStrategy; 3] = [
-    CountingStrategy::VerticalBitmap,
-    CountingStrategy::Diffset,
-    CountingStrategy::Hybrid,
-];
+const STRATEGIES: [CountingStrategy; 3] =
+    [CountingStrategy::HashSubset, CountingStrategy::VerticalBitmap, CountingStrategy::Auto];
 
 fn config(e: &Experiment, sup: f64, filtered: bool) -> AprioriConfig {
     let minsup = geopattern_mining::MinSupport::Fraction(sup);
@@ -62,13 +50,18 @@ fn sets(r: &MiningResult) -> Vec<(Vec<u32>, u64)> {
 
 /// Itemsets, supports, and rules must be identical across every
 /// strategy, thread count, and filter setting — the Apriori backends
-/// level-for-level (same order), Eclat as a sorted set.
+/// level-for-level (same order), Eclat as a sorted set. Serial
+/// hash-subset is the reference: the default config is `auto`, which
+/// would compare with itself.
 #[test]
 fn all_strategies_identical_on_fig5_and_fig7() {
     wide_host();
     for (e, sup) in [(experiment1(32), 0.10), (experiment2(32), 0.08)] {
         for filtered in [false, true] {
-            let reference = mine(&e.data, &config(&e, sup, filtered));
+            let reference = mine(
+                &e.data,
+                &config(&e, sup, filtered).with_counting(CountingStrategy::HashSubset),
+            );
             let ref_rules = generate_rules(&reference, e.data.len(), 0.7);
             assert!(
                 reference.num_frequent_min2() > 0,
@@ -119,12 +112,7 @@ fn vertical_strategies_honour_cancellation() {
     let e = experiment1(32);
     let token = CancelToken::new();
     token.cancel();
-    for strategy in [
-        CountingStrategy::VerticalBitmap,
-        CountingStrategy::Diffset,
-        CountingStrategy::Hybrid,
-        CountingStrategy::Auto,
-    ] {
+    for strategy in [CountingStrategy::VerticalBitmap, CountingStrategy::Auto] {
         let got = try_mine(
             &e.data,
             &config(&e, 0.10, true)
@@ -140,26 +128,25 @@ fn vertical_strategies_honour_cancellation() {
     }
 }
 
-/// Memory budgets are *tracked* by the vertical engines (feeding the
-/// peak watermark) but never alter their output: a one-byte budget still
+/// Memory budgets are *tracked* by the vertical engine (feeding the
+/// peak watermark) but never alter its output: a one-byte budget still
 /// mines the exact reference result.
 #[test]
 fn vertical_strategies_identical_under_tight_budget() {
     wide_host();
     let e = experiment2(32);
-    let reference = mine(&e.data, &config(&e, 0.08, true));
-    for strategy in VERTICAL_STRATEGIES {
-        for budget in [MemoryBudget::unlimited(), MemoryBudget::bytes(1)] {
-            let got = try_mine(
-                &e.data,
-                &config(&e, 0.08, true)
-                    .with_counting(strategy)
-                    .with_threads(Threads::Fixed(8))
-                    .with_budget(budget),
-            )
-            .expect("vertical strategies never degrade under budget");
-            assert_eq!(got.levels, reference.levels, "{}", strategy.name());
-        }
+    let reference =
+        mine(&e.data, &config(&e, 0.08, true).with_counting(CountingStrategy::HashSubset));
+    for budget in [MemoryBudget::unlimited(), MemoryBudget::bytes(1)] {
+        let got = try_mine(
+            &e.data,
+            &config(&e, 0.08, true)
+                .with_counting(CountingStrategy::VerticalBitmap)
+                .with_threads(Threads::Fixed(8))
+                .with_budget(budget),
+        )
+        .expect("the vertical engine never degrades under budget");
+        assert_eq!(got.levels, reference.levels);
     }
     // Auto under a one-byte budget resolves to a horizontal strategy
     // (no headroom for the vertical footprint) — and still must be
@@ -175,32 +162,21 @@ fn vertical_strategies_identical_under_tight_budget() {
     assert_eq!(got.levels, reference.levels, "auto under 1-byte budget");
 }
 
-/// Instrumented runs expose the new vertical-engine metrics, and the
+/// Instrumented runs expose the vertical-engine metrics, and the
 /// C₂-filter counter agrees with the stats the result itself reports.
-/// Hybrid lives in both representations, so it reports both counters.
 #[test]
 fn vertical_metrics_are_recorded() {
     wide_host();
     let e = experiment1(32);
-    for (strategy, metric) in [
-        (CountingStrategy::VerticalBitmap, "mining/bitmap_words"),
-        (CountingStrategy::Diffset, "mining/diffset_bytes"),
-        (CountingStrategy::Hybrid, "mining/bitmap_words"),
-    ] {
+    for strategy in [CountingStrategy::VerticalBitmap, CountingStrategy::Auto] {
         let recorder = Recorder::new();
         let got = mine(
             &e.data,
             &config(&e, 0.10, true).with_counting(strategy).with_recorder(recorder.clone()),
         );
         let metrics = recorder.snapshot();
-        let recorded = metrics.counter(metric);
-        assert!(recorded.is_some_and(|v| v > 0), "{metric} missing or zero: {recorded:?}");
-        if strategy == CountingStrategy::Hybrid {
-            assert!(
-                metrics.counter("mining/diffset_bytes").is_some(),
-                "hybrid must also report its flip-level diffset bytes"
-            );
-        }
+        let recorded = metrics.counter("mining/bitmap_words");
+        assert!(recorded.is_some_and(|v| v > 0), "bitmap_words missing or zero: {recorded:?}");
         let filtered = metrics.counter("mining/c2_pairs_filtered").unwrap_or(0);
         assert_eq!(
             filtered,
@@ -211,35 +187,64 @@ fn vertical_metrics_are_recorded() {
     }
 }
 
-/// An instrumented `auto` run records its resolved decision and the
+/// An instrumented default run records its resolved decision and the
 /// stats it was based on, and the decision code matches the named
-/// counter.
+/// counter. Both paper datasets go to the bitmap engine.
 #[test]
 fn auto_records_choice_and_stats() {
     wide_host();
+    for (e, sup) in [(experiment1(32), 0.10), (experiment2(32), 0.08)] {
+        let recorder = Recorder::new();
+        let auto = mine(&e.data, &config(&e, sup, true).with_recorder(recorder.clone()));
+        let reference =
+            mine(&e.data, &config(&e, sup, true).with_counting(CountingStrategy::HashSubset));
+        assert_eq!(auto.levels, reference.levels, "auto output diverges");
+        let metrics = recorder.snapshot();
+        let code = metrics.counter("mining/auto_choice").expect("decision recorded");
+        // The named counter mirrors the numeric code.
+        let named: Vec<&str> = metrics
+            .counters_with_prefix("mining/auto_choice/")
+            .map(|(name, _)| &name["mining/auto_choice/".len()..])
+            .collect();
+        assert_eq!(named, ["bitmap"], "exactly one choice");
+        assert_eq!(code, CountingStrategy::VerticalBitmap.code());
+        for stat in ["mining/auto_stats_transactions", "mining/auto_stats_items"] {
+            assert!(metrics.counter(stat).is_some_and(|v| v > 0), "{stat} missing");
+        }
+    }
+}
+
+/// Under a limited budget the default path records the same
+/// `robust/budget_bytes_peak` at every thread count: pool workers never
+/// reserve on the shared budget, so the peak cannot depend on how
+/// classes were scheduled.
+#[test]
+fn budget_peak_is_independent_of_thread_count() {
+    wide_host();
     let e = experiment1(32);
-    let recorder = Recorder::new();
-    let auto = mine(
-        &e.data,
-        &config(&e, 0.10, true)
-            .with_counting(CountingStrategy::Auto)
-            .with_recorder(recorder.clone()),
-    );
-    let reference = mine(&e.data, &config(&e, 0.10, true));
-    assert_eq!(auto.levels, reference.levels, "auto output diverges");
-    let metrics = recorder.snapshot();
-    let code = metrics.counter("mining/auto_choice").expect("decision recorded");
-    assert!(code > 0, "auto must resolve to a fixed strategy");
-    // The named counter mirrors the numeric code.
-    let named: Vec<&str> = metrics
-        .counters_with_prefix("mining/auto_choice/")
-        .map(|(name, _)| &name["mining/auto_choice/".len()..])
-        .collect();
-    assert_eq!(named.len(), 1, "exactly one choice: {named:?}");
-    let resolved = CountingStrategy::parse(named[0]).expect("recorded name parses");
-    assert_eq!(resolved.code(), code);
-    for stat in ["mining/auto_stats_transactions", "mining/auto_stats_items"] {
-        assert!(metrics.counter(stat).is_some_and(|v| v > 0), "{stat} missing");
+    let peak_at = |threads: Threads| {
+        let recorder = Recorder::new();
+        let got = try_mine(
+            &e.data,
+            &config(&e, 0.05, true)
+                .with_threads(threads)
+                .with_budget(MemoryBudget::bytes(1 << 30))
+                .with_recorder(recorder.clone()),
+        )
+        .expect("an uncancelled run completes");
+        let metrics = recorder.snapshot();
+        assert_eq!(metrics.counter("mining/auto_choice/bitmap"), Some(1), "{threads:?}");
+        let peak = metrics.histogram("robust/budget_bytes_peak").cloned();
+        (got.levels, peak.expect("a limited budget records its peak"))
+    };
+    let (serial_levels, serial_peak) = peak_at(Threads::Fixed(1));
+    assert!(serial_peak.max > 0);
+    for threads in [Threads::Fixed(2), Threads::Fixed(8)] {
+        for _ in 0..3 {
+            let (levels, peak) = peak_at(threads);
+            assert_eq!(levels, serial_levels, "{threads:?}");
+            assert_eq!(peak, serial_peak, "{threads:?}");
+        }
     }
 }
 
