@@ -22,11 +22,13 @@
 //! quant → exact point location beats the exact index by ≥ 2x on the
 //! largest layer in the run and lattice fallbacks stay under 5%. The
 //! `counting` subcommand races the support-counting strategies
-//! (hash-subset, bitmap and the default auto) and eclat on the canonical
-//! seed-42 workload after verifying their outputs identical; with
-//! `--check` it exits non-zero unless bitmap beats hash-subset, auto is
-//! ≥ 3x hash-subset, and auto lands within 1.15x of the best fixed
-//! counting strategy (eclat excluded — it is a different algorithm).
+//! (hash-subset, bitmap and the default auto) on two workloads — the
+//! dense seed-42 one and a seeded sparse-basket one, one per side of the
+//! bitmap engine's pass-2 rule — after verifying every output identical
+//! to hash-subset; with `--check` it exits non-zero unless bitmap beats
+//! hash-subset on both, the pass-2 pick is joins on the dense workload
+//! and the row scan on the sparse one, and on the dense workload auto is
+//! ≥ 3x hash-subset and within 1.15x of the best fixed strategy.
 //! The `tiling` subcommand measures the out-of-core pair on
 //! a metropolis-scale city (~1M features): WKT parse vs `.gpb` binary
 //! load (full materialisation and one-tile windowed fetch), and the
@@ -42,10 +44,10 @@
 
 use geopattern::obs::json::{json_f64, JsonBuf};
 use geopattern::{Algorithm, MiningPipeline, MinSupport, PairFilter, Threads};
-use geopattern_datagen::{experiments, generate_city, table1, CityConfig};
+use geopattern_datagen::{experiments, generate_city, sparse_baskets, table1, CityConfig};
 use geopattern_mining::{
-    itemset_count_lower_bound, mine, mine_eclat, minimal_gain, table3, AprioriConfig,
-    CountingStrategy, EclatConfig, TransactionSet,
+    itemset_count_lower_bound, mine, minimal_gain, table3, AprioriConfig, CountingStrategy,
+    TransactionSet,
 };
 use geopattern_qsr::DistanceScheme;
 use geopattern_sdb::{extract_predicates, ExtractionConfig};
@@ -454,13 +456,28 @@ fn print_formula_crosschecks() {
     );
 }
 
-/// The canonical seed-42 counting workload shared by the `scaling` and
-/// `counting` subcommands: 60k synthetic transactions with controlled
-/// lattice depth. (Tiling an extracted city table does not work here: its
-/// rows are near-duplicates, so at any usable support whole rows become
-/// frequent itemsets and candidate enumeration explodes combinatorially.)
-fn counting_workload() -> TransactionSet {
-    experiments::ExperimentSpec {
+/// One transactional workload raced by the `scaling` and `counting`
+/// subcommands.
+struct CountingWorkload {
+    name: &'static str,
+    seed: u64,
+    minsup: f64,
+    data: TransactionSet,
+}
+
+/// The two counting workloads shared by the `scaling` and `counting`
+/// subcommands, one per side of the bitmap engine's pass-2 rule:
+///
+/// * `dense` — the canonical seed-42 workload: 60k synthetic rows over
+///   17 items with controlled lattice depth, minsup 15%. Few items in
+///   long rows, so pass 2 counts by pair joins. (Tiling an extracted city
+///   table does not work here: its rows are near-duplicates, so at any
+///   usable support whole rows become frequent itemsets and candidate
+///   enumeration explodes combinatorially.)
+/// * `sparse` — seeded baskets: 50k rows of 8 Zipf-weighted items out of
+///   500, minsup 0.2%. Many items in short rows, so pass 2 scans the rows.
+fn counting_workloads() -> Vec<CountingWorkload> {
+    let dense = experiments::ExperimentSpec {
         relations_per_type: vec![3, 3, 2, 2, 2, 1],
         nonspatial_values: 4,
         dependencies: Vec::new(),
@@ -473,7 +490,16 @@ fn counting_workload() -> TransactionSet {
         core_patterns: vec![(vec![0, 1, 2, 6, 13], 0.20), (vec![3, 4, 5, 10, 14], 0.13)],
     }
     .generate()
-    .data
+    .data;
+    vec![
+        CountingWorkload { name: "dense", seed: 42, minsup: 0.15, data: dense },
+        CountingWorkload {
+            name: "sparse",
+            seed: 7,
+            minsup: 0.002,
+            data: sparse_baskets(50_000, 500, 8, 7).data,
+        },
+    ]
 }
 
 type StrategyRunner<'a> = Box<dyn Fn(Threads) -> geopattern_mining::MiningResult + 'a>;
@@ -491,112 +517,160 @@ fn strategy_runners<'a>(
     };
     vec![
         ("hash-subset", Box::new(apriori(CountingStrategy::HashSubset)) as StrategyRunner<'a>),
-        ("eclat", Box::new(move |t| mine_eclat(data, &EclatConfig::new(minsup).with_threads(t)))),
         ("bitmap", Box::new(apriori(CountingStrategy::VerticalBitmap))),
         ("auto", Box::new(apriori(CountingStrategy::Auto))),
     ]
 }
 
-/// `counting`: races every support-counting strategy serially on the
-/// canonical seed-42 workload (the same one `scaling` uses), after
-/// verifying that all of them produce identical frequent itemsets and
-/// supports. Emits `BENCH_counting.json`; with `check` the process exits
-/// non-zero unless (1) the bitmap kernel beats hash-subset, (2) the
-/// default, auto, is at least 3x hash-subset, and (3) auto lands within
-/// 1.15x of the best *fixed* counting strategy (eclat is a different
-/// algorithm, not a counting backend, so it is excluded from "best
-/// fixed").
-fn print_counting(check: bool) {
-    header("Counting strategies — one workload, hash-subset / eclat / bitmap / auto");
-    let data = counting_workload();
-    let minsup = MinSupport::Fraction(0.15);
-    println!(
-        "workload: {} transactions ({} items), minsup 15%, seed 42",
-        data.len(),
-        data.catalog.len()
+/// The bitmap engine's pass-2 pick on `data`, read from one instrumented
+/// run's `mining/pass2/<method>` counter (`"none"` when no pass 2 ran).
+fn pass2_pick(data: &TransactionSet, minsup: MinSupport) -> String {
+    let recorder = geopattern::Recorder::new();
+    mine(
+        data,
+        &AprioriConfig::apriori(minsup)
+            .with_counting(CountingStrategy::VerticalBitmap)
+            .with_recorder(recorder.clone()),
     );
+    let metrics = recorder.snapshot();
+    let pick = metrics.counters_with_prefix("mining/pass2/").next();
+    pick.map_or("none", |(name, _)| &name["mining/pass2/".len()..]).to_string()
+}
 
-    let mut reference: Option<Vec<(Vec<geopattern_mining::ItemId>, u64)>> = None;
-    let mut rows = Vec::new();
-    let mut times: Vec<(&'static str, u128)> = Vec::new();
-    let mut hash_us = 0u128;
-    println!("\n{:>12} {:>12} {:>16}", "strategy", "median µs", "vs hash-subset");
-    for (label, runner) in strategy_runners(&data, minsup) {
-        let mut result = None;
-        let us = time_us_n(3, || result = Some(runner(Threads::Serial)));
-        let sets: Vec<_> = result
-            .expect("timed at least once")
-            .all()
-            .map(|f| (f.items.clone(), f.support))
-            .collect();
-        match &reference {
-            None => reference = Some(sets),
-            Some(r) => assert_eq!(&sets, r, "{label} output differs from hash-subset"),
-        }
-        if label == "hash-subset" {
-            hash_us = us;
-        }
-        times.push((label, us));
-        let speedup = hash_us as f64 / us.max(1) as f64;
-        println!("{label:>12} {us:>12} {speedup:>15.2}x");
-        rows.push(format!(
-            "{{\"strategy\":{},\"median_us\":{us},\"speedup_vs_hash\":{}}}",
-            geopattern::obs::json::json_string(label),
-            json_f64(speedup)
-        ));
+/// Timings of one workload's race: `(label, median µs)` per strategy.
+struct Race {
+    times: Vec<(&'static str, u128)>,
+    pass2: String,
+}
+
+impl Race {
+    fn us(&self, label: &str) -> u128 {
+        self.times.iter().find(|(k, _)| *k == label).map(|&(_, v)| v).expect("strategy was timed")
     }
-    let frequent = reference.as_ref().map(Vec::len).unwrap_or(0);
-    println!("\nall strategies produced identical output ({frequent} frequent itemsets)");
+}
+
+/// `counting`: races every support-counting strategy serially on both
+/// counting workloads (the ones `scaling` uses), after verifying that
+/// each produces the frequent itemsets and supports of hash-subset.
+/// Emits `BENCH_counting.json` with each workload's medians and pass-2
+/// pick; with `check` the process exits non-zero unless (1) bitmap beats
+/// hash-subset on both workloads, (2) the pick is joins on the dense
+/// workload and the scan on the sparse one, and, on the dense workload,
+/// (3) auto is at least 3x hash-subset and (4) auto lands within 1.15x
+/// of the best *fixed* counting strategy.
+fn print_counting(check: bool) {
+    header("Counting strategies — dense and sparse workloads, hash-subset / bitmap / auto");
+    let mut races: Vec<(&'static str, Race)> = Vec::new();
+    let mut docs: Vec<String> = Vec::new();
+    for w in counting_workloads() {
+        let minsup = MinSupport::Fraction(w.minsup);
+        println!(
+            "\n{} workload: {} transactions ({} items), minsup {}%, seed {}",
+            w.name,
+            w.data.len(),
+            w.data.catalog.len(),
+            w.minsup * 100.0,
+            w.seed
+        );
+        let mut reference: Option<Vec<(Vec<geopattern_mining::ItemId>, u64)>> = None;
+        let mut rows = Vec::new();
+        let mut times: Vec<(&'static str, u128)> = Vec::new();
+        let mut hash_us = 0u128;
+        println!("{:>12} {:>12} {:>16}", "strategy", "median µs", "vs hash-subset");
+        for (label, runner) in strategy_runners(&w.data, minsup) {
+            let mut result = None;
+            // Median of seven: the dense workload mines in a few ms, where
+            // one outlier among three runs decided the 1.15x gate.
+            let us = time_us_n(7, || result = Some(runner(Threads::Serial)));
+            let sets: Vec<_> = result
+                .expect("timed at least once")
+                .all()
+                .map(|f| (f.items.clone(), f.support))
+                .collect();
+            match &reference {
+                None => reference = Some(sets),
+                Some(r) => assert_eq!(&sets, r, "{label} output differs from hash-subset"),
+            }
+            if label == "hash-subset" {
+                hash_us = us;
+            }
+            times.push((label, us));
+            let speedup = hash_us as f64 / us.max(1) as f64;
+            println!("{label:>12} {us:>12} {speedup:>15.2}x");
+            rows.push(format!(
+                "{{\"strategy\":{},\"median_us\":{us},\"speedup_vs_hash\":{}}}",
+                geopattern::obs::json::json_string(label),
+                json_f64(speedup)
+            ));
+        }
+        let frequent = reference.as_ref().map(Vec::len).unwrap_or(0);
+        let pass2 = pass2_pick(&w.data, minsup);
+        println!(
+            "all strategies produced identical output ({frequent} frequent itemsets); \
+             bitmap pass 2: {pass2}"
+        );
+
+        let mut doc = JsonBuf::new();
+        doc.raw("{");
+        doc.key("workload");
+        doc.raw(&format!("{},", geopattern::obs::json::json_string(w.name)));
+        doc.key("rows");
+        doc.raw(&format!("{},", w.data.len()));
+        doc.key("items");
+        doc.raw(&format!("{},", w.data.catalog.len()));
+        doc.key("seed");
+        doc.raw(&format!("{},", w.seed));
+        doc.key("minsup");
+        doc.raw(&format!("{},", json_f64(w.minsup)));
+        doc.key("frequent_itemsets");
+        doc.raw(&format!("{frequent},"));
+        doc.key("pass2");
+        doc.raw(&format!("{},", geopattern::obs::json::json_string(&pass2)));
+        doc.key("series");
+        doc.raw(&format!("[{}]}}", rows.join(",")));
+        docs.push(doc.into_string());
+        races.push((w.name, Race { times, pass2 }));
+    }
 
     let mut doc = JsonBuf::new();
     doc.raw("{");
     doc.key("experiment");
     doc.raw("\"counting\",");
-    doc.key("rows");
-    doc.raw(&data.len().to_string());
-    doc.raw(",");
-    doc.key("items");
-    doc.raw(&data.catalog.len().to_string());
-    doc.raw(",");
-    doc.key("seed");
-    doc.raw("42,");
-    doc.key("minsup");
-    doc.raw(&json_f64(0.15));
-    doc.raw(",");
-    doc.key("frequent_itemsets");
-    doc.raw(&frequent.to_string());
-    doc.raw(",");
-    doc.key("series");
-    doc.raw(&format!("[{}]}}", rows.join(",")));
+    doc.key("workloads");
+    doc.raw(&format!("[{}]}}", docs.join(",")));
     write_bench("counting", &doc.into_string());
 
     if check {
-        let us_of = |l: &str| {
-            times.iter().find(|(k, _)| *k == l).map(|&(_, v)| v).expect("strategy was timed")
-        };
-        let bitmap_us = us_of("bitmap");
-        let auto_us = us_of("auto");
+        let mut failed = false;
+        for (name, race) in &races {
+            let (hash_us, bitmap_us) = (race.us("hash-subset"), race.us("bitmap"));
+            if bitmap_us >= hash_us {
+                eprintln!(
+                    "FAIL: {name}: bitmap ({bitmap_us} µs) is not faster than hash-subset \
+                     ({hash_us} µs)"
+                );
+                failed = true;
+            }
+            let want = if *name == "dense" { "joins" } else { "scan" };
+            if race.pass2 != want {
+                eprintln!("FAIL: {name}: bitmap pass 2 picked {}, expected {want}", race.pass2);
+                failed = true;
+            }
+        }
+        let dense = &races.iter().find(|(n, _)| *n == "dense").expect("dense workload").1;
+        let (hash_us, auto_us) = (dense.us("hash-subset"), dense.us("auto"));
         // "Best fixed" for the auto gate: the fastest fixed counting
-        // strategy. Eclat is a separate algorithm (its own DFS engine,
-        // not a counting backend a caller could name), auto is the thing
-        // under test.
-        let (best_label, best_us) = times
+        // strategy; auto is the thing under test.
+        let (best_label, best_us) = dense
+            .times
             .iter()
-            .filter(|(l, _)| !matches!(*l, "eclat" | "auto"))
+            .filter(|(l, _)| *l != "auto")
             .min_by_key(|&&(_, us)| us)
             .copied()
             .expect("at least one fixed strategy");
-        let mut failed = false;
-        if bitmap_us >= hash_us {
-            eprintln!(
-                "FAIL: bitmap kernel ({bitmap_us} µs) is not faster than hash-subset \
-                 ({hash_us} µs)"
-            );
-            failed = true;
-        }
         if auto_us.saturating_mul(3) > hash_us {
             eprintln!(
-                "FAIL: auto ({auto_us} µs) is under 3x hash-subset ({hash_us} µs, {:.2}x)",
+                "FAIL: dense: auto ({auto_us} µs) is under 3x hash-subset ({hash_us} µs, {:.2}x)",
                 hash_us as f64 / auto_us.max(1) as f64
             );
             failed = true;
@@ -604,7 +678,7 @@ fn print_counting(check: bool) {
         // auto ≤ 1.15 × best fixed, in integer µs to keep the gate exact.
         if auto_us.saturating_mul(100) > best_us.saturating_mul(115) {
             eprintln!(
-                "FAIL: auto ({auto_us} µs) is more than 1.15x the best fixed strategy \
+                "FAIL: dense: auto ({auto_us} µs) is more than 1.15x the best fixed strategy \
                  ({best_label}, {best_us} µs)"
             );
             failed = true;
@@ -613,18 +687,18 @@ fn print_counting(check: bool) {
             std::process::exit(1);
         }
         println!(
-            "check passed: bitmap {:.2}x and auto {:.2}x over hash-subset; auto \
+            "check passed: bitmap faster than hash-subset on both workloads; pass 2 by joins \
+             (dense) and by the scan (sparse); dense auto {:.2}x over hash-subset and \
              ({auto_us} µs) within 1.15x of best fixed ({best_label}, {best_us} µs)",
-            hash_us as f64 / bitmap_us.max(1) as f64,
             hash_us as f64 / auto_us.max(1) as f64
         );
     }
 }
 
 /// `scaling`: serial vs N-thread wall-clock for the two hot paths —
-/// predicate extraction over reference features and Apriori/Eclat support
-/// counting over transactions — on a generated city, verifying that every
-/// parallel run produces byte-identical output.
+/// predicate extraction over reference features of a generated city, and
+/// Apriori support counting over both counting workloads — verifying
+/// that every parallel run produces byte-identical output.
 ///
 /// On a single-core host the pool clamps every worker count to one, so a
 /// "parallel" run executes the exact serial code path. Rather than emit a
@@ -673,7 +747,7 @@ fn print_scaling(grid: usize) {
         serial_stats.candidate_pairs,
         serial_stats.pruned_pairs
     );
-    println!("{:>22} {:>12} {:>9}", "stage", "median µs", "speedup");
+    println!("{:>28} {:>12} {:>9}", "stage", "median µs", "speedup");
     let mut bench_stages: Vec<String> = Vec::new();
     let mut extract_us = Vec::new();
     for &n in threads {
@@ -708,7 +782,7 @@ fn print_scaling(grid: usize) {
         } else {
             ""
         };
-        println!("{:>22} {:>12} {:>8.2}x{note}", format!("extract ({n} thr)"), us, speedup);
+        println!("{:>28} {:>12} {:>8.2}x{note}", format!("extract ({n} thr)"), us, speedup);
         bench_stages.push(format!(
             "{{\"stage\":\"extract\",\"threads\":{n},\"median_us\":{us},\"speedup\":{},\
              \"clamped_to_serial\":{clamped}{}}}",
@@ -717,55 +791,60 @@ fn print_scaling(grid: usize) {
         ));
     }
 
-    // Counting: the canonical seed-42 synthetic transactional workload.
-    let data = counting_workload();
-    let minsup = MinSupport::Fraction(0.15);
-    println!(
-        "\ncounting workload: {} transactions ({} items), minsup 15%",
-        data.len(),
-        data.catalog.len()
-    );
-    for (label, runner) in strategy_runners(&data, minsup) {
-        let mut serial_sets: Option<Vec<_>> = None;
-        let mut base_us = 0u128;
-        for &n in threads {
-            let clamped = n > 1 && host == 1;
-            let us = if clamped {
-                base_us
-            } else {
-                let t = if n == 1 { Threads::Serial } else { Threads::Fixed(n) };
-                let mut result = None;
-                let us = time_us_n(3, || result = Some(runner(t)));
-                let sets: Vec<_> = result
-                    .expect("timed at least once")
-                    .all()
-                    .map(|f| (f.items.clone(), f.support))
-                    .collect();
-                match &serial_sets {
-                    None => serial_sets = Some(sets),
-                    Some(s) => assert_eq!(&sets, s, "{label} differs at {n} threads"),
+    // Counting: both synthetic transactional workloads, one per side of
+    // the bitmap engine's pass-2 rule.
+    for w in counting_workloads() {
+        println!(
+            "\n{} counting workload: {} transactions ({} items), minsup {}%",
+            w.name,
+            w.data.len(),
+            w.data.catalog.len(),
+            w.minsup * 100.0
+        );
+        for (label, runner) in strategy_runners(&w.data, MinSupport::Fraction(w.minsup)) {
+            let label = format!("{}/{label}", w.name);
+            let mut serial_sets: Option<Vec<_>> = None;
+            let mut base_us = 0u128;
+            for &n in threads {
+                let clamped = n > 1 && host == 1;
+                let us = if clamped {
+                    base_us
+                } else {
+                    let t = if n == 1 { Threads::Serial } else { Threads::Fixed(n) };
+                    let mut result = None;
+                    let us = time_us_n(3, || result = Some(runner(t)));
+                    let sets: Vec<_> = result
+                        .expect("timed at least once")
+                        .all()
+                        .map(|f| (f.items.clone(), f.support))
+                        .collect();
+                    match &serial_sets {
+                        None => serial_sets = Some(sets),
+                        Some(s) => assert_eq!(&sets, s, "{label} differs at {n} threads"),
+                    }
+                    us
+                };
+                if n == 1 {
+                    base_us = us;
                 }
-                us
-            };
-            if n == 1 {
-                base_us = us;
+                let speedup = if clamped { 1.0 } else { base_us as f64 / us as f64 };
+                let note = if clamped {
+                    "  (= serial: host clamp)"
+                } else if all_clamped {
+                    "  (serial only: single-core host)"
+                } else {
+                    ""
+                };
+                let stage = format!("{label} ({n} thr)");
+                println!("{stage:>28} {us:>12} {speedup:>8.2}x{note}");
+                bench_stages.push(format!(
+                    "{{\"stage\":{},\"threads\":{n},\"median_us\":{us},\"speedup\":{},\
+                     \"clamped_to_serial\":{clamped}{}}}",
+                    geopattern::obs::json::json_string(&label),
+                    json_f64(speedup),
+                    if all_clamped { ",\"serial_only\":true" } else { "" }
+                ));
             }
-            let speedup = if clamped { 1.0 } else { base_us as f64 / us as f64 };
-            let note = if clamped {
-                "  (= serial: host clamp)"
-            } else if all_clamped {
-                "  (serial only: single-core host)"
-            } else {
-                ""
-            };
-            println!("{:>22} {:>12} {:>8.2}x{note}", format!("{label} ({n} thr)"), us, speedup);
-            bench_stages.push(format!(
-                "{{\"stage\":{},\"threads\":{n},\"median_us\":{us},\"speedup\":{},\
-                 \"clamped_to_serial\":{clamped}{}}}",
-                geopattern::obs::json::json_string(label),
-                json_f64(speedup),
-                if all_clamped { ",\"serial_only\":true" } else { "" }
-            ));
         }
     }
     println!("\nall measured parallel outputs verified identical to serial");

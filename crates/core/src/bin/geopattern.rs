@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! geopattern mine <dataset.gpd|.gpb> [--minsup 0.3] [--minconf 0.7]
-//!                 [--algorithm apriori|kc|kc+|fpgrowth|fpgrowth-kc+|eclat|eclat-kc+|tid|tid-kc+]
+//!                 [--algorithm apriori|kc|kc+|fpgrowth|fpgrowth-kc+]
 //!                 [--dep TYPE_A TYPE_B]... [--threads N|auto] [--itemsets] [--rules]
 //!                 [--metrics json] [--timeout SECS] [--memory-budget BYTES]
 //!                 [--tile-size N] [--format wkt|gpb|auto]
@@ -25,21 +25,28 @@
 //! they complete, and `--resume` reopens
 //! the journal so a rerun skips everything already journaled — the
 //! resumed output is bit-identical to an uninterrupted run. The journal
-//! is fingerprinted over the output-affecting configuration; `--resume`
+//! is fingerprinted over the output-affecting configuration (algorithm,
+//! thresholds, tile size, dataset path and `--dep` pairs); `--resume`
 //! against a journal from a different configuration is a configuration
-//! error (exit code 2). `--max-retries N` retries a run whose worker
-//! panicked, with capped exponential backoff; each retry resumes from the
-//! journal the failed attempt left behind.
+//! error (exit code 2). `--memory-budget` is not part of the fingerprint:
+//! a budget never changes the output, so a rerun with a larger budget
+//! resumes. `--max-retries N` retries a run whose worker panicked, with
+//! capped exponential backoff; each retry resumes from the journal the
+//! failed attempt left behind.
 //!
 //! The Apriori variants count support with the `auto` policy: the
 //! vertical bitmap engine, or hash-subset when `--memory-budget` cannot
 //! hold the bitmap engine's TID lists. `--metrics json` reports the pick
-//! as `mining/auto_choice/<name>`.
+//! as `mining/auto_choice/<name>`, and the bitmap engine's pass-2 method
+//! as `mining/pass2/joins` or `mining/pass2/scan`. The Apriori variants
+//! only track the budget; FP-Growth fails with exit code 7 when a
+//! conditional tree does not fit it.
 //!
 //! Exit codes: `0` success, `1` usage or I/O error, `2` invalid mining
 //! configuration, `3` unusable data (e.g. empty reference layer), `4` run
 //! cancelled or `--timeout` exceeded, `5` worker panic (isolated by the
-//! pool; the process still exits cleanly), `6` retry budget exhausted.
+//! pool; the process still exits cleanly), `6` retry budget exhausted,
+//! `7` memory budget exceeded (no report is printed).
 //!
 //! `GEOPATTERN_FAILPOINTS` (e.g. `mining/apriori.count=panic@1:42`)
 //! activates deterministic fault-injection points for testing — see
@@ -121,11 +128,11 @@ fn print_usage() {
          geopattern generate-city [--grid N] [--seed S] [--out FILE] [--format wkt|gpb]\n  \
          geopattern relate <WKT_A> <WKT_B>\n  \
          geopattern gain --t T1,T2,... --n N\n\n\
-         ALGORITHMS: apriori, kc, kc+ (default), fpgrowth, fpgrowth-kc+, eclat, eclat-kc+,\n            \
-         tid, tid-kc+\n\
+         ALGORITHMS: apriori, kc, kc+ (default), fpgrowth, fpgrowth-kc+\n\
          COUNTING (Apriori variants): the vertical bitmap engine, or hash-subset when\n            \
          --memory-budget cannot hold its TID lists; both produce identical itemsets,\n            \
-         and --metrics json reports the pick (mining/auto_choice)\n\n\
+         and --metrics json reports the pick (mining/auto_choice) and the bitmap\n            \
+         engine's pass-2 method (mining/pass2/joins or mining/pass2/scan)\n\n\
          --format selects the dataset encoding: wkt text, gpb binary, or auto\n\
          (default; sniffs the GPB1 magic). --tile-size N (at most 4096) shards extraction\n\
          over an N x N spatial tile grid, one tile at a time — output is bit-identical\n\
@@ -133,15 +140,18 @@ fn print_usage() {
          --metrics json dumps span timings / counters / histograms for the run as JSON\n\
          on stdout after the report (a partial report on interrupted runs).\n\
          --timeout SECS cancels the run at a deadline (exit code 4).\n\
-         --memory-budget BYTES (suffixes k/m/g) degrades gracefully instead of failing:\n\
-         AprioriTid restarts as plain Apriori; Eclat / FP-Growth abandon branches.\n\
+         --memory-budget BYTES (suffixes k/m/g) bounds the mining intermediates: the\n\
+         Apriori variants only track it (same output under any budget); FP-Growth fails\n\
+         with exit code 7 when a conditional tree does not fit. A rerun with a larger\n\
+         budget resumes from the journal.\n\
          --journal FILE makes the run crash-safe (durable per-tile / per-level records;\n\
          extraction is one tile unless --tile-size says otherwise);\n\
          --resume reopens the journal and skips everything already journaled, with\n\
          bit-identical output. --max-retries N retries worker panics with capped\n\
          exponential backoff; each retry resumes from the shared journal.\n\n\
          EXIT CODES: 0 ok, 1 usage or I/O error, 2 invalid configuration, 3 unusable data,\n             \
-         4 cancelled or timed out, 5 worker panic, 6 retry budget exhausted"
+         4 cancelled or timed out, 5 worker panic, 6 retry budget exhausted,\n             \
+         7 memory budget exceeded"
     );
 }
 
@@ -152,10 +162,6 @@ fn parse_algorithm(s: &str) -> Result<Algorithm, String> {
         "kc+" | "apriori-kc+" => Algorithm::AprioriKcPlus,
         "fpgrowth" | "fp-growth" => Algorithm::FpGrowth,
         "fpgrowth-kc+" | "fp-growth-kc+" => Algorithm::FpGrowthKcPlus,
-        "eclat" => Algorithm::Eclat,
-        "eclat-kc+" => Algorithm::EclatKcPlus,
-        "tid" | "apriori-tid" | "aprioritid" => Algorithm::AprioriTid,
-        "tid-kc+" | "apriori-tid-kc+" | "aprioritid-kc+" => Algorithm::AprioriTidKcPlus,
         other => return Err(format!("unknown algorithm {other:?}")),
     })
 }
@@ -333,17 +339,14 @@ fn cmd_mine(args: &[String]) -> Result<(), CmdError> {
     // The journal fingerprint covers every output-affecting knob, so a
     // stale journal from a different configuration is rejected up front
     // instead of silently seeding the wrong resume state. `--dep` pairs
-    // go in the order given (their debug form quotes each name), and the
-    // budget changes what a lossy miner keeps.
+    // go in the order given (their debug form quotes each name). The
+    // budget is left out: it either leaves the output unchanged or fails
+    // the run, so a rerun with a larger budget may resume.
     let journal = match &journal_path {
         Some(jp) => {
-            let budget_key = budget.limit().map_or("unlimited".to_string(), |b| b.to_string());
             let fingerprint = fnv1a64(
-                format!(
-                    "{}|{minsup}|{minconf}|{tile_size}|{path}|{deps:?}|{budget_key}",
-                    algorithm.name()
-                )
-                .as_bytes(),
+                format!("{}|{minsup}|{minconf}|{tile_size}|{path}|{deps:?}", algorithm.name())
+                    .as_bytes(),
             );
             // --resume opens strictly so a fingerprint mismatch (the
             // configuration changed under the journal) fails loudly

@@ -6,10 +6,11 @@
 //! panicking or silently mining nonsense. The CLI maps each variant to a
 //! stable process exit code via [`Error::exit_code`].
 //!
-//! Interrupted runs (cancellation, deadline, isolated worker panic —
-//! see [`geopattern_par::Interrupt`]) map onto the same enum via
-//! [`From`], with their own exit codes: `4` for cancelled / timed-out
-//! runs, `5` for a worker panic.
+//! Interrupted runs (cancellation, deadline, isolated worker panic,
+//! refused memory budget — see [`geopattern_par::Interrupt`]) map onto
+//! the same enum via [`From`], with their own exit codes: `4` for
+//! cancelled / timed-out runs, `5` for a worker panic, `7` for a run that
+//! does not fit its memory budget.
 
 use geopattern_par::Interrupt;
 use std::fmt;
@@ -45,6 +46,17 @@ pub enum Error {
         /// The panic payload, rendered as text.
         message: String,
     },
+    /// The run does not fit its memory budget: a miner that refuses work
+    /// over budget (FP-Growth's conditional trees) could not reserve what
+    /// it needed. No truncated output is returned.
+    BudgetExceeded {
+        /// The stage whose reservation was refused.
+        stage: String,
+        /// Bytes the refused reservation asked for.
+        requested: usize,
+        /// The budget's byte limit.
+        limit: usize,
+    },
     /// A [`crate::JobRunner`] exhausted its retry budget; `last` is the
     /// error of the final attempt.
     RetriesExhausted {
@@ -58,7 +70,8 @@ pub enum Error {
 impl Error {
     /// Stable process exit code for the CLI: configuration errors are `2`,
     /// data errors are `3`, cancelled or timed-out runs are `4`, isolated
-    /// worker panics are `5`, exhausted retry budgets are `6`.
+    /// worker panics are `5`, exhausted retry budgets are `6`, exceeded
+    /// memory budgets are `7`.
     pub fn exit_code(&self) -> i32 {
         match self {
             Error::InvalidMinConfidence(_)
@@ -68,6 +81,7 @@ impl Error {
             Error::Cancelled | Error::DeadlineExceeded => 4,
             Error::WorkerPanic { .. } => 5,
             Error::RetriesExhausted { .. } => 6,
+            Error::BudgetExceeded { .. } => 7,
         }
     }
 }
@@ -78,6 +92,9 @@ impl From<Interrupt> for Error {
             Interrupt::Cancelled => Error::Cancelled,
             Interrupt::DeadlineExceeded => Error::DeadlineExceeded,
             Interrupt::WorkerPanic { stage, message } => Error::WorkerPanic { stage, message },
+            Interrupt::BudgetExceeded { stage, requested, limit } => {
+                Error::BudgetExceeded { stage, requested, limit }
+            }
         }
     }
 }
@@ -104,6 +121,11 @@ impl fmt::Display for Error {
             Error::WorkerPanic { stage, message } => {
                 write!(f, "worker panicked in stage {stage:?}: {message}")
             }
+            Error::BudgetExceeded { stage, requested, limit } => write!(
+                f,
+                "memory budget exceeded in stage {stage:?}: {requested} bytes requested, \
+                 limit {limit} bytes"
+            ),
             Error::RetriesExhausted { attempts, last } => {
                 write!(f, "job failed after {attempts} attempt(s); last error: {last}")
             }
@@ -145,6 +167,21 @@ mod tests {
         assert_eq!(panic.exit_code(), 5);
         assert!(panic.to_string().contains("mining/apriori.count"));
         assert!(panic.to_string().contains("boom"));
+        let budget = Error::from(Interrupt::BudgetExceeded {
+            stage: "mining/fpgrowth.grow".into(),
+            requested: 4096,
+            limit: 1,
+        });
+        assert_eq!(
+            budget,
+            Error::BudgetExceeded {
+                stage: "mining/fpgrowth.grow".into(),
+                requested: 4096,
+                limit: 1
+            }
+        );
+        assert_eq!(budget.exit_code(), 7);
+        assert!(budget.to_string().contains("4096 bytes requested"));
     }
 
     #[test]

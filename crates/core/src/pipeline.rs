@@ -21,8 +21,8 @@ use crate::convert::{dependency_filter, same_type_filter, to_transactions};
 use crate::error::Error;
 use crate::report::PatternReport;
 use geopattern_mining::{
-    generate_rules, try_mine, try_mine_apriori_tid, try_mine_eclat, try_mine_fp, AprioriConfig,
-    AprioriTidConfig, EclatConfig, FpGrowthConfig, MinSupport, PairFilter, TransactionSet,
+    generate_rules, try_mine, try_mine_fp, AprioriConfig, FpGrowthConfig, MinSupport, PairFilter,
+    TransactionSet,
 };
 use geopattern_obs::Recorder;
 use geopattern_par::{CancelToken, Journal, MemoryBudget, Threads};
@@ -32,7 +32,7 @@ use geopattern_sdb::{
 };
 
 /// Attaches `journal` (when present) to a miner config via that config
-/// type's `with_journal` — keeps the nine algorithm branches in
+/// type's `with_journal` — keeps the five algorithm branches in
 /// [`MiningPipeline::mine`] free of repeated `if let` noise.
 fn journaled<T>(journal: &Option<Journal>, config: T, attach: fn(T, Journal) -> T) -> T {
     match journal {
@@ -56,14 +56,6 @@ pub enum Algorithm {
     FpGrowth,
     /// FP-Growth with the KC+ filters (demonstrates algorithm-agnosticism).
     FpGrowthKcPlus,
-    /// Eclat (vertical bitsets), unfiltered.
-    Eclat,
-    /// Eclat with the KC+ filters.
-    EclatKcPlus,
-    /// AprioriTid (transformed-database counting), unfiltered.
-    AprioriTid,
-    /// AprioriTid with the KC+ filters.
-    AprioriTidKcPlus,
 }
 
 impl Algorithm {
@@ -75,10 +67,6 @@ impl Algorithm {
             Algorithm::AprioriKcPlus => "Apriori-KC+",
             Algorithm::FpGrowth => "FP-Growth",
             Algorithm::FpGrowthKcPlus => "FP-Growth-KC+",
-            Algorithm::Eclat => "Eclat",
-            Algorithm::EclatKcPlus => "Eclat-KC+",
-            Algorithm::AprioriTid => "AprioriTid",
-            Algorithm::AprioriTidKcPlus => "AprioriTid-KC+",
         }
     }
 }
@@ -214,18 +202,20 @@ impl MiningPipeline {
         self
     }
 
-    /// Attaches a memory budget for the mining stage. Exceeding it never
-    /// fails the run: AprioriTid restarts as plain Apriori, Eclat and
-    /// FP-Growth abandon over-budget branches — the degradations are
-    /// counted in the result's `stats.degradations` and under the
-    /// `robust/degradations` metric.
+    /// Attaches a memory budget for the mining stage. The Apriori variants
+    /// only track it (`auto` picks hash-subset when the vertical lists
+    /// would not fit) and mine the same output under any budget.
+    /// FP-Growth refuses a conditional tree that does not fit and fails
+    /// the run with [`Error::BudgetExceeded`] (exit code 7) — never with
+    /// truncated output; branches it journaled before the refusal let a
+    /// rerun with a larger budget resume.
     pub fn memory_budget(mut self, budget: MemoryBudget) -> Self {
         self.budget = budget;
         self
     }
 
     /// Attaches a crash-recovery [`Journal`]: extraction tiles and mining
-    /// levels / classes / branches append durable records as they
+    /// levels / branches append durable records as they
     /// complete, and a rerun over the same journal *resumes* — journaled
     /// units are served from disk, only the missing tail is recomputed,
     /// and the resumed output is bit-identical to an uninterrupted run at
@@ -412,54 +402,6 @@ impl MiningPipeline {
                     FpGrowthConfig::with_journal,
                 ),
             )?,
-            Algorithm::Eclat => try_mine_eclat(
-                &transactions,
-                &journaled(
-                    &self.journal,
-                    EclatConfig::new(self.min_support)
-                        .with_threads(self.threads)
-                        .with_recorder(rec.clone())
-                        .with_cancel(cancel)
-                        .with_budget(budget),
-                    EclatConfig::with_journal,
-                ),
-            )?,
-            Algorithm::EclatKcPlus => try_mine_eclat(
-                &transactions,
-                &journaled(
-                    &self.journal,
-                    EclatConfig::new(self.min_support)
-                        .with_filter(deps.union(&same))
-                        .with_threads(self.threads)
-                        .with_recorder(rec.clone())
-                        .with_cancel(cancel)
-                        .with_budget(budget),
-                    EclatConfig::with_journal,
-                ),
-            )?,
-            Algorithm::AprioriTid => try_mine_apriori_tid(
-                &transactions,
-                &journaled(
-                    &self.journal,
-                    AprioriTidConfig::new(self.min_support)
-                        .with_recorder(rec.clone())
-                        .with_cancel(cancel)
-                        .with_budget(budget),
-                    AprioriTidConfig::with_journal,
-                ),
-            )?,
-            Algorithm::AprioriTidKcPlus => try_mine_apriori_tid(
-                &transactions,
-                &journaled(
-                    &self.journal,
-                    AprioriTidConfig::new(self.min_support)
-                        .with_filter(deps.union(&same))
-                        .with_recorder(rec.clone())
-                        .with_cancel(cancel)
-                        .with_budget(budget),
-                    AprioriTidConfig::with_journal,
-                ),
-            )?,
         };
         drop(mine_span);
         rec.counter("mine.frequent_itemsets", result.num_frequent() as u64);
@@ -613,10 +555,6 @@ mod tests {
         for (a, b) in [
             (Algorithm::Apriori, Algorithm::FpGrowth),
             (Algorithm::AprioriKcPlus, Algorithm::FpGrowthKcPlus),
-            (Algorithm::Apriori, Algorithm::Eclat),
-            (Algorithm::AprioriKcPlus, Algorithm::EclatKcPlus),
-            (Algorithm::Apriori, Algorithm::AprioriTid),
-            (Algorithm::AprioriKcPlus, Algorithm::AprioriTidKcPlus),
         ] {
             let ra = MiningPipeline::new()
                 .algorithm(a)
@@ -686,12 +624,7 @@ mod tests {
     fn cancelled_token_fails_the_pipeline_with_exit_code_4() {
         let cancel = CancelToken::new();
         cancel.cancel();
-        for algorithm in [
-            Algorithm::Apriori,
-            Algorithm::FpGrowth,
-            Algorithm::Eclat,
-            Algorithm::AprioriTid,
-        ] {
+        for algorithm in [Algorithm::Apriori, Algorithm::FpGrowth] {
             let err = MiningPipeline::new()
                 .algorithm(algorithm)
                 .min_support(MinSupport::Fraction(0.5))
@@ -705,15 +638,19 @@ mod tests {
 
     #[test]
     fn zero_memory_budget_degrades_but_still_succeeds() {
+        // Apriori only tracks a budget: under a zero one `auto` degrades
+        // to hash-subset, and the output is unchanged.
+        let rec = Recorder::new();
         let strict = MiningPipeline::new()
-            .algorithm(Algorithm::AprioriTidKcPlus)
+            .algorithm(Algorithm::AprioriKcPlus)
             .min_support(MinSupport::Fraction(0.5))
             .memory_budget(MemoryBudget::bytes(0))
+            .recorder(rec.clone())
             .run_transactions(paper_rows())
             .unwrap();
-        assert!(strict.result.stats.degradations >= 1);
+        assert_eq!(rec.snapshot().counter("mining/auto_choice/hash-subset"), Some(1));
         let plain = MiningPipeline::new()
-            .algorithm(Algorithm::AprioriTidKcPlus)
+            .algorithm(Algorithm::AprioriKcPlus)
             .min_support(MinSupport::Fraction(0.5))
             .run_transactions(paper_rows())
             .unwrap();
@@ -722,8 +659,22 @@ mod tests {
             v.sort();
             v
         };
-        // AprioriTid degrades by restarting as plain Apriori: same output.
         assert_eq!(sets(&strict), sets(&plain));
+    }
+
+    #[test]
+    fn zero_memory_budget_fails_fpgrowth_with_exit_code_7() {
+        let err = MiningPipeline::new()
+            .algorithm(Algorithm::FpGrowthKcPlus)
+            .min_support(MinSupport::Fraction(0.5))
+            .memory_budget(MemoryBudget::bytes(0))
+            .run_transactions(paper_rows())
+            .unwrap_err();
+        let Error::BudgetExceeded { stage, limit, .. } = &err else {
+            panic!("expected BudgetExceeded, got {err:?}");
+        };
+        assert_eq!((stage.as_str(), *limit), ("mining/fpgrowth.grow", 0));
+        assert_eq!(err.exit_code(), 7);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Crash-safety in this stack has three cooperating layers:
 //!
 //! 1. the **journal** ([`geopattern_par::Journal`]) makes completed work
-//!    durable — extraction tiles, mining levels, equivalence classes;
+//!    durable — extraction tiles, mining levels, FP-Growth branches;
 //! 2. **checkpoint/resume** makes a rerun cheap — journaled units are
 //!    served from disk and only the missing tail is recomputed;
 //! 3. the **runner** (this module) makes the rerun *happen* — a transient
@@ -14,10 +14,10 @@
 //!
 //! Only [`Error::WorkerPanic`] is retryable: a panic is the one failure
 //! mode that is plausibly transient and that the pool has already isolated
-//! and drained. Cancellation and deadlines are deliberate, configuration
-//! and data errors are deterministic, and budget degradations never
-//! surface as errors at all — retrying any of them would either fight the
-//! operator or repeat the failure verbatim.
+//! and drained. Cancellation and deadlines are deliberate, and
+//! configuration, data and exceeded-budget errors are deterministic —
+//! retrying any of them would either fight the operator or repeat the
+//! failure verbatim.
 //!
 //! Backoff is deterministic: the delay for attempt `n` is
 //! `min(base·2ⁿ, cap)` plus a jitter fraction drawn from a seeded
@@ -221,6 +221,7 @@ mod tests {
             Error::DeadlineExceeded,
             Error::InvalidMinSupport(0.0),
             Error::EmptyReferenceLayer,
+            Error::BudgetExceeded { stage: "mining/fpgrowth.grow".into(), requested: 64, limit: 1 },
         ] {
             let calls = Cell::new(0u32);
             let got = fast().run(|_| -> Result<(), Error> {

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `geopattern` binary: the documented exit-code
 //! contract (0 ok, 1 usage/I-O, 2 invalid configuration, 3 unusable
-//! data) and the `--metrics json` surface.
+//! data, 4 timeout, 5 worker panic, 7 memory budget exceeded) and the
+//! `--metrics json` surface.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -141,15 +142,46 @@ fn resume_without_the_journaled_deps_is_a_fingerprint_mismatch() {
     assert!(stderr(&out).contains("journal"), "stderr: {}", stderr(&out));
 }
 
+/// The first line of a run's stdout: the report summary.
+fn summary_line(out: &Output) -> String {
+    stdout(out).lines().next().unwrap_or_default().to_string()
+}
+
 #[test]
-fn resume_without_the_journaled_budget_is_a_fingerprint_mismatch() {
-    let out = resume_after(
-        "fp-budget",
-        &["--algorithm", "eclat", "--memory-budget", "1"],
-        &["--algorithm", "eclat"],
-    );
-    assert_eq!(out.status.code(), Some(2), "stdout: {}", stdout(&out));
-    assert!(stderr(&out).contains("journal"), "stderr: {}", stderr(&out));
+fn exit_7_on_exceeded_budget_and_a_larger_budget_resumes() {
+    let path = city_file("budget");
+    let journal = std::env::temp_dir().join("geopattern-cli-test-budget.journal");
+    let (path, journal) = (path.to_str().unwrap(), journal.to_str().unwrap());
+    let base = ["mine", path, "--minsup", "0.1", "--algorithm", "fpgrowth"];
+    let fresh = run(&base);
+    assert_eq!(fresh.status.code(), Some(0), "stderr: {}", stderr(&fresh));
+
+    // The smallest power-of-two budget that fails only after at least one
+    // top-level branch was journaled: the unbudgeted rerun then resumes.
+    // The fingerprint leaves the budget out, so the rerun may drop it.
+    for shift in 0..40 {
+        let _ = std::fs::remove_file(journal);
+        let budget = (1u64 << shift).to_string();
+        let mut args = base.to_vec();
+        args.extend(["--memory-budget", budget.as_str(), "--journal", journal]);
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(7), "budget {budget}: {}", stderr(&out));
+        assert!(stderr(&out).contains("memory budget exceeded"), "stderr: {}", stderr(&out));
+        assert!(!stdout(&out).contains("frequent itemsets"), "no report on exit 7");
+
+        let mut args = base.to_vec();
+        args.extend(["--journal", journal, "--resume", "--metrics", "json"]);
+        let resumed = run(&args);
+        assert_eq!(resumed.status.code(), Some(0), "stderr: {}", stderr(&resumed));
+        assert_eq!(summary_line(&resumed), summary_line(&fresh));
+        let metrics = stdout(&resumed);
+        if metrics.contains("\"robust/resume_branches_skipped\":0") {
+            continue;
+        }
+        assert!(metrics.contains("\"robust/resume_branches_skipped\":"), "{metrics}");
+        return;
+    }
+    panic!("no budget failed after journaling a branch");
 }
 
 #[test]
@@ -197,12 +229,21 @@ fn absurd_thread_count_is_rejected() {
 }
 
 #[test]
-fn tid_algorithm_names_parse() {
-    let path = city_file("tid");
-    for name in ["tid", "apriori-tid", "tid-kc+", "apriori-tid-kc+"] {
+fn removed_algorithm_names_exit_1() {
+    let path = city_file("removed");
+    for name in [
+        "eclat",
+        "eclat-kc+",
+        "tid",
+        "tid-kc+",
+        "apriori-tid",
+        "apriori-tid-kc+",
+        "aprioritid",
+        "aprioritid-kc+",
+    ] {
         let out = run(&["mine", path.to_str().unwrap(), "--algorithm", name]);
-        assert_eq!(out.status.code(), Some(0), "{name}: {}", stderr(&out));
-        assert!(stdout(&out).contains("AprioriTid"), "{name}");
+        assert_eq!(out.status.code(), Some(1), "{name}: {}", stderr(&out));
+        assert!(stderr(&out).contains("unknown algorithm"), "{name}: {}", stderr(&out));
     }
 }
 

@@ -212,10 +212,65 @@ pub fn experiment2(seed: u64) -> Experiment {
     spec.generate()
 }
 
+/// A seeded sparse "market basket" workload: `rows` rows of `per_row`
+/// distinct items (at most `items`) drawn from `items` items with Zipf
+/// weights, item `r` weighted `1/(r+1)`. Item `r` is a spatial predicate
+/// of feature type `f{r/5}`, so every five consecutive items share a
+/// type and the same-feature-type filter has work to do. Many items and
+/// short rows make this the opposite of the paper's two experiments:
+/// pass-2 pair joins cost more than one scan of the rows.
+pub fn sparse_baskets(rows: usize, items: usize, per_row: usize, seed: u64) -> Experiment {
+    let mut catalog = ItemCatalog::new();
+    for r in 0..items {
+        let ty = format!("f{}", r / RELATIONS.len());
+        catalog.intern_spatial(format!("{}_{ty}", RELATIONS[r % RELATIONS.len()]), &ty);
+    }
+    // Cumulative Zipf weights; a uniform draw below the total picks the
+    // first item whose cumulative weight exceeds it.
+    let cumulative: Vec<f64> = (1..=items)
+        .scan(0.0, |acc, r| {
+            *acc += 1.0 / r as f64;
+            Some(*acc)
+        })
+        .collect();
+    let total = cumulative.last().copied().unwrap_or(0.0);
+    let per_row = per_row.min(items);
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut data = TransactionSet::new(catalog);
+    for _ in 0..rows {
+        let mut row: Vec<ItemId> = Vec::with_capacity(per_row);
+        while row.len() < per_row {
+            let x = rng.f64() * total;
+            let item = cumulative.partition_point(|&c| c <= x).min(items - 1) as ItemId;
+            if !row.contains(&item) {
+                row.push(item);
+            }
+        }
+        data.push(row);
+    }
+    let same_type = PairFilter::same_feature_type(&data.catalog);
+    Experiment { data, dependencies: PairFilter::none(), same_type }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use geopattern_mining::{mine, AprioriConfig, MinSupport};
+
+    #[test]
+    fn sparse_baskets_are_seeded_zipf_rows() {
+        let e = sparse_baskets(2_000, 50, 6, 3);
+        assert_eq!(e.data.len(), 2_000);
+        assert_eq!(e.data.catalog.len(), 50);
+        assert!(e.data.transactions().iter().all(|t| t.len() == 6));
+        // Ten types of five relations: C(5,2) same-type pairs each.
+        assert_eq!(e.same_type.len(), 10 * 10);
+        let support = |i: ItemId| e.data.transactions().iter().filter(|t| t.contains(&i)).count();
+        assert!(support(0) > support(9) && support(9) > support(49));
+        let again = sparse_baskets(2_000, 50, 6, 3);
+        assert_eq!(e.data.transactions(), again.data.transactions());
+        assert_ne!(e.data.transactions(), sparse_baskets(2_000, 50, 6, 4).data.transactions());
+    }
 
     #[test]
     fn experiment1_matches_paper_statistics() {

@@ -26,7 +26,7 @@ pub mod table1;
 
 pub use city::{default_knowledge, generate_city, CityConfig};
 pub use hydrology::{generate_hydrology, HydrologyConfig};
-pub use experiments::{experiment1, experiment2, Experiment, ExperimentSpec};
+pub use experiments::{experiment1, experiment2, sparse_baskets, Experiment, ExperimentSpec};
 pub use random::{
     lattice_geometry, lattice_linestring, lattice_polygon, random_layer, random_linestring,
     star_polygon,

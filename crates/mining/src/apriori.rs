@@ -14,14 +14,16 @@
 //! and the vertical engine of [`crate::bitmap`]. The default,
 //! [`CountingStrategy::Auto`], picks one per run.
 //!
-//! Hash-subset counts every pass, and the vertical engine pass 2, over
-//! transaction chunks on the in-tree [`geopattern_par`] pool: the
-//! candidate index is built once and shared read-only, each worker
-//! accumulates a private count vector, and the vectors are reduced by
-//! summation — commutative, so the counts are identical to a serial run
-//! for any thread count. The vertical engine's deeper passes fan out over
-//! equivalence classes instead.
+//! Hash-subset counts every pass, and the vertical engine's row scan
+//! pass 2, over transaction chunks on the in-tree [`geopattern_par`]
+//! pool: the candidate index is built once and shared read-only, each
+//! worker accumulates a private count vector, and the vectors are reduced
+//! by summation — commutative, so the counts are identical to a serial
+//! run for any thread count. The vertical engine's pair joins fan out
+//! over candidate chunks, concatenated in candidate order, and its deeper
+//! passes over equivalence classes.
 
+use crate::bitmap::{ItemLists, Pass2, TriangularC2};
 use crate::filter::PairFilter;
 use crate::item::{ItemId, TransactionSet};
 use crate::journal;
@@ -29,7 +31,8 @@ use crate::result::{FrequentItemset, MiningResult, MiningStats, MinSupport};
 use crate::robust;
 use geopattern_obs::Recorder;
 use geopattern_par::{
-    try_par_map_reduce_grained, CancelToken, Grain, Interrupt, Journal, MemoryBudget, Threads,
+    try_par_map_reduce_grained, ApproxBytes, CancelToken, Grain, Interrupt, Journal, MemoryBudget,
+    Threads,
 };
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -42,10 +45,14 @@ pub enum CountingStrategy {
     /// candidate table, so `auto` falls back to it when the memory budget
     /// cannot hold the vertical engine.
     HashSubset,
-    /// Vertical engine: pass 2 through the triangular C₂ kernel (one
-    /// streaming scan, one array cell per post-filter pair), deeper
-    /// passes by equivalence-class DFS over hybrid dense/sparse TID
-    /// lists ([`crate::bitmap::TidList`]).
+    /// Vertical engine over the frequent items' hybrid dense/sparse TID
+    /// lists ([`crate::bitmap::TidList`]). Pass 2 counts the post-filter
+    /// C₂ by whichever method costs less:
+    /// bounded pair joins when `|C₂| × ⌈n/64⌉` words are at most
+    /// `Σ_rows C(k_r, 2)` (`k_r` the frequent items in row `r`), else one
+    /// streaming scan through the triangular kernel. Deeper passes run an
+    /// equivalence-class DFS over the same lists. The pick is recorded as
+    /// `mining/pass2/joins` or `mining/pass2/scan`.
     VerticalBitmap,
     /// Workload-sampled selection, the default: [`crate::strategy::choose`]
     /// picks one of the fixed strategies (and a parallel grain) from
@@ -101,9 +108,11 @@ pub struct AprioriConfig {
     /// and at pool chunk boundaries during counting. Disabled by default,
     /// in which case every check is free and can never fire.
     pub cancel: CancelToken,
-    /// Memory budget for the per-pass candidate sets. Plain Apriori is the
-    /// degradation target of last resort, so it only *tracks* its usage
-    /// (feeding `robust/budget_bytes_peak`); it never degrades itself.
+    /// Memory budget for the per-pass candidate sets and the vertical
+    /// lists. Apriori only *tracks* its usage (feeding
+    /// `robust/budget_bytes_peak`) and never changes its output; `auto`
+    /// reads the headroom to pick hash-subset when the vertical lists
+    /// would not fit.
     pub budget: MemoryBudget,
     /// Durable checkpoint journal. When set, every completed pass appends
     /// its frequent level, and a new run over the same journal seeds the
@@ -181,11 +190,6 @@ impl AprioriConfig {
     pub fn with_journal(mut self, journal: Journal) -> AprioriConfig {
         self.journal = Some(journal);
         self
-    }
-
-    /// The combined `C₂` filter.
-    pub fn combined_filter(&self) -> PairFilter {
-        self.dependencies.clone().union(&self.same_type)
     }
 }
 
@@ -360,8 +364,8 @@ pub fn try_mine(data: &TransactionSet, config: &AprioriConfig) -> Result<MiningR
         }
         let num_candidates = candidates.len();
 
-        // Track (never reject: Apriori is the fallback of last resort) the
-        // candidate set against the budget for the duration of the pass.
+        // Track (never reject: Apriori's output never depends on the
+        // budget) the candidate set for the duration of the pass.
         let candidate_bytes = robust::nested_vec_bytes(&candidates);
         let _ = config.budget.reserve(candidate_bytes);
         let counts = count_hash_subset(data, &candidates, k, config.threads, grain, &config.cancel);
@@ -406,13 +410,14 @@ pub fn try_mine(data: &TransactionSet, config: &AprioriConfig) -> Result<MiningR
 /// The vertical engine behind [`CountingStrategy::VerticalBitmap`].
 ///
 /// Pass 2 reuses `apriori_gen` and the KC/KC+ retain step verbatim (so
-/// the filter statistics are identical to the horizontal backends), then
-/// counts the surviving C₂ with the triangular kernel — one streaming
-/// scan of the transactions, one array cell per post-filter pair, no
-/// hashing. Passes 3 and up switch to an equivalence-class DFS over
-/// vertical TID structures ([`crate::bitmap::mine_vertical_levels`]).
-/// Output is bit-identical to the horizontal backends at any thread
-/// count; only wall-clock and memory shape change.
+/// the filter statistics are identical to the horizontal backends),
+/// builds the frequent items' TID lists, and counts the surviving C₂ by
+/// pair joins over those lists or by one streaming scan through the
+/// triangular kernel, whichever [`Pass2::choose`] finds cheaper. Passes 3
+/// and up run an equivalence-class DFS over the same lists
+/// ([`crate::bitmap::mine_vertical_levels`]). Output is bit-identical to
+/// the horizontal backends at any thread count and by either pass-2
+/// method; only wall-clock and memory shape change.
 #[allow(clippy::too_many_arguments)]
 fn try_mine_vertical(
     data: &TransactionSet,
@@ -464,7 +469,8 @@ fn try_mine_vertical(
         }
         if levels.len() >= 2 {
             // L₂ came from the journal; go straight to the descent.
-            vertical_descent(data, config, threshold, &mut stats, &mut levels)?;
+            let lists = ItemLists::build(data, &levels[0]);
+            vertical_descent(config, threshold, &mut stats, &mut levels, &lists)?;
             break 'mining;
         }
         // Pass-2 boundary: same fail-point and cancellation cadence as
@@ -516,16 +522,32 @@ fn try_mine_vertical(
         }
         let num_candidates = candidates.len();
 
-        let candidate_bytes = robust::nested_vec_bytes(&candidates);
-        let _ = config.budget.reserve(candidate_bytes);
-        let l1_items: Vec<ItemId> = levels[0].iter().map(|f| f.items[0]).collect();
-        let kernel = crate::bitmap::TriangularC2::new(data.catalog.len(), &l1_items, &candidates);
-        let counts =
-            count_chunked(data, candidates.len(), config.threads, grain, &config.cancel, {
-                let kernel = &kernel;
-                move |chunk, counts| kernel.count_chunk(chunk, counts)
-            });
-        config.budget.release(candidate_bytes);
+        // The scan that fills the frequent items' lists also counts what
+        // a row scan of C₂ would cost; pair joins count from the lists,
+        // and the descent below reuses them.
+        let lists = ItemLists::build(data, &levels[0]);
+        let join_words = num_candidates as u64 * data.len().div_ceil(64) as u64;
+        let method = Pass2::choose(join_words, lists.scan_pairs());
+        rec.counter(&format!("mining/pass2/{}", method.name()), 1);
+        rec.counter("mining/pass2_join_words", join_words);
+        rec.counter("mining/pass2_scan_pairs", lists.scan_pairs());
+
+        let pass_bytes = robust::nested_vec_bytes(&candidates) + lists.approx_bytes();
+        let _ = config.budget.reserve(pass_bytes);
+        let counts = match method {
+            Pass2::Joins => {
+                lists.count_pairs(&candidates, threshold, config.threads, &config.cancel)
+            }
+            Pass2::Scan => {
+                let l1_items: Vec<ItemId> = levels[0].iter().map(|f| f.items[0]).collect();
+                let kernel = TriangularC2::new(data.catalog.len(), &l1_items, &candidates);
+                count_chunked(data, num_candidates, config.threads, grain, &config.cancel, {
+                    let kernel = &kernel;
+                    move |chunk, counts| kernel.count_chunk(chunk, counts)
+                })
+            }
+        };
+        config.budget.release(pass_bytes);
         let counts = counts?;
 
         let l2: Vec<FrequentItemset> = candidates
@@ -554,7 +576,7 @@ fn try_mine_vertical(
             break 'mining;
         }
         levels.push(l2);
-        vertical_descent(data, config, threshold, &mut stats, &mut levels)?;
+        vertical_descent(config, threshold, &mut stats, &mut levels, &lists)?;
     }
 
     rec.counter("apriori.passes", levels.len() as u64);
@@ -564,29 +586,27 @@ fn try_mine_vertical(
     Ok(MiningResult { levels, stats })
 }
 
-/// Passes 3 and up in one vertical descent over TID structures, appended
-/// to `levels`/`stats` in place. When a journal is configured, the
-/// descent's per-level records and the run-completion marker are written
-/// *after* the descent finishes — an interrupted descent leaves only the
-/// journaled L₂ behind and is redone from there on resume.
+/// Passes 3 and up in one vertical descent over the frequent items'
+/// `lists`, appended to `levels`/`stats` in place. When a journal is
+/// configured, the descent's per-level records and the run-completion
+/// marker are written *after* the descent finishes — an interrupted
+/// descent leaves only the journaled L₂ behind and is redone from there
+/// on resume.
 fn vertical_descent(
-    data: &TransactionSet,
     config: &AprioriConfig,
     threshold: u64,
     stats: &mut MiningStats,
     levels: &mut Vec<Vec<FrequentItemset>>,
+    lists: &ItemLists,
 ) -> Result<(), Interrupt> {
     let rec = &config.recorder;
     robust::fire("mining/apriori.pass", &config.cancel);
     robust::checkpoint(&config.cancel, rec)?;
     let deep_span = rec.span("vertical");
-    let filter = config.combined_filter();
     let outcome = crate::bitmap::mine_vertical_levels(
-        data,
-        &levels[0],
+        lists,
         &levels[1],
         threshold,
-        &filter,
         config.threads,
         &config.cancel,
         &config.budget,

@@ -1,34 +1,36 @@
-//! Vertical transaction-id representations and the pass-2 counting kernel.
+//! Vertical transaction-id representations and the vertical engine.
 //!
 //! Three layers live here:
 //!
-//! * [`TidSet`] — the word-packed `u64` bitset Eclat has always used,
-//!   with popcount intersection counting and an early-aborting bounded
-//!   variant;
+//! * [`TidSet`] — a word-packed `u64` bitset with popcount intersection
+//!   counting and an early-aborting bounded variant;
 //! * [`TidList`] — a *hybrid* TID set that stores sparse sets (fewer than
 //!   one TID per [`SPARSE_FACTOR`] transactions) as sorted `u32` arrays
 //!   and everything denser as a [`TidSet`], choosing the representation
 //!   per set so memory tracks density instead of database size;
-//! * [`TriangularC2`] + [`mine_vertical_levels`] — the vertical mining
-//!   engine behind the `bitmap` counting strategy: pass 2 counts **all**
-//!   of C₂ in one streaming scan of the encoded transactions through a
+//! * `ItemLists`, [`TriangularC2`] and `mine_vertical_levels` — the
+//!   vertical engine behind the `bitmap` counting strategy. Pass 2 counts
+//!   the post-filter C₂ in whichever of two ways costs less
+//!   (`Pass2::choose`): bounded pair joins over the frequent items'
+//!   lists, or one streaming scan of the encoded transactions through a
 //!   triangular array indexed by item-pair rank (built after the KC+
-//!   filters, so removed pairs never occupy a counter), and deeper passes
-//!   run an Eclat-style equivalence-class DFS over materialised TID
-//!   lists, joined by bounded popcount / merge intersections.
+//!   filters, so removed pairs never occupy a counter). Deeper passes run
+//!   an equivalence-class DFS over the same lists, joined by bounded
+//!   popcount / merge intersections.
 //!
 //! Every path is exact: the engine produces the same itemsets and
 //! supports as horizontal Apriori counting, bit for bit, at any thread
-//! count. Memory for materialised lists is *tracked* against the run's
-//! [`MemoryBudget`] (feeding the peak watermark) but never degrades the
-//! output — the vertical engine is a counting backend, not a lossy
-//! approximation.
+//! count and by either pass-2 method. Memory for materialised lists is
+//! *tracked* against the run's [`MemoryBudget`] (feeding the peak
+//! watermark) but never changes the output — the vertical engine is a
+//! counting backend, not a lossy approximation.
 
-use crate::filter::PairFilter;
 use crate::item::{ItemId, TransactionSet};
 use crate::result::FrequentItemset;
+use crate::robust;
 use geopattern_par::{
-    try_par_map, ApproxBytes, CancelToken, Interrupt, MemoryBudget, Threads,
+    try_par_map, try_par_map_reduce_grained, ApproxBytes, CancelToken, Grain, Interrupt,
+    MemoryBudget, Threads,
 };
 
 /// A transaction-id set as a packed bitset.
@@ -71,12 +73,6 @@ impl TidSet {
                 .map(|(a, b)| a & b)
                 .collect(),
         }
-    }
-
-    /// Approximate heap footprint, for budget accounting of materialised
-    /// joins without building them first.
-    pub fn projected_bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<u64>() + std::mem::size_of::<Vec<u64>>()
     }
 
     /// Cardinality of the intersection with `other` if it reaches `min`,
@@ -432,7 +428,7 @@ impl TriangularC2 {
 
 /// What [`mine_vertical_levels`] found beyond level 2.
 #[derive(Debug, Default)]
-pub struct VerticalOutcome {
+pub(crate) struct VerticalOutcome {
     /// Frequent itemsets per level, `levels[0]` holding the 3-sets; each
     /// level lexicographically sorted — the same order horizontal Apriori
     /// emits.
@@ -445,29 +441,165 @@ pub struct VerticalOutcome {
     pub bitmap_words: u64,
 }
 
-/// The hybrid [`TidList`] of every frequent item in `l1`, indexed like
-/// `l1`, built in one scan over the transactions. `rank` maps item id →
-/// index into `l1` ([`NO_SLOT`] for infrequent items). Each list's
-/// representation is chosen up front from its pass-1 support by the
-/// same rule [`TidList::from_sorted_tids`] applies, so no intermediate
-/// TID vector is ever collected.
-fn item_lists(data: &TransactionSet, l1: &[FrequentItemset], rank: &[u32]) -> Vec<TidList> {
-    let n = data.len();
-    let mut lists: Vec<TidList> = l1.iter().map(|f| TidList::with_support(n, f.support)).collect();
-    for (tid, t) in data.transactions().iter().enumerate() {
-        for &i in t {
-            let r = rank[i as usize];
-            if r != NO_SLOT {
-                lists[r as usize].push(tid as u32);
-            }
-        }
-    }
-    lists
+/// How pass 2 of the vertical engine counts the post-filter C₂.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pass2 {
+    /// One bounded intersection of the two items' [`TidList`]s per
+    /// candidate ([`ItemLists::count_pairs`]).
+    Joins,
+    /// One streaming scan of the transactions through [`TriangularC2`].
+    Scan,
 }
 
-/// Mines every frequent itemset of size ≥ 3 from the frequent items `l1`
-/// and the frequent post-filter pairs `l2` by equivalence-class DFS over
-/// materialised hybrid [`TidList`]s.
+impl Pass2 {
+    /// The cheaper method for a pass: joins when `join_words` — the words
+    /// a dense×dense join of every candidate touches at most,
+    /// `|C₂| × ⌈n/64⌉` — is at most `scan_pairs`, the inner-loop steps
+    /// the triangular scan would take ([`ItemLists::scan_pairs`]); the
+    /// scan otherwise. Both counts are exact properties of the input, so
+    /// the pick is deterministic and needs no tuned constant.
+    pub(crate) fn choose(join_words: u64, scan_pairs: u64) -> Pass2 {
+        if join_words <= scan_pairs {
+            Pass2::Joins
+        } else {
+            Pass2::Scan
+        }
+    }
+
+    /// The method's name, as recorded under `mining/pass2/<name>`.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Pass2::Joins => "joins",
+            Pass2::Scan => "scan",
+        }
+    }
+}
+
+/// The hybrid [`TidList`] of every frequent item, indexed like L₁, built
+/// in one scan over the transactions. Each list's representation is
+/// chosen up front from its pass-1 support by the same rule
+/// [`TidList::from_sorted_tids`] applies, so no intermediate TID vector
+/// is ever collected. The same scan counts the pass-2 row-scan cost.
+#[derive(Debug)]
+pub(crate) struct ItemLists {
+    /// item id → index into L₁ and `lists`, or [`NO_SLOT`] for an
+    /// infrequent item.
+    rank: Vec<u32>,
+    lists: Vec<TidList>,
+    /// `Σ_rows C(k_r, 2)`, `k_r` the frequent items in row `r`.
+    scan_pairs: u64,
+}
+
+impl ItemLists {
+    /// Builds the lists of the frequent items `l1` (ascending 1-sets with
+    /// their pass-1 supports).
+    pub(crate) fn build(data: &TransactionSet, l1: &[FrequentItemset]) -> ItemLists {
+        let n = data.len();
+        let mut rank = vec![NO_SLOT; data.catalog.len()];
+        for (r, f) in l1.iter().enumerate() {
+            rank[f.items[0] as usize] = r as u32;
+        }
+        let mut lists: Vec<TidList> =
+            l1.iter().map(|f| TidList::with_support(n, f.support)).collect();
+        let mut scan_pairs = 0u64;
+        for (tid, t) in data.transactions().iter().enumerate() {
+            let mut k = 0u64;
+            for &i in t {
+                let r = rank[i as usize];
+                if r != NO_SLOT {
+                    lists[r as usize].push(tid as u32);
+                    k += 1;
+                }
+            }
+            scan_pairs += k * k.saturating_sub(1) / 2;
+        }
+        ItemLists { rank, lists, scan_pairs }
+    }
+
+    /// Inner-loop steps the triangular pass-2 scan takes over these rows:
+    /// one per pair of frequent items sharing a row, filtered or not.
+    pub(crate) fn scan_pairs(&self) -> u64 {
+        self.scan_pairs
+    }
+
+    /// Total `u64` words across the dense lists — the
+    /// `mining/bitmap_words` metric.
+    fn words(&self) -> u64 {
+        self.lists.iter().map(|l| l.words() as u64).sum()
+    }
+
+    fn list(&self, item: ItemId) -> &TidList {
+        &self.lists[self.rank[item as usize] as usize]
+    }
+
+    /// Pass 2 by joins: the support of each candidate pair of frequent
+    /// items, in candidate order, by a bounded intersection of the two
+    /// items' lists. A pair below `threshold` counts 0: its join stops as
+    /// soon as the threshold is out of reach. Runs on the pool under the
+    /// `mining/apriori.count` stage and fires that fail-point site once
+    /// per chunk, like the row scan.
+    pub(crate) fn count_pairs(
+        &self,
+        candidates: &[Vec<ItemId>],
+        threshold: u64,
+        threads: Threads,
+        cancel: &CancelToken,
+    ) -> Result<Vec<u64>, Interrupt> {
+        let counts = try_par_map_reduce_grained(
+            threads,
+            Grain::Coarse,
+            cancel,
+            "mining/apriori.count",
+            candidates,
+            |_, chunk| {
+                robust::fire("mining/apriori.count", cancel);
+                chunk
+                    .iter()
+                    .map(|pair| {
+                        self.list(pair[0])
+                            .intersection_count_bounded(self.list(pair[1]), threshold)
+                            .unwrap_or(0)
+                    })
+                    .collect::<Vec<u64>>()
+            },
+            |mut a, b| {
+                a.extend(b);
+                a
+            },
+        )?;
+        Ok(counts.unwrap_or_default())
+    }
+}
+
+impl ApproxBytes for ItemLists {
+    fn approx_bytes(&self) -> usize {
+        self.lists.iter().map(ApproxBytes::approx_bytes).sum()
+    }
+}
+
+/// L₂ indexed by the rank of each pair's first item — the descent's
+/// prune. A join of `yᵢ` and `yⱼ` can only be frequent when `{yᵢ, yⱼ}` is
+/// a frequent pair, and a pair the KC/KC+ filters removed from C₂ is
+/// never in L₂, so one lookup here both filters and prunes.
+struct FrequentPairs<'a> {
+    rank: &'a [u32],
+    /// Pairs whose first item has rank `r`, ascending by second item.
+    by_first: Vec<&'a [FrequentItemset]>,
+}
+
+impl FrequentPairs<'_> {
+    fn contains(&self, a: ItemId, b: ItemId) -> bool {
+        self.by_first[self.rank[a as usize] as usize]
+            .binary_search_by_key(&b, |pair| pair.items[1])
+            .is_ok()
+    }
+}
+
+/// Mines every frequent itemset of size ≥ 3 from the frequent items'
+/// `lists` and the frequent post-filter pairs `l2` by equivalence-class
+/// DFS over materialised hybrid [`TidList`]s. A join is attempted only
+/// when its two new items form a pair in `l2`, so the KC/KC+ filters
+/// carry over without being consulted again.
 ///
 /// Classes (one per first item of an `l2` pair) are independent, so they
 /// fan out on the pool; per-class results are merged in item order and
@@ -479,14 +611,11 @@ fn item_lists(data: &TransactionSet, l1: &[FrequentItemset], rank: &[u32]) -> Ve
 /// class reports — what a serial run would hold at once. Workers never
 /// touch the shared budget, so its peak does not depend on scheduling.
 /// The budget never rejects work: the vertical engine is an exact
-/// counting backend, not a degradation point.
-#[allow(clippy::too_many_arguments)]
-pub fn mine_vertical_levels(
-    data: &TransactionSet,
-    l1: &[FrequentItemset],
+/// counting backend.
+pub(crate) fn mine_vertical_levels(
+    lists: &ItemLists,
     l2: &[FrequentItemset],
     threshold: u64,
-    filter: &PairFilter,
     threads: Threads,
     cancel: &CancelToken,
     budget: &MemoryBudget,
@@ -495,17 +624,10 @@ pub fn mine_vertical_levels(
     if l2.is_empty() {
         return Ok(outcome);
     }
-
-    // `rank` maps item id → index into `l1` and `lists`.
-    let mut rank = vec![NO_SLOT; data.catalog.len()];
-    for (r, f) in l1.iter().enumerate() {
-        rank[f.items[0] as usize] = r as u32;
-    }
-    let lists = item_lists(data, l1, &rank);
-    outcome.bitmap_words = lists.iter().map(|l| l.words() as u64).sum();
+    outcome.bitmap_words = lists.words();
 
     // Group `l2` (lexicographic) into equivalence classes by first item.
-    let mut classes: Vec<(usize, &[FrequentItemset])> = Vec::new();
+    let mut classes: Vec<(ItemId, &[FrequentItemset])> = Vec::new();
     let mut start = 0usize;
     while start < l2.len() {
         let root = l2[start].items[0];
@@ -513,8 +635,13 @@ pub fn mine_vertical_levels(
         while end < l2.len() && l2[end].items[0] == root {
             end += 1;
         }
-        classes.push((rank[root as usize] as usize, &l2[start..end]));
+        classes.push((root, &l2[start..end]));
         start = end;
+    }
+    let mut l2_pairs =
+        FrequentPairs { rank: &lists.rank, by_first: vec![&l2[..0]; lists.lists.len()] };
+    for &(root, class) in &classes {
+        l2_pairs.by_first[lists.rank[root as usize] as usize] = class;
     }
 
     struct ClassResult {
@@ -525,35 +652,35 @@ pub fn mine_vertical_levels(
         peak_bytes: usize,
     }
 
-    let lists_bytes: usize = lists.iter().map(ApproxBytes::approx_bytes).sum();
+    let lists_bytes = lists.approx_bytes();
     let _ = budget.reserve(lists_bytes);
     let per_class = try_par_map(
         threads,
         cancel,
         "mining/apriori.vertical",
         &classes,
-        |_, &(root_rank, pairs)| {
+        |_, &(root, pairs)| {
             let mut res = ClassResult { found: Vec::new(), attempts: Vec::new(), peak_bytes: 0 };
             if pairs.len() < 2 {
                 return res; // nothing to join: no 3-set can form here
             }
             // Materialise the class members. Supports come from the
-            // triangular pass-2 counts carried in `l2` — never recounted.
+            // pass-2 counts carried in `l2` — never recounted.
             let members: Vec<(ItemId, TidList)> = pairs
                 .iter()
                 .map(|pair| {
                     let z = pair.items[1];
-                    (z, lists[root_rank].intersect(&lists[rank[z as usize] as usize]))
+                    (z, lists.list(root).intersect(lists.list(z)))
                 })
                 .collect();
             let member_bytes: usize = members.iter().map(|(_, t)| t.approx_bytes()).sum();
-            let mut prefix = vec![pairs[0].items[0]];
+            let mut prefix = vec![root];
             let nested = extend_class(
                 &members,
                 &mut prefix,
                 0,
                 threshold,
-                filter,
+                &l2_pairs,
                 &mut res.attempts,
                 &mut res.found,
             );
@@ -601,16 +728,16 @@ pub fn mine_vertical_levels(
 /// into the candidate class `prefix ∪ {yᵢ}`, emits the frequent results
 /// and recurses. Returns the most bytes its nested classes held at once.
 ///
-/// The only filter check needed is `blocks(yᵢ, yⱼ)`: by induction, every
-/// pair inside `prefix ∪ {yᵢ}` was checked when its members entered a
-/// class, and `(p, yⱼ)` for `p ∈ prefix` was checked when `yⱼ` entered
-/// the *current* class.
+/// The only pair check needed is `{yᵢ, yⱼ} ∈ L₂`: by induction, every
+/// pair inside `prefix ∪ {yᵢ}` is a frequent unfiltered pair (a subset
+/// of a frequent itemset the search emitted), and so is `(p, yⱼ)` for
+/// `p ∈ prefix`, since `yⱼ` entered the *current* class.
 fn extend_class(
     members: &[(ItemId, TidList)],
     prefix: &mut Vec<ItemId>,
     depth: usize,
     threshold: u64,
-    filter: &PairFilter,
+    pairs: &FrequentPairs,
     attempts: &mut Vec<usize>,
     out: &mut Vec<FrequentItemset>,
 ) -> usize {
@@ -622,7 +749,7 @@ fn extend_class(
         let mut new_members: Vec<(ItemId, TidList)> = Vec::new();
         let mut new_bytes = 0usize;
         for (yj, tj) in &members[i + 1..] {
-            if filter.blocks(*yi, *yj) {
+            if !pairs.contains(*yi, *yj) {
                 continue;
             }
             attempts[depth] += 1;
@@ -642,7 +769,7 @@ fn extend_class(
         if new_members.len() >= 2 {
             prefix.push(*yi);
             let nested =
-                extend_class(&new_members, prefix, depth + 1, threshold, filter, attempts, out);
+                extend_class(&new_members, prefix, depth + 1, threshold, pairs, attempts, out);
             prefix.pop();
             peak = peak.max(new_bytes + nested);
         }
@@ -657,6 +784,126 @@ mod tests {
 
     fn list(n: usize, tids: &[u32]) -> TidList {
         TidList::from_sorted_tids(n, tids.to_vec())
+    }
+
+    #[test]
+    fn tidset_basics() {
+        let mut s = TidSet::new(130);
+        s.insert(0);
+        s.insert(63);
+        s.insert(64);
+        s.insert(129);
+        assert_eq!(s.count(), 4);
+        assert!(s.contains(63) && s.contains(64) && s.contains(129));
+        assert!(!s.contains(1));
+        let mut t = TidSet::new(130);
+        t.insert(64);
+        t.insert(129);
+        t.insert(5);
+        let i = s.intersect(&t);
+        assert_eq!(i.count(), 2);
+        assert!(i.contains(64) && i.contains(129));
+    }
+
+    #[test]
+    fn bounded_intersection_count_matches_exact() {
+        // Exhaustive check over deterministic pseudo-random sets: the
+        // bounded count must return Some(exact) iff exact >= min.
+        let mut state = 0x9e3779b97f4a7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for n in [1usize, 63, 64, 65, 200, 640] {
+            let mut a = TidSet::new(n);
+            let mut b = TidSet::new(n);
+            for tid in 0..n {
+                if next() % 3 == 0 {
+                    a.insert(tid);
+                }
+                if next() % 2 == 0 {
+                    b.insert(tid);
+                }
+            }
+            let exact = a.intersect(&b).count();
+            for min in [0, 1, exact.saturating_sub(1), exact, exact + 1, exact + 64, u64::MAX] {
+                let got = a.intersection_count_bounded(&b, min);
+                if exact >= min {
+                    assert_eq!(got, Some(exact), "n={n} min={min}");
+                } else {
+                    assert_eq!(got, None, "n={n} min={min}");
+                }
+            }
+        }
+    }
+
+    /// Rows of the four items 0..4 given as bitmasks, and their L1.
+    fn masked_rows(masks: &[u32]) -> (TransactionSet, Vec<FrequentItemset>) {
+        let mut c = ItemCatalog::new();
+        for l in ["a", "b", "c", "d"] {
+            c.intern_attribute(l);
+        }
+        let mut ts = TransactionSet::new(c);
+        for &m in masks {
+            ts.push((0..4u32).filter(|&i| m >> i & 1 == 1).collect());
+        }
+        let l1 = (0..4u32)
+            .map(|i| FrequentItemset {
+                items: vec![i],
+                support: masks.iter().filter(|&&m| m >> i & 1 == 1).count() as u64,
+            })
+            .collect();
+        (ts, l1)
+    }
+
+    #[test]
+    fn pass2_rule_picks_joins_up_to_the_scan_cost() {
+        // Rows of 4, 3, 2, 1 and 0 frequent items: 6 + 3 + 1 + 0 + 0
+        // inner-loop steps of the triangular scan.
+        let (ts, l1) = masked_rows(&[0b1111, 0b0111, 0b0011, 0b0001, 0]);
+        let lists = ItemLists::build(&ts, &l1);
+        assert_eq!(lists.scan_pairs(), 10);
+        // Five rows fit one word, so join_words = |C₂|. Ten candidates
+        // cost exactly the scan: joins. One word more: the scan.
+        assert_eq!(Pass2::choose(10, lists.scan_pairs()), Pass2::Joins);
+        assert_eq!(Pass2::choose(11, lists.scan_pairs()), Pass2::Scan);
+        assert_eq!(Pass2::choose(0, 0), Pass2::Joins);
+        assert_eq!(Pass2::choose(1, 0), Pass2::Scan);
+        assert_eq!([Pass2::Joins.name(), Pass2::Scan.name()], ["joins", "scan"]);
+        // An infrequent item does not count toward the scan: drop item 3
+        // from L1 and the 4-item row costs 3 steps, the 3-item row 3.
+        let lists = ItemLists::build(&ts, &l1[..3]);
+        assert_eq!(lists.scan_pairs(), 3 + 3 + 1);
+    }
+
+    #[test]
+    fn pair_joins_count_exactly_what_the_scan_counts() {
+        let masks: Vec<u32> = (0..200u32).map(|t| (t * 7 + t / 3) % 16).collect();
+        let (ts, l1) = masked_rows(&masks);
+        let lists = ItemLists::build(&ts, &l1);
+        let mut candidates = Vec::new();
+        for i in 0..4u32 {
+            for j in (i + 1)..4u32 {
+                candidates.push(vec![i, j]);
+            }
+        }
+        let kernel = TriangularC2::new(4, &[0, 1, 2, 3], &candidates);
+        let mut scanned = vec![0u64; candidates.len()];
+        kernel.count_chunk(ts.transactions(), &mut scanned);
+        for threshold in [1u64, 30, 50, 201] {
+            for threads in [Threads::Serial, Threads::Fixed(2), Threads::Fixed(8)] {
+                let joined = lists
+                    .count_pairs(&candidates, threshold, threads, &CancelToken::none())
+                    .expect("uncontrolled joins");
+                // At or above the threshold the two agree exactly; below
+                // it a bounded join reports 0.
+                let expect: Vec<u64> =
+                    scanned.iter().map(|&c| if c >= threshold { c } else { 0 }).collect();
+                assert_eq!(joined, expect, "threshold {threshold} at {threads:?}");
+            }
+        }
     }
 
     #[test]
@@ -776,7 +1023,7 @@ mod tests {
         // dense support.
         for n in [4096usize, 6400, 64_000] {
             let (ts, l1, tids) = boundary_workload(n);
-            let lists = item_lists(&ts, &l1, &[0, 1, 2, 3]);
+            let lists = ItemLists::build(&ts, &l1).lists;
             for (item, built) in lists.iter().enumerate() {
                 let reference = TidList::from_sorted_tids(n, tids[item].clone());
                 assert_eq!(built, &reference, "n={n} item {item}");
@@ -807,7 +1054,8 @@ mod tests {
                     support: ts.transactions().iter().filter(|t| t.contains(&i)).count() as u64,
                 })
                 .collect();
-            let payload: usize = item_lists(&ts, &l1, &[0, 1, 2, 3, 4])
+            let payload: usize = ItemLists::build(&ts, &l1)
+                .lists
                 .iter()
                 .map(|l| l.approx_bytes() - std::mem::size_of::<TidList>())
                 .sum();

@@ -16,7 +16,7 @@ use crate::journal;
 use crate::result::{FrequentItemset, MiningResult, MiningStats, MinSupport};
 use crate::robust;
 use geopattern_obs::Recorder;
-use geopattern_par::{ApproxBytes, CancelToken, Interrupt, Journal, MemoryBudget};
+use geopattern_par::{ApproxBytes, BudgetGuard, CancelToken, Interrupt, Journal, MemoryBudget};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -34,9 +34,9 @@ pub struct FpGrowthConfig {
     /// conditional-tree boundary. Disabled by default.
     pub cancel: CancelToken,
     /// Memory budget for conditional FP-trees. When a conditional tree's
-    /// reservation fails, its branch of the pattern-growth recursion is
-    /// aborted (the pattern itself is kept) — a lossy degradation counted
-    /// per branch in `stats.degradations` and `robust/degradations`.
+    /// reservation fails, the run fails with
+    /// [`Interrupt::BudgetExceeded`] rather than return truncated output;
+    /// top-level branches journaled before the refusal stay journaled.
     pub budget: MemoryBudget,
     /// Optional crash-recovery journal. Each completed top-level prefix
     /// branch appends its itemsets under `fpgrowth/branch` keyed by the
@@ -184,8 +184,8 @@ pub fn mine_fp(data: &TransactionSet, config: &FpGrowthConfig) -> MiningResult {
 }
 
 /// Fallible [`mine_fp`]: honours `config.cancel` at every conditional-tree
-/// boundary and aborts recursion branches whose conditional trees exceed
-/// `config.budget`.
+/// boundary and fails with [`Interrupt::BudgetExceeded`] when a
+/// conditional tree does not fit `config.budget`.
 pub fn try_mine_fp(
     data: &TransactionSet,
     config: &FpGrowthConfig,
@@ -230,11 +230,10 @@ pub fn try_mine_fp(
         .into_iter()
         .filter(|&(_, c)| c >= threshold)
         .collect();
-    let mut degradations = 0usize;
     // The top level of `fp_mine`, unrolled so every prefix branch is a
-    // journaling unit: a completed branch's itemsets (and aborted-branch
-    // count) persist under `fpgrowth/branch` keyed by growth position, and
-    // a resumed run serves them from the record instead of re-growing.
+    // journaling unit: a completed branch's itemsets persist under
+    // `fpgrowth/branch` keyed by growth position, and a resumed run
+    // serves them from the record instead of re-growing.
     robust::fire("mining/fpgrowth.grow", &config.cancel);
     robust::checkpoint(&config.cancel, rec)?;
     let mut items: Vec<(&ItemId, &u64)> = item_counts.iter().collect();
@@ -243,7 +242,7 @@ pub fn try_mine_fp(
     for (branch, (&item, &count)) in items.into_iter().enumerate() {
         if let Some(j) = &config.journal {
             if let Some(payload) = j.lookup(journal::FP_BRANCH, branch as u64) {
-                if let Some((sets, aborted)) = journal::decode_class(&payload) {
+                if let Some(sets) = journal::decode_class(&payload) {
                     // The record's root must match the recomputed branch
                     // root, or the record is ignored and the branch regrown.
                     let ok = sets
@@ -251,7 +250,6 @@ pub fn try_mine_fp(
                         .is_some_and(|f| f.items == [item] && f.support == count);
                     if ok {
                         found.extend(sets);
-                        degradations += aborted as usize;
                         resumed += 1;
                         continue;
                     }
@@ -259,7 +257,6 @@ pub fn try_mine_fp(
             }
         }
         let branch_start = found.len();
-        let deg_start = degradations;
         let pattern = vec![item];
         found.push(FrequentItemset { items: pattern.clone(), support: count });
         let base = tree.conditional_base(item);
@@ -280,38 +277,20 @@ pub fn try_mine_fp(
                     cond_tree.insert(&filtered, *c);
                 }
             }
-            match config.budget.try_guard(cond_tree.approx_bytes()) {
-                Some(_guard) => {
-                    fp_mine(
-                        &cond_tree,
-                        &cond_counts,
-                        threshold,
-                        config,
-                        &pattern,
-                        &mut degradations,
-                        &mut found,
-                    )?;
-                }
-                None => degradations += 1,
-            }
+            let _guard = guard_tree(&config.budget, &cond_tree)?;
+            fp_mine(&cond_tree, &cond_counts, threshold, config, &pattern, &mut found)?;
         }
         if let Some(j) = &config.journal {
             let _ = j.append(
                 journal::FP_BRANCH,
                 branch as u64,
-                &journal::encode_class(
-                    (degradations - deg_start) as u64,
-                    &found[branch_start..],
-                ),
+                &journal::encode_class(&found[branch_start..]),
             );
         }
     }
     drop(grow_span);
     if config.journal.is_some() {
         rec.counter("robust/resume_branches_skipped", resumed);
-    }
-    if degradations > 0 {
-        rec.counter("robust/degradations", degradations as u64);
     }
     robust::record_budget_peak(&config.budget, rec);
     rec.counter("fpgrowth.itemsets", found.len() as u64);
@@ -331,11 +310,22 @@ pub fn try_mine_fp(
 
     let stats = MiningStats {
         frequent_per_level: levels.iter().map(Vec::len).collect(),
-        degradations,
         duration: start.elapsed(),
         ..MiningStats::default()
     };
     Ok(MiningResult { levels, stats })
+}
+
+/// Reserves a conditional tree's bytes for its recursion, or refuses it
+/// with [`Interrupt::BudgetExceeded`]: FP-Growth never drops a branch to
+/// fit its budget.
+fn guard_tree<'a>(budget: &'a MemoryBudget, tree: &FpTree) -> Result<BudgetGuard<'a>, Interrupt> {
+    let requested = tree.approx_bytes();
+    budget.try_guard(requested).ok_or_else(|| Interrupt::BudgetExceeded {
+        stage: "mining/fpgrowth.grow".to_string(),
+        requested,
+        limit: budget.limit().unwrap_or(0),
+    })
 }
 
 fn fp_mine(
@@ -344,7 +334,6 @@ fn fp_mine(
     threshold: u64,
     config: &FpGrowthConfig,
     suffix: &[ItemId],
-    degradations: &mut usize,
     out: &mut Vec<FrequentItemset>,
 ) -> Result<(), Interrupt> {
     // Each conditional tree is FP-Growth's "pass": fail-point site and
@@ -389,15 +378,10 @@ fn fp_mine(
                 cond_tree.insert(&filtered, *c);
             }
         }
-        // The conditional tree is the recursion's memory cost; if the
-        // budget refuses it, abort this branch (the pattern above is kept,
-        // its extensions are lost) and keep growing the siblings.
-        match config.budget.try_guard(cond_tree.approx_bytes()) {
-            Some(_guard) => {
-                fp_mine(&cond_tree, &cond_counts, threshold, config, &pattern, degradations, out)?;
-            }
-            None => *degradations += 1,
-        }
+        // The conditional tree is the recursion's memory cost; a refused
+        // tree fails the run rather than lose its extensions.
+        let _guard = guard_tree(&config.budget, &cond_tree)?;
+        fp_mine(&cond_tree, &cond_counts, threshold, config, &pattern, out)?;
     }
     Ok(())
 }
@@ -485,19 +469,29 @@ mod tests {
     }
 
     #[test]
-    fn zero_budget_aborts_growth_but_keeps_single_items() {
-        let data = toy();
-        let full = mine_fp(&data, &FpGrowthConfig::new(MinSupport::Count(1)));
-        assert!(full.max_size() > 1);
-        let degraded = try_mine_fp(
-            &data,
-            &FpGrowthConfig::new(MinSupport::Count(1))
-                .with_budget(geopattern_par::MemoryBudget::bytes(0)),
+    fn zero_budget_is_a_typed_error() {
+        let got = try_mine_fp(
+            &toy(),
+            &FpGrowthConfig::new(MinSupport::Count(1)).with_budget(MemoryBudget::bytes(0)),
+        );
+        match got {
+            Err(Interrupt::BudgetExceeded { stage, requested, limit }) => {
+                assert_eq!(stage, "mining/fpgrowth.grow");
+                assert!(requested > 0);
+                assert_eq!(limit, 0);
+            }
+            other => panic!("expected BudgetExceeded, got {other:?}"),
+        }
+        // A generous budget changes nothing and leaves nothing reserved.
+        let budget = MemoryBudget::bytes(1 << 24);
+        let within = try_mine_fp(
+            &toy(),
+            &FpGrowthConfig::new(MinSupport::Count(1)).with_budget(budget.clone()),
         )
-        .expect("branch aborts are not interrupts");
-        assert!(degraded.stats.degradations > 0);
-        assert_eq!(degraded.max_size(), 1, "no conditional tree fits, so no growth");
-        assert_eq!(full.levels[0], degraded.levels[0]);
+        .expect("within budget");
+        let full = mine_fp(&toy(), &FpGrowthConfig::new(MinSupport::Count(1)));
+        assert_eq!(sorted_sets(&full), sorted_sets(&within));
+        assert_eq!(budget.used(), 0, "tree guards release on drop");
     }
 
     #[test]

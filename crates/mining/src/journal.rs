@@ -1,22 +1,23 @@
 //! Byte codec and resume helpers for journaled mining state.
 //!
 //! Journal payloads are opaque to [`geopattern_par::Journal`]; this module
-//! owns the mining-side record formats. Two shapes cover all four miners:
+//! owns the mining-side record formats. Two shapes cover both miners:
 //!
-//! * **level records** (Apriori and AprioriTid, one per completed pass) —
-//!   a flag byte, the pass's candidate count, the cumulative `C₂` filter
-//!   totals, and the frequent itemsets of that level. The shard number is
-//!   the pass number `k` (1-based), so a journal holds a *contiguous
+//! * **level records** (Apriori, one per completed pass) — a flag byte,
+//!   the pass's candidate count, the cumulative `C₂` filter totals, and
+//!   the frequent itemsets of that level. The shard number is the pass
+//!   number `k` (1-based), so a journal holds a *contiguous
 //!   completed-level prefix* and resuming means seeding the level loop
 //!   past it. A level with no frequent itemsets, a pass with no candidates
 //!   ([`FLAG_NO_CANDIDATES`]) and the explicit [`FLAG_COMPLETE`] marker
 //!   all terminate the run — a journal ending in one of them replays the
 //!   whole result without mining anything.
-//! * **class records** (Eclat equivalence classes and FP-Growth top-level
-//!   branches, one per completed search unit) — the unit's degradation
-//!   count and its itemsets in emission order. Units are independent, so
-//!   there is no prefix requirement: each journaled unit is skipped
-//!   individually and the rest are recomputed.
+//! * **class records** (FP-Growth top-level branches, one per completed
+//!   branch) — the branch's itemsets in emission order. Branches are
+//!   independent, so there is no prefix requirement: each journaled
+//!   branch is skipped individually and the rest are recomputed. A run
+//!   that fails over budget keeps the branches it journaled before the
+//!   refusal, so a rerun with a larger budget resumes from them.
 //!
 //! Every decoder returns `None` on any malformed byte, and resume helpers
 //! validate journaled state against freshly recomputed anchors (L₁ for
@@ -32,11 +33,6 @@ use geopattern_par::Journal;
 /// levels are bit-identical across strategies, so a journal written under
 /// one strategy resumes a run under another).
 pub(crate) const APRIORI_LEVEL: &str = "apriori/level";
-/// Level records of AprioriTid (separate namespace: its filter statistics
-/// differ from a KC-configured Apriori run over the same journal file).
-pub(crate) const TID_LEVEL: &str = "apriori_tid/level";
-/// Per-equivalence-class records of Eclat.
-pub(crate) const ECLAT_CLASS: &str = "eclat/class";
 /// Per-top-level-branch records of FP-Growth.
 pub(crate) const FP_BRANCH: &str = "fpgrowth/branch";
 
@@ -47,8 +43,7 @@ pub(crate) const FLAG_NO_CANDIDATES: u8 = 0;
 /// A completed pass with its frequent itemsets (terminal when empty).
 pub(crate) const FLAG_LEVEL: u8 = 1;
 /// Explicit run-complete marker, for exits that push no per-level
-/// statistics (AprioriTid's single-survivor break, the vertical engine's
-/// end of descent). Terminal.
+/// statistics (the vertical engine's end of descent). Terminal.
 pub(crate) const FLAG_COMPLETE: u8 = 2;
 
 /// One decoded level record.
@@ -177,21 +172,18 @@ pub(crate) fn decode_level(payload: &[u8]) -> Option<LevelRecord> {
     r.done().then_some(LevelRecord { flag, candidates, removed_dep, removed_same, itemsets })
 }
 
-/// Encodes one class/branch record (degradation count + itemsets in
-/// emission order).
-pub(crate) fn encode_class(aborted: u64, itemsets: &[FrequentItemset]) -> Vec<u8> {
+/// Encodes one class/branch record: its itemsets in emission order.
+pub(crate) fn encode_class(itemsets: &[FrequentItemset]) -> Vec<u8> {
     let mut out = Vec::new();
-    put_u64(&mut out, aborted);
     put_itemsets(&mut out, itemsets);
     out
 }
 
 /// Decodes one class/branch record; `None` on any malformed byte.
-pub(crate) fn decode_class(payload: &[u8]) -> Option<(Vec<FrequentItemset>, u64)> {
+pub(crate) fn decode_class(payload: &[u8]) -> Option<Vec<FrequentItemset>> {
     let mut r = Reader::new(payload);
-    let aborted = r.take_u64()?;
     let itemsets = take_itemsets(&mut r)?;
-    r.done().then_some((itemsets, aborted))
+    r.done().then_some(itemsets)
 }
 
 /// The contiguous journaled level prefix under `kind`, validated against
@@ -255,10 +247,8 @@ mod tests {
     #[test]
     fn class_records_round_trip() {
         let itemsets = sets(&[(&[3], 5), (&[3, 4], 2), (&[3, 4, 7], 1)]);
-        let bytes = encode_class(2, &itemsets);
-        let (got, aborted) = decode_class(&bytes).expect("round trip");
-        assert_eq!(aborted, 2);
-        assert_eq!(got, itemsets);
+        let bytes = encode_class(&itemsets);
+        assert_eq!(decode_class(&bytes).expect("round trip"), itemsets);
     }
 
     #[test]
@@ -274,13 +264,12 @@ mod tests {
         bad_flag[0] = 9;
         assert!(decode_level(&bad_flag).is_none(), "unknown flag rejected");
 
-        let good = encode_class(1, &sets(&[(&[0], 2)]));
+        let good = encode_class(&sets(&[(&[0], 2)]));
         for cut in 0..good.len() {
             assert!(decode_class(&good[..cut]).is_none(), "truncated at {cut}");
         }
         // A huge declared count fails cleanly instead of allocating.
         let mut huge = Vec::new();
-        put_u64(&mut huge, 0);
         put_u32(&mut huge, u32::MAX);
         assert!(decode_class(&huge).is_none());
     }
@@ -339,14 +328,11 @@ mod tests {
     // length, bit-identical output versus an unjournaled control. ---
 
     use crate::apriori::{mine, AprioriConfig, CountingStrategy};
-    use crate::apriori_tid::{mine_apriori_tid, AprioriTidConfig};
-    use crate::eclat::{mine_eclat, EclatConfig};
     use crate::filter::PairFilter;
     use crate::fpgrowth::{mine_fp, FpGrowthConfig};
     use crate::item::{ItemCatalog, TransactionSet};
     use crate::result::{MiningResult, MinSupport};
     use geopattern_obs::Recorder;
-    use geopattern_par::Threads;
 
     /// A scratch directory unique to one test, removed on drop.
     struct Scratch(std::path::PathBuf);
@@ -424,7 +410,6 @@ mod tests {
             control.stats.pairs_removed_same_type, resumed.stats.pairs_removed_same_type,
             "{ctx}: removed_same"
         );
-        assert_eq!(control.stats.degradations, resumed.stats.degradations, "{ctx}: degradations");
     }
 
     #[test]
@@ -507,86 +492,6 @@ mod tests {
     }
 
     #[test]
-    fn apriori_tid_resumes_bit_identically_from_any_journal_prefix() {
-        let data = toy();
-        let filter = PairFilter::from_pairs([(0u32, 1u32)]);
-        let config = AprioriTidConfig::new(MinSupport::Count(1)).with_filter(filter);
-        let control = mine_apriori_tid(&data, &config);
-        assert!(control.stats.pairs_removed_same_type > 0);
-        let dir = Scratch::new("tid");
-        let full = Journal::create(dir.path("full.journal"), 1).unwrap();
-        let first = mine_apriori_tid(&data, &config.clone().with_journal(full.clone()));
-        assert_identical(&control, &first, "journaled run");
-        let total = full.records(TID_LEVEL).len();
-        assert!(total >= 3, "toy data must journal several levels, got {total}");
-
-        for keep in 0..=total {
-            let rec = Recorder::new();
-            let partial = partial_journal(
-                &full,
-                &dir.path(&format!("keep{keep}.journal")),
-                TID_LEVEL,
-                keep,
-            );
-            let resumed = mine_apriori_tid(
-                &data,
-                &config.clone().with_journal(partial).with_recorder(rec.clone()),
-            );
-            assert_identical(&control, &resumed, &format!("keep {keep}"));
-            if keep >= 2 {
-                let skipped =
-                    rec.snapshot().counter("robust/resume_levels_skipped").unwrap_or(0);
-                assert!(skipped >= 1, "keep {keep}: expected skipped levels");
-            }
-        }
-    }
-
-    #[test]
-    fn eclat_resume_serves_journaled_classes_at_any_thread_count() {
-        let data = toy();
-        let config = EclatConfig::new(MinSupport::Count(1));
-        let control = mine_eclat(&data, &config);
-        let dir = Scratch::new("eclat");
-        let full = Journal::create(dir.path("full.journal"), 1).unwrap();
-        let first = mine_eclat(&data, &config.clone().with_journal(full.clone()));
-        assert_eq!(sorted_sets(&control), sorted_sets(&first));
-        let total = full.records(ECLAT_CLASS).len();
-        assert!(total >= 3, "one record per frequent 1-item, got {total}");
-
-        for keep in [1usize, 2, total] {
-            for threads in [Threads::Serial, Threads::Fixed(2), Threads::Fixed(8)] {
-                let rec = Recorder::new();
-                let partial = partial_journal(
-                    &full,
-                    &dir.path(&format!("keep{keep}-{threads:?}.journal")),
-                    ECLAT_CLASS,
-                    keep,
-                );
-                let resumed = mine_eclat(
-                    &data,
-                    &config
-                        .clone()
-                        .with_journal(partial)
-                        .with_threads(threads)
-                        .with_recorder(rec.clone()),
-                );
-                assert_eq!(
-                    sorted_sets(&control),
-                    sorted_sets(&resumed),
-                    "keep {keep}, {threads:?}"
-                );
-                assert_eq!(
-                    control.stats.frequent_per_level, resumed.stats.frequent_per_level,
-                    "keep {keep}, {threads:?}"
-                );
-                let skipped =
-                    rec.snapshot().counter("robust/resume_classes_skipped").unwrap_or(0);
-                assert_eq!(skipped, keep as u64, "keep {keep}, {threads:?}");
-            }
-        }
-    }
-
-    #[test]
     fn fpgrowth_resume_serves_journaled_branches() {
         let data = toy();
         let filter = PairFilter::from_pairs([(2u32, 3u32)]);
@@ -631,15 +536,8 @@ mod tests {
         let j = Journal::create(dir.path("bogus.journal"), 1).unwrap();
         let bogus = sets(&[(&[9], 99), (&[9, 10], 98)]);
         for shard in 0..8u64 {
-            j.append(ECLAT_CLASS, shard, &encode_class(0, &bogus)).unwrap();
-            j.append(FP_BRANCH, shard, &encode_class(0, &bogus)).unwrap();
+            j.append(FP_BRANCH, shard, &encode_class(&bogus)).unwrap();
         }
-        let ec_control = mine_eclat(&data, &EclatConfig::new(MinSupport::Count(1)));
-        let ec = mine_eclat(
-            &data,
-            &EclatConfig::new(MinSupport::Count(1)).with_journal(j.clone()),
-        );
-        assert_eq!(sorted_sets(&ec_control), sorted_sets(&ec));
         let fp_control = mine_fp(&data, &FpGrowthConfig::new(MinSupport::Count(1)));
         let fp = mine_fp(
             &data,

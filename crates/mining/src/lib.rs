@@ -9,8 +9,9 @@
 //!   removed from `C₂`, with two support-counting backends (hash-subset
 //!   and the vertical bitmap engine);
 //! * [`bitmap`] — vertical TID representations (word-packed bitsets and
-//!   a hybrid dense/sparse [`TidList`]) and the triangular pass-2 kernel
-//!   behind the `bitmap` counting strategy;
+//!   a hybrid dense/sparse [`TidList`]), the two pass-2 methods (pair
+//!   joins and the triangular row scan, picked by cost) and the
+//!   equivalence-class descent behind the `bitmap` counting strategy;
 //! * [`strategy`] — the workload-sampled policy behind the default
 //!   [`CountingStrategy::Auto`]: a pure [`choose`]`(`[`WorkloadStats`]`)`
 //!   mapping cheap encode-time statistics to a strategy + grain;
@@ -56,10 +57,8 @@
 //! ```
 
 pub mod apriori;
-pub mod apriori_tid;
 pub mod bitmap;
 pub mod closed;
-pub mod eclat;
 pub mod filter;
 pub mod fpgrowth;
 pub mod gain;
@@ -71,11 +70,9 @@ pub mod rules;
 pub mod strategy;
 
 pub use apriori::{apriori_gen, mine, try_mine, AprioriConfig, CountingStrategy};
-pub use apriori_tid::{mine_apriori_tid, try_mine_apriori_tid, AprioriTidConfig};
 pub use bitmap::{TidList, TidSet, TriangularC2, SPARSE_FACTOR};
 pub use strategy::{choose, WorkloadStats};
 pub use closed::{closed_itemsets, maximal_itemsets};
-pub use eclat::{mine_eclat, try_mine_eclat, EclatConfig};
 pub use filter::PairFilter;
 pub use fpgrowth::{mine_fp, try_mine_fp, FpGrowthConfig};
 pub use gain::{binomial, itemset_count_lower_bound, minimal_gain, table3};

@@ -57,11 +57,6 @@ pub struct MiningStats {
     pub pairs_removed_dependencies: usize,
     /// Pairs removed from C₂ as same-feature-type pairs (Apriori-KC+).
     pub pairs_removed_same_type: usize,
-    /// Graceful degradations taken because a memory budget was exhausted
-    /// (AprioriTid restarting as plain Apriori counts once; Eclat and
-    /// FP-Growth count one per abandoned branch). Zero on an unbudgeted
-    /// run.
-    pub degradations: usize,
     /// Wall-clock time of the run.
     pub duration: Duration,
 }

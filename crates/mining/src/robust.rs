@@ -1,4 +1,4 @@
-//! Shared fault-tolerance plumbing for the four miners.
+//! Shared fault-tolerance plumbing for the two miners.
 //!
 //! Each miner checks its [`CancelToken`] at pass boundaries, reports every
 //! enabled check on the `robust/cancel_checks` counter, fires its
@@ -7,6 +7,10 @@
 //! counters are recorded *only* when the corresponding control is enabled
 //! and only at thread-count-independent sites, so instrumented runs stay
 //! bit-identical (metrics included) across thread counts.
+//!
+//! A budget never truncates output: Apriori's backends only track it, and
+//! FP-Growth, the one miner that refuses work over budget, fails the run
+//! with [`Interrupt::BudgetExceeded`] instead.
 
 use geopattern_obs::Recorder;
 use geopattern_par::{CancelToken, Interrupt, MemoryBudget};
@@ -28,15 +32,6 @@ pub(crate) fn checkpoint(cancel: &CancelToken, rec: &Recorder) -> Result<(), Int
 pub(crate) fn fire(site: &str, cancel: &CancelToken) {
     if geopattern_testkit::failpoint::trigger(site) {
         cancel.cancel();
-    }
-}
-
-/// Counts one graceful degradation (budget-limited runs only — the
-/// counter must not exist on unbudgeted runs or it would break metric
-/// equality with uncontrolled runs).
-pub(crate) fn count_degradation(budget: &MemoryBudget, rec: &Recorder) {
-    if budget.is_limited() {
-        rec.counter("robust/degradations", 1);
     }
 }
 
@@ -80,19 +75,16 @@ mod tests {
     }
 
     #[test]
-    fn degradation_and_peak_skip_unlimited_budgets() {
+    fn peak_skips_unlimited_budgets() {
         let rec = Recorder::new();
-        let unlimited = MemoryBudget::unlimited();
-        count_degradation(&unlimited, &rec);
-        record_budget_peak(&unlimited, &rec);
+        record_budget_peak(&MemoryBudget::unlimited(), &rec);
         assert!(rec.snapshot().is_empty());
 
         let limited = MemoryBudget::bytes(10);
         assert!(!limited.reserve(64));
-        count_degradation(&limited, &rec);
         record_budget_peak(&limited, &rec);
         let snap = rec.snapshot();
-        assert_eq!(snap.counter("robust/degradations"), Some(1));
+        assert_eq!(snap.histogram("robust/budget_bytes_peak").map(|h| h.max), Some(64));
     }
 
     #[test]

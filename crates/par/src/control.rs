@@ -34,6 +34,17 @@ pub enum Interrupt {
         /// The panic payload, rendered as text.
         message: String,
     },
+    /// A consumer that refuses work over budget (FP-Growth's conditional
+    /// trees) could not fit a reservation. The run stops instead of
+    /// returning truncated output.
+    BudgetExceeded {
+        /// The stage whose reservation was refused (e.g. `"mining/fpgrowth.grow"`).
+        stage: String,
+        /// Bytes the refused reservation asked for.
+        requested: usize,
+        /// The budget's byte limit.
+        limit: usize,
+    },
 }
 
 impl std::fmt::Display for Interrupt {
@@ -44,6 +55,11 @@ impl std::fmt::Display for Interrupt {
             Interrupt::WorkerPanic { stage, message } => {
                 write!(f, "worker panicked in stage {stage:?}: {message}")
             }
+            Interrupt::BudgetExceeded { stage, requested, limit } => write!(
+                f,
+                "memory budget exceeded in stage {stage:?}: {requested} bytes requested, \
+                 limit {limit} bytes"
+            ),
         }
     }
 }
@@ -161,9 +177,11 @@ struct BudgetInner {
 ///
 /// [`MemoryBudget::unlimited`] (the default) never rejects a reservation
 /// and tracks nothing. A limited budget admits reservations up to its
-/// byte limit; what a consumer does on rejection is its documented
-/// degradation policy (AprioriTid falls back to plain Apriori, Eclat and
-/// FP-Growth abort the offending branch). The high-water mark is kept for
+/// byte limit. A consumer either only tracks its usage (the Apriori
+/// backends and extraction, which never change their output under a
+/// budget) or refuses the work and fails with
+/// [`Interrupt::BudgetExceeded`] (FP-Growth's conditional trees); no
+/// consumer returns truncated output. The high-water mark is kept for
 /// the `robust/budget_bytes_peak` counter.
 #[derive(Debug, Clone, Default)]
 pub struct MemoryBudget {
@@ -194,10 +212,11 @@ impl MemoryBudget {
 
     /// Accounts `n` bytes and reports whether the total stays within the
     /// limit. The bytes are accounted *even when the answer is `false`* —
-    /// a caller that degrades must pair the failed reservation with a
-    /// [`MemoryBudget::release`] (guards do this automatically), and a
-    /// caller that merely tracks (plain Apriori) can ignore the verdict.
-    #[must_use = "a false return means the budget is exhausted; degrade or release"]
+    /// a caller that refuses the work must pair the failed reservation
+    /// with a [`MemoryBudget::release`] (guards do this automatically),
+    /// and a caller that merely tracks (the Apriori backends) can ignore
+    /// the verdict.
+    #[must_use = "a false return means the budget is exhausted; refuse the work or release"]
     pub fn reserve(&self, n: usize) -> bool {
         let Some(inner) = &self.inner else {
             return true;
@@ -376,5 +395,7 @@ mod tests {
         assert_eq!(Interrupt::DeadlineExceeded.to_string(), "deadline exceeded");
         let p = Interrupt::WorkerPanic { stage: "s".into(), message: "boom".into() };
         assert!(p.to_string().contains("boom") && p.to_string().contains("\"s\""));
+        let b = Interrupt::BudgetExceeded { stage: "s".into(), requested: 96, limit: 64 };
+        assert!(b.to_string().contains("96 bytes requested") && b.to_string().contains("64"));
     }
 }

@@ -14,8 +14,9 @@
 //!   and joining the pool cleanly on any interruption;
 //! * [`control`] — the cooperative fault-tolerance primitives shared by
 //!   the whole system: [`CancelToken`] (atomic flag + optional monotonic
-//!   deadline), [`MemoryBudget`] (byte accounting with a peak watermark
-//!   for graceful degradation), and the [`ApproxBytes`] estimate trait.
+//!   deadline), [`MemoryBudget`] (byte accounting with a peak watermark,
+//!   for tracking or typed refusal), and the [`ApproxBytes`] estimate
+//!   trait.
 //!
 //! Work distribution is *chunked self-scheduling*: the input is cut into
 //! more chunks than workers (bounding imbalance to one chunk) and workers
@@ -131,7 +132,7 @@ fn available_threads() -> usize {
 /// bit-identical to the serial map for either grain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Grain {
-    /// Each element does substantial work (geometry pairs, Eclat
+    /// Each element does substantial work (geometry pairs, vertical
     /// equivalence classes). Parallelism pays off almost immediately, and
     /// small chunks keep the pool balanced. The default.
     #[default]

@@ -3,8 +3,8 @@
 //! Fault-tolerance code that is never executed is fault-tolerance theatre.
 //! This module lets tests (and CI) *inject* failures at named sites inside
 //! the real pipeline — extraction rows, the encoder, every mining pass —
-//! so the cancellation, panic-isolation and degradation paths are
-//! exercised rather than trusted on inspection.
+//! so the cancellation and panic-isolation paths are exercised rather
+//! than trusted on inspection.
 //!
 //! A site is one line of instrumentation:
 //!

@@ -23,11 +23,7 @@ echo "==> fault-injection suite (fail points armed, fixed seeds)"
 cargo test --release -q -p geopattern-integration --test fault_injection
 cargo test --release -q -p geopattern-integration --test dataset_fuzz
 
-echo "==> degradation-equivalence gate (AprioriTid degraded == plain Apriori, Fig 5 data)"
-cargo test --release -q -p geopattern-integration --test robustness \
-    apriori_tid_degradation_is_equivalent_to_plain_apriori
-
-echo "==> CLI exit-code contract (timeout=4, worker panic=5, absurd --tile-size=1, removed counting flag=1)"
+echo "==> CLI exit-code contract (timeout=4, worker panic=5, exceeded budget=7, absurd --tile-size=1, removed counting flag and algorithms=1)"
 DATASET="$(mktemp -t geopattern-ci-XXXXXX.gpd)"
 trap 'rm -f "$DATASET"' EXIT
 cargo run --release -q -p geopattern --bin geopattern -- \
@@ -59,6 +55,23 @@ cargo run --release -q -p geopattern --bin geopattern -- \
 code=$?
 set -e
 test "$code" -eq 1 || { echo "expected exit 1 on the removed --counting flag, got $code"; exit 1; }
+# Eclat and AprioriTid are gone; their names are unknown algorithms.
+for removed in eclat tid; do
+    set +e
+    cargo run --release -q -p geopattern --bin geopattern -- \
+        mine "$DATASET" --algorithm "$removed" >/dev/null 2>&1
+    code=$?
+    set -e
+    test "$code" -eq 1 || { echo "expected exit 1 on --algorithm $removed, got $code"; exit 1; }
+done
+# Budget gate: a budget never truncates output. FP-Growth refuses a
+# conditional tree that does not fit and fails with exit 7.
+set +e
+cargo run --release -q -p geopattern --bin geopattern -- \
+    mine "$DATASET" --algorithm fpgrowth --memory-budget 1 >/dev/null 2>&1
+code=$?
+set -e
+test "$code" -eq 7 || { echo "expected exit 7 on an exceeded --memory-budget, got $code"; exit 1; }
 
 echo "==> kill-and-resume gate (journaled crash, resume bit-identical, journal fuzz)"
 cargo test --release -q -p geopattern-integration --test crash_resume
@@ -113,7 +126,7 @@ code=$?
 set -e
 test "$code" -eq 2 || { echo "expected exit 2 on resume without the journaled --dep pairs, got $code"; exit 1; }
 
-echo "==> strategy-equivalence gate (hash-subset, bitmap, auto and eclat bit-identical; choose() pure; budget peak equal at 1/2/8 threads)"
+echo "==> strategy-equivalence gate (hash-subset, bitmap by joins and by scan, and auto bit-identical; choose() pure; budget peak equal at 1/2/8 threads)"
 cargo test --release -q -p geopattern-integration --test strategy_equivalence
 cargo test --release -q -p geopattern-integration --test bitmap_properties
 
@@ -127,7 +140,7 @@ echo "==> experiments scaling (emits BENCH_scaling.json, default grid)"
 cargo run --release -q -p geopattern-bench --bin experiments -- scaling
 test -s BENCH_scaling.json
 
-echo "==> experiments counting smoke (emits BENCH_counting.json; bitmap > hash-subset, auto ≥ 3x hash-subset, auto ≤ 1.15x best fixed)"
+echo "==> experiments counting smoke (emits BENCH_counting.json; dense and sparse workloads: bitmap > hash-subset on both, pass 2 by joins on dense and by scan on sparse; dense auto ≥ 3x hash-subset, auto ≤ 1.15x best fixed)"
 cargo run --release -q -p geopattern-bench --bin experiments -- counting --check
 test -s BENCH_counting.json
 

@@ -1,4 +1,4 @@
-//! Integration tests of the features beyond the paper's core: Eclat,
+//! Integration tests of the features beyond the paper's core: FP-Growth,
 //! taxonomies, direction extraction, non-redundant rules, and the dataset
 //! file surface the CLI consumes.
 
@@ -7,34 +7,34 @@ use geopattern::{
 };
 use geopattern_datagen::{experiments, generate_city, table1, CityConfig};
 use geopattern_mining::{
-    generate_rules, mine, mine_eclat, non_redundant_rules, AprioriConfig, EclatConfig,
+    generate_rules, mine, mine_fp, non_redundant_rules, AprioriConfig, FpGrowthConfig,
 };
 use geopattern_qsr::DistanceScheme;
 
 #[test]
-fn eclat_matches_apriori_on_experiment_data() {
+fn fpgrowth_matches_apriori_on_experiment_data() {
     let e = experiments::experiment2(42);
     let sup = MinSupport::Fraction(0.08);
     let ap = mine(&e.data, &AprioriConfig::apriori(sup));
-    let ec = mine_eclat(&e.data, &EclatConfig::new(sup));
+    let fp = mine_fp(&e.data, &FpGrowthConfig::new(sup));
     let sorted = |r: &geopattern_mining::MiningResult| {
         let mut v: Vec<_> = r.all().map(|f| (f.items.clone(), f.support)).collect();
         v.sort();
         v
     };
-    assert_eq!(sorted(&ap), sorted(&ec));
+    assert_eq!(sorted(&ap), sorted(&fp));
 
     // Filtered variants too.
     let apf = mine(
         &e.data,
         &AprioriConfig::apriori_kc_plus(sup, geopattern::PairFilter::none(), e.same_type.clone()),
     );
-    let ecf = mine_eclat(&e.data, &EclatConfig::new(sup).with_filter(e.same_type.clone()));
-    assert_eq!(sorted(&apf), sorted(&ecf));
+    let fpf = mine_fp(&e.data, &FpGrowthConfig::new(sup).with_filter(e.same_type.clone()));
+    assert_eq!(sorted(&apf), sorted(&fpf));
 }
 
 #[test]
-fn all_nine_algorithms_run_through_pipeline() {
+fn all_five_algorithms_run_through_pipeline() {
     let data = table1::transactions();
     for alg in [
         Algorithm::Apriori,
@@ -42,10 +42,6 @@ fn all_nine_algorithms_run_through_pipeline() {
         Algorithm::AprioriKcPlus,
         Algorithm::FpGrowth,
         Algorithm::FpGrowthKcPlus,
-        Algorithm::Eclat,
-        Algorithm::EclatKcPlus,
-        Algorithm::AprioriTid,
-        Algorithm::AprioriTidKcPlus,
     ] {
         let report = MiningPipeline::new()
             .algorithm(alg)

@@ -7,9 +7,10 @@
 //! one mutex and cleans the registry up before and after itself.
 //!
 //! Two kinds of site exist:
-//! * **pool-closure sites** (`sdb/extract.row`, `mining/apriori.count`,
-//!   `mining/eclat.class`) run inside a worker closure the pool wraps in
-//!   `catch_unwind` — both `Cancel` and `Panic` actions are safe;
+//! * **pool-closure sites** (`sdb/extract.row`, `mining/apriori.count` —
+//!   on both pass-2 methods of the bitmap backend) run inside a worker
+//!   closure the pool wraps in `catch_unwind` — both `Cancel` and `Panic`
+//!   actions are safe;
 //! * **sequential sites** (`sdb/extract.tile`, `core/encode`,
 //!   `mining/*.pass`, `mining/fpgrowth.grow`) run on the caller's stack —
 //!   extraction tiles run one after another on the coordinating thread —
@@ -135,21 +136,25 @@ fn apriori_count_site_panics_inside_the_counting_pool() {
     failpoint::deactivate_all();
 }
 
+/// The sparse baskets send the bitmap backend's pass 2 to the row scan
+/// (the Experiment-1 rows above take the pair joins); the count site
+/// fires inside the pool on that path too.
 #[test]
-fn apriori_tid_pass_site_cancels_mining() {
+fn apriori_count_site_panics_on_the_row_scan_too() {
     let _g = locked();
-    failpoint::activate("mining/apriori_tid.pass", FailAction::Cancel, 1.0, 7);
-    let err = mine_experiment(Algorithm::AprioriTidKcPlus).unwrap_err();
-    assert_cancelled("mining/apriori_tid.pass", err);
-    failpoint::deactivate_all();
-}
-
-#[test]
-fn eclat_class_site_cancels_mining() {
-    let _g = locked();
-    failpoint::activate("mining/eclat.class", FailAction::Cancel, 1.0, 7);
-    let err = mine_experiment(Algorithm::EclatKcPlus).unwrap_err();
-    assert_cancelled("mining/eclat.class", err);
+    failpoint::activate("mining/apriori.count", FailAction::Panic, 1.0, 42);
+    let e = experiments::sparse_baskets(2_000, 200, 6, 5);
+    let err = MiningPipeline::new()
+        .algorithm(Algorithm::AprioriKcPlus)
+        .min_support(MinSupport::Fraction(0.01))
+        .threads(Threads::Fixed(4))
+        .cancel_token(CancelToken::new())
+        .run_filtered(e.data, e.dependencies, e.same_type)
+        .unwrap_err();
+    match err {
+        Error::WorkerPanic { stage, .. } => assert_eq!(stage, "mining/apriori.count"),
+        other => panic!("expected WorkerPanic, got {other:?}"),
+    }
     failpoint::deactivate_all();
 }
 

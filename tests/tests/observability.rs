@@ -11,16 +11,12 @@ use geopattern::{
 use geopattern_datagen::{default_knowledge, experiments, generate_city, CityConfig};
 use geopattern_sdb::Layer;
 
-const ALL_ALGORITHMS: [Algorithm; 9] = [
+const ALL_ALGORITHMS: [Algorithm; 5] = [
     Algorithm::Apriori,
     Algorithm::AprioriKc,
     Algorithm::AprioriKcPlus,
     Algorithm::FpGrowth,
     Algorithm::FpGrowthKcPlus,
-    Algorithm::Eclat,
-    Algorithm::EclatKcPlus,
-    Algorithm::AprioriTid,
-    Algorithm::AprioriTidKcPlus,
 ];
 
 fn city() -> SpatialDataset {

@@ -1,8 +1,7 @@
-//! End-to-end robustness guarantees: cancellation and deadlines surface
-//! as typed errors, memory budgets degrade gracefully (never fail), the
-//! degraded output keeps the documented equivalences, and attaching any
-//! of the controls to a run that completes normally changes nothing — at
-//! any thread count.
+//! End-to-end robustness guarantees: cancellation, deadlines and an
+//! exhausted memory budget surface as typed errors (never as truncated
+//! output), and attaching any of the controls to a run that completes
+//! normally changes nothing — at any thread count.
 
 use geopattern::{
     Algorithm, CancelToken, Error, MemoryBudget, MiningPipeline, MinSupport, PatternReport,
@@ -52,44 +51,21 @@ fn pre_cancelled_token_fails_every_stage_entry_point() {
     assert_eq!(pipeline.extract(&dataset).unwrap_err(), Error::Cancelled);
 }
 
-/// The ISSUE's degradation-equivalence property: AprioriTid degraded to
-/// plain Apriori by a zero budget produces exactly the plain-Apriori
-/// itemsets on the Figure 5 dataset (Experiment 1, seed 32).
+/// An exhausted budget never yields truncated output: FP-Growth, the
+/// miner that refuses work over budget, fails with the typed error (exit
+/// code 7). (The Apriori variants only track a budget; the pipeline and
+/// strategy-equivalence suites pin their unchanged output under one.)
 #[test]
-fn apriori_tid_degradation_is_equivalent_to_plain_apriori() {
-    for (tid, plain) in [
-        (Algorithm::AprioriTid, Algorithm::Apriori),
-        (Algorithm::AprioriTidKcPlus, Algorithm::AprioriKcPlus),
-    ] {
-        let degraded = run_experiment(
-            experiment_pipeline(tid).memory_budget(MemoryBudget::bytes(0)),
-        )
-        .unwrap();
-        assert!(
-            degraded.result.stats.degradations >= 1,
-            "{}: zero budget must force the fallback",
-            tid.name()
-        );
-        let reference = run_experiment(experiment_pipeline(plain)).unwrap();
-        assert_eq!(sets(&degraded), sets(&reference), "{} vs {}", tid.name(), plain.name());
-    }
-}
-
-#[test]
-fn eclat_and_fpgrowth_degrade_lossily_but_never_fail() {
-    for algorithm in [Algorithm::Eclat, Algorithm::FpGrowth] {
-        let degraded = run_experiment(
-            experiment_pipeline(algorithm).memory_budget(MemoryBudget::bytes(0)),
-        )
-        .unwrap();
-        assert!(degraded.result.stats.degradations >= 1, "{}", algorithm.name());
-        let full = run_experiment(experiment_pipeline(algorithm)).unwrap();
-        // Lossy degradation only ever shrinks the output, and the
-        // surviving itemsets carry their exact supports.
-        let full_sets = sets(&full);
-        for entry in sets(&degraded) {
-            assert!(full_sets.contains(&entry), "{}: {entry:?}", algorithm.name());
-        }
+fn exhausted_budget_is_a_typed_error_never_truncated_output() {
+    for algorithm in [Algorithm::FpGrowth, Algorithm::FpGrowthKcPlus] {
+        let err =
+            run_experiment(experiment_pipeline(algorithm).memory_budget(MemoryBudget::bytes(0)))
+                .unwrap_err();
+        let Error::BudgetExceeded { stage, limit, .. } = &err else {
+            panic!("{}: expected BudgetExceeded, got {err:?}", algorithm.name());
+        };
+        assert_eq!((stage.as_str(), *limit), ("mining/fpgrowth.grow", 0), "{}", algorithm.name());
+        assert_eq!(err.exit_code(), 7);
     }
 }
 
@@ -97,13 +73,12 @@ fn eclat_and_fpgrowth_degrade_lossily_but_never_fail() {
 fn generous_budget_changes_nothing_and_records_peak() {
     let recorder = Recorder::new();
     let generous = run_experiment(
-        experiment_pipeline(Algorithm::AprioriTidKcPlus)
+        experiment_pipeline(Algorithm::FpGrowthKcPlus)
             .memory_budget(MemoryBudget::bytes(1 << 30))
             .recorder(recorder.clone()),
     )
     .unwrap();
-    assert_eq!(generous.result.stats.degradations, 0);
-    let plain = run_experiment(experiment_pipeline(Algorithm::AprioriTidKcPlus)).unwrap();
+    let plain = run_experiment(experiment_pipeline(Algorithm::FpGrowthKcPlus)).unwrap();
     assert_eq!(sets(&generous), sets(&plain));
     // The budget's high-water mark is reported when a budget is set.
     let peak = recorder.snapshot();

@@ -1,23 +1,25 @@
-//! Counting-strategy equivalence on the paper's experiment datasets.
+//! Counting-strategy equivalence on the paper's experiment datasets and
+//! on sparse many-item baskets.
 //!
 //! Every support-counting backend — `hash-subset` (the reference), the
 //! vertical `bitmap` engine, and the default, workload-sampled `auto`
-//! selector — and `eclat` must produce bit-identical frequent itemsets,
-//! supports, and association rules on the Figure-5 (Experiment 1) and
-//! Figure-7 (Experiment 2) datasets, at 1/2/8 threads, with and without
-//! KC+ filtering, and the vertical engine must honour cancellation and
-//! memory-budget tracking without changing output. The `auto` policy
-//! itself must be a pure function of its sampled stats, and the budget
-//! peak it leaves behind must not depend on the thread count.
+//! selector — must produce bit-identical frequent itemsets, supports, and
+//! association rules at 1/2/8 threads, with and without KC+ filtering,
+//! on both sides of the bitmap engine's pass-2 rule: the Figure-5
+//! (Experiment 1) and Figure-7 (Experiment 2) datasets count pairs by
+//! joins, the sparse baskets by the row scan. The vertical engine must
+//! honour cancellation and memory-budget tracking without changing
+//! output. The `auto` policy itself must be a pure function of its
+//! sampled stats, and the budget peak it leaves behind must not depend on
+//! the thread count.
 //!
 //! The CI host may be single-core, which would clamp every "parallel"
 //! run to the serial path; the tests widen the reported host via
 //! `GEOPATTERN_HOST_PARALLELISM` so the pool genuinely runs.
 
-use geopattern_datagen::experiments::{experiment1, experiment2, Experiment};
+use geopattern_datagen::experiments::{experiment1, experiment2, sparse_baskets, Experiment};
 use geopattern_mining::{
-    choose, generate_rules, mine, mine_eclat, try_mine, AprioriConfig, CountingStrategy,
-    EclatConfig, MiningResult, PairFilter, WorkloadStats,
+    choose, generate_rules, mine, try_mine, AprioriConfig, CountingStrategy, WorkloadStats,
 };
 use geopattern::Recorder;
 use geopattern_par::{CancelToken, Interrupt, MemoryBudget, Threads};
@@ -40,68 +42,77 @@ fn config(e: &Experiment, sup: f64, filtered: bool) -> AprioriConfig {
     }
 }
 
-/// Order-insensitive view for comparing against Eclat, whose traversal
-/// order differs from Apriori's.
-fn sets(r: &MiningResult) -> Vec<(Vec<u32>, u64)> {
-    let mut v: Vec<_> = r.all().map(|f| (f.items.clone(), f.support)).collect();
-    v.sort();
-    v
+/// Sparse baskets: many items in short rows, so the bitmap engine counts
+/// pass 2 by the row scan (the Figure-5 and Figure-7 data, few items in
+/// long rows, count it by pair joins).
+fn sparse() -> Experiment {
+    sparse_baskets(2_000, 200, 6, 5)
+}
+
+/// The bitmap engine's recorded pass-2 method.
+fn pass2_pick(recorder: &Recorder) -> Vec<String> {
+    recorder
+        .snapshot()
+        .counters_with_prefix("mining/pass2/")
+        .map(|(name, value)| {
+            assert_eq!(value, 1, "{name}");
+            name["mining/pass2/".len()..].to_string()
+        })
+        .collect()
 }
 
 /// Itemsets, supports, and rules must be identical across every
-/// strategy, thread count, and filter setting — the Apriori backends
-/// level-for-level (same order), Eclat as a sorted set. Serial
-/// hash-subset is the reference: the default config is `auto`, which
-/// would compare with itself.
-#[test]
-fn all_strategies_identical_on_fig5_and_fig7() {
+/// strategy, thread count, and filter setting, level for level and in
+/// the same order, and the bitmap engine must count pass 2 by `pick`.
+/// Serial hash-subset is the reference: the default config is `auto`,
+/// which would compare with itself.
+fn assert_all_strategies_identical(e: &Experiment, sup: f64, pick: &str) {
     wide_host();
-    for (e, sup) in [(experiment1(32), 0.10), (experiment2(32), 0.08)] {
-        for filtered in [false, true] {
-            let reference = mine(
-                &e.data,
-                &config(&e, sup, filtered).with_counting(CountingStrategy::HashSubset),
-            );
-            let ref_rules = generate_rules(&reference, e.data.len(), 0.7);
-            assert!(
-                reference.num_frequent_min2() > 0,
-                "workload should mine something (filtered={filtered})"
-            );
+    for filtered in [false, true] {
+        let reference =
+            mine(&e.data, &config(e, sup, filtered).with_counting(CountingStrategy::HashSubset));
+        let ref_rules = generate_rules(&reference, e.data.len(), 0.7);
+        assert!(
+            reference.num_frequent_min2() > 0,
+            "workload should mine something (filtered={filtered})"
+        );
 
-            for strategy in STRATEGIES {
-                for threads in [Threads::Fixed(1), Threads::Fixed(2), Threads::Fixed(8)] {
-                    let got = mine(
-                        &e.data,
-                        &config(&e, sup, filtered).with_counting(strategy).with_threads(threads),
-                    );
-                    assert_eq!(
-                        got.levels,
-                        reference.levels,
-                        "{} at {threads:?} filtered={filtered}",
-                        strategy.name()
-                    );
-                    let rules = generate_rules(&got, e.data.len(), 0.7);
-                    assert_eq!(rules, ref_rules, "{} rules differ", strategy.name());
-                }
-            }
-
-            // Eclat applies the same combined filter to its own traversal.
-            let filter = if filtered {
-                e.dependencies.clone().union(&e.same_type)
-            } else {
-                PairFilter::none()
-            };
+        for strategy in STRATEGIES {
             for threads in [Threads::Fixed(1), Threads::Fixed(2), Threads::Fixed(8)] {
-                let ecl = mine_eclat(
+                let recorder = Recorder::new();
+                let got = mine(
                     &e.data,
-                    &EclatConfig::new(geopattern_mining::MinSupport::Fraction(sup))
-                        .with_filter(filter.clone())
-                        .with_threads(threads),
+                    &config(e, sup, filtered)
+                        .with_counting(strategy)
+                        .with_threads(threads)
+                        .with_recorder(recorder.clone()),
                 );
-                assert_eq!(sets(&ecl), sets(&reference), "eclat at {threads:?}");
+                let ctx = format!("{} at {threads:?} filtered={filtered}", strategy.name());
+                assert_eq!(got.levels, reference.levels, "{ctx}");
+                assert_eq!(
+                    got.stats.candidates_per_level[..2],
+                    reference.stats.candidates_per_level[..2],
+                    "{ctx}: |C1| and the post-filter |C2|"
+                );
+                let rules = generate_rules(&got, e.data.len(), 0.7);
+                assert_eq!(rules, ref_rules, "{} rules differ", strategy.name());
+                let want: &[&str] =
+                    if strategy == CountingStrategy::HashSubset { &[] } else { &[pick] };
+                assert_eq!(pass2_pick(&recorder), want, "{ctx}");
             }
         }
     }
+}
+
+#[test]
+fn all_strategies_identical_on_fig5_and_fig7() {
+    assert_all_strategies_identical(&experiment1(32), 0.10, "joins");
+    assert_all_strategies_identical(&experiment2(32), 0.08, "joins");
+}
+
+#[test]
+fn all_strategies_identical_on_sparse_baskets() {
+    assert_all_strategies_identical(&sparse(), 0.01, "scan");
 }
 
 /// A pre-cancelled token interrupts the vertical engines before any
@@ -215,35 +226,39 @@ fn auto_records_choice_and_stats() {
 }
 
 /// Under a limited budget the default path records the same
-/// `robust/budget_bytes_peak` at every thread count: pool workers never
-/// reserve on the shared budget, so the peak cannot depend on how
-/// classes were scheduled.
+/// `robust/budget_bytes_peak` at every thread count, by either pass-2
+/// method: pool workers never reserve on the shared budget, so the peak
+/// cannot depend on how candidates or classes were scheduled.
 #[test]
 fn budget_peak_is_independent_of_thread_count() {
     wide_host();
-    let e = experiment1(32);
-    let peak_at = |threads: Threads| {
-        let recorder = Recorder::new();
-        let got = try_mine(
-            &e.data,
-            &config(&e, 0.05, true)
-                .with_threads(threads)
-                .with_budget(MemoryBudget::bytes(1 << 30))
-                .with_recorder(recorder.clone()),
-        )
-        .expect("an uncancelled run completes");
-        let metrics = recorder.snapshot();
-        assert_eq!(metrics.counter("mining/auto_choice/bitmap"), Some(1), "{threads:?}");
-        let peak = metrics.histogram("robust/budget_bytes_peak").cloned();
-        (got.levels, peak.expect("a limited budget records its peak"))
-    };
-    let (serial_levels, serial_peak) = peak_at(Threads::Fixed(1));
-    assert!(serial_peak.max > 0);
-    for threads in [Threads::Fixed(2), Threads::Fixed(8)] {
-        for _ in 0..3 {
-            let (levels, peak) = peak_at(threads);
-            assert_eq!(levels, serial_levels, "{threads:?}");
-            assert_eq!(peak, serial_peak, "{threads:?}");
+    // Experiment 1 at 5% counts pass 2 by joins; the baskets, sparse at
+    // 1%, by the row scan.
+    for (e, sup, pick) in [(experiment1(32), 0.05, "joins"), (sparse(), 0.01, "scan")] {
+        let peak_at = |threads: Threads| {
+            let recorder = Recorder::new();
+            let got = try_mine(
+                &e.data,
+                &config(&e, sup, true)
+                    .with_threads(threads)
+                    .with_budget(MemoryBudget::bytes(1 << 30))
+                    .with_recorder(recorder.clone()),
+            )
+            .expect("an uncancelled run completes");
+            assert_eq!(pass2_pick(&recorder), [pick], "{threads:?}");
+            let metrics = recorder.snapshot();
+            assert_eq!(metrics.counter("mining/auto_choice/bitmap"), Some(1), "{threads:?}");
+            let peak = metrics.histogram("robust/budget_bytes_peak").cloned();
+            (got.levels, peak.expect("a limited budget records its peak"))
+        };
+        let (serial_levels, serial_peak) = peak_at(Threads::Fixed(1));
+        assert!(serial_peak.max > 0);
+        for threads in [Threads::Fixed(2), Threads::Fixed(8)] {
+            for _ in 0..3 {
+                let (levels, peak) = peak_at(threads);
+                assert_eq!(levels, serial_levels, "{pick}: {threads:?}");
+                assert_eq!(peak, serial_peak, "{pick}: {threads:?}");
+            }
         }
     }
 }
