@@ -26,13 +26,14 @@
 //! the journal so a rerun skips everything already journaled — the
 //! resumed output is bit-identical to an uninterrupted run. The journal
 //! is fingerprinted over the output-affecting configuration (algorithm,
-//! thresholds, tile size, dataset path and `--dep` pairs); `--resume`
-//! against a journal from a different configuration is a configuration
-//! error (exit code 2). `--memory-budget` is not part of the fingerprint:
-//! a budget never changes the output, so a rerun with a larger budget
-//! resumes. `--max-retries N` retries a run whose worker panicked, with
-//! capped exponential backoff; each retry resumes from the journal the
-//! failed attempt left behind.
+//! thresholds, tile size, an FNV-1a hash of the dataset's bytes and the
+//! `--dep` pairs); `--resume` against a journal from a different
+//! configuration or dataset content is a configuration error (exit code
+//! 2), while the same bytes at another path resume. `--memory-budget` is
+//! not part of the fingerprint: a budget never changes the output, so a
+//! rerun with a larger budget resumes. `--max-retries N` retries a run
+//! whose worker panicked, with capped exponential backoff; each retry
+//! resumes from the journal the failed attempt left behind.
 //!
 //! The Apriori variants count support with the `auto` policy: the
 //! vertical bitmap engine, or hash-subset when `--memory-budget` cannot
@@ -46,7 +47,11 @@
 //! configuration, `3` unusable data (e.g. empty reference layer), `4` run
 //! cancelled or `--timeout` exceeded, `5` worker panic (isolated by the
 //! pool; the process still exits cleanly), `6` retry budget exhausted,
-//! `7` memory budget exceeded (no report is printed).
+//! `7` memory budget exceeded (no report is printed). Command output goes
+//! through one locked stdout handle: when the reader closes the pipe
+//! early (`geopattern mine … | head`), the command stops quietly with
+//! `0`, because the reader chose to stop reading; any other stdout write
+//! error is `1`.
 //!
 //! `GEOPATTERN_FAILPOINTS` (e.g. `mining/apriori.count=panic@1:42`)
 //! activates deterministic fault-injection points for testing — see
@@ -61,6 +66,7 @@ use geopattern_datagen::{generate_city, CityConfig};
 use geopattern_geom::from_wkt;
 use geopattern_mining::minimal_gain;
 use geopattern_qsr::{classify, topological_relation};
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 /// A CLI failure: message plus the process exit code to report.
@@ -87,6 +93,16 @@ impl From<geopattern::Error> for CmdError {
     }
 }
 
+/// A failed stdout write. A closed pipe means the reader chose to stop
+/// reading, so it ends the command with code 0, which `main` reports
+/// quietly.
+impl From<io::Error> for CmdError {
+    fn from(e: io::Error) -> CmdError {
+        let code = if e.kind() == io::ErrorKind::BrokenPipe { 0 } else { 1 };
+        CmdError { code, msg: format!("writing stdout: {e}") }
+    }
+}
+
 fn main() -> ExitCode {
     // Arm deterministic fault-injection points from the environment (a
     // no-op unless GEOPATTERN_FAILPOINTS is set — used by the test suite
@@ -96,19 +112,17 @@ fn main() -> ExitCode {
         return ExitCode::from(1);
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let out = &mut io::stdout().lock();
     let result = match args.first().map(String::as_str) {
-        Some("mine") => cmd_mine(&args[1..]),
-        Some("generate-city") => cmd_generate_city(&args[1..]),
-        Some("relate") => cmd_relate(&args[1..]),
-        Some("gain") => cmd_gain(&args[1..]),
-        Some("--help") | Some("-h") | None => {
-            print_usage();
-            Ok(())
-        }
+        Some("mine") => cmd_mine(&args[1..], out),
+        Some("generate-city") => cmd_generate_city(&args[1..], out),
+        Some("relate") => cmd_relate(&args[1..], out),
+        Some("gain") => cmd_gain(&args[1..], out),
+        Some("--help") | Some("-h") | None => print_usage(out),
         Some(other) => Err(format!("unknown command {other:?}; try --help").into()),
     };
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(()) | Err(CmdError { code: 0, .. }) => ExitCode::SUCCESS,
         Err(CmdError { code, msg }) => {
             eprintln!("error: {msg}");
             ExitCode::from(code)
@@ -116,8 +130,9 @@ fn main() -> ExitCode {
     }
 }
 
-fn print_usage() {
-    println!(
+fn print_usage(out: &mut impl Write) -> Result<(), CmdError> {
+    writeln!(
+        out,
         "geopattern — frequent geographic pattern mining with QSR filters\n\n\
          USAGE:\n  \
          geopattern mine <dataset.gpd|.gpb> [--minsup F] [--minconf F] [--algorithm A]\n                  \
@@ -151,8 +166,9 @@ fn print_usage() {
          exponential backoff; each retry resumes from the shared journal.\n\n\
          EXIT CODES: 0 ok, 1 usage or I/O error, 2 invalid configuration, 3 unusable data,\n             \
          4 cancelled or timed out, 5 worker panic, 6 retry budget exhausted,\n             \
-         7 memory budget exceeded"
-    );
+         7 memory budget exceeded; a closed stdout pipe ends a command quietly with 0"
+    )?;
+    Ok(())
 }
 
 fn parse_algorithm(s: &str) -> Result<Algorithm, String> {
@@ -242,7 +258,7 @@ fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
     }
 }
 
-fn cmd_mine(args: &[String]) -> Result<(), CmdError> {
+fn cmd_mine(args: &[String], out: &mut impl Write) -> Result<(), CmdError> {
     let mut args = args.to_vec();
     let minsup: f64 = take_flag(&mut args, "--minsup")?
         .map(|v| v.parse().map_err(|_| format!("bad --minsup {v:?}")))
@@ -337,16 +353,22 @@ fn cmd_mine(args: &[String]) -> Result<(), CmdError> {
     drop(load_span);
 
     // The journal fingerprint covers every output-affecting knob, so a
-    // stale journal from a different configuration is rejected up front
-    // instead of silently seeding the wrong resume state. `--dep` pairs
-    // go in the order given (their debug form quotes each name). The
-    // budget is left out: it either leaves the output unchanged or fails
-    // the run, so a rerun with a larger budget may resume.
+    // stale journal from a different configuration or dataset is rejected
+    // up front instead of silently seeding the wrong resume state. The
+    // dataset enters by content, not path: a regenerated file must not
+    // resume, and a copied one may. `--dep` pairs go in the order given
+    // (their debug form quotes each name). The budget is left out: it
+    // either leaves the output unchanged or fails the run, so a rerun with
+    // a larger budget may resume.
     let journal = match &journal_path {
         Some(jp) => {
             let fingerprint = fnv1a64(
-                format!("{}|{minsup}|{minconf}|{tile_size}|{path}|{deps:?}", algorithm.name())
-                    .as_bytes(),
+                format!(
+                    "{}|{minsup}|{minconf}|{tile_size}|{:016x}|{deps:?}",
+                    algorithm.name(),
+                    fnv1a64(&bytes)
+                )
+                .as_bytes(),
             );
             // --resume opens strictly so a fingerprint mismatch (the
             // configuration changed under the journal) fails loudly
@@ -395,42 +417,44 @@ fn cmd_mine(args: &[String]) -> Result<(), CmdError> {
         Err(e) => {
             // An interrupted run still reports what it measured: the
             // recorder shares state with the pipeline's clone, so the
-            // partial spans/counters survive the failure.
+            // partial spans/counters survive the failure. The run's error
+            // outranks a failed write of them.
             if metrics_format.is_some() {
-                println!("metrics: {}", recorder.snapshot().to_json());
+                let _ = writeln!(out, "metrics: {}", recorder.snapshot().to_json());
             }
             return Err(e.into());
         }
     };
 
-    println!("{}", report.summary());
+    writeln!(out, "{}", report.summary())?;
     if let Some(stats) = &report.extraction_stats {
-        println!(
+        writeln!(
+            out,
             "extraction: {} exact pairs, {} pruned by index",
             stats.candidate_pairs, stats.pruned_pairs
-        );
+        )?;
     }
     if show_itemsets {
-        println!("\nfrequent itemsets (size >= 2):");
+        writeln!(out, "\nfrequent itemsets (size >= 2):")?;
         for s in report.frequent_itemsets(2) {
-            println!("  {s}");
+            writeln!(out, "  {s}")?;
         }
     }
     if show_rules {
-        println!("\nrules (confidence >= {minconf}):");
+        writeln!(out, "\nrules (confidence >= {minconf}):")?;
         for r in report.rendered_rules() {
-            println!("  {r}");
+            writeln!(out, "  {r}")?;
         }
     }
     if metrics_format.is_some() {
         // The live snapshot, not the report's: it includes counters
         // recorded after the run finished (e.g. robust/journal_bytes).
-        println!("\nmetrics: {}", recorder.snapshot().to_json());
+        writeln!(out, "\nmetrics: {}", recorder.snapshot().to_json())?;
     }
     Ok(())
 }
 
-fn cmd_generate_city(args: &[String]) -> Result<(), CmdError> {
+fn cmd_generate_city(args: &[String], out: &mut impl Write) -> Result<(), CmdError> {
     let mut args = args.to_vec();
     let grid: usize = take_flag(&mut args, "--grid")?
         .map(|v| v.parse().map_err(|_| format!("bad --grid {v:?}")))
@@ -440,7 +464,7 @@ fn cmd_generate_city(args: &[String]) -> Result<(), CmdError> {
         .map(|v| v.parse().map_err(|_| format!("bad --seed {v:?}")))
         .transpose()?
         .unwrap_or(1);
-    let out = take_flag(&mut args, "--out")?;
+    let out_path = take_flag(&mut args, "--out")?;
     let format = take_flag(&mut args, "--format")?
         .map(|v| DatasetFormat::parse(&v))
         .transpose()?
@@ -454,45 +478,42 @@ fn cmd_generate_city(args: &[String]) -> Result<(), CmdError> {
         DatasetFormat::Gpb => to_gpb(&city),
         DatasetFormat::Wkt | DatasetFormat::Auto => city.to_text().into_bytes(),
     };
-    match out {
+    match out_path {
         Some(path) => {
             // Atomic temp-file + rename commit: a crash mid-write leaves
             // either the old file or the new one, never a torn dataset.
             atomic_write(&path, &bytes).map_err(|e| format!("writing {path}: {e}"))?;
-            println!(
+            writeln!(
+                out,
                 "wrote {path}: {} districts, {} relevant layers ({} bytes)",
                 city.reference.len(),
                 city.relevant.len(),
                 bytes.len()
-            );
+            )?;
         }
-        None => {
-            use std::io::Write;
-            std::io::stdout()
-                .write_all(&bytes)
-                .map_err(|e| format!("writing stdout: {e}"))?;
-        }
+        None => out.write_all(&bytes)?,
     }
     Ok(())
 }
 
-fn cmd_relate(args: &[String]) -> Result<(), CmdError> {
+fn cmd_relate(args: &[String], out: &mut impl Write) -> Result<(), CmdError> {
     let [a, b] = args else {
         return Err("relate needs exactly two WKT arguments".into());
     };
     let ga = from_wkt(a).map_err(|e| format!("first geometry: {e}"))?;
     let gb = from_wkt(b).map_err(|e| format!("second geometry: {e}"))?;
     let m = geopattern_geom::relate(&ga, &gb);
-    println!("DE-9IM: {m}");
-    println!("relation: {}", topological_relation(&ga, &gb));
-    println!(
+    writeln!(out, "DE-9IM: {m}")?;
+    writeln!(out, "relation: {}", topological_relation(&ga, &gb))?;
+    writeln!(
+        out,
         "converse: {}",
         classify(&m.transposed(), gb.dimension(), ga.dimension())
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_gain(args: &[String]) -> Result<(), CmdError> {
+fn cmd_gain(args: &[String], out: &mut impl Write) -> Result<(), CmdError> {
     let mut args = args.to_vec();
     let t: Vec<u64> = take_flag(&mut args, "--t")?
         .ok_or("gain needs --t (comma-separated relation counts)")?
@@ -507,9 +528,10 @@ fn cmd_gain(args: &[String]) -> Result<(), CmdError> {
         return Err(format!("unexpected arguments: {args:?}").into());
     }
     let m: u64 = t.iter().sum::<u64>() + n;
-    println!(
+    writeln!(
+        out,
         "largest itemset m={m}, t={t:?}, n={n} → minimal gain {}",
         minimal_gain(&t, n)
-    );
+    )?;
     Ok(())
 }

@@ -34,11 +34,6 @@ pub fn dependency_filter(kb: &KnowledgeBase, table: &PredicateTable) -> PairFilt
     PairFilter::from_dependencies(kb.dependency_pairs(table))
 }
 
-/// The same-feature-type filter for the table's predicates.
-pub fn same_type_filter(table: &PredicateTable) -> PairFilter {
-    PairFilter::from_pairs(table.same_feature_type_pairs())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,8 +68,10 @@ mod tests {
 
     #[test]
     fn same_type_filter_matches_table_enumeration() {
+        // The KC+ filter comes from the converted catalog, whose item ids
+        // are the table's codes.
         let t = table();
-        let f = same_type_filter(&t);
+        let f = PairFilter::same_feature_type(&to_transactions(&t).catalog);
         assert_eq!(f.len(), 1);
         assert!(f.blocks(1, 2));
     }

@@ -100,7 +100,7 @@ pub mod pipeline;
 pub mod report;
 pub mod runner;
 
-pub use convert::{dependency_filter, same_type_filter, to_transactions};
+pub use convert::{dependency_filter, to_transactions};
 pub use error::Error;
 pub use pipeline::{Algorithm, EncodedTransactions, ExtractedTable, MiningPipeline};
 pub use report::PatternReport;

@@ -17,7 +17,7 @@
 //! [`Recorder`] (disabled by default — see [`MiningPipeline::recorder`]);
 //! recording never changes the mined output.
 
-use crate::convert::{dependency_filter, same_type_filter, to_transactions};
+use crate::convert::{dependency_filter, to_transactions};
 use crate::error::Error;
 use crate::report::PatternReport;
 use geopattern_mining::{
@@ -30,16 +30,6 @@ use geopattern_sdb::{
     extract_predicates, ExtractionConfig, ExtractionStats, FeatureTypeTaxonomy, KnowledgeBase,
     PredicateTable, SpatialDataset,
 };
-
-/// Attaches `journal` (when present) to a miner config via that config
-/// type's `with_journal` — keeps the five algorithm branches in
-/// [`MiningPipeline::mine`] free of repeated `if let` noise.
-fn journaled<T>(journal: &Option<Journal>, config: T, attach: fn(T, Journal) -> T) -> T {
-    match journal {
-        Some(j) => attach(config, j.clone()),
-        None => config,
-    }
-}
 
 /// Which mining algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -307,7 +297,7 @@ impl MiningPipeline {
 
     /// Stage 2: dictionary-encodes the predicate table into transactions
     /// and builds the `C₂` pair filters (`Φ` from the knowledge base,
-    /// same-feature-type from the table).
+    /// same-feature-type from the encoded catalog).
     pub fn encode(&self, extracted: ExtractedTable) -> Result<EncodedTransactions, Error> {
         let _span = self.recorder.span("encode");
         if geopattern_testkit::failpoint::trigger("core/encode") {
@@ -316,8 +306,8 @@ impl MiningPipeline {
         self.cancel.check()?;
         let table = &extracted.table;
         let dependencies = dependency_filter(&self.knowledge, table);
-        let same_type = same_type_filter(table);
         let transactions = to_transactions(table);
+        let same_type = PairFilter::same_feature_type(&transactions.catalog);
         self.recorder.counter("encode.transactions", transactions.len() as u64);
         self.recorder.counter("encode.items", transactions.catalog.len() as u64);
         self.recorder.counter("encode.dependency_pairs", dependencies.len() as u64);
@@ -342,66 +332,31 @@ impl MiningPipeline {
         let cancel = self.cancel.clone();
         let budget = self.budget.clone();
         let mine_span = rec.span("mine");
+        // Every variant is one miner with a filter: plain Apriori is
+        // Apriori-KC+ with both filters empty, and likewise for FP-Growth.
+        let (deps, same) = match self.algorithm {
+            Algorithm::Apriori | Algorithm::FpGrowth => (PairFilter::none(), PairFilter::none()),
+            Algorithm::AprioriKc => (deps, PairFilter::none()),
+            Algorithm::AprioriKcPlus | Algorithm::FpGrowthKcPlus => (deps, same),
+        };
+        let journal = self.journal.clone();
         let result = match self.algorithm {
-            Algorithm::Apriori => try_mine(
-                &transactions,
-                &journaled(
-                    &self.journal,
-                    AprioriConfig::apriori(self.min_support)
-                        .with_threads(self.threads)
-                        .with_recorder(rec.clone())
-                        .with_cancel(cancel)
-                        .with_budget(budget),
-                    AprioriConfig::with_journal,
-                ),
-            )?,
-            Algorithm::AprioriKc => try_mine(
-                &transactions,
-                &journaled(
-                    &self.journal,
-                    AprioriConfig::apriori_kc(self.min_support, deps)
-                        .with_threads(self.threads)
-                        .with_recorder(rec.clone())
-                        .with_cancel(cancel)
-                        .with_budget(budget),
-                    AprioriConfig::with_journal,
-                ),
-            )?,
-            Algorithm::AprioriKcPlus => try_mine(
-                &transactions,
-                &journaled(
-                    &self.journal,
-                    AprioriConfig::apriori_kc_plus(self.min_support, deps, same)
-                        .with_threads(self.threads)
-                        .with_recorder(rec.clone())
-                        .with_cancel(cancel)
-                        .with_budget(budget),
-                    AprioriConfig::with_journal,
-                ),
-            )?,
-            Algorithm::FpGrowth => try_mine_fp(
-                &transactions,
-                &journaled(
-                    &self.journal,
-                    FpGrowthConfig::new(self.min_support)
-                        .with_recorder(rec.clone())
-                        .with_cancel(cancel)
-                        .with_budget(budget),
-                    FpGrowthConfig::with_journal,
-                ),
-            )?,
-            Algorithm::FpGrowthKcPlus => try_mine_fp(
-                &transactions,
-                &journaled(
-                    &self.journal,
-                    FpGrowthConfig::new(self.min_support)
-                        .with_filter(deps.union(&same))
-                        .with_recorder(rec.clone())
-                        .with_cancel(cancel)
-                        .with_budget(budget),
-                    FpGrowthConfig::with_journal,
-                ),
-            )?,
+            Algorithm::Apriori | Algorithm::AprioriKc | Algorithm::AprioriKcPlus => {
+                let config = AprioriConfig::apriori_kc_plus(self.min_support, deps, same)
+                    .with_threads(self.threads)
+                    .with_recorder(rec.clone())
+                    .with_cancel(cancel)
+                    .with_budget(budget);
+                try_mine(&transactions, &AprioriConfig { journal, ..config })?
+            }
+            Algorithm::FpGrowth | Algorithm::FpGrowthKcPlus => {
+                let config = FpGrowthConfig::new(self.min_support)
+                    .with_filter(deps.union(&same))
+                    .with_recorder(rec.clone())
+                    .with_cancel(cancel)
+                    .with_budget(budget);
+                try_mine_fp(&transactions, &FpGrowthConfig { journal, ..config })?
+            }
         };
         drop(mine_span);
         rec.counter("mine.frequent_itemsets", result.num_frequent() as u64);

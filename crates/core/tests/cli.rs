@@ -1,7 +1,8 @@
 //! End-to-end tests of the `geopattern` binary: the documented exit-code
-//! contract (0 ok, 1 usage/I-O, 2 invalid configuration, 3 unusable
-//! data, 4 timeout, 5 worker panic, 7 memory budget exceeded) and the
-//! `--metrics json` surface.
+//! contract (0 ok — also when the reader closes stdout early, 1 usage/I-O,
+//! 2 invalid configuration, 3 unusable data, 4 timeout, 5 worker panic,
+//! 7 memory budget exceeded), the `--metrics json` surface and the pinned
+//! `mine` output.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -142,6 +143,65 @@ fn resume_without_the_journaled_deps_is_a_fingerprint_mismatch() {
     assert!(stderr(&out).contains("journal"), "stderr: {}", stderr(&out));
 }
 
+#[test]
+fn resume_after_the_dataset_changed_is_a_fingerprint_mismatch() {
+    // The fingerprint covers the dataset's bytes, not its path: a
+    // regenerated file must not resume the old file's journal, and the
+    // same bytes at another path must.
+    let dir = std::env::temp_dir();
+    let data = dir.join("geopattern-cli-test-content.gpd");
+    let copy = dir.join("geopattern-cli-test-content-copy.gpd");
+    let journal = dir.join("geopattern-cli-test-content.journal");
+    let _ = std::fs::remove_file(&journal);
+    let (data, copy_path, journal) =
+        (data.to_str().unwrap(), copy.to_str().unwrap(), journal.to_str().unwrap());
+    let generate = |seed: &str| {
+        let out = run(&["generate-city", "--grid", "4", "--seed", seed, "--out", data]);
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    };
+    generate("9");
+    let first = run(&["mine", data, "--itemsets", "--journal", journal]);
+    assert_eq!(first.status.code(), Some(0), "stderr: {}", stderr(&first));
+    std::fs::copy(data, copy_path).expect("copy dataset");
+
+    generate("10");
+    let changed = run(&["mine", data, "--itemsets", "--journal", journal, "--resume"]);
+    assert_eq!(changed.status.code(), Some(2), "stdout: {}", stdout(&changed));
+    assert!(stderr(&changed).contains("fingerprint"), "stderr: {}", stderr(&changed));
+
+    let moved = run(&[
+        "mine", copy_path, "--itemsets", "--journal", journal, "--resume", "--metrics", "json",
+    ]);
+    assert_eq!(moved.status.code(), Some(0), "stderr: {}", stderr(&moved));
+    assert!(stdout(&moved).contains("\"robust/resume_tiles_skipped\":1"), "{}", stdout(&moved));
+    assert_eq!(summary_line(&moved), summary_line(&first));
+}
+
+#[test]
+fn closed_stdout_pipe_ends_mine_quietly_with_0() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let path = std::env::temp_dir().join("geopattern-cli-test-pipe.gpd");
+    let path = path.to_str().unwrap();
+    let generated = run(&["generate-city", "--grid", "8", "--seed", "9", "--out", path]);
+    assert_eq!(generated.status.code(), Some(0), "stderr: {}", stderr(&generated));
+    // About 99 KB of itemsets and rules: more than a 64 KiB pipe buffer
+    // holds, so the writer meets the closed pipe.
+    let mut child = bin()
+        .args(["mine", path, "--itemsets", "--rules"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn geopattern");
+    let mut first = String::new();
+    // Dropping the reader closes the pipe after one line.
+    BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).expect("one line");
+    let out = child.wait_with_output().expect("wait for geopattern");
+    assert!(first.starts_with("Apriori-KC+"), "first line: {first}");
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(!stderr(&out).contains("panicked"), "stderr: {}", stderr(&out));
+}
+
 /// The first line of a run's stdout: the report summary.
 fn summary_line(out: &Output) -> String {
     stdout(out).lines().next().unwrap_or_default().to_string()
@@ -264,6 +324,22 @@ fn tiled_mining_matches_flat_output() {
         ]);
         assert_eq!(tiled.status.code(), Some(0), "tiles={tiles}: {}", stderr(&tiled));
         assert_eq!(stdout(&tiled), stdout(&flat), "tile-size {tiles} diverged from the default");
+    }
+}
+
+#[test]
+fn mine_output_matches_its_golden() {
+    // Pinned output of `mine --itemsets --rules` on `generate-city --grid 4
+    // --seed 9`; never regenerated to make this test pass.
+    let golden = include_str!("golden/mine_city_grid4_seed9.txt");
+    let path = city_file("golden");
+    let path = path.to_str().unwrap();
+    for extra in [&["--threads", "1"][..], &["--threads", "4", "--tile-size", "3"]] {
+        let mut args = vec!["mine", path, "--itemsets", "--rules"];
+        args.extend_from_slice(extra);
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(0), "{extra:?}: {}", stderr(&out));
+        assert!(stdout(&out) == golden, "{extra:?}: output differs from the golden");
     }
 }
 

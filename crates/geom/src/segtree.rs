@@ -86,6 +86,20 @@ pub struct KernelCounters {
     pub quant_lanes_tested: u64,
 }
 
+impl std::ops::AddAssign for KernelCounters {
+    /// Field-wise sum, for totalling per-unit counters in a fixed order.
+    fn add_assign(&mut self, other: KernelCounters) {
+        self.segtree_nodes_visited += other.segtree_nodes_visited;
+        self.pairs_exact += other.pairs_exact;
+        self.distance_early_exit += other.distance_early_exit;
+        self.simd_lanes_tested += other.simd_lanes_tested;
+        self.simd_fallback_exact += other.simd_fallback_exact;
+        self.quant_cells_resolved += other.quant_cells_resolved;
+        self.quant_fallback_exact += other.quant_fallback_exact;
+        self.quant_lanes_tested += other.quant_lanes_tested;
+    }
+}
+
 /// Reads **and resets** this thread's kernel counters.
 ///
 /// Callers that attribute kernel work to a unit (e.g. one extraction row)
@@ -894,6 +908,13 @@ mod tests {
         assert!(c.segtree_nodes_visited >= 1);
         // Counters are reset by take.
         assert_eq!(take_kernel_counters(), KernelCounters::default());
+        // Addition is field-wise.
+        let mut sum = KernelCounters::default();
+        sum += c;
+        sum += c;
+        assert_eq!(sum.distance_early_exit, 2 * c.distance_early_exit);
+        assert_eq!(sum.segtree_nodes_visited, 2 * c.segtree_nodes_visited);
+        assert_eq!(sum.pairs_exact, 0);
     }
 
     #[test]

@@ -84,17 +84,24 @@ impl ItemCatalog {
         }
     }
 
-    /// All unordered same-feature-type item pairs.
+    /// All unordered same-feature-type item pairs `(a, b)`, `a < b`, in
+    /// ascending order — exactly the pairs Apriori-KC+ removes from `C₂`.
+    /// Items are grouped by feature type first, so the cost follows the
+    /// pairs emitted rather than all item pairs.
     pub fn same_feature_type_pairs(&self) -> Vec<(ItemId, ItemId)> {
-        let n = self.len() as u32;
-        let mut out = Vec::new();
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if self.same_feature_type(a, b) {
-                    out.push((a, b));
-                }
+        let mut by_type: HashMap<&str, Vec<ItemId>> = HashMap::new();
+        for id in 0..self.len() as ItemId {
+            if let Some(ft) = self.feature_type(id) {
+                by_type.entry(ft).or_default().push(id);
             }
         }
+        let mut out = Vec::new();
+        for ids in by_type.values() {
+            for (i, &a) in ids.iter().enumerate() {
+                out.extend(ids[i + 1..].iter().map(|&b| (a, b)));
+            }
+        }
+        out.sort_unstable();
         out
     }
 
@@ -216,6 +223,56 @@ mod tests {
         assert!(!c.same_feature_type(cs, mr));
         assert!(!c.same_feature_type(mr, mr)); // non-spatial never pairs
         assert_eq!(c.same_feature_type_pairs(), vec![(cs, ts)]);
+    }
+
+    /// The definition the grouped enumeration must reproduce: every item
+    /// pair, tested one by one.
+    fn all_pairs_reference(c: &ItemCatalog) -> Vec<(ItemId, ItemId)> {
+        let n = c.len() as ItemId;
+        (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+            .filter(|&(a, b)| c.same_feature_type(a, b))
+            .collect()
+    }
+
+    #[test]
+    fn same_feature_type_pairs_enumerated() {
+        let mut c = ItemCatalog::new();
+        let c_slum = c.intern_spatial("contains_slum", "slum");
+        let t_slum = c.intern_spatial("touches_slum", "slum");
+        let c_school = c.intern_spatial("contains_school", "school");
+        let murder = c.intern_attribute("murderRate=high");
+        let o_slum = c.intern_spatial("overlaps_slum", "slum");
+        let t_school = c.intern_spatial("touches_school", "school");
+
+        let pairs = c.same_feature_type_pairs();
+        // C(3,2) slum pairs + C(2,2) school pairs = 3 + 1.
+        assert_eq!(pairs.len(), 4);
+        assert!(pairs.contains(&(c_slum, t_slum)));
+        assert!(pairs.contains(&(c_slum, o_slum)));
+        assert!(pairs.contains(&(t_slum, o_slum)));
+        assert!(pairs.contains(&(c_school, t_school)));
+        // Non-spatial items never participate.
+        assert!(pairs.iter().all(|&(x, y)| x != murder && y != murder));
+        assert_eq!(pairs, all_pairs_reference(&c));
+    }
+
+    #[test]
+    fn same_feature_type_pairs_match_the_all_pairs_definition() {
+        // Interleaved types and attributes, including a one-item type and
+        // an empty catalog.
+        let mut c = ItemCatalog::new();
+        assert_eq!(c.same_feature_type_pairs(), all_pairs_reference(&c));
+        for i in 0..40u32 {
+            match i % 5 {
+                0 => c.intern_attribute(format!("a{i}=v")),
+                k => c.intern_spatial(format!("r{i}_t{k}"), &format!("t{}", k.min(3))),
+            };
+        }
+        c.intern_spatial("only_lonely", "lonely");
+        let pairs = c.same_feature_type_pairs();
+        assert!(!pairs.is_empty());
+        assert_eq!(pairs, all_pairs_reference(&c));
     }
 
     #[test]

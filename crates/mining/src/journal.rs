@@ -27,6 +27,7 @@
 
 use crate::item::ItemId;
 use crate::result::FrequentItemset;
+use geopattern_par::journal::{put_u32, put_u64, Reader};
 use geopattern_par::Journal;
 
 /// Level records of the Apriori engine (all counting strategies — the
@@ -67,49 +68,6 @@ impl LevelRecord {
     /// frequent level, an empty candidate set, or an explicit marker.
     pub(crate) fn is_terminal(&self) -> bool {
         self.flag != FLAG_LEVEL || self.itemsets.is_empty()
-    }
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Bounds-checked little-endian reader; `None` past the end, never a
-/// panic.
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, at: 0 }
-    }
-
-    fn done(&self) -> bool {
-        self.at == self.buf.len()
-    }
-
-    fn take_u8(&mut self) -> Option<u8> {
-        let b = *self.buf.get(self.at)?;
-        self.at += 1;
-        Some(b)
-    }
-
-    fn take_u32(&mut self) -> Option<u32> {
-        let bytes = self.buf.get(self.at..self.at + 4)?;
-        self.at += 4;
-        Some(u32::from_le_bytes(bytes.try_into().unwrap()))
-    }
-
-    fn take_u64(&mut self) -> Option<u64> {
-        let bytes = self.buf.get(self.at..self.at + 8)?;
-        self.at += 8;
-        Some(u64::from_le_bytes(bytes.try_into().unwrap()))
     }
 }
 

@@ -32,7 +32,8 @@
 //! once (a crash between the append and the caller observing it, then a
 //! re-run of the same unit); the last occurrence wins. Payloads are
 //! opaque bytes here — the domain codecs live with the stages that own
-//! them.
+//! them, and build on the one little-endian payload primitive set below
+//! ([`put_u32`], [`put_u64`], [`Reader`]).
 //!
 //! [`atomic_write`] is the standalone half of the same discipline: a
 //! whole-file write that is all-or-nothing under kill, used for final
@@ -72,6 +73,58 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// Appends a `u32` little-endian to a journal payload.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a `u64` little-endian to a journal payload.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// A bounds-checked little-endian reader over a journal payload. Every
+/// `take_*` returns `None` past the end instead of panicking, so a corrupt
+/// payload degrades to "recompute this unit".
+pub struct Reader<'a> {
+    buf: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Reader<'a> {
+        Reader { buf, at: 0 }
+    }
+
+    /// Whether every byte has been consumed (decoders check this so a
+    /// payload with trailing garbage is rejected, not silently accepted).
+    pub fn done(&self) -> bool {
+        self.at == self.buf.len()
+    }
+
+    /// The next byte.
+    pub fn take_u8(&mut self) -> Option<u8> {
+        let b = *self.buf.get(self.at)?;
+        self.at += 1;
+        Some(b)
+    }
+
+    /// The next little-endian `u32`.
+    pub fn take_u32(&mut self) -> Option<u32> {
+        let bytes = self.buf.get(self.at..self.at + 4)?;
+        self.at += 4;
+        Some(u32::from_le_bytes(bytes.try_into().expect("a 4-byte slice")))
+    }
+
+    /// The next little-endian `u64`.
+    pub fn take_u64(&mut self) -> Option<u64> {
+        let bytes = self.buf.get(self.at..self.at + 8)?;
+        self.at += 8;
+        Some(u64::from_le_bytes(bytes.try_into().expect("an 8-byte slice")))
+    }
 }
 
 /// Monotonic discriminator for temp-file names, so concurrent
@@ -527,6 +580,25 @@ mod tests {
             .filter(|n| n.contains(".tmp."))
             .collect();
         assert!(leftovers.is_empty(), "{leftovers:?}");
+    }
+
+    #[test]
+    fn payload_reader_round_trips_and_stops_at_the_end() {
+        let mut buf = vec![7u8];
+        put_u32(&mut buf, 0xdead_beef);
+        put_u64(&mut buf, u64::MAX - 1);
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.take_u8(), Some(7));
+        assert_eq!(r.take_u32(), Some(0xdead_beef));
+        assert!(!r.done());
+        assert_eq!(r.take_u64(), Some(u64::MAX - 1));
+        assert!(r.done());
+        assert_eq!(r.take_u8(), None);
+        for cut in 0..buf.len() {
+            let mut r = Reader::new(&buf[..cut]);
+            let whole = r.take_u8().and_then(|_| r.take_u32()).and_then(|_| r.take_u64());
+            assert!(whole.is_none(), "truncated at {cut}");
+        }
     }
 
     #[test]

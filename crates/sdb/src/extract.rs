@@ -37,21 +37,28 @@
 //! 1. plan the reference rows into the *occupied* tiles of a
 //!    [`geopattern_geom::TileGrid`] (the `tiled` module; the default
 //!    grid is one tile holding every row in row order);
-//! 2. prepare the relevant layers once (`prepare_layers`);
+//! 2. prepare the relevant layers once (`prepare_layers`) and number the
+//!    extraction vocabulary (`Vocabulary`);
 //! 3. run the tiles one after another, each tile's rows in parallel on
 //!    the in-tree [`geopattern_par`] pool (rows are independent);
 //! 4. append each finished tile to the [`Journal`], if one is attached;
 //! 5. merge in global row order (`merge_batches`).
 //!
-//! Workers emit *predicate batches*, not interned codes; the
-//! single-threaded merge interns them in row order, so the resulting
-//! table — predicate numbering included — is byte-identical to a serial
-//! run regardless of thread count or tiling.
+//! The vocabulary is every predicate a row can emit. The layers, the
+//! settings and the reference attributes fix it before any geometry is
+//! read (relation, band or direction × relevant feature type, plus the
+//! `attribute=value` pairs), so workers emit plain `u32` vocabulary codes
+//! and clone no string. The single-threaded merge
+//! renumbers the codes into first-appearance order through one flat map,
+//! so the resulting table — predicate numbering included — is
+//! byte-identical to a serial run regardless of thread count or tiling,
+//! and each *distinct* predicate is cloned and hashed once.
 //!
-//! The configured [`Recorder`] receives per-phase timings and counters:
-//! workers fill a private [`geopattern_obs::Metrics`] (no locking on the
-//! hot path) which the row-order merge absorbs — the same discipline that
-//! keeps the table deterministic keeps the metrics deterministic.
+//! The configured [`Recorder`] receives per-phase timings and counters.
+//! Each measured row returns a fixed counter record (its kernel counters
+//! and cancel checks) beside its codes; the merge sums them in row order,
+//! names them once and absorbs them in one step — the same discipline
+//! that keeps the table deterministic keeps the metrics deterministic.
 //!
 //! The configured [`CancelToken`] is checked at pool chunk boundaries and
 //! *inside each row's pair loops* (fail point: `sdb/extract.row`, inside
@@ -64,12 +71,16 @@
 use crate::feature::{Feature, Layer};
 use crate::predicate_table::{Predicate, PredicateTable};
 use crate::tiled;
-use geopattern_geom::{take_kernel_counters, GeomDim, IntersectionMatrix, PreparedGeometry};
+use geopattern_geom::{
+    take_kernel_counters, GeomDim, IntersectionMatrix, KernelCounters, PreparedGeometry,
+};
 use geopattern_obs::{Metrics, Recorder};
 use geopattern_par::{try_par_map, CancelToken, Interrupt, Journal, MemoryBudget, Threads};
 use geopattern_qsr::{
-    classify, geometry_direction, DistanceScheme, SpatialPredicate, TopologicalRelation,
+    classify, geometry_direction, CardinalDirection, DistanceScheme, SpatialPredicate,
+    TopologicalRelation,
 };
+use std::collections::HashMap;
 
 /// How extraction shards its spatial work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,12 +156,15 @@ pub struct ExtractionConfig {
     /// Optional durable journal, the one extraction checkpoint: each
     /// completed tile's rows are persisted as the tile finishes, and tiles
     /// already present in the journal are *reloaded instead of
-    /// re-extracted*. The caller is responsible for matching the journal
-    /// to the run (the journal's fingerprint guards this at the CLI
-    /// level); resumed output is bit-identical to an uninterrupted run at
-    /// any thread count. Resumed tiles skip their per-row metrics
-    /// (histograms, kernel counters) — the counters derived from the
-    /// persisted [`ExtractionStats`] still match.
+    /// re-extracted*. A record carries a digest of the extraction
+    /// vocabulary and every output-affecting field above, so a tile
+    /// journaled under other settings is re-extracted; matching the
+    /// journal to the *data* is the caller's job (the journal's
+    /// fingerprint guards this at the CLI level). Resumed output is
+    /// bit-identical to an uninterrupted run at any thread count. Resumed
+    /// tiles skip their per-row metrics (histograms, kernel counters) —
+    /// the counters derived from the persisted [`ExtractionStats`] still
+    /// match.
     pub journal: Option<Journal>,
 }
 
@@ -278,6 +292,15 @@ pub(crate) struct PreparedLayer<'a> {
     pub(crate) window: Option<f64>,
     /// Per-pair results precomputed once for self-join layers.
     pub(crate) memo: Option<SelfJoinMemo>,
+    /// Vocabulary codes of this layer's topological predicates, indexed by
+    /// `TopologicalRelation as usize` (filled when `topological` is on).
+    topological: [u32; TopologicalRelation::ALL.len()],
+    /// Vocabulary codes of this layer's distance predicates, indexed by
+    /// band (empty without a distance scheme).
+    bands: Vec<u32>,
+    /// Vocabulary codes of this layer's direction predicates, indexed by
+    /// `CardinalDirection as usize` (filled when `direction` is on).
+    directions: [u32; CardinalDirection::ALL.len()],
 }
 
 impl<'a> PreparedLayer<'a> {
@@ -293,7 +316,74 @@ impl<'a> PreparedLayer<'a> {
             dims: layer.features().iter().map(|f| f.geometry.dimension()).collect(),
             window,
             memo: None,
+            topological: [u32::MAX; TopologicalRelation::ALL.len()],
+            bands: Vec::new(),
+            directions: [u32::MAX; CardinalDirection::ALL.len()],
         }
+    }
+}
+
+/// The extraction vocabulary: every predicate a row can emit, numbered
+/// before any row runs. Rows emit these codes; the merge renumbers them
+/// into the table's first-appearance numbering.
+pub(crate) struct Vocabulary {
+    /// The predicates by vocabulary code. Used only as a dictionary: it
+    /// holds no rows.
+    pub(crate) dictionary: PredicateTable,
+    /// Each reference row's attribute codes, in attribute (`BTreeMap`)
+    /// order; empty when attributes are off.
+    attributes: Vec<Vec<u32>>,
+}
+
+impl Vocabulary {
+    /// Numbers the predicates of every relevant layer — storing each
+    /// layer's codes on it — and of every reference row's attributes.
+    /// Layers that share a feature type share codes, since
+    /// [`PredicateTable::intern`] dedups equal predicates.
+    fn new(
+        reference: &Layer,
+        layers: &mut [PreparedLayer],
+        config: &ExtractionConfig,
+    ) -> Vocabulary {
+        let mut dictionary = PredicateTable::new();
+        let mut spatial = |p: SpatialPredicate| dictionary.intern(Predicate::Spatial(p));
+        for pl in layers.iter_mut() {
+            let ft = pl.layer.feature_type.as_str();
+            if config.topological {
+                for rel in TopologicalRelation::ALL {
+                    pl.topological[rel as usize] = spatial(SpatialPredicate::topological(rel, ft));
+                }
+            }
+            if let Some(scheme) = &config.distance {
+                pl.bands = scheme
+                    .bands()
+                    .iter()
+                    .map(|band| spatial(SpatialPredicate::distance(band.name.as_str(), ft)))
+                    .collect();
+            }
+            if config.direction {
+                for dir in CardinalDirection::ALL {
+                    pl.directions[dir as usize] = spatial(SpatialPredicate::direction(dir, ft));
+                }
+            }
+        }
+        // Keyed by borrowed strings: each distinct pair is cloned once, on
+        // its first occurrence.
+        let mut by_pair: HashMap<(&str, &str), u32> = HashMap::new();
+        let mut attributes = Vec::with_capacity(reference.len());
+        for feature in reference.features() {
+            let mut codes = Vec::new();
+            if config.nonspatial_attributes {
+                for (a, v) in &feature.attributes {
+                    codes.push(*by_pair.entry((a.as_str(), v.as_str())).or_insert_with(|| {
+                        let p = Predicate::NonSpatial { attribute: a.clone(), value: v.clone() };
+                        dictionary.intern(p)
+                    }));
+                }
+            }
+            attributes.push(codes);
+        }
+        Vocabulary { dictionary, attributes }
     }
 }
 
@@ -339,12 +429,22 @@ impl SelfJoinMemo {
     }
 }
 
-/// One worker's output for one reference feature: the row's predicates in
-/// serial emission order, plus the row's share of the stats and metrics.
+/// One worker's output for one reference feature: the row's vocabulary
+/// codes in serial emission order, plus the row's share of the stats and
+/// counters.
 pub(crate) struct RowBatch {
-    pub(crate) predicates: Vec<Predicate>,
+    pub(crate) codes: Vec<u32>,
     pub(crate) stats: ExtractionStats,
-    pub(crate) metrics: Metrics,
+    /// `None` without a recorder and for a resumed row: resumed rows
+    /// describe work that was not redone.
+    pub(crate) counters: Option<RowCounters>,
+}
+
+/// The fixed counter record of one measured row.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct RowCounters {
+    kernel: KernelCounters,
+    cancel_checks: u64,
 }
 
 /// Extracts a predicate table from a reference layer and relevant layers.
@@ -370,10 +470,14 @@ pub fn extract_predicates(
         let _plan_span = recorder.span("plan");
         tiled::plan_tiles(reference, tiles_per_axis, recorder)
     };
-    let layers = {
+    let (layers, vocabulary) = {
         let _prepare_span = recorder.span("prepare");
-        prepare_layers(reference, relevant, config, window, record)?
+        let mut layers = prepare_layers(reference, relevant, config, window, record)?;
+        let vocabulary = Vocabulary::new(reference, &mut layers, config);
+        (layers, vocabulary)
     };
+    let journal =
+        config.journal.as_ref().map(|j| tiled::TileJournal::new(j, &vocabulary.dictionary, config));
 
     // Each finished tile's batches, in the tile's (ascending) row order.
     let mut done: Vec<std::vec::IntoIter<RowBatch>> = Vec::with_capacity(tiles.len());
@@ -383,14 +487,17 @@ pub fn extract_predicates(
         for tile in &tiles {
             // A journaled tile is reloaded, not re-extracted — and skips
             // the fail point: the unit already completed in a past run.
-            let batches = match tiled::resume(tile, config) {
+            let batches = match journal.as_ref().and_then(|j| j.resume(tile)) {
                 Some(batches) => {
                     resumed += 1;
                     batches
                 }
                 None => {
-                    let batches = tiled::extract_tile(tile, reference, &layers, config, record)?;
-                    tiled::checkpoint(tile, &batches, config);
+                    let batches =
+                        tiled::extract_tile(tile, reference, &layers, &vocabulary, config, record)?;
+                    if let Some(j) = &journal {
+                        j.checkpoint(tile, &batches);
+                    }
                     batches
                 }
             };
@@ -412,7 +519,7 @@ pub fn extract_predicates(
         }
     }
     let batches = owner.iter().map(|&t| done[t as usize].next().expect("one batch per owned row"));
-    Ok(merge_batches(reference.features().iter().zip(batches), recorder))
+    Ok(merge_batches(reference.features().iter().zip(batches), &vocabulary.dictionary, config))
 }
 
 /// Prepares every relevant layer exactly once: geometry preparation plus
@@ -441,23 +548,49 @@ fn prepare_layers<'a>(
         .collect::<Result<_, Interrupt>>()
 }
 
-/// Single-threaded merge: interning in row order reproduces the serial
-/// predicate numbering exactly, and absorbing worker metrics in the same
-/// order keeps the aggregate deterministic. Batches arrive in global row
-/// order whatever the tiling, which is exactly why every tiling yields
-/// the same table.
+/// Single-threaded merge: renumbering vocabulary codes on their first
+/// appearance in row order reproduces the serial predicate numbering
+/// exactly, and summing the row counters in the same order keeps the
+/// metrics deterministic. Batches arrive in global row order whatever the
+/// tiling, which is exactly why every tiling yields the same table.
 fn merge_batches<'a>(
     rows: impl Iterator<Item = (&'a Feature, RowBatch)>,
-    recorder: &Recorder,
+    vocabulary: &PredicateTable,
+    config: &ExtractionConfig,
 ) -> (PredicateTable, ExtractionStats) {
+    let recorder = &config.recorder;
     let mut table = PredicateTable::new();
     let mut stats = ExtractionStats::default();
+    // Vocabulary code → table code; `u32::MAX` until first seen.
+    let mut renumber = vec![u32::MAX; vocabulary.num_predicates()];
+    let mut metrics = Metrics::new();
+    let mut measured: Option<RowCounters> = None;
     for (ref_feature, batch) in rows {
         stats.absorb(&batch.stats);
-        recorder.absorb(&batch.metrics);
-        let codes: Vec<u32> = batch.predicates.into_iter().map(|p| table.intern(p)).collect();
+        if let Some(row) = batch.counters {
+            metrics.record("extract.row_predicates", batch.codes.len() as u64);
+            metrics.record("extract.row_candidate_pairs", batch.stats.candidate_pairs as u64);
+            let sum = measured.get_or_insert_with(RowCounters::default);
+            sum.kernel += row.kernel;
+            sum.cancel_checks += row.cancel_checks;
+        }
+        let mut codes = batch.codes;
+        for code in &mut codes {
+            let slot = &mut renumber[*code as usize];
+            if *slot == u32::MAX {
+                *slot = table.intern(vocabulary.predicate(*code).clone());
+            }
+            *code = *slot;
+        }
         table.push_row(ref_feature.id.clone(), codes);
     }
+    if let Some(sum) = measured {
+        if config.cancel.is_enabled() {
+            metrics.add_counter("robust/cancel_checks", sum.cancel_checks);
+        }
+        record_kernel_counters(&mut metrics, &sum.kernel);
+    }
+    recorder.absorb(&metrics);
     recorder.counter("extract.rows", table.num_rows() as u64);
     recorder.counter("extract.predicates", table.num_predicates() as u64);
     recorder.counter("extract.candidate_pairs", stats.candidate_pairs as u64);
@@ -468,19 +601,18 @@ fn merge_batches<'a>(
 
 /// Precomputes every unordered pair result of a self-join layer, in
 /// parallel over rows. Row `i` runs exactly the candidate queries
-/// [`extract_row`] will run and keeps the `j >= i` half; kernel counters
-/// are drained per row and absorbed in row order, so the recorded metrics
+/// [`extract_row`] will run and keeps the `j >= i` half; each row's kernel
+/// counters are summed in row order and recorded once, so the metrics
 /// stay thread-count invariant.
 fn build_self_join_memo(
     pl: &PreparedLayer,
     config: &ExtractionConfig,
     record: bool,
 ) -> Result<SelfJoinMemo, Interrupt> {
-    let recorder = &config.recorder;
     let layer = pl.layer;
     let cutoff = pl.window.unwrap_or(f64::INFINITY);
     let want_dist = config.distance.is_some() || config.direction;
-    type MemoRow = (Vec<(u32, IntersectionMatrix)>, Vec<(u32, Option<f64>)>, Metrics);
+    type MemoRow = (Vec<(u32, IntersectionMatrix)>, Vec<(u32, Option<f64>)>, KernelCounters);
     let rows: Vec<MemoRow> = try_par_map(
         config.threads,
         &config.cancel,
@@ -513,19 +645,21 @@ fn build_self_join_memo(
                     }
                 }
             }
-            let mut metrics = Metrics::new();
-            if record {
-                drain_kernel_counters(&mut metrics);
-            }
-            (topo, dist, metrics)
+            (topo, dist, take_kernel_counters())
         },
     )?;
     let mut topo = Vec::with_capacity(rows.len());
     let mut dist = Vec::with_capacity(rows.len());
-    for (t, d, metrics) in rows {
+    let mut kernel = KernelCounters::default();
+    for (t, d, k) in rows {
         topo.push(t);
         dist.push(d);
-        recorder.absorb(&metrics);
+        kernel += k;
+    }
+    if record && !topo.is_empty() {
+        let mut metrics = Metrics::new();
+        record_kernel_counters(&mut metrics, &kernel);
+        config.recorder.absorb(&metrics);
     }
     Ok(SelfJoinMemo {
         topo: config.topological.then_some(topo),
@@ -533,15 +667,11 @@ fn build_self_join_memo(
     })
 }
 
-/// Moves the thread-local geometry-kernel counters accumulated since the
-/// last reset into `metrics`.
-///
-/// Every counter — including the quant fallback counter — is
-/// drained per extraction task (row or memo entry) into that task's own
-/// `Metrics` and merged in deterministic row order, so totals are
-/// invariant under the worker thread count.
-pub(crate) fn drain_kernel_counters(metrics: &mut Metrics) {
-    let k = take_kernel_counters();
+/// Names the geometry-kernel counters: the row-order sums of every
+/// measured extraction task (row or memo entry), recorded once per
+/// extraction and once per self-join memo, so totals are invariant under
+/// the worker thread count.
+fn record_kernel_counters(metrics: &mut Metrics, k: &KernelCounters) {
     metrics.add_counter("geom/segtree_nodes_visited", k.segtree_nodes_visited);
     metrics.add_counter("geom/pairs_exact", k.pairs_exact);
     metrics.add_counter("geom/distance_early_exit", k.distance_early_exit);
@@ -564,27 +694,19 @@ pub(crate) fn extract_row(
     row: usize,
     ref_feature: &Feature,
     layers: &[PreparedLayer],
+    vocabulary: &Vocabulary,
     config: &ExtractionConfig,
     record: bool,
 ) -> RowBatch {
     let cancel = &config.cancel;
-    let mut predicates: Vec<Predicate> = Vec::new();
+    let mut codes = vocabulary.attributes[row].clone();
     let mut stats = ExtractionStats::default();
     let watch = cancel.is_enabled();
     let mut cancel_checks: u64 = 0;
     let mut interrupted = false;
 
-    if config.nonspatial_attributes {
-        for (attribute, value) in &ref_feature.attributes {
-            predicates.push(Predicate::NonSpatial {
-                attribute: attribute.clone(),
-                value: value.clone(),
-            });
-        }
-    }
-
     // Discard kernel-counter residue left on this worker thread by other
-    // rows, so this row's drain below reports exactly its own work.
+    // rows, so this row's counters below report exactly its own work.
     let _ = take_kernel_counters();
 
     let prep_ref = PreparedGeometry::new(ref_feature.geometry.clone());
@@ -593,7 +715,6 @@ pub(crate) fn extract_row(
 
     'layers: for pl in layers {
         let layer = pl.layer;
-        let ft = layer.feature_type.as_str();
 
         if config.topological {
             // Envelope prefilter: only envelope-intersecting pairs can
@@ -619,14 +740,11 @@ pub(crate) fn extract_row(
                     disjoint_count += 1;
                     continue;
                 }
-                predicates.push(Predicate::Spatial(SpatialPredicate::topological(rel, ft)));
+                codes.push(pl.topological[rel as usize]);
                 stats.spatial_predicates += 1;
             }
             if config.include_disjoint && disjoint_count > 0 {
-                predicates.push(Predicate::Spatial(SpatialPredicate::topological(
-                    TopologicalRelation::Disjoint,
-                    ft,
-                )));
+                codes.push(pl.topological[TopologicalRelation::Disjoint as usize]);
                 stats.spatial_predicates += 1;
             }
         }
@@ -666,35 +784,27 @@ pub(crate) fn extract_row(
                     continue;
                 }
                 if let Some(scheme) = &config.distance {
-                    if let Some((_, band)) = scheme.classify(d) {
-                        predicates
-                            .push(Predicate::Spatial(SpatialPredicate::distance(band, ft)));
+                    if let Some((band, _)) = scheme.classify(d) {
+                        codes.push(pl.bands[band]);
                         stats.spatial_predicates += 1;
                     }
                 }
                 if config.direction {
                     let dir = geometry_direction(&ref_feature.geometry, &rel_feature.geometry);
-                    predicates.push(Predicate::Spatial(SpatialPredicate::direction(dir, ft)));
+                    codes.push(pl.directions[dir as usize]);
                     stats.spatial_predicates += 1;
                 }
             }
         }
     }
 
-    // Worker-local metrics: filled without locks, absorbed by the merge
-    // in row order. A truncated (interrupted) batch skips them — the pool
-    // discards the whole output on interruption, so nothing partial can
-    // leak into the aggregate.
-    let mut metrics = Metrics::new();
-    if record && !interrupted {
-        metrics.record("extract.row_predicates", predicates.len() as u64);
-        metrics.record("extract.row_candidate_pairs", stats.candidate_pairs as u64);
-        if watch {
-            metrics.add_counter("robust/cancel_checks", cancel_checks);
-        }
-        drain_kernel_counters(&mut metrics);
-    }
-    RowBatch { predicates, stats, metrics }
+    // The row's counters, summed by the merge in row order. A truncated
+    // (interrupted) batch is not measured — the pool discards the whole
+    // output on interruption, so nothing partial can leak into the
+    // aggregate.
+    let counters = (record && !interrupted)
+        .then(|| RowCounters { kernel: take_kernel_counters(), cancel_checks });
+    RowBatch { codes, stats, counters }
 }
 
 #[cfg(test)]

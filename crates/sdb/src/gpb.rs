@@ -6,7 +6,7 @@
 //! stores the same [`SpatialDataset`] as typed little-endian arrays:
 //!
 //! ```text
-//! "GPB1"  u32 version            — 1 (written), or legacy 2 (read only)
+//! "GPB1"  u32 version            — 1
 //! string table          — interned layer names and attribute keys/values,
 //!                         in first-use order (deterministic output)
 //! u32 layer count
@@ -17,17 +17,12 @@
 //!     per feature: id bytes, u8 geometry tag, envelope (4×f64),
 //!                  part/ring structure (u32 lengths), attribute id pairs
 //!     u64 coord count, xs (n×f64), ys (n×f64)       ← columnar coords
-//!     version 2 only: u8 has_quant, then if set:
-//!       quantizer header (x0, y0, cell — 3×f64)
-//!       qx deltas (n×i32), qy deltas (n×i32)        ← quantized column
 //! ```
 //!
-//! The writer emits version 1; the reader accepts versions 1 and 2.
-//! Version-2 files, written by earlier releases, append a quantized copy
-//! of each layer's coordinates that nothing reads: the decoder checks its
-//! structure (flag byte, a valid quantizer header, payloads inside the
-//! layer body) and skips it, so a corrupt column still surfaces as a
-//! typed [`GpbError`].
+//! Version 1 is the only version written or read. Version-2 files, which
+//! earlier releases wrote with a quantized copy of each layer's
+//! coordinates, are rejected with [`GpbError::UnsupportedVersion`];
+//! regenerate them from their source.
 //!
 //! Because each layer's directory record carries its body length, a
 //! [`GpbReader`] can open a dataset and decode **one layer at a time** —
@@ -51,17 +46,15 @@ use crate::feature::{Feature, Layer};
 use crate::rtree::RTree;
 use geopattern_geom::{
     coord, Coord, GeomError, Geometry, LineString, MultiLineString, MultiPoint, MultiPolygon,
-    Point, Polygon, Quantizer, Rect, Ring,
+    Point, Polygon, Rect, Ring,
 };
 use geopattern_par::{host_parallelism, par_map, Threads};
 use std::collections::HashMap;
 use std::fmt;
 
 const MAGIC: &[u8; 4] = b"GPB1";
-/// Version written by [`to_gpb`].
+/// The version [`to_gpb`] writes and the reader accepts.
 const VERSION: u32 = 1;
-/// The legacy version with a quantized column per layer, still read.
-const VERSION_V2: u32 = 2;
 
 const TAG_POINT: u8 = 1;
 const TAG_MULTIPOINT: u8 = 2;
@@ -372,7 +365,6 @@ struct LayerEntry {
 /// envelope windows of them) on demand.
 pub struct GpbReader<'a> {
     data: &'a [u8],
-    version: u32,
     strings: Vec<&'a str>,
     layers: Vec<LayerEntry>,
 }
@@ -386,7 +378,7 @@ impl<'a> GpbReader<'a> {
             return Err(GpbError::BadMagic);
         }
         let version = cur.u32()?;
-        if version != VERSION && version != VERSION_V2 {
+        if version != VERSION {
             return Err(GpbError::UnsupportedVersion(version));
         }
         let n_strings = cur.count(4)?;
@@ -415,12 +407,13 @@ impl<'a> GpbReader<'a> {
             cur.take(body_len)?;
             layers.push(LayerEntry { name, is_reference, body: start..start + body_len });
         }
-        Ok(GpbReader { data, version, strings, layers })
+        Ok(GpbReader { data, strings, layers })
     }
 
-    /// The format version of the opened buffer (1 or 2).
+    /// The format version of the opened buffer: always 1, the only
+    /// version [`GpbReader::open`] accepts.
     pub fn version(&self) -> u32 {
-        self.version
+        VERSION
     }
 
     /// Number of layers in the dataset.
@@ -588,34 +581,6 @@ impl<'a> GpbReader<'a> {
             .ok_or(GpbError::Truncated { offset: coords_offset })?;
         let xs = cur.take(coord_bytes)?;
         let ys = cur.take(coord_bytes)?;
-        // Version 2 appends an optional quantized column that nothing
-        // reads: check its structure, then skip it.
-        if self.version == VERSION_V2 {
-            let offset = cur.at;
-            match cur.u8()? {
-                0 => {}
-                1 => {
-                    let (x0, y0, cell) = (cur.f64()?, cur.f64()?, cur.f64()?);
-                    if Quantizer::from_parts(x0, y0, cell).is_none() {
-                        return Err(GpbError::Malformed {
-                            offset,
-                            message: "invalid quantizer header".into(),
-                        });
-                    }
-                    let delta_bytes = coord_at
-                        .checked_mul(4)
-                        .ok_or(GpbError::Truncated { offset: cur.at })?;
-                    cur.take(delta_bytes)?;
-                    cur.take(delta_bytes)?;
-                }
-                other => {
-                    return Err(GpbError::Malformed {
-                        offset,
-                        message: format!("invalid quant-column flag {other}"),
-                    })
-                }
-            }
-        }
         if cur.at != entry.body.end {
             return Err(GpbError::Malformed {
                 offset: cur.at,
@@ -937,10 +902,6 @@ mod tests {
         }
     }
 
-    /// A version-2 file (with quantized columns) written by an earlier
-    /// release of [`to_gpb`]: `generate_city` at grid 2, seed 7.
-    const FIXTURE_V2: &[u8] = include_bytes!("../testdata/city_grid2_seed7_v2.gpb");
-
     fn version_of(bytes: &[u8]) -> u32 {
         u32::from_le_bytes(bytes[4..8].try_into().unwrap())
     }
@@ -952,41 +913,14 @@ mod tests {
         assert_eq!(version_of(&v1), 1);
         assert_eq!(GpbReader::open(&v1).unwrap().version(), 1);
         assert_eq!(from_gpb(&v1).unwrap().to_text(), ds.to_text());
-        // A legacy v2 file reads, and re-encodes to v1 bytes that read
-        // back to the same dataset.
-        assert_eq!(GpbReader::open(FIXTURE_V2).unwrap().version(), 2);
-        let from_v2 = from_gpb(FIXTURE_V2).unwrap();
-        let reencoded = to_gpb(&from_v2);
-        assert_eq!(version_of(&reencoded), 1);
-        assert!(reencoded.len() < FIXTURE_V2.len(), "v1 drops the quantized columns");
-        assert_eq!(from_gpb(&reencoded).unwrap().to_text(), from_v2.to_text());
     }
 
     #[test]
-    fn bad_quantizer_header_is_malformed() {
-        // The legacy writer sized each layer's quantizer from the union
-        // of its feature envelopes; recompute the reference layer's cell
-        // to find its stored header, then poison the cell with 0.0.
-        let ds = from_gpb(FIXTURE_V2).unwrap();
-        let bbox = ds
-            .reference
-            .features()
-            .iter()
-            .fold(Rect::EMPTY, |acc, f| acc.union(&f.envelope()));
-        let cell_bytes = Quantizer::for_rect(&bbox).cell().to_le_bytes();
-        let pos = FIXTURE_V2
-            .windows(8)
-            .position(|w| w == cell_bytes)
-            .expect("stored cell must appear in the encoding");
-        let mut v = FIXTURE_V2.to_vec();
-        v[pos..pos + 8].copy_from_slice(&0.0f64.to_le_bytes());
-        let err = from_gpb(&v).expect_err("poisoned quantizer header must be rejected");
-        assert!(matches!(err, GpbError::Malformed { .. }), "{err}");
-        // An unknown column flag is rejected the same way: the flag byte
-        // sits just before the header's origin and cell.
-        let mut v = FIXTURE_V2.to_vec();
-        v[pos - 17] = 7;
-        let err = from_gpb(&v).expect_err("unknown quant-column flag must be rejected");
-        assert!(matches!(err, GpbError::Malformed { .. }), "{err}");
+    fn version_2_is_rejected_not_read() {
+        let mut v = to_gpb(&sample());
+        v[4..8].copy_from_slice(&2u32.to_le_bytes());
+        assert!(matches!(from_gpb(&v), Err(GpbError::UnsupportedVersion(2))));
+        assert!(matches!(GpbReader::open(&v), Err(GpbError::UnsupportedVersion(2))));
+        assert_eq!(GpbError::UnsupportedVersion(2).to_string(), "unsupported gpb version 2");
     }
 }

@@ -11,8 +11,9 @@
 //! * [`mod@extract`] — the qualitative predicate-extraction engine: reference
 //!   layer × relevant layers → [`PredicateTable`] rows of
 //!   `contains_slum`-style predicates at feature-type granularity;
-//! * [`predicate_table`] — the dictionary-encoded mining input, including
-//!   enumeration of *same-feature-type pairs* (the KC+ filter's target);
+//! * [`predicate_table`] — the dictionary-encoded mining input; each
+//!   spatial predicate names its relevant feature type, the KC+ filter's
+//!   criterion;
 //! * [`knowledge`] — the background-knowledge set `Φ` of well-known
 //!   geographic dependencies (the KC filter's input);
 //! * [`dataset`] — a text format bundling reference + relevant layers;
@@ -32,9 +33,7 @@ pub mod join;
 pub mod knowledge;
 pub mod predicate_table;
 pub mod rtree;
-pub mod summary;
 pub mod taxonomy;
-pub(crate) mod journal_codec;
 pub(crate) mod tiled;
 
 pub use dataset::{DatasetError, SpatialDataset};
@@ -46,5 +45,4 @@ pub use join::{spatial_join, spatial_join_intersecting, JoinPair};
 pub use knowledge::KnowledgeBase;
 pub use predicate_table::{Predicate, PredicateTable};
 pub use rtree::{HasEnvelope, RTree};
-pub use summary::{summarize, PredicateTableSummary};
 pub use taxonomy::{FeatureTypeTaxonomy, TaxonomyError};

@@ -44,7 +44,10 @@ impl fmt::Display for Predicate {
     }
 }
 
-/// Dictionary-encoded predicate table.
+/// Dictionary-encoded predicate table. Codes number predicates in the
+/// order they were first interned; extraction interns in row order, so a
+/// table's numbering is its predicates' first appearance. Extraction also
+/// keeps a row-less table as the dictionary of its vocabulary.
 #[derive(Debug, Clone, Default)]
 pub struct PredicateTable {
     predicates: Vec<Predicate>,
@@ -106,30 +109,6 @@ impl PredicateTable {
     pub fn num_predicates(&self) -> usize {
         self.predicates.len()
     }
-
-    /// All unordered pairs of spatial predicate codes that concern the same
-    /// relevant feature type — exactly the pairs Apriori-KC+ removes from
-    /// `C₂`.
-    pub fn same_feature_type_pairs(&self) -> Vec<(u32, u32)> {
-        let mut by_type: HashMap<&str, Vec<u32>> = HashMap::new();
-        for (code, p) in self.predicates.iter().enumerate() {
-            if let Some(ft) = p.feature_type() {
-                by_type.entry(ft).or_default().push(code as u32);
-            }
-        }
-        let mut out = Vec::new();
-        let mut types: Vec<&&str> = by_type.keys().collect();
-        types.sort();
-        for t in types {
-            let codes = &by_type[*t];
-            for i in 0..codes.len() {
-                for j in (i + 1)..codes.len() {
-                    out.push((codes[i], codes[j]));
-                }
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Display for PredicateTable {
@@ -177,27 +156,6 @@ mod tests {
         t.push_row("Nonoai", vec![b, a, b]);
         assert_eq!(t.rows()[0].1, vec![a, b]);
         assert_eq!(t.num_rows(), 1);
-    }
-
-    #[test]
-    fn same_feature_type_pairs_enumerated() {
-        let mut t = PredicateTable::new();
-        let c_slum = t.intern(spatial(T::Contains, "slum"));
-        let t_slum = t.intern(spatial(T::Touches, "slum"));
-        let o_slum = t.intern(spatial(T::Overlaps, "slum"));
-        let c_school = t.intern(spatial(T::Contains, "school"));
-        let t_school = t.intern(spatial(T::Touches, "school"));
-        let _murder = t.intern(nonspatial("murderRate", "high"));
-
-        let pairs = t.same_feature_type_pairs();
-        // C(3,2) slum pairs + C(2,2) school pairs = 3 + 1.
-        assert_eq!(pairs.len(), 4);
-        assert!(pairs.contains(&(c_slum, t_slum)));
-        assert!(pairs.contains(&(c_slum, o_slum)));
-        assert!(pairs.contains(&(t_slum, o_slum)));
-        assert!(pairs.contains(&(c_school, t_school)));
-        // Non-spatial predicates never participate.
-        assert!(pairs.iter().all(|&(x, y)| x != 5 && y != 5));
     }
 
     #[test]

@@ -33,20 +33,29 @@
 //! * the deterministic fail point `sdb/extract.tile` fires at the tile's
 //!   start on the coordinating thread (a sequential site); the rows check
 //!   the config's [`CancelToken`](geopattern_par::CancelToken) as usual;
-//! * a configured [`Journal`](geopattern_par::Journal) receives the tile's
-//!   rows (predicates and stats) the moment the tile finishes, and a tile
-//!   already present in the journal is decoded and returned instead of
-//!   re-extracted (`robust/resume_tiles_skipped` counts them). An
-//!   interrupted tile never reaches the journal. A journaled tile whose
-//!   payload fails to decode (torn or corrupted beyond the journal's own
-//!   frame checks) is re-extracted.
+//! * a configured [`Journal`] receives the tile's rows the moment the
+//!   tile finishes, and a tile already present in the journal is decoded
+//!   and returned instead of re-extracted (`robust/resume_tiles_skipped`
+//!   counts them). An interrupted tile never reaches the journal.
+//!
+//! A tile record (kind `extract/tile`, shard = the tile id) holds a
+//! digest, then for each owned row in order: the row id, the three
+//! [`ExtractionStats`] counts, the code count and the row's vocabulary
+//! codes. The digest is FNV-1a over the vocabulary in code order and every
+//! output-affecting [`ExtractionConfig`] field, so a record written under
+//! another vocabulary or configuration — like one torn or corrupted
+//! beyond the journal's own frame checks, or holding a code outside the
+//! vocabulary — decodes to nothing and the tile is re-extracted.
 
-use crate::extract::{extract_row, ExtractionConfig, ExtractionStats, PreparedLayer, RowBatch};
+use crate::extract::{
+    extract_row, ExtractionConfig, ExtractionStats, PreparedLayer, RowBatch, Vocabulary,
+};
 use crate::feature::Layer;
-use crate::journal_codec::{self as codec, Reader};
+use crate::predicate_table::PredicateTable;
 use geopattern_geom::{Geometry, Rect, TileGrid};
-use geopattern_obs::{Metrics, Recorder};
-use geopattern_par::{try_par_map, Interrupt};
+use geopattern_obs::Recorder;
+use geopattern_par::journal::{put_u32, put_u64, Reader};
+use geopattern_par::{fnv1a64, try_par_map, Interrupt, Journal};
 
 /// Journal record kind for one completed tile.
 const TILE_KIND: &str = "extract/tile";
@@ -92,6 +101,7 @@ pub(crate) fn extract_tile(
     tile: &TileTask,
     reference: &Layer,
     layers: &[PreparedLayer],
+    vocabulary: &Vocabulary,
     config: &ExtractionConfig,
     record: bool,
 ) -> Result<Vec<RowBatch>, Interrupt> {
@@ -111,7 +121,7 @@ pub(crate) fn extract_tile(
             cancel.cancel();
         }
         let row = row as usize;
-        extract_row(row, &reference.features()[row], layers, config, record)
+        extract_row(row, &reference.features()[row], layers, vocabulary, config, record)
     });
     config.budget.release(sub_bytes);
     batches
@@ -146,68 +156,118 @@ fn working_set(
         .fold((0, 0), |(f, b), (kf, kb)| (f + kf, b + kb))
 }
 
-/// The tile's batches from the config's journal, if a past run journaled
-/// it and the record decodes.
-pub(crate) fn resume(tile: &TileTask, config: &ExtractionConfig) -> Option<Vec<RowBatch>> {
-    let payload = config.journal.as_ref()?.lookup(TILE_KIND, tile.id as u64)?;
-    decode_tile(&payload, tile)
+/// An extraction run's journal, bound to the run's vocabulary and
+/// configuration through the record digest.
+pub(crate) struct TileJournal<'a> {
+    journal: &'a Journal,
+    digest: u64,
+    /// A journaled code at or past this is malformed.
+    vocabulary_len: usize,
 }
 
-/// Appends a finished tile to the config's journal, if any. Best-effort:
-/// a full disk or an oversized record must not fail the run — the tile
-/// simply isn't resumable.
-pub(crate) fn checkpoint(tile: &TileTask, batches: &[RowBatch], config: &ExtractionConfig) {
-    if let Some(journal) = &config.journal {
-        let _ = journal.append(TILE_KIND, tile.id as u64, &encode_tile(tile, batches));
-    }
-}
-
-/// Encodes one completed tile for the journal: every owned row's
-/// predicates and stats, in row order.
-fn encode_tile(tile: &TileTask, batches: &[RowBatch]) -> Vec<u8> {
-    let mut out = Vec::new();
-    codec::put_u32(&mut out, batches.len() as u32);
-    for (row, rb) in tile.rows.iter().zip(batches) {
-        codec::put_u32(&mut out, *row);
-        codec::put_u64(&mut out, rb.stats.candidate_pairs as u64);
-        codec::put_u64(&mut out, rb.stats.pruned_pairs as u64);
-        codec::put_u64(&mut out, rb.stats.spatial_predicates as u64);
-        codec::put_u32(&mut out, rb.predicates.len() as u32);
-        for p in &rb.predicates {
-            codec::put_predicate(&mut out, p);
+impl<'a> TileJournal<'a> {
+    pub(crate) fn new(
+        journal: &'a Journal,
+        vocabulary: &PredicateTable,
+        config: &ExtractionConfig,
+    ) -> TileJournal<'a> {
+        // Every field but the execution regime, destructured in full so a
+        // new field has to be placed on one side or the other.
+        let ExtractionConfig {
+            topological,
+            include_disjoint,
+            distance,
+            distance_excludes_intersecting,
+            direction,
+            nonspatial_attributes,
+            threads: _,
+            tiling: _,
+            recorder: _,
+            cancel: _,
+            budget: _,
+            journal: _,
+        } = config;
+        let rendered = format!(
+            "{:?}",
+            (
+                vocabulary.predicates(),
+                topological,
+                include_disjoint,
+                distance,
+                distance_excludes_intersecting,
+                direction,
+                nonspatial_attributes,
+            )
+        );
+        TileJournal {
+            journal,
+            digest: fnv1a64(rendered.as_bytes()),
+            vocabulary_len: vocabulary.num_predicates(),
         }
     }
-    out
-}
 
-/// Decodes a journaled tile, validating that it covers exactly the rows
-/// `tile` owns (in order). `None` — re-extract — on any mismatch or
-/// malformed byte. Resumed rows carry empty [`Metrics`]: per-row
-/// histograms and kernel counters describe work that was *not redone*;
-/// the table and stats are what bit-identity is defined over.
-fn decode_tile(payload: &[u8], tile: &TileTask) -> Option<Vec<RowBatch>> {
-    let mut r = Reader::new(payload);
-    if r.take_u32()? as usize != tile.rows.len() {
-        return None;
+    /// The tile's batches, if a past run journaled it under this
+    /// vocabulary and configuration and the record decodes.
+    pub(crate) fn resume(&self, tile: &TileTask) -> Option<Vec<RowBatch>> {
+        let payload = self.journal.lookup(TILE_KIND, tile.id as u64)?;
+        self.decode_tile(&payload, tile)
     }
-    let mut batches = Vec::with_capacity(tile.rows.len());
-    for &expected_row in &tile.rows {
-        if r.take_u32()? != expected_row {
+
+    /// Appends a finished tile. Best-effort: a full disk or an oversized
+    /// record must not fail the run — the tile simply isn't resumable.
+    pub(crate) fn checkpoint(&self, tile: &TileTask, batches: &[RowBatch]) {
+        let _ = self.journal.append(TILE_KIND, tile.id as u64, &self.encode_tile(tile, batches));
+    }
+
+    /// Encodes one completed tile: the digest, then every owned row's id,
+    /// stats and codes, in row order.
+    fn encode_tile(&self, tile: &TileTask, batches: &[RowBatch]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u64(&mut out, self.digest);
+        for (row, rb) in tile.rows.iter().zip(batches) {
+            put_u32(&mut out, *row);
+            put_u64(&mut out, rb.stats.candidate_pairs as u64);
+            put_u64(&mut out, rb.stats.pruned_pairs as u64);
+            put_u64(&mut out, rb.stats.spatial_predicates as u64);
+            put_u32(&mut out, rb.codes.len() as u32);
+            for &code in &rb.codes {
+                put_u32(&mut out, code);
+            }
+        }
+        out
+    }
+
+    /// Decodes a journaled tile, validating the digest and that it covers
+    /// exactly the rows `tile` owns (in order). `None` — re-extract — on
+    /// any mismatch or malformed byte. Resumed rows carry no counters.
+    fn decode_tile(&self, payload: &[u8], tile: &TileTask) -> Option<Vec<RowBatch>> {
+        let mut r = Reader::new(payload);
+        if r.take_u64()? != self.digest {
             return None;
         }
-        let stats = ExtractionStats {
-            candidate_pairs: r.take_u64()? as usize,
-            pruned_pairs: r.take_u64()? as usize,
-            spatial_predicates: r.take_u64()? as usize,
-        };
-        let npred = r.take_u32()? as usize;
-        let mut predicates = Vec::with_capacity(npred.min(payload.len()));
-        for _ in 0..npred {
-            predicates.push(codec::take_predicate(&mut r)?);
+        let mut batches = Vec::with_capacity(tile.rows.len());
+        for &expected_row in &tile.rows {
+            if r.take_u32()? != expected_row {
+                return None;
+            }
+            let stats = ExtractionStats {
+                candidate_pairs: r.take_u64()? as usize,
+                pruned_pairs: r.take_u64()? as usize,
+                spatial_predicates: r.take_u64()? as usize,
+            };
+            let count = r.take_u32()? as usize;
+            let mut codes = Vec::with_capacity(count.min(payload.len() / 4));
+            for _ in 0..count {
+                let code = r.take_u32()?;
+                if code as usize >= self.vocabulary_len {
+                    return None;
+                }
+                codes.push(code);
+            }
+            batches.push(RowBatch { codes, stats, counters: None });
         }
-        batches.push(RowBatch { predicates, stats, metrics: Metrics::new() });
+        r.done().then_some(batches)
     }
-    r.done().then_some(batches)
 }
 
 /// Rough heap footprint of one feature (coordinates dominate), for
@@ -524,6 +584,35 @@ mod tests {
         assert_eq!(out.0.rows(), control.0.rows());
         assert_eq!(rec.snapshot().counter("robust/resume_tiles_skipped"), Some(0));
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tiles_journaled_under_another_vocabulary_are_re_extracted() {
+        let (districts, slums, schools) = scene();
+        let relevant = [&slums, &schools];
+        let (dir, journal) = temp_journal("vocabulary");
+        extract_predicates(
+            &districts,
+            &relevant,
+            &ExtractionConfig::topological_only().with_journal(journal.clone()),
+        )
+        .unwrap();
+        assert_eq!(journal.records(TILE_KIND).len(), 1);
+
+        let direction = ExtractionConfig::topological_only().with_direction();
+        let fresh = extract_predicates(&districts, &relevant, &direction).unwrap();
+        let rec = Recorder::new();
+        let resumed = extract_predicates(
+            &districts,
+            &relevant,
+            &direction.with_recorder(rec.clone()).with_journal(journal),
+        )
+        .unwrap();
+        assert_eq!(resumed.0.predicates(), fresh.0.predicates());
+        assert_eq!(resumed.0.rows(), fresh.0.rows());
+        assert_eq!(resumed.1, fresh.1);
+        assert_eq!(rec.snapshot().counter("robust/resume_tiles_skipped"), Some(0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

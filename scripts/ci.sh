@@ -23,9 +23,10 @@ echo "==> fault-injection suite (fail points armed, fixed seeds)"
 cargo test --release -q -p geopattern-integration --test fault_injection
 cargo test --release -q -p geopattern-integration --test dataset_fuzz
 
-echo "==> CLI exit-code contract (timeout=4, worker panic=5, exceeded budget=7, absurd --tile-size=1, removed counting flag and algorithms=1)"
+echo "==> CLI exit-code contract (timeout=4, worker panic=5, exceeded budget=7, absurd --tile-size=1, removed counting flag and algorithms=1, closed stdout pipe=0)"
 DATASET="$(mktemp -t geopattern-ci-XXXXXX.gpd)"
-trap 'rm -f "$DATASET"' EXIT
+BIG_DATASET="$(mktemp -t geopattern-ci-XXXXXX.gpd)"
+trap 'rm -f "$DATASET" "$BIG_DATASET"' EXIT
 cargo run --release -q -p geopattern --bin geopattern -- \
     generate-city --grid 4 --seed 9 --out "$DATASET"
 set +e
@@ -72,13 +73,24 @@ cargo run --release -q -p geopattern --bin geopattern -- \
 code=$?
 set -e
 test "$code" -eq 7 || { echo "expected exit 7 on an exceeded --memory-budget, got $code"; exit 1; }
+# A reader that closes stdout early ends the command quietly with exit 0,
+# not a panic (101). The grid-8 report, about 99 KB, outgrows a 64 KiB
+# pipe buffer, so the writer meets the closed pipe.
+cargo run --release -q -p geopattern --bin geopattern -- \
+    generate-city --grid 8 --seed 9 --out "$BIG_DATASET" >/dev/null
+set +e
+cargo run --release -q -p geopattern --bin geopattern -- \
+    mine "$BIG_DATASET" --itemsets --rules | head -1 >/dev/null
+code=${PIPESTATUS[0]}
+set -e
+test "$code" -eq 0 || { echo "expected exit 0 when stdout's reader stops early, got $code"; exit 1; }
 
 echo "==> kill-and-resume gate (journaled crash, resume bit-identical, journal fuzz)"
 cargo test --release -q -p geopattern-integration --test crash_resume
 
 echo "==> CLI crash-safety contract (--journal/--resume/--max-retries, exit 6 on exhaustion)"
 JOURNAL="$(mktemp -t geopattern-ci-XXXXXX.journal)"
-trap 'rm -f "$DATASET" "$JOURNAL"' EXIT
+trap 'rm -f "$DATASET" "$BIG_DATASET" "$JOURNAL"' EXIT
 rm -f "$JOURNAL"
 # Injected worker panics recover within the retry budget (exit 0), and
 # the shared journal lets every retry resume the failed attempt's work.
@@ -125,6 +137,20 @@ cargo run --release -q -p geopattern --bin geopattern -- \
 code=$?
 set -e
 test "$code" -eq 2 || { echo "expected exit 2 on resume without the journaled --dep pairs, got $code"; exit 1; }
+# The fingerprint covers the dataset's bytes, not its path: resuming
+# after the file was regenerated with another seed is exit 2.
+rm -f "$JOURNAL"
+cargo run --release -q -p geopattern --bin geopattern -- \
+    mine "$DATASET" --itemsets --journal "$JOURNAL" >/dev/null 2>&1 \
+    || { echo "journaled run before the dataset change failed, exit $?"; exit 1; }
+cargo run --release -q -p geopattern --bin geopattern -- \
+    generate-city --grid 4 --seed 10 --out "$DATASET" >/dev/null
+set +e
+cargo run --release -q -p geopattern --bin geopattern -- \
+    mine "$DATASET" --itemsets --journal "$JOURNAL" --resume >/dev/null 2>&1
+code=$?
+set -e
+test "$code" -eq 2 || { echo "expected exit 2 on resume after the dataset changed, got $code"; exit 1; }
 
 echo "==> strategy-equivalence gate (hash-subset, bitmap by joins and by scan, and auto bit-identical; choose() pure; budget peak equal at 1/2/8 threads)"
 cargo test --release -q -p geopattern-integration --test strategy_equivalence

@@ -12,7 +12,9 @@
 //! through the full stack: geometry → DE-9IM → Egenhofer classification →
 //! extraction → RCC8 consistency → mining.
 
-use geopattern::{Algorithm, Feature, Layer, MiningPipeline, MinSupport, SpatialDataset};
+use geopattern::{
+    to_transactions, Algorithm, Feature, Layer, MiningPipeline, MinSupport, SpatialDataset,
+};
 use geopattern_geom::from_wkt;
 use geopattern_qsr::{
     classify, Consistency, ConstraintNetwork, DistanceScheme, Rcc8, Rcc8Set, TopologicalRelation,
@@ -105,7 +107,7 @@ fn extraction_produces_all_four_predicates_once_each() {
     }
     assert_eq!(stats.spatial_predicates, 4);
     // All four are same-feature-type pairs for KC+: C(4,2) = 6 pairs.
-    assert_eq!(table.same_feature_type_pairs().len(), 6);
+    assert_eq!(to_transactions(&table).catalog.same_feature_type_pairs().len(), 6);
 }
 
 #[test]
@@ -124,7 +126,7 @@ fn distance_relations_match_the_narrative() {
     assert!(row.contains(&"farTo_policeCenter".to_string()), "{row:?}");
     // The paper's point: the same feature type with two distance relations
     // is exactly what generates is_a_District → close ∧ far nonsense…
-    assert_eq!(table.same_feature_type_pairs().len(), 1);
+    assert_eq!(to_transactions(&table).catalog.same_feature_type_pairs().len(), 1);
 }
 
 #[test]
