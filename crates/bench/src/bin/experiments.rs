@@ -1263,7 +1263,7 @@ fn print_kernel(max_vertices: usize, check: bool) {
              \"distance_pairs\":{},\"distance_brute_us\":{dist_brute_us},\
              \"distance_indexed_us\":{dist_indexed_us},\"distance_speedup\":{},\
              \"distance_early_exit\":{},\"segtree_nodes_visited\":{},\"pairs_exact\":{},\
-             \"simd_lanes_tested\":{},\"locate_probes\":{},\
+             \"locate_probes\":{},\
              \"locate_exact_us\":{locate_exact_us},\"locate_quant_us\":{locate_quant_us},\
              \"locate_speedup\":{},\"quant_lanes_tested\":{},\"quant_cells_resolved\":{},\
              \"quant_fallback_exact\":{}}}",
@@ -1274,7 +1274,6 @@ fn print_kernel(max_vertices: usize, check: bool) {
             counters.distance_early_exit,
             counters.segtree_nodes_visited,
             counters.pairs_exact,
-            counters.simd_lanes_tested,
             probes.len(),
             json_f64(locate_speedup),
             quant_counters.quant_lanes_tested,

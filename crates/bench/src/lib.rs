@@ -1,1 +1,3 @@
 //! Benchmarks live in benches/; the experiments binary in src/bin.
+
+#![forbid(unsafe_code)]

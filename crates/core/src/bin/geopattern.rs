@@ -9,7 +9,7 @@
 //!                 [--journal FILE] [--resume] [--max-retries N]
 //! geopattern generate-city [--grid 6] [--seed 1] [--out city.gpd] [--format wkt|gpb]
 //! geopattern relate <WKT_A> <WKT_B>
-//! geopattern gain --t 2,2,2 --n 2
+//! geopattern gain --t 2,2,2 --n 2        (m = Σ t + n ≤ 128)
 //! ```
 //!
 //! Dataset files use the text format of `geopattern_sdb::dataset` (see
@@ -142,7 +142,7 @@ fn print_usage(out: &mut impl Write) -> Result<(), CmdError> {
          [--journal FILE] [--resume] [--max-retries N]\n  \
          geopattern generate-city [--grid N] [--seed S] [--out FILE] [--format wkt|gpb]\n  \
          geopattern relate <WKT_A> <WKT_B>\n  \
-         geopattern gain --t T1,T2,... --n N\n\n\
+         geopattern gain --t T1,T2,... --n N   (m = T1 + T2 + ... + N, at most 128)\n\n\
          ALGORITHMS: apriori, kc, kc+ (default), fpgrowth, fpgrowth-kc+\n\
          COUNTING (Apriori variants): the vertical bitmap engine, or hash-subset when\n            \
          --memory-budget cannot hold its TID lists; both produce identical itemsets,\n            \
@@ -527,7 +527,12 @@ fn cmd_gain(args: &[String], out: &mut impl Write) -> Result<(), CmdError> {
     if !args.is_empty() {
         return Err(format!("unexpected arguments: {args:?}").into());
     }
-    let m: u64 = t.iter().sum::<u64>() + n;
+    // Gains are u128 counts, exact for itemsets of up to 128 items.
+    let m = t
+        .iter()
+        .try_fold(n, |sum, &tk| sum.checked_add(tk))
+        .filter(|&m| m <= 128)
+        .ok_or("gain needs m = sum of --t plus --n to be at most 128")?;
     writeln!(
         out,
         "largest itemset m={m}, t={t:?}, n={n} → minimal gain {}",

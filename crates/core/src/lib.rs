@@ -94,6 +94,8 @@
 //! println!("{}", metrics.to_json()); // machine-readable dump
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod convert;
 pub mod error;
 pub mod pipeline;

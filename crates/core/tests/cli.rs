@@ -424,3 +424,19 @@ fn metrics_json_prints_spans_and_counters() {
     let plain = run(&["mine", path.to_str().unwrap()]);
     assert!(!stdout(&plain).contains("metrics:"));
 }
+
+#[test]
+fn gain_is_exact_up_to_128_items_and_refuses_more() {
+    // 2^126 − 127: the largest itemset holds 126 relations of one type,
+    // so every subset of two or more items is removed.
+    let out = run(&["gain", "--t", "126"]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(stdout(&out).ends_with("minimal gain 85070591730234615865843651857942052737\n"));
+    // m = 200, and m overflowing u64: exit 1, nothing on stdout.
+    for t in [&["--t", "100", "--n", "100"][..], &["--t", "18446744073709551615,1"]] {
+        let out = run(&[&["gain"][..], t].concat());
+        assert_eq!(out.status.code(), Some(1), "{t:?}");
+        assert_eq!(stdout(&out), "", "{t:?}");
+        assert!(stderr(&out).contains("at most 128"), "{t:?}: {}", stderr(&out));
+    }
+}

@@ -18,6 +18,8 @@
 //!   reproducing the introduction's `contains_River → touches_River`
 //!   motivation at any scale.
 
+#![forbid(unsafe_code)]
+
 pub mod city;
 pub mod experiments;
 pub mod hydrology;

@@ -263,12 +263,9 @@ mod tests {
     /// Non-finite coordinates are rejected at construction/parse time
     /// (`GeomError::NonFiniteCoordinate`), so the only NaN that can reach
     /// the branch-and-bound traversal is the `bound` argument itself. A NaN
-    /// bound must yield `None` — every `lb <= bound` comparison is false —
-    /// and the lane-parallel leaf lower bounds must not change that: lanes
-    /// computed for padded sentinel envelopes are `+inf`, never NaN, and
-    /// comparisons against a NaN bound are uniformly false.
+    /// bound must yield `None`: every `lb <= bound` comparison is false.
     #[test]
-    fn distance_within_nan_bound_is_none_scalar_and_simd() {
+    fn distance_within_nan_bound_is_none() {
         let a = line(&[(0.0, 0.0), (10.0, 0.0), (20.0, 5.0), (30.0, 0.0)]);
         let b = rect(3.0, 2.0, 40.0, 9.0);
         assert_eq!(geometry_distance_within(&a, &b, f64::NAN), None);
@@ -281,12 +278,10 @@ mod tests {
         );
     }
 
-    /// The lane-parallel leaf lower bounds replicate
-    /// `Rect::distance_to_point` / `distance_to_rect` op-for-op, so bounded
-    /// distances equal the scalar unbounded kernel's — including bounds
+    /// Bounded distances equal the unbounded kernel's, including bounds
     /// that land exactly on the true distance (inclusive contract).
     #[test]
-    fn distance_within_bit_identical_scalar_vs_simd() {
+    fn distance_within_bit_identical() {
         let a = line(&[(0.0, 0.0), (4.0, 3.0), (8.0, -1.0), (12.0, 2.0), (16.0, 0.0)]);
         let b = rect(5.0, 6.0, 18.0, 11.0);
         let exact = geometry_distance(&a, &b);

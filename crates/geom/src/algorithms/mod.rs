@@ -1,11 +1,7 @@
-//! Geometric algorithms over the core types: distances, convex hulls,
-//! simplification and plane-sweep intersection detection.
+//! Geometric algorithms over the core types: distances and plane-sweep
+//! intersection detection.
 
 pub mod distance;
-pub mod hull;
-pub mod simplify;
 pub mod sweep;
 
 pub use distance::{geometry_distance, geometry_distance_within};
-pub use hull::convex_hull;
-pub use simplify::{simplify_coords, simplify_linestring, simplify_polygon, simplify_ring};

@@ -97,7 +97,7 @@ impl Coord {
 
     /// Lexicographic comparison by `(x, y)`.
     ///
-    /// Total for finite coordinates; used by hull and sweep algorithms.
+    /// Total for finite coordinates; orders multipoints and line ends.
     #[inline]
     pub fn lex_cmp(&self, other: &Coord) -> std::cmp::Ordering {
         self.x

@@ -17,8 +17,8 @@
 //! * validated geometry types: [`Point`], [`MultiPoint`], [`LineString`],
 //!   [`MultiLineString`], [`Polygon`] (with holes), [`MultiPolygon`];
 //! * envelopes ([`Rect`]), segment intersection ([`segment`]),
-//!   point-in-polygon, interior points, centroids, convex hulls, and
-//!   minimum distances ([`algorithms`]);
+//!   point-in-polygon, interior points, centroids and minimum distances
+//!   ([`algorithms`]);
 //! * the **DE-9IM `relate` engine** ([`mod@relate`]) producing full
 //!   [`IntersectionMatrix`] values for every geometry-class pair;
 //! * WKT reading/writing ([`wkt`]) for dataset IO.
@@ -33,6 +33,8 @@
 //! let m = relate(&district, &slum);
 //! assert!(m.matches("T*****FF*")); // the district contains the slum
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod algorithms;
 pub mod bbox;
@@ -52,10 +54,7 @@ pub mod tile;
 pub mod transform;
 pub mod wkt;
 
-pub use algorithms::{
-    convex_hull, geometry_distance, geometry_distance_within, simplify_linestring,
-    simplify_polygon,
-};
+pub use algorithms::{geometry_distance, geometry_distance_within};
 pub use bbox::Rect;
 pub use coord::{coord, Coord};
 pub use error::{GeomError, GeomResult};

@@ -98,18 +98,6 @@ impl Quantizer {
         Quantizer { x0: r.min.x, y0: r.min.y, cell, inv_cell: 1.0 / cell }
     }
 
-    /// Reassembles a quantizer from stored header fields (the legacy
-    /// `.gpb` version-2 column header). `None` when the header is
-    /// malformed: non-finite origin or a cell that is not strictly
-    /// positive and finite.
-    pub fn from_parts(x0: f64, y0: f64, cell: f64) -> Option<Quantizer> {
-        if x0.is_finite() && y0.is_finite() && cell.is_finite() && cell > 0.0 {
-            Some(Quantizer { x0, y0, cell, inv_cell: 1.0 / cell })
-        } else {
-            None
-        }
-    }
-
     /// Grid origin.
     pub fn origin(&self) -> (f64, f64) {
         (self.x0, self.y0)

@@ -11,12 +11,7 @@
 //!   like the brute-force scans they replace. Besides envelope queries it
 //!   supports branch-and-bound minimum-distance searches (point-to-tree
 //!   and tree-to-tree) that prune any subtree pair whose box-to-box
-//!   distance already exceeds the caller's bound. At the leaves, entry
-//!   envelope lower bounds are evaluated four lanes at a time over a
-//!   struct-of-arrays mirror — dependency-free `f64` loops the compiler
-//!   auto-vectorizes — replicating `Rect::distance_to_point` /
-//!   `distance_to_rect` operation for operation, so pruning is exactly
-//!   the scalar computation's.
+//!   distance already exceeds the caller's bound.
 //! * [`RingIndex`] — a monotone-edge structure for O(log n + k)
 //!   point-in-ring tests: ring edges sorted by their envelope's minimum y,
 //!   with an implicit binary max-tree over the maximum y, so only the
@@ -43,7 +38,6 @@ thread_local! {
     static NODES_VISITED: Cell<u64> = const { Cell::new(0) };
     static PAIRS_EXACT: Cell<u64> = const { Cell::new(0) };
     static DISTANCE_EARLY_EXIT: Cell<u64> = const { Cell::new(0) };
-    static SIMD_LANES_TESTED: Cell<u64> = const { Cell::new(0) };
     static QUANT_CELLS_RESOLVED: Cell<u64> = const { Cell::new(0) };
     static QUANT_FALLBACK_EXACT: Cell<u64> = const { Cell::new(0) };
     static QUANT_LANES_TESTED: Cell<u64> = const { Cell::new(0) };
@@ -65,8 +59,9 @@ pub struct KernelCounters {
     /// Subtree (pairs) pruned by a bound or best-so-far comparison, plus
     /// envelope-level early exits in bounded-distance queries.
     pub distance_early_exit: u64,
-    /// `f64` lanes evaluated by the segment tree's lane-parallel leaf
-    /// envelope lower bounds in bounded-distance traversals.
+    /// Always 0: the bounded-distance search has no `f64` lane tier. Kept,
+    /// like `simd_fallback_exact`, so consumers of the counter set keep
+    /// compiling and reading the same keys.
     pub simd_lanes_tested: u64,
     /// Always 0: point location has no `f64` lane tier between the
     /// quantized grid and the exact index. Kept so consumers of the
@@ -80,9 +75,8 @@ pub struct KernelCounters {
     /// path because the query cell landed within the snap band of some
     /// edge (or could not be quantized at all).
     pub quant_fallback_exact: u64,
-    /// `i32` lanes evaluated by the quantized leaf kernels: ring-crossing
-    /// lanes plus integer envelope-rejection lanes in bounded-distance
-    /// traversals.
+    /// `i32` ring-crossing lanes evaluated by the quantized point-location
+    /// kernel ([`crate::quant`]).
     pub quant_lanes_tested: u64,
 }
 
@@ -110,18 +104,12 @@ pub fn take_kernel_counters() -> KernelCounters {
         segtree_nodes_visited: NODES_VISITED.with(|c| c.take()),
         pairs_exact: PAIRS_EXACT.with(|c| c.take()),
         distance_early_exit: DISTANCE_EARLY_EXIT.with(|c| c.take()),
-        simd_lanes_tested: SIMD_LANES_TESTED.with(|c| c.take()),
+        simd_lanes_tested: 0,
         simd_fallback_exact: 0,
         quant_cells_resolved: QUANT_CELLS_RESOLVED.with(|c| c.take()),
         quant_fallback_exact: QUANT_FALLBACK_EXACT.with(|c| c.take()),
         quant_lanes_tested: QUANT_LANES_TESTED.with(|c| c.take()),
     }
-}
-
-/// Records `f64` lanes evaluated by the leaf lower-bound kernels.
-#[inline]
-fn note_simd_lanes(n: u64) {
-    SIMD_LANES_TESTED.with(|c| c.set(c.get() + n));
 }
 
 /// Records point-location queries the quantized integer fast path
@@ -138,7 +126,7 @@ pub(crate) fn note_quant_fallback(n: u64) {
     QUANT_FALLBACK_EXACT.with(|c| c.set(c.get() + n));
 }
 
-/// Records `i32` lanes evaluated by the quantized leaf kernels.
+/// Records `i32` ring-crossing lanes evaluated by the quantized kernel.
 #[inline]
 pub(crate) fn note_quant_lanes(n: u64) {
     QUANT_LANES_TESTED.with(|c| c.set(c.get() + n));
@@ -179,10 +167,6 @@ pub(crate) fn exceeds(lb: f64, limit: f64) -> bool {
 /// Leaf fan-out and internal fan-out of the packed tree.
 const NODE_CAPACITY: usize = 8;
 
-/// Lane width of the leaf lower-bound kernels: four `f64`s fill one
-/// AVX2 register; narrower hosts split the chunk, wider ones fuse two.
-const LANES: usize = 4;
-
 #[derive(Debug, Clone, Copy)]
 struct Node {
     rect: Rect,
@@ -203,148 +187,6 @@ pub struct SegTree {
     entries: Vec<(Rect, u32)>,
     /// Arena of nodes, packed level by level, root last.
     nodes: Vec<Node>,
-    /// Entry envelopes mirrored in struct-of-arrays form for the
-    /// lane-parallel leaf lower bounds, padded to a multiple of `LANES`
-    /// with [`Rect::EMPTY`] components (`+∞`/`−∞`, never consulted by the
-    /// decision loop). Leaves cover entry runs starting at multiples of
-    /// [`NODE_CAPACITY`], itself a lane-width multiple, so every leaf's
-    /// run is chunk-aligned.
-    env_minx: Vec<f64>,
-    env_miny: Vec<f64>,
-    env_maxx: Vec<f64>,
-    env_maxy: Vec<f64>,
-    /// Entry envelopes snapped outward onto the tree-wide integer grid
-    /// ([`crate::quant`]) for the bounded-distance prescreen; `None` when
-    /// the tree is empty or its envelope cannot be quantized.
-    qenv: Option<QuantEnv>,
-}
-
-/// Quantized entry envelopes: each entry's box rounded *outward* by at
-/// least one full cell (absorbing the rounding error of the `f64`
-/// floor/ceil), so the quantized box always covers the true envelope and
-/// integer gaps are true lower bounds (in cells) of envelope distances.
-#[derive(Debug, Clone)]
-struct QuantEnv {
-    qz: crate::quant::Quantizer,
-    minx: Vec<i32>,
-    miny: Vec<i32>,
-    maxx: Vec<i32>,
-    maxy: Vec<i32>,
-}
-
-/// Cells beyond the grid span that outward snapping may legitimately
-/// produce (one cell of padding plus one of `f64` slack).
-const QENV_SLACK: f64 = 2.0;
-
-impl QuantEnv {
-    fn build(entries: &[(Rect, u32)], nodes: &[Node]) -> Option<QuantEnv> {
-        let root = nodes.last()?.rect;
-        if ![root.min.x, root.min.y, root.max.x, root.max.y].iter().all(|v| v.is_finite()) {
-            return None;
-        }
-        let qz = crate::quant::Quantizer::for_rect(&root);
-        let (x0, y0) = qz.origin();
-        let cell = qz.cell();
-        let lim = crate::quant::SPAN as f64 + QENV_SLACK;
-        let lo = |v: f64, o: f64| -> Option<i32> {
-            let c = ((v - o) / cell).floor() - 1.0;
-            (c.abs() <= lim).then_some(c as i32)
-        };
-        let hi = |v: f64, o: f64| -> Option<i32> {
-            let c = ((v - o) / cell).ceil() + 1.0;
-            (c.abs() <= lim).then_some(c as i32)
-        };
-        let mut qe = QuantEnv {
-            qz,
-            minx: Vec::with_capacity(entries.len()),
-            miny: Vec::with_capacity(entries.len()),
-            maxx: Vec::with_capacity(entries.len()),
-            maxy: Vec::with_capacity(entries.len()),
-        };
-        for (r, _) in entries {
-            qe.minx.push(lo(r.min.x, x0)?);
-            qe.miny.push(lo(r.min.y, y0)?);
-            qe.maxx.push(hi(r.max.x, x0)?);
-            qe.maxy.push(hi(r.max.y, y0)?);
-        }
-        Some(qe)
-    }
-
-    /// The pruning threshold in cells: `ceil(limit/cell)` plus a margin
-    /// absorbing the query's own snap displacement and the `f64` slack of
-    /// the comparisons. `None` disables the prescreen (non-finite limit,
-    /// or a limit so large relative to the cell that integer gaps cannot
-    /// discriminate safely).
-    fn limit_cells(&self, limit: f64) -> Option<i64> {
-        if !limit.is_finite() {
-            return None;
-        }
-        let lc = (limit / self.qz.cell()).ceil() + 4.0;
-        (lc.abs() <= (1i64 << 30) as f64).then_some(lc as i64)
-    }
-
-    /// Quantizes a probe point together with the squared threshold, or
-    /// `None` when the prescreen cannot run for this query.
-    fn point_query(&self, p: Coord, limit: f64) -> Option<(i64, i64, i128)> {
-        let lc = self.limit_cells(limit)?;
-        let (px, py) = self.qz.quantize(p)?;
-        Some((px as i64, py as i64, lc as i128 * lc as i128))
-    }
-
-    /// Snaps a probe rectangle outward onto this grid, or `None` when it
-    /// falls outside the representable span.
-    fn snap_rect(&self, r: &Rect) -> Option<(i64, i64, i64, i64)> {
-        let (x0, y0) = self.qz.origin();
-        let cell = self.qz.cell();
-        let lim = crate::quant::SPAN as f64 + QENV_SLACK;
-        let snap = |v: f64, o: f64, d: f64| -> Option<i64> {
-            let c = if d < 0.0 { ((v - o) / cell).floor() - 1.0 } else { ((v - o) / cell).ceil() + 1.0 };
-            (c.abs() <= lim).then_some(c as i64)
-        };
-        Some((
-            snap(r.min.x, x0, -1.0)?,
-            snap(r.min.y, y0, -1.0)?,
-            snap(r.max.x, x0, 1.0)?,
-            snap(r.max.y, y0, 1.0)?,
-        ))
-    }
-
-    /// True when every entry in `first..first + count` has an integer
-    /// envelope gap to the probe point certainly exceeding the limit —
-    /// the whole leaf can be rejected without touching `f64` bounds.
-    fn leaf_all_beyond_point(&self, first: usize, count: usize, px: i64, py: i64, limit2: i128) -> bool {
-        note_quant_lanes(count as u64);
-        for j in first..first + count {
-            let gx = (self.minx[j] as i64 - px).max(px - self.maxx[j] as i64).max(0);
-            let gy = (self.miny[j] as i64 - py).max(py - self.maxy[j] as i64).max(0);
-            let g2 = gx as i128 * gx as i128 + gy as i128 * gy as i128;
-            if g2 <= limit2 {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Rect flavour of [`QuantEnv::leaf_all_beyond_point`].
-    fn leaf_all_beyond_rect(
-        &self,
-        first: usize,
-        count: usize,
-        q: (i64, i64, i64, i64),
-        limit2: i128,
-    ) -> bool {
-        note_quant_lanes(count as u64);
-        let (qminx, qminy, qmaxx, qmaxy) = q;
-        for j in first..first + count {
-            let gx = (self.minx[j] as i64 - qmaxx).max(qminx - self.maxx[j] as i64).max(0);
-            let gy = (self.miny[j] as i64 - qmaxy).max(qminy - self.maxy[j] as i64).max(0);
-            let g2 = gx as i128 * gx as i128 + gy as i128 * gy as i128;
-            if g2 <= limit2 {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 impl SegTree {
@@ -362,7 +204,7 @@ impl SegTree {
         let mut nodes: Vec<Node> = Vec::new();
         let n = entries.len();
         if n == 0 {
-            return SegTree::with_env_soa(entries, nodes);
+            return SegTree { entries, nodes };
         }
 
         let num_leaves = n.div_ceil(NODE_CAPACITY);
@@ -401,72 +243,7 @@ impl SegTree {
             level_start = level_end;
             level_len = nodes.len() - level_start;
         }
-        SegTree::with_env_soa(entries, nodes)
-    }
-
-    /// Finishes construction by mirroring the entry envelopes into the
-    /// padded SoA arrays the lane-parallel lower-bound kernels scan.
-    fn with_env_soa(entries: Vec<(Rect, u32)>, nodes: Vec<Node>) -> SegTree {
-        let padded = entries.len().div_ceil(LANES) * LANES;
-        let mut env_minx = vec![f64::INFINITY; padded];
-        let mut env_miny = vec![f64::INFINITY; padded];
-        let mut env_maxx = vec![f64::NEG_INFINITY; padded];
-        let mut env_maxy = vec![f64::NEG_INFINITY; padded];
-        for (i, (r, _)) in entries.iter().enumerate() {
-            env_minx[i] = r.min.x;
-            env_miny[i] = r.min.y;
-            env_maxx[i] = r.max.x;
-            env_maxy[i] = r.max.y;
-        }
-        let qenv = QuantEnv::build(&entries, &nodes);
-        SegTree { entries, nodes, env_minx, env_miny, env_maxx, env_maxy, qenv }
-    }
-
-    /// Envelope distance lower bounds for one leaf's entries, evaluated
-    /// lane-parallel over the SoA mirror. `out[j]` replicates
-    /// `entries[first + j].0.distance_to_point(p)` operation for
-    /// operation (the `is_empty` branch is dead for real entries — a
-    /// segment envelope is never empty), so the decision loop consuming
-    /// the values prunes exactly as the scalar computation would.
-    #[inline]
-    fn leaf_point_lbs(&self, first: usize, count: usize, p: Coord) -> [f64; NODE_CAPACITY] {
-        let padded = count.div_ceil(LANES) * LANES;
-        let (minx, miny) = (&self.env_minx[first..first + padded], &self.env_miny[first..first + padded]);
-        let (maxx, maxy) = (&self.env_maxx[first..first + padded], &self.env_maxy[first..first + padded]);
-        let mut dx = [0.0f64; NODE_CAPACITY];
-        let mut dy = [0.0f64; NODE_CAPACITY];
-        for j in 0..padded {
-            dx[j] = (minx[j] - p.x).max(0.0).max(p.x - maxx[j]);
-            dy[j] = (miny[j] - p.y).max(0.0).max(p.y - maxy[j]);
-        }
-        let mut out = [f64::INFINITY; NODE_CAPACITY];
-        for j in 0..count {
-            out[j] = dx[j].hypot(dy[j]);
-        }
-        note_simd_lanes(padded as u64);
-        out
-    }
-
-    /// Envelope distance lower bounds from a fixed rectangle `r` to one
-    /// leaf's entries; `out[j]` replicates
-    /// `r.distance_to_rect(&entries[first + j].0)` bit for bit.
-    #[inline]
-    fn leaf_rect_lbs(&self, first: usize, count: usize, r: &Rect) -> [f64; NODE_CAPACITY] {
-        let padded = count.div_ceil(LANES) * LANES;
-        let (minx, miny) = (&self.env_minx[first..first + padded], &self.env_miny[first..first + padded]);
-        let (maxx, maxy) = (&self.env_maxx[first..first + padded], &self.env_maxy[first..first + padded]);
-        let mut dx = [0.0f64; NODE_CAPACITY];
-        let mut dy = [0.0f64; NODE_CAPACITY];
-        for j in 0..padded {
-            dx[j] = (r.min.x - maxx[j]).max(0.0).max(minx[j] - r.max.x);
-            dy[j] = (r.min.y - maxy[j]).max(0.0).max(miny[j] - r.max.y);
-        }
-        let mut out = [f64::INFINITY; NODE_CAPACITY];
-        for j in 0..count {
-            out[j] = dx[j].hypot(dy[j]);
-        }
-        note_simd_lanes(padded as u64);
-        out
+        SegTree { entries, nodes }
     }
 
     /// Number of indexed segments.
@@ -533,12 +310,6 @@ impl SegTree {
         let mut visited = 0u64;
         let mut exact = 0u64;
         let mut pruned = 0u64;
-        // Quantized whole-leaf rejection: when every entry's integer
-        // envelope gap certainly exceeds the limit, the f64 decision loop
-        // would have pruned each entry individually (the integer gap is a
-        // conservative lower bound with margin), so skipping the leaf
-        // changes no answer and keeps `distance_early_exit` identical.
-        let qpoint = self.qenv.as_ref().and_then(|qe| qe.point_query(p, limit));
         let mut stack: Vec<usize> = vec![root];
         'search: while let Some(ni) = stack.pop() {
             visited += 1;
@@ -550,18 +321,8 @@ impl SegTree {
             }
             let (first, count) = (node.first as usize, node.count as usize);
             if node.leaf {
-                if let Some((px, py, limit2)) = qpoint {
-                    let qe = self.qenv.as_ref().expect("qpoint implies qenv");
-                    if qe.leaf_all_beyond_point(first, count, px, py, limit2) {
-                        pruned += count as u64;
-                        continue;
-                    }
-                }
-                // Lane-parallel envelope lower bounds: the same values
-                // `e.0.distance_to_point(p)` yields, so pruning is exactly
-                // the scalar computation's.
-                let lbs = self.leaf_point_lbs(first, count, p);
-                for (e, &elb) in self.entries[first..first + count].iter().zip(&lbs) {
+                for e in &self.entries[first..first + count] {
+                    let elb = e.0.distance_to_point(p);
                     if exceeds(elb, limit) || elb >= best {
                         pruned += 1;
                         continue;
@@ -615,9 +376,6 @@ impl SegTree {
         let mut visited = 0u64;
         let mut exact = 0u64;
         let mut pruned = 0u64;
-        // Quantized whole-leaf rejection against `other`'s grid: same
-        // conservative contract as in point_distance_within.
-        let qlimit = other.qenv.as_ref().and_then(|qe| qe.limit_cells(limit));
         let mut stack: Vec<(usize, usize)> = vec![(ra, rb)];
         'search: while let Some((ia, ib)) = stack.pop() {
             visited += 1;
@@ -633,21 +391,8 @@ impl SegTree {
                     let ea = &self.entries[na.first as usize..(na.first + na.count) as usize];
                     let eb = &other.entries[nb.first as usize..(nb.first + nb.count) as usize];
                     for a in ea {
-                        if let (Some(lc), Some(qe)) = (qlimit, other.qenv.as_ref()) {
-                            if let Some(qr) = qe.snap_rect(&a.0) {
-                                if qe.leaf_all_beyond_rect(
-                                    nb.first as usize,
-                                    nb.count as usize,
-                                    qr,
-                                    lc as i128 * lc as i128,
-                                ) {
-                                    pruned += nb.count as u64;
-                                    continue;
-                                }
-                            }
-                        }
-                        let lbs = other.leaf_rect_lbs(nb.first as usize, nb.count as usize, &a.0);
-                        for (b, &elb) in eb.iter().zip(&lbs) {
+                        for b in eb {
+                            let elb = a.0.distance_to_rect(&b.0);
                             if exceeds(elb, limit) || elb >= best {
                                 pruned += 1;
                                 continue;

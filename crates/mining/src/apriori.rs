@@ -31,7 +31,7 @@ use crate::result::{FrequentItemset, MiningResult, MiningStats, MinSupport};
 use crate::robust;
 use geopattern_obs::Recorder;
 use geopattern_par::{
-    try_par_map_reduce_grained, ApproxBytes, CancelToken, Grain, Interrupt, Journal, MemoryBudget,
+    try_par_map_reduce, ApproxBytes, CancelToken, Grain, Interrupt, Journal, MemoryBudget,
     Threads,
 };
 use std::collections::{HashMap, HashSet};
@@ -721,7 +721,7 @@ fn count_chunked(
     // Fine grain by default: one transaction is cheap to count, so
     // workers only pay off with thousands of transactions each. The
     // auto policy may pick coarse for heavy rows.
-    let counts = try_par_map_reduce_grained(
+    let counts = try_par_map_reduce(
         threads,
         grain,
         cancel,

@@ -29,7 +29,7 @@ use crate::item::{ItemId, TransactionSet};
 use crate::result::FrequentItemset;
 use crate::robust;
 use geopattern_par::{
-    try_par_map, try_par_map_reduce_grained, ApproxBytes, CancelToken, Grain, Interrupt,
+    try_par_map, try_par_map_reduce, ApproxBytes, CancelToken, Grain, Interrupt,
     MemoryBudget, Threads,
 };
 
@@ -545,7 +545,7 @@ impl ItemLists {
         threads: Threads,
         cancel: &CancelToken,
     ) -> Result<Vec<u64>, Interrupt> {
-        let counts = try_par_map_reduce_grained(
+        let counts = try_par_map_reduce(
             threads,
             Grain::Coarse,
             cancel,

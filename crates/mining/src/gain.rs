@@ -14,10 +14,26 @@
 //! `m = Σ t_k + n`. The gain at size `i` is the coefficient difference,
 //! summed over `i ≥ 2`. This closed form reproduces the paper's §4.2
 //! cross-checks exactly (predicted gains 148 and 74).
+//!
+//! Counts are `u128`, so the domain is `m ≤ 128`: every count of an
+//! itemset that size fits, the largest being `2^128 − 129`. All
+//! arithmetic is checked, so a count that does not fit panics in every
+//! build profile instead of wrapping to a wrong number.
 
-/// Binomial coefficient `C(n, k)` in `u128` (no overflow for the sizes the
-/// analysis deals with; panics on overflow in debug builds like any Rust
-/// arithmetic).
+/// Overflow message of the checked arithmetic below.
+const OVERFLOW: &str = "count overflows u128 (the domain is m <= 128)";
+
+fn gcd(mut a: u128, mut b: u128) -> u128 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// Binomial coefficient `C(n, k)` in `u128`, exact whenever the result
+/// fits (it panics otherwise). Each step divides the running `C(n, i)`
+/// and `i + 1` by their gcd before multiplying, so no intermediate
+/// exceeds the result.
 pub fn binomial(n: u64, k: u64) -> u128 {
     if k > n {
         return 0;
@@ -25,24 +41,31 @@ pub fn binomial(n: u64, k: u64) -> u128 {
     let k = k.min(n - k);
     let mut acc: u128 = 1;
     for i in 0..k {
-        acc = acc * (n - i) as u128 / (i + 1) as u128;
+        // C(n, i + 1) = C(n, i) · (n − i) / (i + 1) is an integer, so once
+        // the gcd of C(n, i) and i + 1 is divided out, the rest of i + 1
+        // divides n − i.
+        let g = gcd(acc, (i + 1) as u128);
+        let factor = (n - i) as u128 / ((i + 1) as u128 / g);
+        acc = (acc / g).checked_mul(factor).expect(OVERFLOW);
     }
     acc
 }
 
 /// The paper's baseline lower bound: a largest frequent itemset of `m`
 /// elements implies at least `Σ_{i=2}^{m} C(m, i)` frequent itemsets of
-/// size ≥ 2 (every subset is frequent).
+/// size ≥ 2 (every subset is frequent). Exact for `m ≤ 128`; panics past
+/// that.
 pub fn itemset_count_lower_bound(m: u64) -> u128 {
-    (2..=m).map(|i| binomial(m, i)).sum()
+    (2..=m).map(|i| binomial(m, i)).try_fold(0u128, |sum, c| sum.checked_add(c)).expect(OVERFLOW)
 }
 
 /// Coefficient vector of `(1 + t·x)` multiplied into `poly`.
 fn mul_linear(poly: &mut Vec<u128>, t: u64) {
     let mut out = vec![0u128; poly.len() + 1];
     for (i, &c) in poly.iter().enumerate() {
-        out[i] += c;
-        out[i + 1] += c * t as u128;
+        out[i] = out[i].checked_add(c).expect(OVERFLOW);
+        let term = c.checked_mul(t as u128).expect(OVERFLOW);
+        out[i + 1] = out[i + 1].checked_add(term).expect(OVERFLOW);
     }
     *poly = out;
 }
@@ -50,9 +73,13 @@ fn mul_linear(poly: &mut Vec<u128>, t: u64) {
 /// Formula 1: the minimal gain (number of frequent itemsets guaranteed to
 /// be eliminated) for a largest frequent itemset containing `t[k]`
 /// qualitative relations of feature type `k` (each `t[k] ≥ 1`; types with
-/// `t[k] = 1` contribute nothing) and `n` other items.
+/// `t[k] = 1` contribute nothing) and `n` other items. Exact for
+/// `m = Σ t[k] + n ≤ 128`; past that it panics when a count overflows.
 pub fn minimal_gain(t: &[u64], n: u64) -> u128 {
-    let m: u64 = t.iter().sum::<u64>() + n;
+    let m: u64 = t
+        .iter()
+        .try_fold(n, |sum, &tk| sum.checked_add(tk))
+        .expect("itemset size m overflows u64");
     // Subsets with no same-type pair: ∏ (1 + t_k x) · (1+x)^n.
     let mut valid = vec![1u128];
     for &tk in t {
@@ -68,7 +95,7 @@ pub fn minimal_gain(t: &[u64], n: u64) -> u128 {
         let total = binomial(m, i);
         let v = valid.get(i as usize).copied().unwrap_or(0);
         debug_assert!(total >= v, "valid subsets cannot exceed all subsets");
-        gain += total - v;
+        gain = gain.checked_add(total - v).expect(OVERFLOW);
     }
     gain
 }
@@ -94,6 +121,27 @@ mod tests {
         assert_eq!(binomial(6, 7), 0);
         assert_eq!(binomial(0, 0), 1);
         assert_eq!(binomial(52, 5), 2_598_960);
+        // Exact where the old multiply-then-divide wrapped: the product
+        // C(n, i) · (n − i) outgrows u128 before the division.
+        assert_eq!(binomial(128, 64), 23_951_146_041_928_082_866_135_587_776_380_551_750);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u128")]
+    fn binomial_overflow_panics_instead_of_wrapping() {
+        binomial(200, 100);
+    }
+
+    #[test]
+    fn counts_are_exact_up_to_m_128() {
+        for m in 120..=128u64 {
+            // Σ_{i≥2} C(m, i) = 2^m − 1 − m, and with one feature type of
+            // m relations every such subset holds a same-type pair.
+            let want = u128::MAX >> (128 - m) as u32;
+            let want = want - m as u128;
+            assert_eq!(itemset_count_lower_bound(m), want, "m={m}");
+            assert_eq!(minimal_gain(&[m], 0), want, "m={m}");
+        }
     }
 
     #[test]

@@ -56,6 +56,8 @@
 //! assert!(kc_plus.num_frequent_min2() < plain.num_frequent_min2());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod apriori;
 pub mod bitmap;
 pub mod closed;

@@ -46,6 +46,8 @@
 //! assert!(m.span("extract").unwrap().total_ns >= m.span("extract/rows").unwrap().total_ns);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 pub mod metrics;
 

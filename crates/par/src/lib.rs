@@ -2,16 +2,19 @@
 //!
 //! A small in-tree parallel runtime for the `geopattern` system. The build
 //! environment has no registry access, so `rayon` is not an option; this
-//! crate provides the two primitives the hot paths actually need, built on
-//! `std::thread::scope`:
+//! crate provides one work pool, built on `std::thread::scope`, behind the
+//! three entry points the hot paths need:
 //!
-//! * [`par_map`] — order-preserving parallel map over a slice;
-//! * [`par_map_reduce`] — parallel fold over contiguous chunks with a
-//!   deterministic in-order reduction of the per-chunk accumulators;
-//! * [`try_par_map`] / [`try_par_map_reduce`] — fallible variants that
-//!   check a [`CancelToken`] at every chunk boundary and catch worker
+//! * [`try_par_map`] — order-preserving parallel map over a slice that
+//!   checks a [`CancelToken`] at every chunk boundary and catches worker
 //!   panics ([`Interrupt::WorkerPanic`]) instead of aborting, draining
 //!   and joining the pool cleanly on any interruption;
+//! * [`try_par_map_reduce`] — parallel fold over contiguous chunks with a
+//!   deterministic in-order reduction of the per-chunk accumulators, with
+//!   the same cancellation and panic isolation;
+//! * [`par_map`] — [`try_par_map`] without a token, for stages that
+//!   cannot be interrupted; a caught worker panic is raised again on the
+//!   calling thread;
 //! * [`control`] — the cooperative fault-tolerance primitives shared by
 //!   the whole system: [`CancelToken`] (atomic flag + optional monotonic
 //!   deadline), [`MemoryBudget`] (byte accounting with a peak watermark,
@@ -23,7 +26,9 @@
 //! claim chunks from a shared atomic cursor. Every result lands in the
 //! output slot of its input index, so the output is identical to the
 //! serial map regardless of thread count or scheduling — parallelism is
-//! never allowed to change answers, only wall-clock.
+//! never allowed to change answers, only wall-clock. The one output-slot
+//! write the pool needs is the crate's only `unsafe` code; the crate
+//! denies `unsafe_code` everywhere else.
 //!
 //! Thread counts come from [`Threads`]: `Serial` (1), `Fixed(n)`, or
 //! `Auto`, which honours the `GEOPATTERN_THREADS` environment variable and
@@ -51,6 +56,8 @@
 //!
 //! The plan only ever changes wall-clock: outputs are bit-identical for
 //! every thread count, grain, and host width.
+
+#![deny(unsafe_code)]
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -190,8 +197,8 @@ pub fn host_parallelism() -> usize {
 ///
 /// Workers are clamped to the host width and to the number of
 /// minimum-work slices in the input; one worker means the exact serial
-/// code path. Exposed for policy tests — callers go through the
-/// `*_grained` entry points, which plan internally.
+/// code path. Exposed for policy tests — the pool entry points plan
+/// internally.
 pub fn plan_for(requested: usize, host: usize, len: usize, grain: Grain) -> (usize, usize) {
     let workers = requested
         .min(host)
@@ -209,129 +216,18 @@ fn plan(threads: Threads, len: usize, grain: Grain) -> (usize, usize) {
 /// Maps `f` over `items` on `threads` workers, preserving order. With one
 /// thread (or up to one item) this is exactly `items.iter().map(f)` on the
 /// calling thread. `f` receives the item index alongside the item.
-/// Schedules at [`Grain::Coarse`]; cheap-per-element stages should call
-/// [`par_map_grained`] with [`Grain::Fine`].
+/// Schedules at [`Grain::Coarse`]. A panic in `f` is caught by the pool
+/// and raised again on the calling thread once every worker has stopped.
 pub fn par_map<T, R, F>(threads: Threads, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_grained(threads, Grain::Coarse, items, f)
-}
-
-/// [`par_map`] with an explicit work [`Grain`]. The grain only affects
-/// scheduling (worker count, chunk size, serial fall-back); the output is
-/// the serial map's output bit-for-bit.
-pub fn par_map_grained<T, R, F>(threads: Threads, grain: Grain, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let (workers, chunk) = plan(threads, items.len(), grain);
-    if workers <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+    match try_par_map(threads, &CancelToken::none(), "par_map", items, f) {
+        Ok(out) => out,
+        Err(interrupt) => panic!("{interrupt}"),
     }
-
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    {
-        // Hand each worker a raw view of the output buffer; every index is
-        // written at most once because the chunk cursor hands out disjoint
-        // ranges.
-        let slots_ptr = SendPtr(slots.as_mut_ptr());
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let slots_ptr = &slots_ptr;
-                let cursor = &cursor;
-                let f = &f;
-                scope.spawn(move || loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= items.len() {
-                        break;
-                    }
-                    let end = (start + chunk).min(items.len());
-                    for (i, item) in items[start..end].iter().enumerate() {
-                        let idx = start + i;
-                        // SAFETY: idx is claimed by exactly one worker via
-                        // the atomic cursor, and the scope outlives no
-                        // borrow: slots lives beyond the scope.
-                        unsafe { *slots_ptr.0.add(idx) = Some(f(idx, item)) };
-                    }
-                });
-            }
-        });
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot written by the pool"))
-        .collect()
-}
-
-/// A `Send`/`Sync` wrapper for the output-buffer pointer shared with the
-/// scoped workers. Safe because workers write disjoint indices.
-struct SendPtr<T>(*mut T);
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-/// Folds contiguous chunks of `items` in parallel and reduces the chunk
-/// accumulators **in chunk order**, so the result is deterministic even
-/// for non-commutative `reduce`. `map` receives `(chunk_start_index,
-/// chunk)` and returns the chunk's accumulator.
-pub fn par_map_reduce<T, A, M, R>(threads: Threads, items: &[T], map: M, reduce: R) -> Option<A>
-where
-    T: Sync,
-    A: Send,
-    M: Fn(usize, &[T]) -> A + Sync,
-    R: Fn(A, A) -> A,
-{
-    par_map_reduce_grained(threads, Grain::Coarse, items, map, reduce)
-}
-
-/// [`par_map_reduce`] with an explicit work [`Grain`]. The grain only
-/// affects scheduling; the chunk-ordered reduction is deterministic for
-/// any grain, thread count, and host width.
-pub fn par_map_reduce_grained<T, A, M, R>(
-    threads: Threads,
-    grain: Grain,
-    items: &[T],
-    map: M,
-    reduce: R,
-) -> Option<A>
-where
-    T: Sync,
-    A: Send,
-    M: Fn(usize, &[T]) -> A + Sync,
-    R: Fn(A, A) -> A,
-{
-    if items.is_empty() {
-        return None;
-    }
-    let (workers, chunk) = plan(threads, items.len(), grain);
-    if workers <= 1 {
-        return Some(map(0, items));
-    }
-    let starts: Vec<usize> = (0..items.len()).step_by(chunk).collect();
-    // Each start now stands for a whole chunk of work, so the inner map
-    // is coarse regardless of the caller's grain.
-    let accs = par_map_grained(Threads::Fixed(workers), Grain::Coarse, &starts, |_, &start| {
-        let end = (start + chunk).min(items.len());
-        map(start, &items[start..end])
-    });
-    accs.into_iter().reduce(reduce)
-}
-
-/// Records the first interrupt and tells every worker to stop claiming
-/// chunks. Later interrupts are dropped: the first is the cause, the rest
-/// are echoes of the shutdown.
-fn report_interrupt(error: &Mutex<Option<Interrupt>>, stop: &AtomicBool, interrupt: Interrupt) {
-    let mut slot = error.lock().unwrap_or_else(|poison| poison.into_inner());
-    if slot.is_none() {
-        *slot = Some(interrupt);
-    }
-    stop.store(true, Ordering::Release);
 }
 
 /// Fallible [`par_map`]: identical output on success, but the token is
@@ -342,8 +238,8 @@ fn report_interrupt(error: &Mutex<Option<Interrupt>>, stop: &AtomicBool, interru
 /// are abandoned, every scoped thread exits, and the first interrupt (in
 /// wall-clock order) is returned as [`Interrupt::Cancelled`],
 /// [`Interrupt::DeadlineExceeded`] or [`Interrupt::WorkerPanic`] tagged
-/// with `stage`. With a disabled token and no panic this computes exactly
-/// what [`par_map`] computes, at any thread count.
+/// with `stage`. With a disabled token and no panic the output is the
+/// serial map's, at any thread count.
 pub fn try_par_map<T, R, F>(
     threads: Threads,
     cancel: &CancelToken,
@@ -356,12 +252,40 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    try_par_map_grained(threads, Grain::Coarse, cancel, stage, items, f)
+    pool(threads, Grain::Coarse, cancel, stage, items, f)
 }
 
-/// [`try_par_map`] with an explicit work [`Grain`]. Scheduling changes
-/// with the grain; success output and interrupt semantics do not.
-pub fn try_par_map_grained<T, R, F>(
+/// A `Send`/`Sync` wrapper for the output-buffer pointer shared with the
+/// scoped workers. Safe because workers write disjoint indices.
+struct SendPtr<T>(*mut T);
+// SAFETY: the one field points into `pool`'s output buffer, which outlives
+// the worker scope; workers only move `T` values into disjoint slots, so
+// sending the pointer to another thread needs only `T: Send`.
+#[allow(unsafe_code)]
+unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: workers share `&SendPtr` only to write disjoint slots through the
+// pointer, never to read or alias a slot, so `T: Send` suffices as above.
+#[allow(unsafe_code)]
+unsafe impl<T: Send> Sync for SendPtr<T> {}
+
+/// Records the first interrupt and tells every worker to stop claiming
+/// chunks. Later interrupts are dropped: the first is the cause, the rest
+/// are echoes of the shutdown.
+fn report_interrupt(error: &Mutex<Option<Interrupt>>, stop: &AtomicBool, interrupt: Interrupt) {
+    let mut slot = error.lock().unwrap_or_else(|poison| poison.into_inner());
+    if slot.is_none() {
+        *slot = Some(interrupt);
+    }
+    stop.store(true, Ordering::Release);
+}
+
+/// The one pool body behind every entry point: plans workers and chunk
+/// size for `grain`, then maps `f` over `items` into per-index output
+/// slots. The grain only affects scheduling (worker count, chunk size,
+/// serial fall-back); success output and interrupt semantics do not
+/// change with it.
+#[allow(unsafe_code)]
+fn pool<T, R, F>(
     threads: Threads,
     grain: Grain,
     cancel: &CancelToken,
@@ -410,6 +334,9 @@ where
     let error: Mutex<Option<Interrupt>> = Mutex::new(None);
     let stop = AtomicBool::new(false);
     {
+        // Hand each worker a raw view of the output buffer; every index is
+        // written at most once because the chunk cursor hands out disjoint
+        // ranges.
         let slots_ptr = SendPtr(slots.as_mut_ptr());
         let cursor = AtomicUsize::new(0);
         std::thread::scope(|scope| {
@@ -438,8 +365,9 @@ where
                     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                         for (i, item) in items[start..end].iter().enumerate() {
                             let idx = start + i;
-                            // SAFETY: as in `par_map` — the cursor hands out
-                            // disjoint ranges and `slots` outlives the scope.
+                            // SAFETY: idx is claimed by exactly one worker
+                            // via the atomic cursor, and `slots` outlives
+                            // the scope.
                             unsafe { *slots_ptr.0.add(idx) = Some(f(idx, item)) };
                         }
                     }));
@@ -472,32 +400,18 @@ where
         .collect())
 }
 
-/// Fallible [`par_map_reduce`]: same deterministic chunk-ordered reduction,
-/// with cancellation and panic isolation from [`try_par_map`]. The serial
-/// `map` call is also guarded, so a panic in single-threaded mode surfaces
-/// as [`Interrupt::WorkerPanic`] rather than unwinding through the caller.
+/// Folds contiguous chunks of `items` in parallel and reduces the chunk
+/// accumulators **in chunk order**, so the result is deterministic even
+/// for non-commutative `reduce`. `map` receives `(chunk_start_index,
+/// chunk)` and returns the chunk's accumulator; the result is `None` for
+/// empty input.
+///
+/// Cancellation and panic isolation are [`try_par_map`]'s, on one thread
+/// too: a panic in `map` surfaces as [`Interrupt::WorkerPanic`] rather
+/// than unwinding through the caller.
+/// The `grain` only affects scheduling; the reduction is the same for any
+/// grain, thread count, and host width.
 pub fn try_par_map_reduce<T, A, M, R>(
-    threads: Threads,
-    cancel: &CancelToken,
-    stage: &str,
-    items: &[T],
-    map: M,
-    reduce: R,
-) -> Result<Option<A>, Interrupt>
-where
-    T: Sync,
-    A: Send,
-    M: Fn(usize, &[T]) -> A + Sync,
-    R: Fn(A, A) -> A,
-{
-    try_par_map_reduce_grained(threads, Grain::Coarse, cancel, stage, items, map, reduce)
-}
-
-/// [`try_par_map_reduce`] with an explicit work [`Grain`]. Scheduling
-/// changes with the grain; the deterministic chunk-ordered reduction and
-/// interrupt semantics do not.
-#[allow(clippy::too_many_arguments)]
-pub fn try_par_map_reduce_grained<T, A, M, R>(
     threads: Threads,
     grain: Grain,
     cancel: &CancelToken,
@@ -515,32 +429,16 @@ where
     if items.is_empty() {
         return Ok(None);
     }
-    cancel.check()?;
     let (workers, chunk) = plan(threads, items.len(), grain);
-    if workers <= 1 {
-        return match std::panic::catch_unwind(AssertUnwindSafe(|| map(0, items))) {
-            Ok(acc) => {
-                cancel.check()?;
-                Ok(Some(acc))
-            }
-            Err(payload) => Err(Interrupt::WorkerPanic {
-                stage: stage.to_string(),
-                message: control::panic_message(payload.as_ref()),
-            }),
-        };
-    }
+    // One worker maps the whole input as a single chunk.
+    let chunk = if workers <= 1 { items.len() } else { chunk };
     let starts: Vec<usize> = (0..items.len()).step_by(chunk).collect();
-    let accs = try_par_map_grained(
-        Threads::Fixed(workers),
-        Grain::Coarse,
-        cancel,
-        stage,
-        &starts,
-        |_, &start| {
-            let end = (start + chunk).min(items.len());
-            map(start, &items[start..end])
-        },
-    )?;
+    // Each start now stands for a whole chunk of work, so the inner map
+    // is coarse regardless of the caller's grain.
+    let accs = pool(Threads::Fixed(workers), Grain::Coarse, cancel, stage, &starts, |_, &start| {
+        let end = (start + chunk).min(items.len());
+        map(start, &items[start..end])
+    })?;
     Ok(accs.into_iter().reduce(reduce))
 }
 
@@ -625,25 +523,12 @@ mod tests {
         let token = CancelToken::none();
         for grain in [Grain::Coarse, Grain::Fine] {
             for threads in [Threads::Serial, Threads::Fixed(2), Threads::Fixed(8)] {
-                let mapped = par_map_grained(threads, grain, &items, |_, &x| {
+                let mapped = pool(threads, grain, &token, "test", &items, |_, &x| {
                     x.wrapping_mul(31) ^ 7
-                });
+                })
+                .expect("disabled token never interrupts");
                 assert_eq!(mapped, serial, "{grain:?} {threads:?}");
-                let tried =
-                    try_par_map_grained(threads, grain, &token, "test", &items, |_, &x| {
-                        x.wrapping_mul(31) ^ 7
-                    })
-                    .expect("disabled token never interrupts");
-                assert_eq!(tried, serial, "{grain:?} {threads:?}");
-                let reduced = par_map_reduce_grained(
-                    threads,
-                    grain,
-                    &items,
-                    |_, chunk| chunk.iter().map(|&x| x.wrapping_mul(31) ^ 7).sum::<u64>(),
-                    |a, b| a + b,
-                );
-                assert_eq!(reduced, Some(expected_sum), "{grain:?} {threads:?}");
-                let tried_reduce = try_par_map_reduce_grained(
+                let reduced = try_par_map_reduce(
                     threads,
                     grain,
                     &token,
@@ -653,7 +538,7 @@ mod tests {
                     |a, b| a + b,
                 )
                 .expect("disabled token never interrupts");
-                assert_eq!(tried_reduce, Some(expected_sum), "{grain:?} {threads:?}");
+                assert_eq!(reduced, Some(expected_sum), "{grain:?} {threads:?}");
             }
         }
     }
@@ -677,13 +562,24 @@ mod tests {
         assert_eq!(par_map(Threads::Fixed(16), &small, |_, &x| x), small);
     }
 
+    /// Sums `items` through [`try_par_map_reduce`] with a disabled token.
+    fn uncontrolled_reduce<T: Sync, A: Send>(
+        threads: Threads,
+        items: &[T],
+        map: impl Fn(usize, &[T]) -> A + Sync,
+        reduce: impl Fn(A, A) -> A,
+    ) -> Option<A> {
+        try_par_map_reduce(threads, Grain::Coarse, &CancelToken::none(), "test", items, map, reduce)
+            .expect("disabled token never interrupts")
+    }
+
     #[test]
     fn par_map_reduce_sums_deterministically() {
         wide_host();
         let items: Vec<u64> = (1..=10_000).collect();
         let expected: u64 = items.iter().sum();
         for threads in [Threads::Serial, Threads::Fixed(2), Threads::Fixed(8)] {
-            let got = par_map_reduce(
+            let got = uncontrolled_reduce(
                 threads,
                 &items,
                 |_, chunk| chunk.iter().sum::<u64>(),
@@ -693,7 +589,7 @@ mod tests {
         }
         let empty: Vec<u64> = Vec::new();
         assert_eq!(
-            par_map_reduce(Threads::Fixed(4), &empty, |_, c| c.len(), |a, b| a + b),
+            uncontrolled_reduce(Threads::Fixed(4), &empty, |_, c| c.len(), |a, b| a + b),
             None
         );
     }
@@ -705,7 +601,7 @@ mod tests {
         // chunk order for the result to equal the serial concatenation.
         let items: Vec<u32> = (0..500).collect();
         let serial: Vec<u32> = items.clone();
-        let got = par_map_reduce(
+        let got = uncontrolled_reduce(
             Threads::Fixed(8),
             &items,
             |_, chunk| chunk.to_vec(),
@@ -723,17 +619,36 @@ mod tests {
         wide_host();
         let items: Vec<u64> = (0..1000).collect();
         let token = CancelToken::none();
+        let serial: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
         for threads in [Threads::Serial, Threads::Fixed(2), Threads::Fixed(8)] {
-            let plain = par_map(threads, &items, |_, &x| x * 3 + 1);
             let tried = try_par_map(threads, &token, "test", &items, |_, &x| x * 3 + 1)
                 .expect("disabled token never interrupts");
-            assert_eq!(tried, plain, "{threads:?}");
+            assert_eq!(tried, serial, "{threads:?}");
         }
         // An enabled-but-untripped token also changes nothing.
         let live = CancelToken::new();
         let tried = try_par_map(Threads::Fixed(4), &live, "test", &items, |_, &x| x + 1)
             .expect("untripped token never interrupts");
-        assert_eq!(tried, par_map(Threads::Fixed(4), &items, |_, &x| x + 1));
+        assert_eq!(tried, items.iter().map(|&x| x + 1).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn par_map_raises_a_worker_panic_again() {
+        wide_host();
+        let items: Vec<u64> = (0..1000).collect();
+        for threads in [Threads::Serial, Threads::Fixed(4)] {
+            let caught = std::panic::catch_unwind(|| {
+                par_map(threads, &items, |i, &x| {
+                    if i == 500 {
+                        panic!("injected failure at {i}");
+                    }
+                    x
+                })
+            });
+            let payload = caught.expect_err("a worker panic must reach the caller");
+            let message = control::panic_message(payload.as_ref());
+            assert!(message.contains("injected failure at 500"), "{threads:?}: {message}");
+        }
     }
 
     #[test]
@@ -811,25 +726,23 @@ mod tests {
     fn try_par_map_reduce_matches_infallible_variant() {
         wide_host();
         let items: Vec<u64> = (1..=10_000).collect();
-        let token = CancelToken::none();
-        for threads in [Threads::Serial, Threads::Fixed(2), Threads::Fixed(8)] {
-            let got = try_par_map_reduce(
-                threads,
-                &token,
-                "test",
-                &items,
-                |_, chunk| chunk.iter().sum::<u64>(),
-                |a, b| a + b,
-            )
-            .expect("disabled token never interrupts");
-            assert_eq!(got, Some(items.iter().sum::<u64>()), "{threads:?}");
+        // A disabled token, and an enabled one that never trips, both
+        // leave the serial sum.
+        for token in [CancelToken::none(), CancelToken::new()] {
+            for threads in [Threads::Serial, Threads::Fixed(2), Threads::Fixed(8)] {
+                let got = try_par_map_reduce(
+                    threads,
+                    Grain::Coarse,
+                    &token,
+                    "test",
+                    &items,
+                    |_, chunk| chunk.iter().sum::<u64>(),
+                    |a, b| a + b,
+                )
+                .expect("an untripped token never interrupts");
+                assert_eq!(got, Some(items.iter().sum::<u64>()), "{threads:?}");
+            }
         }
-        let empty: Vec<u64> = Vec::new();
-        assert_eq!(
-            try_par_map_reduce(Threads::Fixed(4), &token, "test", &empty, |_, c| c.len(), |a, b| a
-                + b),
-            Ok(None)
-        );
     }
 
     #[test]
@@ -837,6 +750,7 @@ mod tests {
         let items: Vec<u64> = (0..10).collect();
         let got = try_par_map_reduce(
             Threads::Serial,
+            Grain::Coarse,
             &CancelToken::none(),
             "unit/serial-panic",
             &items,

@@ -16,7 +16,6 @@
 //!   converse, and the full 8×8 weak-composition table;
 //! * [`network`] — qualitative constraint networks with path-consistency
 //!   (algebraic closure), usable to sanity-check extracted scenarios;
-//! * [`neighborhood`] — the conceptual neighborhood graph of RCC8;
 //! * [`distance`] — named qualitative distance bands (`veryClose`/`close`/
 //!   `far`, or any user scheme);
 //! * [`direction`] — cone-based cardinal direction relations;
@@ -38,9 +37,10 @@
 //! assert_eq!(item.to_string(), "contains_slum");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod direction;
 pub mod distance;
-pub mod neighborhood;
 pub mod network;
 pub mod predicate;
 pub mod rcc8;
@@ -48,7 +48,6 @@ pub mod topological;
 
 pub use direction::{direction_between, geometry_direction, CardinalDirection};
 pub use distance::{DistanceBand, DistanceScheme, DistanceSchemeError};
-pub use neighborhood::{are_neighbors, neighborhood_distance};
 pub use network::{Consistency, ConstraintNetwork};
 pub use predicate::{QualitativeRelation, SpatialPredicate};
 pub use rcc8::{compose_base, Rcc8, Rcc8Set};

@@ -14,7 +14,7 @@
 //!   u32 name id, u8 is_reference, u64 body length   ← directory record
 //!   body:
 //!     u32 feature count
-//!     per feature: id bytes, u8 geometry tag, envelope (4×f64),
+//!     per feature: id bytes, envelope (4×f64), u8 geometry tag,
 //!                  part/ring structure (u32 lengths), attribute id pairs
 //!     u64 coord count, xs (n×f64), ys (n×f64)       ← columnar coords
 //! ```
@@ -48,7 +48,7 @@ use geopattern_geom::{
     coord, Coord, GeomError, Geometry, LineString, MultiLineString, MultiPoint, MultiPolygon,
     Point, Polygon, Rect, Ring,
 };
-use geopattern_par::{host_parallelism, par_map, Threads};
+use geopattern_par::{par_map, Threads};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -448,9 +448,9 @@ impl<'a> GpbReader<'a> {
     /// Unlike the streaming [`GpbReader::read_layer`] path this decodes
     /// *in parallel* — feature-record passes per layer, geometry assembly
     /// over fixed chunks, spatial-index builds per layer — on the in-tree
-    /// pool. Chunks and layers are recombined in input order, so the
-    /// result (and the first reported error, in feature order) is
-    /// bit-identical to the serial reads at any thread count.
+    /// pool (serially on one worker). Chunks and layers are recombined in
+    /// input order, so the result, first error included, is the serial
+    /// reads' (`read_layer` on each layer in order) at any thread count.
     pub fn read_dataset(&self) -> Result<SpatialDataset, GpbError> {
         let ref_count = self.layers.iter().filter(|l| l.is_reference).count();
         if ref_count != 1 {
@@ -459,27 +459,20 @@ impl<'a> GpbReader<'a> {
             )));
         }
 
-        // On a single-core host the staged pipeline below only adds
-        // buffer traffic; decode layer-at-a-time with zero extra moves.
-        if Threads::Auto.get().min(host_parallelism()) <= 1 {
-            let mut reference = None;
-            let mut relevant = Vec::new();
-            for i in 0..self.num_layers() {
-                let layer = self.read_layer(i)?;
-                if self.is_reference(i) {
-                    reference = Some(layer);
-                } else {
-                    relevant.push(layer);
+        // Stage 1: feature-record passes (one serial cursor per layer).
+        // The serial reads stop at the first layer whose records fail.
+        let indices: Vec<usize> = (0..self.num_layers()).collect();
+        let mut records: Vec<PendingLayer> = Vec::with_capacity(indices.len());
+        let mut record_error = None;
+        for parsed in par_map(Threads::Auto, &indices, |_, &i| self.parse_layer_records(i)) {
+            match parsed {
+                Ok(pl) => records.push(pl),
+                Err(e) => {
+                    record_error = Some(e);
+                    break;
                 }
             }
-            return Ok(SpatialDataset { reference: reference.expect("checked above"), relevant });
         }
-
-        // Stage 1: feature-record passes (one serial cursor per layer).
-        let indices: Vec<usize> = (0..self.num_layers()).collect();
-        let records = par_map(Threads::Auto, &indices, |_, &i| self.parse_layer_records(i));
-        let records: Vec<PendingLayer> =
-            records.into_iter().collect::<Result<_, GpbError>>()?;
 
         // Stage 2: geometry assembly over fixed-size chunks of every
         // layer, flattened into one work list so a huge layer does not
@@ -502,8 +495,9 @@ impl<'a> GpbReader<'a> {
                 .collect::<Result<Vec<(Feature, Rect)>, GpbError>>()
         });
 
-        // Recombine in chunk order: the first error is the serial scan's
-        // first error, and every layer's features stay in input order.
+        // Recombine in chunk order: the first assembly error is the serial
+        // reads' first, and every layer's features stay in input order.
+        // Without one, the failing layer's record error is theirs.
         let mut features: Vec<Vec<Feature>> =
             records.iter().map(|pl| Vec::with_capacity(pl.pending.len())).collect();
         let mut envelopes: Vec<Vec<Rect>> =
@@ -513,6 +507,9 @@ impl<'a> GpbReader<'a> {
                 features[li].push(feature);
                 envelopes[li].push(envelope);
             }
+        }
+        if let Some(e) = record_error {
+            return Err(e);
         }
 
         // Stage 3: spatial-index builds per layer.

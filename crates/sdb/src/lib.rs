@@ -24,12 +24,12 @@
 //!   sequence under [`Tiling::Grid`] (one tile by default): planning,
 //!   per-tile row execution and the tile journal codec.
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
-pub mod discretize;
 pub mod extract;
 pub mod feature;
 pub mod gpb;
-pub mod join;
 pub mod knowledge;
 pub mod predicate_table;
 pub mod rtree;
@@ -37,11 +37,9 @@ pub mod taxonomy;
 pub(crate) mod tiled;
 
 pub use dataset::{DatasetError, SpatialDataset};
-pub use discretize::{discretize_attribute, BinningStrategy, DiscretizeError};
 pub use extract::{extract_predicates, ExtractionConfig, ExtractionStats, Tiling};
 pub use gpb::{from_gpb, to_gpb, write_gpb, GpbError, GpbReader};
 pub use feature::{Feature, Layer};
-pub use join::{spatial_join, spatial_join_intersecting, JoinPair};
 pub use knowledge::KnowledgeBase;
 pub use predicate_table::{Predicate, PredicateTable};
 pub use rtree::{HasEnvelope, RTree};

@@ -18,6 +18,8 @@
 //! The crate also hosts the [`failpoint`] registry — deterministic,
 //! seedable fault injection for the fault-tolerance test suite.
 
+#![forbid(unsafe_code)]
+
 pub mod failpoint;
 
 /// SplitMix64 step: the seed-expansion PRNG (Steele, Lea & Flood 2014).

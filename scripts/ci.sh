@@ -23,7 +23,7 @@ echo "==> fault-injection suite (fail points armed, fixed seeds)"
 cargo test --release -q -p geopattern-integration --test fault_injection
 cargo test --release -q -p geopattern-integration --test dataset_fuzz
 
-echo "==> CLI exit-code contract (timeout=4, worker panic=5, exceeded budget=7, absurd --tile-size=1, removed counting flag and algorithms=1, closed stdout pipe=0)"
+echo "==> CLI exit-code contract (timeout=4, worker panic=5, exceeded budget=7, absurd --tile-size=1, removed counting flag and algorithms=1, closed stdout pipe=0, gain past 128 items=1, gain exact at 126 items)"
 DATASET="$(mktemp -t geopattern-ci-XXXXXX.gpd)"
 BIG_DATASET="$(mktemp -t geopattern-ci-XXXXXX.gpd)"
 trap 'rm -f "$DATASET" "$BIG_DATASET"' EXIT
@@ -84,6 +84,17 @@ cargo run --release -q -p geopattern --bin geopattern -- \
 code=${PIPESTATUS[0]}
 set -e
 test "$code" -eq 0 || { echo "expected exit 0 when stdout's reader stops early, got $code"; exit 1; }
+# Gains are exact u128 counts for itemsets of up to 128 items; a larger
+# itemset is a usage error, not a wrapped number.
+set +e
+cargo run --release -q -p geopattern --bin geopattern -- \
+    gain --t 100 --n 100 >/dev/null 2>&1
+code=$?
+set -e
+test "$code" -eq 1 || { echo "expected exit 1 on gain with m = 200, got $code"; exit 1; }
+cargo run --release -q -p geopattern --bin geopattern -- gain --t 126 \
+    | grep -q 'minimal gain 85070591730234615865843651857942052737$' \
+    || { echo "gain --t 126 did not print 2^126 - 127"; exit 1; }
 
 echo "==> kill-and-resume gate (journaled crash, resume bit-identical, journal fuzz)"
 cargo test --release -q -p geopattern-integration --test crash_resume

@@ -11,11 +11,14 @@
 //! The same corpus drives the binary `.gpb` format both ways: every
 //! mutant the text parser *accepts* must survive a WKT → binary → WKT
 //! round trip verbatim, and PRNG-corrupted binary bytes must produce a
-//! typed `GpbError` — never a panic, never an unbounded allocation.
+//! typed `GpbError` — never a panic, never an unbounded allocation — and
+//! the same result, error text included, as reading the layers one by
+//! one.
 
 use geopattern::{from_gpb, to_gpb, SpatialDataset};
+use geopattern_geom::Geometry;
 use geopattern_datagen::{generate_city, CityConfig};
-use geopattern_sdb::GpbReader;
+use geopattern_sdb::{GpbError, GpbReader};
 use geopattern_testkit::Rng;
 
 /// Hostile fragments spliced into the text at random positions.
@@ -141,8 +144,91 @@ fn accepted_mutants_round_trip_through_the_binary_format() {
     assert!(round_tripped > 0, "no mutant parsed; corpus too hostile to test the round trip");
 }
 
+/// The serial reads `from_gpb` must agree with: `GpbReader::open`, the
+/// one-reference-layer check, then `read_layer` on every layer in order.
+/// A decoded dataset is rendered with `to_text`, an error with
+/// `to_string`.
+fn serial_reads(bytes: &[u8]) -> Result<String, String> {
+    let reader = GpbReader::open(bytes).map_err(|e| e.to_string())?;
+    let refs = (0..reader.num_layers()).filter(|&i| reader.is_reference(i)).count();
+    if refs != 1 {
+        let message = format!("expected exactly one reference layer, found {refs}");
+        return Err(GpbError::ReferenceLayer(message).to_string());
+    }
+    let mut layers = Vec::new();
+    for i in 0..reader.num_layers() {
+        layers.push(reader.read_layer(i).map_err(|e| e.to_string())?);
+    }
+    let reference = layers.remove((0..layers.len()).position(|i| reader.is_reference(i)).unwrap());
+    Ok(SpatialDataset::new(reference, layers).to_text())
+}
+
+/// Byte ranges of the layer bodies of a well-formed `.gpb` buffer.
+fn layer_bodies(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let mut at = 12; // magic, version and string count
+    for _ in 0..u32_at(8) {
+        at += 4 + u32_at(at);
+    }
+    let n_layers = u32_at(at);
+    at += 4;
+    let mut bodies = Vec::new();
+    for _ in 0..n_layers {
+        // Name id and reference flag, then the body length.
+        let len = u64::from_le_bytes(bytes[at + 5..at + 13].try_into().unwrap()) as usize;
+        at += 13 + len;
+        bodies.push(at - len..at);
+    }
+    bodies
+}
+
+/// The grid-2, seed-7 city with two errors: every coordinate of the
+/// first district polygon (layer 0) set to (1, 1), an invalid geometry,
+/// and the first river's geometry tag (last layer) set to 99, an
+/// unknown tag. The serial reads meet the district first.
+fn city_with_an_early_geometry_and_a_late_tag_error() -> Vec<u8> {
+    let ds = generate_city(&CityConfig { grid: 2, seed: 7, ..Default::default() });
+    let mut bytes = to_gpb(&ds);
+    let bodies = layer_bodies(&bytes);
+    // A layer body ends with its coordinate count, its x column and its y
+    // column; the first district's coordinates open both columns.
+    let rings: Vec<usize> = ds
+        .reference
+        .features()
+        .iter()
+        .map(|f| match &f.geometry {
+            Geometry::Polygon(p) if p.holes().is_empty() => p.exterior().coords().len(),
+            other => panic!("districts are polygons without holes, not {other:?}"),
+        })
+        .collect();
+    let n: usize = rings.iter().sum();
+    let end = bodies[0].end;
+    let count_at = end - 16 * n - 8;
+    assert_eq!(u64::from_le_bytes(bytes[count_at..count_at + 8].try_into().unwrap()), n as u64);
+    for column in [end - 16 * n, end - 8 * n] {
+        for at in (column..column + 8 * rings[0]).step_by(8) {
+            bytes[at..at + 8].copy_from_slice(&1.0f64.to_le_bytes());
+        }
+    }
+    let river = ds.relevant.last().expect("relevant layers");
+    assert_eq!(river.feature_type, "river");
+    // Feature count, then the first feature's id and stored envelope.
+    let tag_at = bodies[bodies.len() - 1].start + 4 + 4 + river.features()[0].id.len() + 32;
+    bytes[tag_at] = 99;
+    bytes
+}
+
 #[test]
 fn corrupted_binary_bytes_never_panic_the_reader() {
+    // Run the staged decode on a real two-worker pool, as par's tests set
+    // the host width.
+    std::env::set_var("GEOPATTERN_THREADS", "2");
+    std::env::set_var("GEOPATTERN_HOST_PARALLELISM", "2");
+    let crafted = city_with_an_early_geometry_and_a_late_tag_error();
+    let want = serial_reads(&crafted).expect_err("both corruptions are errors");
+    assert!(want.starts_with("invalid geometry at byte"), "{want}");
+    assert_eq!(from_gpb(&crafted).map(|d| d.to_text()).map_err(|e| e.to_string()), Err(want));
+
     let ds = generate_city(&CityConfig { grid: 3, seed: 5, ..Default::default() });
     let pristine = to_gpb(&ds);
     from_gpb(&pristine).expect("pristine binary decodes");
@@ -185,19 +271,17 @@ fn corrupted_binary_bytes_never_panic_the_reader() {
                 }
             }
         }
-        // Decoding must return Ok or a typed error; `i` reproduces any
-        // failure exactly. A decoded dataset must also be well-formed
-        // enough to re-serialise.
-        if let Ok(decoded) = from_gpb(&bytes) {
-            let _ = decoded.to_text();
-        }
+        // Decoding must return Ok or a typed error, and the same one the
+        // serial reads return; `i` reproduces any failure exactly. A
+        // decoded dataset must also be well-formed enough to re-serialise.
+        let staged = from_gpb(&bytes).map(|d| d.to_text()).map_err(|e| e.to_string());
+        assert_eq!(staged, serial_reads(&bytes), "mutant {i}: from_gpb and serial reads differ");
         // The streaming per-layer path must hold the same property.
         if let Ok(reader) = GpbReader::open(&bytes) {
             for layer in 0..reader.num_layers() {
                 let _ = reader.read_layer(layer);
             }
         }
-        let _ = i;
     }
 }
 

@@ -103,11 +103,10 @@ fn indexed_kernel_agrees_with_brute_on_lattice_degenerates() {
     assert!(touching > 20, "lattice workload should produce many touching pairs ({touching})");
 }
 
-/// The segment tree's lane-parallel leaf lower bounds prune exactly as
-/// the scalar envelope distances would: bounded distance equals the
-/// unbounded reference at generous, exact, one-ulp-short, NaN and
-/// infinite bounds, on star pairs whose vertex counts leave partial
-/// lanes.
+/// The segment tree's bounded search prunes without changing an answer:
+/// bounded distance equals the unbounded reference at generous, exact,
+/// one-ulp-short, NaN and infinite bounds, on star pairs whose vertex
+/// counts leave partly filled leaves.
 #[test]
 fn bounded_distance_matches_reference_at_edge_bounds() {
     let mut rng = Rng::seed_from_u64(99);
@@ -132,15 +131,15 @@ fn bounded_distance_matches_reference_at_edge_bounds() {
             }
         }
     }
-    assert!(take_kernel_counters().simd_lanes_tested > 0, "leaf lower bounds never ran");
+    assert!(take_kernel_counters().pairs_exact > 0, "the search never reached a leaf");
 }
 
 /// The kernel counters surface through the extraction metrics drain: a
-/// bounded-distance extraction reports the leaf lower-bound lanes, and
-/// `geom/simd_fallback_exact` stays 0 — point location has no `f64` lane
-/// tier to fall back from.
+/// bounded-distance extraction reports exact leaf pairs and pruned
+/// subtrees, and both `geom/simd_*` counters stay 0 — neither the
+/// bounded search nor point location has an `f64` lane tier.
 #[test]
-fn simd_counters_surface_in_pipeline_metrics() {
+fn kernel_counters_surface_in_pipeline_metrics() {
     use geopattern::Recorder;
     use geopattern_datagen::{generate_city, CityConfig};
     use geopattern_qsr::DistanceScheme;
@@ -155,8 +154,11 @@ fn simd_counters_surface_in_pipeline_metrics() {
         ExtractionConfig::topological_only().with_distance(scheme).with_recorder(rec.clone());
     extract_predicates(&ds.reference, &ds.relevant_refs(), &config).expect("extraction");
     let m = rec.snapshot();
-    let lanes = m.counter("geom/simd_lanes_tested").unwrap_or(0);
-    assert!(lanes > 0, "bounded extraction recorded no leaf lanes: {}", m.to_json());
+    for key in ["geom/pairs_exact", "geom/distance_early_exit"] {
+        let n = m.counter(key).unwrap_or(0);
+        assert!(n > 0, "bounded extraction recorded no {key}: {}", m.to_json());
+    }
+    assert_eq!(m.counter("geom/simd_lanes_tested").unwrap_or(0), 0);
     assert_eq!(m.counter("geom/simd_fallback_exact").unwrap_or(0), 0);
 }
 
