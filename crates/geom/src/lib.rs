@@ -64,7 +64,7 @@ pub use point::{MultiPoint, Point};
 pub use polygon::{MultiPolygon, PointLocation, Polygon, Ring};
 pub use prepared::PreparedGeometry;
 pub use quant::{PreparedRing, QuantRing, Quantizer};
-pub use relate::{intersects, relate, Dim, IntersectionMatrix, Part};
+pub use relate::{intersects, relate, CellWords, Dim, IntersectionMatrix, Part, Pattern};
 pub use robust::{orient2d, orientation, Orientation};
 pub use segment::{SegSegIntersection, Segment};
 pub use segtree::{take_kernel_counters, KernelCounters, RingIndex, SegTree};

@@ -11,6 +11,12 @@
 //! B(A)   dim(B∩I)  dim(B∩B)  dim(B∩E)
 //! E(A)   dim(E∩I)  dim(E∩B)  dim(E∩E)
 //! ```
+//!
+//! Patterns compile to bit masks over the nine cells taken row-major
+//! (bit `3 * row + col`). [`Pattern::new`] is a `const fn`, so a fixed
+//! pattern is parsed at compile time, and [`IntersectionMatrix::words`]
+//! turns a matrix into [`CellWords`] once for any number of pattern
+//! tests. Neither allocates.
 
 use std::fmt;
 use std::str::FromStr;
@@ -107,38 +113,136 @@ impl IntersectionMatrix {
         t
     }
 
+    /// The cells as bit words, for testing compiled [`Pattern`]s.
+    pub fn words(&self) -> CellWords {
+        let mut by_dim = [0u16; 4];
+        let mut bit = 1;
+        for row in &self.cells {
+            for &d in row {
+                by_dim[d as usize] |= bit;
+                bit <<= 1;
+            }
+        }
+        CellWords { by_dim }
+    }
+
     /// Matches the matrix against a DE-9IM pattern string.
     ///
     /// Pattern characters: `T` (non-empty), `F` (empty), `*` (any),
     /// `0`/`1`/`2` (exact dimension). Panics if the pattern is not 9 valid
     /// characters; use [`IntersectionMatrix::try_matches`] for fallible
-    /// matching.
+    /// matching, or a `const` [`Pattern`] to parse a fixed pattern once.
     pub fn matches(&self, pattern: &str) -> bool {
         self.try_matches(pattern).expect("invalid DE-9IM pattern")
     }
 
     /// Fallible version of [`IntersectionMatrix::matches`].
     pub fn try_matches(&self, pattern: &str) -> Result<bool, String> {
-        let chars: Vec<char> = pattern.chars().collect();
-        if chars.len() != 9 {
-            return Err(format!("pattern must have 9 characters, got {}", chars.len()));
+        match parse_cells(pattern, false) {
+            Ok(p) => Ok(self.words().matches(p)),
+            Err(CellError::Length(n)) => Err(format!("pattern must have 9 characters, got {n}")),
+            Err(CellError::Char(at)) => {
+                Err(format!("invalid pattern character {:?}", char_at(pattern, at)))
+            }
         }
-        let mut all_match = true;
-        for (idx, &pc) in chars.iter().enumerate() {
-            let d = self.cells[idx / 3][idx % 3];
-            let ok = match pc {
-                'T' | 't' => d.is_true(),
-                'F' | 'f' => d == Dim::Empty,
-                '*' => true,
-                '0' => d == Dim::Zero,
-                '1' => d == Dim::One,
-                '2' => d == Dim::Two,
-                other => return Err(format!("invalid pattern character {other:?}")),
-            };
-            all_match &= ok;
-        }
-        Ok(all_match)
     }
+}
+
+/// A DE-9IM pattern compiled to bit masks over the nine row-major cells
+/// (bit `3 * row + col`): one mask for `T`, and one per exact dimension,
+/// `F` (empty), `0`, `1` and `2`. A `*` cell sets no bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Pattern {
+    /// `T` cells: the intersection is non-empty.
+    nonempty: u16,
+    /// `F`/`0`/`1`/`2` cells, indexed by [`Dim`] (`F` is [`Dim::Empty`]).
+    exact: [u16; 4],
+}
+
+impl Pattern {
+    /// Compiles a pattern (the characters of
+    /// [`IntersectionMatrix::matches`]). An invalid pattern in a `const`
+    /// item fails the build; at run time it panics.
+    pub const fn new(pattern: &str) -> Pattern {
+        match parse_cells(pattern, false) {
+            Ok(p) => p,
+            Err(_) => panic!("invalid DE-9IM pattern"),
+        }
+    }
+}
+
+/// A matrix's cells as bit words: bit `3 * row + col` of `by_dim[d]` is
+/// set when that cell has dimension `d` ([`Dim`] order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CellWords {
+    by_dim: [u16; 4],
+}
+
+impl CellWords {
+    /// True when the matrix matches the compiled pattern.
+    #[inline]
+    pub const fn matches(self, p: Pattern) -> bool {
+        let [empty, zero, one, two] = self.by_dim;
+        let [f, d0, d1, d2] = p.exact;
+        p.nonempty & empty == 0
+            && f & !empty == 0
+            && d0 & !zero == 0
+            && d1 & !one == 0
+            && d2 & !two == 0
+    }
+}
+
+/// Why a nine-cell DE-9IM string did not parse.
+#[derive(Debug, Clone, Copy)]
+enum CellError {
+    /// The string does not have 9 characters; it has this many.
+    Length(usize),
+    /// An invalid character starts at this byte offset.
+    Char(usize),
+}
+
+/// The one nine-cell parser, behind [`Pattern`] and
+/// [`IntersectionMatrix`]'s `FromStr`. Cells are row-major; a pattern
+/// admits `T`/`t`, `F`/`f`, `*`, `0`, `1` and `2`, a matrix string
+/// (`exact`) only `F`/`f`, `0`, `1` and `2`. The length is counted in
+/// characters and checked before any character.
+const fn parse_cells(s: &str, exact: bool) -> Result<Pattern, CellError> {
+    let bytes = s.as_bytes();
+    // Characters are UTF-8 lead bytes, so the count is `s.chars().count()`.
+    let mut chars = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        if bytes[i] & 0xC0 != 0x80 {
+            chars += 1;
+        }
+        i += 1;
+    }
+    if chars != 9 {
+        return Err(CellError::Length(chars));
+    }
+    // Every valid character is ASCII, so up to the first invalid one the
+    // byte offset is the cell index.
+    let mut p = Pattern { nonempty: 0, exact: [0; 4] };
+    let mut i = 0;
+    while i < bytes.len() {
+        let bit = 1 << i;
+        match bytes[i] {
+            b'T' | b't' if !exact => p.nonempty |= bit,
+            b'*' if !exact => {}
+            b'F' | b'f' => p.exact[Dim::Empty as usize] |= bit,
+            b'0' => p.exact[Dim::Zero as usize] |= bit,
+            b'1' => p.exact[Dim::One as usize] |= bit,
+            b'2' => p.exact[Dim::Two as usize] |= bit,
+            _ => return Err(CellError::Char(i)),
+        }
+        i += 1;
+    }
+    Ok(p)
+}
+
+/// The character starting at byte offset `at` of `s`.
+fn char_at(s: &str, at: usize) -> char {
+    s[at..].chars().next().expect("offset of a parsed character")
 }
 
 impl fmt::Display for IntersectionMatrix {
@@ -156,20 +260,22 @@ impl FromStr for IntersectionMatrix {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let chars: Vec<char> = s.chars().collect();
-        if chars.len() != 9 {
-            return Err(format!("matrix string must have 9 characters, got {}", chars.len()));
-        }
+        let p = match parse_cells(s, true) {
+            Ok(p) => p,
+            Err(CellError::Length(n)) => {
+                return Err(format!("matrix string must have 9 characters, got {n}"))
+            }
+            Err(CellError::Char(at)) => {
+                return Err(format!("invalid matrix character {:?}", char_at(s, at)))
+            }
+        };
         let mut m = IntersectionMatrix::empty();
-        for (idx, &c) in chars.iter().enumerate() {
-            let d = match c {
-                'F' | 'f' => Dim::Empty,
-                '0' => Dim::Zero,
-                '1' => Dim::One,
-                '2' => Dim::Two,
-                other => return Err(format!("invalid matrix character {other:?}")),
-            };
-            m.cells[idx / 3][idx % 3] = d;
+        for (idx, cell) in m.cells.iter_mut().flatten().enumerate() {
+            for d in [Dim::Zero, Dim::One, Dim::Two] {
+                if p.exact[d as usize] & (1 << idx) != 0 {
+                    *cell = d;
+                }
+            }
         }
         Ok(m)
     }
@@ -206,6 +312,16 @@ mod tests {
         assert!(!m.matches("F********"));
         assert!(m.try_matches("bad").is_err());
         assert!(m.try_matches("TTTTTTTTX").is_err());
+    }
+
+    #[test]
+    fn compiled_patterns_match_like_strings() {
+        const COVERS: Pattern = Pattern::new("T*****FF*");
+        let m: IntersectionMatrix = "212F11FF2".parse().unwrap();
+        assert!(m.words().matches(COVERS));
+        for p in ["T*T***T**", "T********", "212F11FF2", "TTTF11FFT", "F********", "t*f*tF**f"] {
+            assert_eq!(m.words().matches(Pattern::new(p)), m.matches(p), "{p}");
+        }
     }
 
     #[test]

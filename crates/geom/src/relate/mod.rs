@@ -33,7 +33,7 @@
 pub mod matrix;
 pub mod shapes;
 
-pub use matrix::{Dim, IntersectionMatrix, Part};
+pub use matrix::{CellWords, Dim, IntersectionMatrix, Part, Pattern};
 
 use crate::geometry::Geometry;
 use crate::polygon::PointLocation;
@@ -62,15 +62,14 @@ pub(crate) fn relate_shapes(a: &Shape, b: &Shape) -> IntersectionMatrix {
     }
 }
 
-/// True when the geometries share at least one point.
+/// True when the geometries share at least one point, i.e. their matrix
+/// does not match `FF*FF****` (interiors and boundaries pairwise apart).
 pub fn intersects(a: &Geometry, b: &Geometry) -> bool {
+    const APART: Pattern = Pattern::new("FF*FF****");
     if !a.envelope().intersects(&b.envelope()) {
         return false;
     }
-    relate(a, b).matches("T********")
-        || relate(a, b).matches("*T*******")
-        || relate(a, b).matches("***T*****")
-        || relate(a, b).matches("****T****")
+    !relate(a, b).words().matches(APART)
 }
 
 fn relate_pp(a: &Puntal, b: &Puntal) -> IntersectionMatrix {
@@ -132,9 +131,10 @@ fn relate_ll(a: &Lineal, b: &Lineal) -> IntersectionMatrix {
     m.set(Part::Exterior, Part::Exterior, Dim::Two);
 
     // Interior/interior evidence from segment pairs. With an index on `b`
-    // only envelope-compatible pairs are inspected (in ascending order, a
-    // subsequence of the full scan); skipped pairs fail the exact
-    // intersection's own envelope prefilter, so the evidence is identical.
+    // only envelope-compatible pairs are inspected; skipped pairs fail the
+    // exact intersection's own envelope prefilter. Evidence only raises
+    // the cell, and a collinear overlap settles it at its maximum, so
+    // neither the candidate restriction nor the hit order changes it.
     let ii_evidence = |sa: &crate::segment::Segment,
                            sb: &crate::segment::Segment,
                            m: &mut IntersectionMatrix| {
@@ -163,10 +163,12 @@ fn relate_ll(a: &Lineal, b: &Lineal) -> IntersectionMatrix {
     'outer: for sa in a.segments.iter() {
         match b.tree {
             Some(tree) => {
-                for i in tree.query(&sa.envelope()) {
-                    if ii_evidence(sa, &b.segments[i as usize], &mut m) {
-                        break 'outer;
-                    }
+                let mut overlap = false;
+                tree.query(&sa.envelope(), |i| {
+                    overlap = overlap || ii_evidence(sa, &b.segments[i as usize], &mut m);
+                });
+                if overlap {
+                    break 'outer;
                 }
             }
             None => {
@@ -246,9 +248,7 @@ fn relate_la(l: &Lineal, ar: &Areal) -> IntersectionMatrix {
         for sa in l.segments.iter() {
             match btree {
                 Some(tree) => {
-                    for i in tree.query(&sa.envelope()) {
-                        touch(sa, &boundary[i as usize], &mut m);
-                    }
+                    tree.query(&sa.envelope(), |i| touch(sa, &boundary[i as usize], &mut m))
                 }
                 None => {
                     for sb in boundary.iter() {

@@ -16,6 +16,11 @@
 //! intersection starts with an envelope prefilter, point-in-ring crossing
 //! edges must span the query ordinate), so indexed and brute-force runs
 //! produce bit-identical matrices.
+//!
+//! A relate over prepared views allocates nothing: tree queries hand hits
+//! to visitors, interior points are borrowed, and the parameter-space
+//! bookkeeping (split cuts, collinear-overlap intervals) runs in per-thread
+//! buffers that warm calls reuse.
 
 use crate::bbox::Rect;
 use crate::coord::Coord;
@@ -25,11 +30,36 @@ use crate::quant::PreparedRing;
 use crate::segment::{merge_intervals, SegSegIntersection, Segment};
 use crate::segtree::SegTree;
 use std::borrow::Cow;
+use std::cell::Cell;
 
 /// Relative tolerance for parameter-space bookkeeping (splitting segments
 /// at intersection points). Decisions about *whether* geometries intersect
 /// are exact; this tolerance only guards against duplicated split points.
 pub const PARAM_EPS: f64 = 1e-12;
+
+/// Parameter-space buffers: split cuts and collinear-overlap intervals.
+#[derive(Default)]
+struct Scratch {
+    cuts: Vec<f64>,
+    intervals: Vec<(f64, f64)>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> =
+        const { Cell::new(Scratch { cuts: Vec::new(), intervals: Vec::new() }) };
+}
+
+/// Runs `f` on this thread's [`Scratch`], emptied. Warm calls reuse the
+/// buffers' capacity and allocate nothing; a nested call would find them
+/// taken and start from fresh ones.
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    let mut scratch = SCRATCH.take();
+    scratch.cuts.clear();
+    scratch.intervals.clear();
+    let out = f(&mut scratch);
+    SCRATCH.set(scratch);
+    out
+}
 
 /// A 0-dimensional geometry: a finite set of distinct coordinates.
 pub struct Puntal<'a> {
@@ -72,10 +102,13 @@ impl<'a> Lineal<'a> {
             return LinealLocation::Boundary;
         }
         let on_curve = match self.tree {
-            Some(tree) => tree
-                .query(&Rect::of_point(c))
-                .iter()
-                .any(|&i| self.segments[i as usize].contains_point(c)),
+            Some(tree) => {
+                let mut on = false;
+                tree.query(&Rect::of_point(c), |i| {
+                    on = on || self.segments[i as usize].contains_point(c);
+                });
+                on
+            }
             None => self.segments.iter().any(|s| s.contains_point(c)),
         };
         if on_curve {
@@ -102,33 +135,28 @@ pub fn segment_covered_by(s: &Segment, segs: &[Segment]) -> bool {
 
 /// [`segment_covered_by`] with an optional index over `segs`. Only
 /// segments whose envelope meets `s`'s can contribute an overlap interval,
-/// so the candidate restriction never changes the merged coverage.
+/// so the candidate restriction never changes the merged coverage, and
+/// merging sorts the intervals, so neither does the hit order.
 pub(crate) fn segment_covered_by_indexed(
     s: &Segment,
     segs: &[Segment],
     tree: Option<&SegTree>,
 ) -> bool {
-    let mut intervals: Vec<(f64, f64)> = Vec::new();
-    let mut push = |t: &Segment| {
-        if let SegSegIntersection::Overlap(ov) = s.intersect(t) {
-            let p0 = s.param_of_collinear_point(ov.a);
-            let p1 = s.param_of_collinear_point(ov.b);
-            intervals.push((p0.min(p1), p0.max(p1)));
-        }
-    };
-    match tree {
-        Some(tree) => {
-            for i in tree.query(&s.envelope()) {
-                push(&segs[i as usize]);
+    with_scratch(|Scratch { intervals, .. }| {
+        let mut push = |t: &Segment| {
+            if let SegSegIntersection::Overlap(ov) = s.intersect(t) {
+                let p0 = s.param_of_collinear_point(ov.a);
+                let p1 = s.param_of_collinear_point(ov.b);
+                intervals.push((p0.min(p1), p0.max(p1)));
             }
+        };
+        match tree {
+            Some(tree) => tree.query(&s.envelope(), |i| push(&segs[i as usize])),
+            None => segs.iter().for_each(push),
         }
-        None => {
-            for t in segs {
-                push(t);
-            }
-        }
-    }
-    crate::segment::intervals_cover_unit(&merge_intervals(intervals), PARAM_EPS.max(1e-9))
+        merge_intervals(intervals);
+        crate::segment::intervals_cover_unit(intervals, PARAM_EPS.max(1e-9))
+    })
 }
 
 /// A 2-dimensional geometry: one or more polygons with disjoint interiors.
@@ -194,12 +222,15 @@ impl<'a> Areal<'a> {
     /// (one per member polygon). Needed for completeness of the
     /// region×region interior tests: a component whose boundary is entirely
     /// shared with the other operand (e.g. a polygon exactly filling a
-    /// hole) is only detectable through its interior point.
-    pub fn interior_points(&self) -> Vec<Coord> {
+    /// hole) is only detectable through its interior point. Borrowed,
+    /// without copying, from a prepared region.
+    pub fn interior_points(&self) -> Cow<'_, [Coord]> {
         match self {
-            Areal::One(p) => vec![p.interior_point()],
-            Areal::Many(mp) => mp.polygons().iter().map(|p| p.interior_point()).collect(),
-            Areal::Indexed(pa) => pa.interior_pts.clone(),
+            Areal::One(p) => Cow::Owned(vec![p.interior_point()]),
+            Areal::Many(mp) => {
+                Cow::Owned(mp.polygons().iter().map(|p| p.interior_point()).collect())
+            }
+            Areal::Indexed(pa) => Cow::Borrowed(&pa.interior_pts),
         }
     }
 }
@@ -276,7 +307,7 @@ impl PreparedAreal {
             boundary,
             tree,
             interior_pt: view.interior_point(),
-            interior_pts: view.interior_points(),
+            interior_pts: view.interior_points().into_owned(),
             ext_coords: members
                 .iter()
                 .flat_map(|p| p.exterior().coords().iter().copied())
@@ -331,76 +362,72 @@ pub fn split_classify(segs: &[Segment], region_boundary: &[Segment], region: &Ar
 
 /// [`split_classify`] with an optional segment tree over `region_boundary`.
 ///
-/// Candidates come back in ascending boundary order, i.e. a subsequence of
-/// the full scan; skipped boundary segments cannot intersect (their
+/// The tree yields the boundary segments whose envelopes meet the probe's,
+/// in traversal order; skipped boundary segments cannot intersect (their
 /// envelopes are disjoint from the probe's, the very prefilter
 /// [`Segment::intersect`] applies first), so the cut multiset — and after
 /// sorting and deduplication, the fragment classification — is identical.
+/// The cut and interval buffers are reused across segments and calls.
 pub(crate) fn split_classify_indexed(
     segs: &[Segment],
     region_boundary: &[Segment],
     tree: Option<&SegTree>,
     region: &Areal,
 ) -> SplitFlags {
-    let mut flags = SplitFlags::default();
-    for s in segs {
-        let mut cuts: Vec<f64> = vec![0.0, 1.0];
-        let mut on_intervals: Vec<(f64, f64)> = Vec::new();
-        let mut cut_with = |t: &Segment, flags: &mut SplitFlags| match s.intersect(t) {
-            SegSegIntersection::None => {}
-            SegSegIntersection::Point(p) => {
-                let tp = s.param_of_collinear_point_clamped(p);
-                cuts.push(tp);
-                flags.touch_point = true;
-            }
-            SegSegIntersection::Overlap(ov) => {
-                let p0 = s.param_of_collinear_point(ov.a);
-                let p1 = s.param_of_collinear_point(ov.b);
-                let (lo, hi) = (p0.min(p1), p0.max(p1));
-                cuts.push(lo);
-                cuts.push(hi);
-                on_intervals.push((lo, hi));
-            }
-        };
-        match tree {
-            Some(tree) => {
-                for i in tree.query(&s.envelope()) {
-                    cut_with(&region_boundary[i as usize], &mut flags);
+    with_scratch(|Scratch { cuts, intervals: on_intervals }| {
+        let mut flags = SplitFlags::default();
+        for s in segs {
+            cuts.clear();
+            cuts.extend([0.0, 1.0]);
+            on_intervals.clear();
+            let mut cut_with = |t: &Segment| match s.intersect(t) {
+                SegSegIntersection::None => {}
+                SegSegIntersection::Point(p) => {
+                    let tp = s.param_of_collinear_point_clamped(p);
+                    cuts.push(tp);
+                    flags.touch_point = true;
                 }
-            }
-            None => {
-                for t in region_boundary {
-                    cut_with(t, &mut flags);
+                SegSegIntersection::Overlap(ov) => {
+                    let p0 = s.param_of_collinear_point(ov.a);
+                    let p1 = s.param_of_collinear_point(ov.b);
+                    let (lo, hi) = (p0.min(p1), p0.max(p1));
+                    cuts.push(lo);
+                    cuts.push(hi);
+                    on_intervals.push((lo, hi));
                 }
+            };
+            match tree {
+                Some(tree) => tree.query(&s.envelope(), |i| cut_with(&region_boundary[i as usize])),
+                None => region_boundary.iter().for_each(cut_with),
             }
-        }
-        cuts.sort_by(|a, b| a.partial_cmp(b).expect("finite params"));
-        cuts.dedup_by(|a, b| (*a - *b).abs() <= PARAM_EPS);
-        let on_intervals = merge_intervals(on_intervals);
+            cuts.sort_by(|a, b| a.partial_cmp(b).expect("finite params"));
+            cuts.dedup_by(|a, b| (*a - *b).abs() <= PARAM_EPS);
+            merge_intervals(on_intervals);
 
-        for w in cuts.windows(2) {
-            let (lo, hi) = (w[0], w[1]);
-            if hi - lo <= PARAM_EPS {
-                continue;
-            }
-            let mid = (lo + hi) * 0.5;
-            // Fragments inside a recorded overlap run lie on the boundary.
-            if on_intervals
-                .iter()
-                .any(|&(olo, ohi)| olo - PARAM_EPS <= lo && hi <= ohi + PARAM_EPS)
-            {
-                flags.on_boundary = true;
-                continue;
-            }
-            match region.locate(s.a.lerp(s.b, mid)) {
-                PointLocation::Inside => flags.inside = true,
-                PointLocation::Outside => flags.outside = true,
-                // Numerically pinched fragment grazing the boundary.
-                PointLocation::OnBoundary => flags.on_boundary = true,
+            for w in cuts.windows(2) {
+                let (lo, hi) = (w[0], w[1]);
+                if hi - lo <= PARAM_EPS {
+                    continue;
+                }
+                let mid = (lo + hi) * 0.5;
+                // Fragments inside a recorded overlap run lie on the boundary.
+                if on_intervals
+                    .iter()
+                    .any(|&(olo, ohi)| olo - PARAM_EPS <= lo && hi <= ohi + PARAM_EPS)
+                {
+                    flags.on_boundary = true;
+                    continue;
+                }
+                match region.locate(s.a.lerp(s.b, mid)) {
+                    PointLocation::Inside => flags.inside = true,
+                    PointLocation::Outside => flags.outside = true,
+                    // Numerically pinched fragment grazing the boundary.
+                    PointLocation::OnBoundary => flags.on_boundary = true,
+                }
             }
         }
-    }
-    flags
+        flags
+    })
 }
 
 impl Segment {

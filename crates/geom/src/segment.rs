@@ -249,19 +249,23 @@ impl Segment {
     }
 }
 
-/// Merges a set of `[lo, hi]` intervals in place and returns the merged,
-/// sorted, disjoint list. Used for collinear-coverage tests in `relate`.
-pub fn merge_intervals(mut ivs: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
+/// Merges a set of `[lo, hi]` intervals in place into the sorted, disjoint
+/// list, dropping empty (`lo > hi`) ones. Used for collinear-coverage tests
+/// in `relate`; allocates nothing.
+pub fn merge_intervals(ivs: &mut Vec<(f64, f64)>) {
     ivs.retain(|&(lo, hi)| lo <= hi);
     ivs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-    let mut out: Vec<(f64, f64)> = Vec::with_capacity(ivs.len());
-    for (lo, hi) in ivs {
-        match out.last_mut() {
-            Some(last) if lo <= last.1 => last.1 = last.1.max(hi),
-            _ => out.push((lo, hi)),
+    let mut merged = 0;
+    for i in 0..ivs.len() {
+        let (lo, hi) = ivs[i];
+        if merged > 0 && lo <= ivs[merged - 1].1 {
+            ivs[merged - 1].1 = ivs[merged - 1].1.max(hi);
+        } else {
+            ivs[merged] = (lo, hi);
+            merged += 1;
         }
     }
-    out
+    ivs.truncate(merged);
 }
 
 /// True when the merged `intervals` fully cover `[0, 1]` (with `eps`
@@ -412,14 +416,19 @@ mod tests {
 
     #[test]
     fn interval_merging() {
+        let merged = |mut ivs: Vec<(f64, f64)>| {
+            merge_intervals(&mut ivs);
+            ivs
+        };
         // Overlapping and touching intervals coalesce; disjoint ones do not.
-        let merged = merge_intervals(vec![(0.5, 1.0), (0.0, 0.25), (0.2, 0.6)]);
-        assert_eq!(merged, vec![(0.0, 1.0)]);
-        let merged = merge_intervals(vec![(0.6, 1.0), (0.0, 0.25), (0.25, 0.5)]);
-        assert_eq!(merged, vec![(0.0, 0.5), (0.6, 1.0)]);
+        assert_eq!(merged(vec![(0.5, 1.0), (0.0, 0.25), (0.2, 0.6)]), vec![(0.0, 1.0)]);
+        assert_eq!(
+            merged(vec![(0.6, 1.0), (0.0, 0.25), (0.25, 0.5)]),
+            vec![(0.0, 0.5), (0.6, 1.0)]
+        );
         // Inverted intervals are dropped; empty input stays empty.
-        assert_eq!(merge_intervals(vec![(0.9, 0.1)]), vec![]);
-        assert_eq!(merge_intervals(vec![]), vec![]);
+        assert_eq!(merged(vec![(0.9, 0.1)]), vec![]);
+        assert_eq!(merged(vec![]), vec![]);
     }
 
     #[test]

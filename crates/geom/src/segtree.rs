@@ -6,12 +6,14 @@
 //! * [`SegTree`] — a flat, packed R-tree over a geometry's segments,
 //!   bulk-loaded with the Sort-Tile-Recursive (STR) heuristic. All nodes
 //!   live in one arena `Vec` (no per-node allocation, no pointers); leaf
-//!   entries keep their original segment indices so candidate lists come
-//!   back in ascending input order and downstream loops behave exactly
-//!   like the brute-force scans they replace. Besides envelope queries it
-//!   supports branch-and-bound minimum-distance searches (point-to-tree
-//!   and tree-to-tree) that prune any subtree pair whose box-to-box
-//!   distance already exceeds the caller's bound.
+//!   entries keep their original segment indices. An envelope query hands
+//!   each hit to a visitor, and every caller's use of the hits is
+//!   order-free (flags are OR-ed, cuts and intervals sorted, `any`), so
+//!   downstream loops decide exactly like the brute-force scans they
+//!   replace. Besides envelope queries it supports branch-and-bound
+//!   minimum-distance searches (point-to-tree and tree-to-tree) that prune
+//!   any subtree pair whose box-to-box distance already exceeds the
+//!   caller's bound.
 //! * [`RingIndex`] — a monotone-edge structure for O(log n + k)
 //!   point-in-ring tests: ring edges sorted by their envelope's minimum y,
 //!   with an implicit binary max-tree over the maximum y, so only the
@@ -19,6 +21,9 @@
 //!   Per-edge tests are copied verbatim from [`crate::polygon::Ring::locate`]
 //!   (exact boundary test, Franklin crossing count), so the decision is
 //!   bit-identical to the linear scan.
+//!
+//! Every traversal keeps its pending nodes in one fixed-capacity stack
+//! on the call stack, so no query allocates.
 //!
 //! The module also hosts the thread-local kernel counters surfaced by the
 //! extraction pipeline (`geom/segtree_nodes_visited`, `geom/pairs_exact`,
@@ -167,6 +172,58 @@ pub(crate) fn exceeds(lb: f64, limit: f64) -> bool {
 /// Leaf fan-out and internal fan-out of the packed tree.
 const NODE_CAPACITY: usize = 8;
 
+/// Node levels of the tallest tree a `u32` entry count can build: a leaf
+/// holds up to `NODE_CAPACITY` entries, each level above packs up to
+/// `NODE_CAPACITY` nodes.
+const MAX_LEVELS: usize = {
+    let mut levels = 1;
+    let mut nodes = (u32::MAX as u64).div_ceil(NODE_CAPACITY as u64);
+    while nodes > 1 {
+        nodes = nodes.div_ceil(NODE_CAPACITY as u64);
+        levels += 1;
+    }
+    levels
+};
+
+/// Capacity of the traversal [`Stack`]. Expanding a node pops it and
+/// pushes at most `NODE_CAPACITY` children, a net growth of
+/// `NODE_CAPACITY - 1`, and a root-to-leaf path expands `MAX_LEVELS - 1`
+/// nodes; a tree-to-tree traversal expands along a path in each tree.
+const STACK_CAPACITY: usize = 1 + 2 * (MAX_LEVELS - 1) * (NODE_CAPACITY - 1);
+
+// A `RingIndex` over at most `u32::MAX` edges is a binary tree of depth
+// at most 32, whose traversal grows by one per level: at most 33 pending.
+const _: () = assert!((u32::BITS as usize) < STACK_CAPACITY);
+
+/// A fixed-capacity LIFO on the call stack, holding a traversal's pending
+/// nodes. `STACK_CAPACITY` bounds every traversal of a tree this module
+/// builds, so a push never runs past it.
+struct Stack<T> {
+    items: [T; STACK_CAPACITY],
+    len: usize,
+}
+
+impl<T: Copy + Default> Stack<T> {
+    /// A stack holding `first`.
+    fn new(first: T) -> Stack<T> {
+        let mut items = [T::default(); STACK_CAPACITY];
+        items[0] = first;
+        Stack { items, len: 1 }
+    }
+
+    #[inline]
+    fn push(&mut self, item: T) {
+        self.items[self.len] = item;
+        self.len += 1;
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<T> {
+        self.len = self.len.checked_sub(1)?;
+        Some(self.items[self.len])
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Node {
     rect: Rect,
@@ -196,6 +253,7 @@ impl SegTree {
     /// leaves; upper levels pack consecutive runs of child nodes until a
     /// single root remains.
     pub fn build(segments: &[Segment]) -> SegTree {
+        assert!(segments.len() <= u32::MAX as usize, "a SegTree indexes at most u32::MAX segments");
         let mut entries: Vec<(Rect, u32)> = segments
             .iter()
             .enumerate()
@@ -261,38 +319,36 @@ impl SegTree {
         self.nodes.last().map(|n| n.rect).unwrap_or(Rect::EMPTY)
     }
 
-    /// Original indices of all segments whose envelope intersects `rect`,
-    /// **sorted ascending** — iterating the result visits segments in the
-    /// same relative order as the brute-force scan it replaces.
-    pub fn query(&self, rect: &Rect) -> Vec<u32> {
-        let mut out: Vec<u32> = Vec::new();
+    /// Calls `hit` with the original index of every segment whose
+    /// envelope intersects `rect`, each once, in traversal order (not
+    /// ascending). Callers' use of the hits must not depend on their order.
+    /// Allocates nothing.
+    pub fn query(&self, rect: &Rect, mut hit: impl FnMut(u32)) {
         let Some(root) = self.nodes.len().checked_sub(1) else {
-            return out;
+            return;
         };
         let mut visited = 0u64;
-        let mut stack: Vec<usize> = vec![root];
+        let mut stack = Stack::new(root as u32);
         while let Some(ni) = stack.pop() {
             visited += 1;
-            let node = self.nodes[ni];
+            let node = self.nodes[ni as usize];
             if !node.rect.intersects(rect) {
                 continue;
             }
-            let (first, count) = (node.first as usize, node.count as usize);
             if node.leaf {
+                let (first, count) = (node.first as usize, node.count as usize);
                 for e in &self.entries[first..first + count] {
                     if e.0.intersects(rect) {
-                        out.push(e.1);
+                        hit(e.1);
                     }
                 }
             } else {
-                for child in first..first + count {
+                for child in node.first..node.first + node.count {
                     stack.push(child);
                 }
             }
         }
         note_nodes(visited);
-        out.sort_unstable();
-        out
     }
 
     /// Branch-and-bound minimum distance from `p` to the indexed segments,
@@ -310,17 +366,17 @@ impl SegTree {
         let mut visited = 0u64;
         let mut exact = 0u64;
         let mut pruned = 0u64;
-        let mut stack: Vec<usize> = vec![root];
+        let mut stack = Stack::new(root as u32);
         'search: while let Some(ni) = stack.pop() {
             visited += 1;
-            let node = self.nodes[ni];
+            let node = self.nodes[ni as usize];
             let lb = node.rect.distance_to_point(p);
             if exceeds(lb, limit) || lb >= best {
                 pruned += 1;
                 continue;
             }
-            let (first, count) = (node.first as usize, node.count as usize);
             if node.leaf {
+                let (first, count) = (node.first as usize, node.count as usize);
                 for e in &self.entries[first..first + count] {
                     let elb = e.0.distance_to_point(p);
                     if exceeds(elb, limit) || elb >= best {
@@ -337,7 +393,7 @@ impl SegTree {
                     }
                 }
             } else {
-                for child in first..first + count {
+                for child in node.first..node.first + node.count {
                     stack.push(child);
                 }
             }
@@ -376,11 +432,11 @@ impl SegTree {
         let mut visited = 0u64;
         let mut exact = 0u64;
         let mut pruned = 0u64;
-        let mut stack: Vec<(usize, usize)> = vec![(ra, rb)];
+        let mut stack = Stack::new((ra as u32, rb as u32));
         'search: while let Some((ia, ib)) = stack.pop() {
             visited += 1;
-            let na = self.nodes[ia];
-            let nb = other.nodes[ib];
+            let na = self.nodes[ia as usize];
+            let nb = other.nodes[ib as usize];
             let lb = na.rect.distance_to_rect(&nb.rect);
             if exceeds(lb, limit) || lb >= best {
                 pruned += 1;
@@ -412,22 +468,22 @@ impl SegTree {
                 // Expand the internal node (preferring the larger box when
                 // both are internal): deterministic traversal.
                 (false, true) => {
-                    for child in na.first as usize..(na.first + na.count) as usize {
+                    for child in na.first..na.first + na.count {
                         stack.push((child, ib));
                     }
                 }
                 (true, false) => {
-                    for child in nb.first as usize..(nb.first + nb.count) as usize {
+                    for child in nb.first..nb.first + nb.count {
                         stack.push((ia, child));
                     }
                 }
                 (false, false) => {
                     if na.rect.margin() >= nb.rect.margin() {
-                        for child in na.first as usize..(na.first + na.count) as usize {
+                        for child in na.first..na.first + na.count {
                             stack.push((child, ib));
                         }
                     } else {
-                        for child in nb.first as usize..(nb.first + nb.count) as usize {
+                        for child in nb.first..nb.first + nb.count {
                             stack.push((ia, child));
                         }
                     }
@@ -471,6 +527,7 @@ impl RingIndex {
     /// Builds the index over a validated ring.
     pub fn build(ring: &Ring) -> RingIndex {
         let mut edges: Vec<Segment> = ring.segments().collect();
+        assert!(edges.len() <= u32::MAX as usize, "a RingIndex indexes at most u32::MAX edges");
         edges.sort_by(|a, b| a.envelope().min.y.total_cmp(&b.envelope().min.y));
         let ymins: Vec<f64> = edges.iter().map(|s| s.envelope().min.y).collect();
         let size = edges.len().next_power_of_two();
@@ -515,7 +572,7 @@ impl RingIndex {
         let k = self.ymins.partition_point(|&y| y <= p.y);
         let mut on_boundary = false;
         let mut inside = false;
-        let mut stack: Vec<(usize, usize, usize)> = vec![(1, 0, self.size)];
+        let mut stack = Stack::new((1, 0, self.size));
         while let Some((node, lo, hi)) = stack.pop() {
             if lo >= k || self.maxes[node] < p.y {
                 continue;
@@ -584,7 +641,10 @@ mod tests {
                     .filter(|(_, s)| s.envelope().intersects(&rect))
                     .map(|(i, _)| i as u32)
                     .collect();
-                assert_eq!(tree.query(&rect), brute, "n={n} rect={rect:?}");
+                let mut hits = Vec::new();
+                tree.query(&rect, |i| hits.push(i));
+                hits.sort_unstable();
+                assert_eq!(hits, brute, "n={n} rect={rect:?}");
             }
         }
     }
@@ -669,7 +729,8 @@ mod tests {
         let segs = grid_segments(50);
         let tree = SegTree::build(&segs);
         let probe = Segment::new(coord(2.0, 1.0), coord(20.0, 5.0));
-        let candidates = tree.query(&probe.envelope());
+        let mut candidates = Vec::new();
+        tree.query(&probe.envelope(), |i| candidates.push(i));
         for (i, s) in segs.iter().enumerate() {
             let hit = probe.intersect(s) != SegSegIntersection::None;
             if hit {

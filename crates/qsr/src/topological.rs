@@ -6,7 +6,7 @@
 //! classifies an [`IntersectionMatrix`] into exactly one of them, honouring
 //! the dimension-dependent definitions of `crosses` and `overlaps`.
 
-use geopattern_geom::{GeomDim, Geometry, IntersectionMatrix};
+use geopattern_geom::{GeomDim, Geometry, IntersectionMatrix, Pattern};
 use std::fmt;
 
 /// The nine named topological relations used by the paper.
@@ -79,47 +79,83 @@ impl fmt::Display for TopologicalRelation {
     }
 }
 
+/// The patterns [`classify`] tests, compiled at build time.
+mod patterns {
+    use geopattern_geom::Pattern;
+
+    /// Each geometry covers the other.
+    pub const EQUALS: Pattern = Pattern::new("T*F**FFF*");
+    /// Nothing of B lies outside A, and some part of B meets A.
+    pub const B_INSIDE_A: [Pattern; 4] = [
+        Pattern::new("T*****FF*"),
+        Pattern::new("*T****FF*"),
+        Pattern::new("***T**FF*"),
+        Pattern::new("****T*FF*"),
+    ];
+    /// Nothing of A lies outside B, and some part of A meets B.
+    pub const A_INSIDE_B: [Pattern; 4] = [
+        Pattern::new("T*F**F***"),
+        Pattern::new("*TF**F***"),
+        Pattern::new("**FT*F***"),
+        Pattern::new("**F*TF***"),
+    ];
+    /// The interiors meet.
+    pub const INTERIORS_MEET: Pattern = Pattern::new("T********");
+    /// The boundaries are apart.
+    pub const BOUNDARIES_APART: Pattern = Pattern::new("****F****");
+    /// The interiors meet and each extends beyond the other.
+    pub const INTERIORS_OVERLAP: Pattern = Pattern::new("T*T***T**");
+    /// The interiors meet in isolated points only.
+    pub const INTERIORS_MEET_AT_POINTS: Pattern = Pattern::new("0********");
+    /// The interiors are apart and some boundary meets the other operand.
+    pub const BOUNDARY_CONTACT: [Pattern; 3] = [
+        Pattern::new("FT*******"),
+        Pattern::new("F**T*****"),
+        Pattern::new("F***T****"),
+    ];
+}
+
 /// Classifies a DE-9IM matrix (computed for geometries of dimensions `da`,
 /// `db`) into exactly one [`TopologicalRelation`].
 ///
 /// The relations are jointly exhaustive and pairwise disjoint: for any pair
-/// of valid geometries exactly one classification is returned.
+/// of valid geometries exactly one classification is returned. The matrix
+/// is turned into bit words once and tested against compiled patterns, so
+/// classifying allocates nothing.
 pub fn classify(m: &IntersectionMatrix, da: GeomDim, db: GeomDim) -> TopologicalRelation {
+    use patterns::*;
     use TopologicalRelation::*;
 
-    // Equals: each geometry covers the other.
-    if m.matches("T*F**FFF*") {
+    let w = m.words();
+    let any = |ps: &[Pattern]| ps.iter().any(|&p| w.matches(p));
+    if w.matches(EQUALS) {
         return Equals;
     }
-    // B entirely inside A (nothing of B outside A).
-    if (m.matches("T*****FF*") || m.matches("*T****FF*") || m.matches("***T**FF*") || m.matches("****T*FF*"))
-        // Interiors must meet for containment; otherwise it's a touch
-        // (possible only in degenerate lower-dimensional cases).
-        && m.matches("T********")
-    {
-        return if m.matches("****F****") { Contains } else { Covers };
+    // B entirely inside A. Interiors must meet for containment; otherwise
+    // it's a touch (possible only in degenerate lower-dimensional cases).
+    if any(&B_INSIDE_A) && w.matches(INTERIORS_MEET) {
+        return if w.matches(BOUNDARIES_APART) { Contains } else { Covers };
     }
     // A entirely inside B.
-    if (m.matches("T*F**F***") || m.matches("*TF**F***") || m.matches("**FT*F***") || m.matches("**F*TF***"))
-        && m.matches("T********") {
-            return if m.matches("****F****") { Within } else { CoveredBy };
-        }
+    if any(&A_INSIDE_B) && w.matches(INTERIORS_MEET) {
+        return if w.matches(BOUNDARIES_APART) { Within } else { CoveredBy };
+    }
     // Interiors intersect and both extend beyond the other.
-    if m.matches("T*T***T**") || (da == GeomDim::Line && db == GeomDim::Line && m.matches("0********"))
-    {
+    let lines = da == GeomDim::Line && db == GeomDim::Line;
+    if w.matches(INTERIORS_OVERLAP) || (lines && w.matches(INTERIORS_MEET_AT_POINTS)) {
         // Dimension rules: crosses when the dimensions differ, or for two
         // curves meeting at isolated points; overlaps when the common part
         // has the operands' own dimension.
         if da != db {
             return Crosses;
         }
-        if da == GeomDim::Line && db == GeomDim::Line {
-            return if m.matches("0********") { Crosses } else { Overlaps };
+        if lines {
+            return if w.matches(INTERIORS_MEET_AT_POINTS) { Crosses } else { Overlaps };
         }
         return Overlaps;
     }
     // Any remaining contact is boundary-only.
-    if m.matches("FT*******") || m.matches("F**T*****") || m.matches("F***T****") {
+    if any(&BOUNDARY_CONTACT) {
         return Touches;
     }
     Disjoint

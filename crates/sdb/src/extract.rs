@@ -72,7 +72,7 @@ use crate::feature::{Feature, Layer};
 use crate::predicate_table::{Predicate, PredicateTable};
 use crate::tiled;
 use geopattern_geom::{
-    take_kernel_counters, GeomDim, IntersectionMatrix, KernelCounters, PreparedGeometry,
+    take_kernel_counters, GeomDim, IntersectionMatrix, KernelCounters, PreparedGeometry, Rect,
 };
 use geopattern_obs::{Metrics, Recorder};
 use geopattern_par::{try_par_map, CancelToken, Interrupt, Journal, MemoryBudget, Threads};
@@ -320,6 +320,18 @@ impl<'a> PreparedLayer<'a> {
             bands: Vec::new(),
             directions: [u32::MAX; CardinalDirection::ALL.len()],
         }
+    }
+
+    /// The rows a distance or direction scan visits, ascending, and their
+    /// count: the window's R-tree hits around `envelope`, or every row,
+    /// iterated as a range, when there is no window (the last band is
+    /// unbounded, or direction predicates are on).
+    fn scan(&self, envelope: &Rect) -> (usize, impl Iterator<Item = usize>) {
+        let (hits, all) = match self.window {
+            Some(max_d) => (self.layer.index().query_window(envelope, max_d), 0..0),
+            None => (Vec::new(), 0..self.layer.len()),
+        };
+        (hits.len() + all.len(), hits.into_iter().chain(all))
     }
 }
 
@@ -632,11 +644,7 @@ fn build_self_join_memo(
             }
             let mut dist = Vec::new();
             if want_dist {
-                let scan: Vec<usize> = match pl.window {
-                    Some(max_d) => layer.index().query_window(&envelope, max_d),
-                    None => (0..layer.len()).collect(),
-                };
-                for ci in scan {
+                for ci in pl.scan(&envelope).1 {
                     if ci >= row {
                         dist.push((
                             ci as u32,
@@ -754,11 +762,8 @@ pub(crate) fn extract_row(
             // so the buffered window query is a lossless prefilter; the
             // R-tree returns indices sorted ascending, preserving the full
             // scan's emission order on the surviving pairs.
-            let scan: Vec<usize> = match pl.window {
-                Some(max_d) => layer.index().query_window(&ref_envelope, max_d),
-                None => (0..layer.len()).collect(),
-            };
-            stats.pruned_pairs += layer.len() - scan.len();
+            let (scanned, scan) = pl.scan(&ref_envelope);
+            stats.pruned_pairs += layer.len() - scanned;
             // Bounded branch-and-bound distance: beyond the cutoff no band
             // classifies, so `None` carries exactly the information the
             // unbounded kernel's too-large distance would.

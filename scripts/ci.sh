@@ -170,6 +170,10 @@ cargo test --release -q -p geopattern-integration --test bitmap_properties
 echo "==> point-location gate (quant → exact equals Ring::locate and RingIndex::locate; certain grid answers exact)"
 cargo test --release -q -p geopattern-integration --test quant_properties
 
+echo "==> candidate-pair gate (classify on compiled patterns equals the string-pattern version on all 4^9 matrices x 9 dimension pairs; warm relate_to + classify and distance_within allocate nothing)"
+cargo test --release -q -p geopattern-qsr --test classify_exhaustive
+cargo test --release -q -p geopattern-integration --test pair_allocations
+
 echo "==> tiling-equivalence gate (tiled extraction bit-identical to the one-tile default)"
 cargo test --release -q -p geopattern-integration --test tiling_properties
 

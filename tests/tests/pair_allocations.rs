@@ -1,0 +1,203 @@
+//! The warm candidate-pair path makes no heap allocation. Once a first
+//! call has built a pair's lazy indexes, `PreparedGeometry::relate_to`
+//! followed by `qsr::classify`, and `PreparedGeometry::distance_within`,
+//! allocate nothing, for every class pair: points, lines and polygons,
+//! two 256-vertex stars, pairs with collinear runs (split-cut overlap
+//! intervals, curve coverage), and a boundary probe that point location
+//! hands to the exact `RingIndex`.
+//!
+//! A `#[global_allocator]` wraps `System` and counts on a thread-local,
+//! because the harness runs tests on parallel threads and a global count
+//! would see theirs.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::f64::consts::TAU;
+use std::hint::black_box;
+
+use geopattern_geom::{
+    from_wkt, relate, take_kernel_counters, Geometry, Polygon, PreparedGeometry,
+};
+use geopattern_qsr::{classify, TopologicalRelation};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// `System`, counting this thread's allocations and reallocations.
+struct CountingAllocator;
+
+fn count() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`. Counting touches
+// only a const-initialised thread-local `Cell` without a destructor, which
+// never allocates.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Heap allocations `f` makes on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+const SQUARE: &str = "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))";
+
+fn prep(wkt: &str) -> PreparedGeometry {
+    PreparedGeometry::new(from_wkt(wkt).unwrap())
+}
+
+/// A star with `n` points around `(cx, cy)`: `2n` vertices alternating
+/// between radius `r` and `r / 2`.
+fn star(cx: f64, cy: f64, r: f64, n: usize) -> Geometry {
+    let pts: Vec<(f64, f64)> = (0..2 * n)
+        .map(|k| {
+            let radius = if k % 2 == 0 { r } else { r / 2.0 };
+            let angle = TAU * k as f64 / (2 * n) as f64;
+            (cx + radius * angle.cos(), cy + radius * angle.sin())
+        })
+        .collect();
+    Polygon::from_xy(&pts).unwrap().into()
+}
+
+/// Asserts that a warm `relate_to` + `classify` of `a` against `b`
+/// allocates nothing, and returns the relation.
+fn warm_relate_allocates_nothing(
+    a: &PreparedGeometry,
+    b: &PreparedGeometry,
+    what: &str,
+) -> TopologicalRelation {
+    let (da, db) = (a.geometry().dimension(), b.geometry().dimension());
+    let relate_and_classify = || classify(&black_box(a.relate_to(b)), da, db);
+    // The first call builds the lazy indexes.
+    let rel = relate_and_classify();
+    assert_eq!(a.relate_to(b), relate(a.geometry(), b.geometry()), "{what}");
+    let warm = allocations(|| assert_eq!(relate_and_classify(), rel));
+    assert_eq!(warm, 0, "relate_to + classify: {what}");
+    rel
+}
+
+#[test]
+fn the_counter_sees_this_threads_allocations() {
+    assert_eq!(allocations(|| drop(black_box(Vec::<u64>::with_capacity(4)))), 1);
+    assert_eq!(allocations(|| {}), 0);
+}
+
+#[test]
+fn warm_relate_and_classify_allocate_nothing() {
+    use TopologicalRelation::*;
+    let cases = [
+        ("POINT (5 5)", SQUARE, Within),
+        ("POINT (10 5)", SQUARE, Touches),
+        ("MULTIPOINT ((1 1), (5 0), (20 20))", "LINESTRING (0 0, 10 0)", Crosses),
+        ("POINT (0 0)", "LINESTRING (0 0, 10 0)", Touches),
+        ("LINESTRING (0 0, 10 10)", "LINESTRING (0 10, 10 0)", Crosses),
+        // Collinear runs: curve coverage fills its interval buffer.
+        ("LINESTRING (0 0, 10 0)", "LINESTRING (5 0, 15 0)", Overlaps),
+        ("LINESTRING (2 0, 8 0)", "LINESTRING (0 0, 10 0)", Within),
+        ("LINESTRING (-5 5, 15 5)", SQUARE, Crosses),
+        // Along an edge: split cuts fill the overlap intervals.
+        ("LINESTRING (-5 0, 15 0)", SQUARE, Touches),
+        ("LINESTRING (0 0, 10 0, 10 10)", SQUARE, Touches),
+        // Shared edge: both boundaries' splits fill the overlap intervals.
+        (SQUARE, "POLYGON ((10 0, 20 0, 20 10, 10 10, 10 0))", Touches),
+        (SQUARE, "POLYGON ((5 5, 15 5, 15 15, 5 15, 5 5))", Overlaps),
+        (SQUARE, "POLYGON ((2 0, 4 0, 4 4, 2 4, 2 0))", Covers),
+        (SQUARE, "POLYGON ((2 2, 4 2, 4 4, 2 4, 2 2))", Contains),
+        (SQUARE, SQUARE, Equals),
+        (
+            "MULTIPOLYGON (((0 0, 4 0, 4 4, 0 4, 0 0)), ((6 6, 9 6, 9 9, 6 9, 6 6)))",
+            SQUARE,
+            CoveredBy,
+        ),
+    ];
+    for (wa, wb, want) in cases {
+        let (a, b) = (prep(wa), prep(wb));
+        let what = format!("{wa} vs {wb}");
+        assert_eq!(warm_relate_allocates_nothing(&a, &b, &what), want, "{what}");
+        assert_eq!(warm_relate_allocates_nothing(&b, &a, &what), want.converse(), "{what}");
+    }
+}
+
+#[test]
+fn warm_relate_of_two_256_vertex_stars_allocates_nothing() {
+    let a = PreparedGeometry::new(star(0.0, 0.0, 10.0, 128));
+    let b = PreparedGeometry::new(star(1.5, 0.5, 10.0, 128));
+    for (x, y) in [(&a, &b), (&b, &a)] {
+        assert_eq!(warm_relate_allocates_nothing(x, y, "stars"), TopologicalRelation::Overlaps);
+    }
+}
+
+#[test]
+fn warm_boundary_probe_through_the_ring_index_allocates_nothing() {
+    let shape = star(0.0, 0.0, 10.0, 128);
+    let Geometry::Polygon(poly) = &shape else { unreachable!() };
+    let vertex = poly.exterior().coords()[7];
+    let probe = prep(&format!("POINT ({} {})", vertex.x, vertex.y));
+    let region = PreparedGeometry::new(shape.clone());
+    let rel = warm_relate_allocates_nothing(&probe, &region, "vertex probe");
+    assert_eq!(rel, TopologicalRelation::Touches);
+    let _ = take_kernel_counters();
+    let warm = allocations(|| {
+        black_box(probe.relate_to(&region));
+    });
+    assert_eq!(warm, 0);
+    let k = take_kernel_counters();
+    assert!(k.quant_fallback_exact > 0, "the probe must reach the exact RingIndex: {k:?}");
+}
+
+#[test]
+fn warm_distance_within_allocates_nothing() {
+    let far_star = star(40.0, 0.0, 10.0, 128);
+    let near_star = star(0.0, 0.0, 10.0, 128);
+    let cases: Vec<(PreparedGeometry, PreparedGeometry)> = [
+        ("POINT (0 0)", "POINT (3 4)"),
+        ("MULTIPOINT ((0 0), (9 9))", "LINESTRING (20 -1, 20 30)"),
+        ("POINT (20 5)", SQUARE),
+        ("POINT (10 5)", SQUARE),
+        ("LINESTRING (0 0, 1 1)", "LINESTRING (3 0, 3 5)"),
+        ("LINESTRING (20 0, 20 10)", SQUARE),
+        (SQUARE, "POLYGON ((15 0, 25 0, 25 10, 15 10, 15 0))"),
+    ]
+    .into_iter()
+    .map(|(a, b)| (prep(a), prep(b)))
+    .chain([(PreparedGeometry::new(near_star), PreparedGeometry::new(far_star))])
+    .collect();
+    let _ = take_kernel_counters();
+    for (a, b) in &cases {
+        for (x, y) in [(a, b), (b, a)] {
+            let what = format!("{:?} vs {:?}", x.geometry(), y.geometry());
+            let within = || x.distance_within(y, 100.0);
+            // The first call builds the lazy indexes.
+            let d = within();
+            assert!(d.is_some(), "{what}");
+            let warm = allocations(|| assert_eq!(black_box(within()), d));
+            assert_eq!(warm, 0, "distance_within: {what}");
+        }
+    }
+    assert!(take_kernel_counters().pairs_exact > 0, "the tree traversals ran");
+}
