@@ -5,8 +5,7 @@
 //!                 [--algorithm apriori|kc|kc+|fpgrowth|fpgrowth-kc+]
 //!                 [--dep TYPE_A TYPE_B]... [--threads N|auto] [--itemsets] [--rules]
 //!                 [--metrics json] [--timeout SECS] [--memory-budget BYTES]
-//!                 [--tile-size N] [--format wkt|gpb|auto]
-//!                 [--journal FILE] [--resume] [--max-retries N]
+//!                 [--tile-size N] [--journal FILE] [--resume] [--max-retries N]
 //! geopattern generate-city [--grid 6] [--seed 1] [--out city.gpd] [--format wkt|gpb]
 //! geopattern relate <WKT_A> <WKT_B>
 //! geopattern gain --t 2,2,2 --n 2        (m = Σ t + n ≤ 128)
@@ -14,8 +13,10 @@
 //!
 //! Dataset files use the text format of `geopattern_sdb::dataset` (see
 //! `generate-city --out` for a sample) or the compact binary `.gpb`
-//! format (`generate-city --format gpb`). `--format auto` (the default)
-//! sniffs the `GPB1` magic. `--tile-size N` shards predicate extraction
+//! format (`generate-city --format gpb`); `mine` reads a file as `.gpb`
+//! exactly when it starts with the `GPB1` magic, which no valid text
+//! dataset does (its first non-blank line is a `#` comment or a `layer`
+//! header). `--tile-size N` shards predicate extraction
 //! over an `N × N` spatial tile grid (at most 4096 per axis), run one tile
 //! after another; the default is one tile, and the mined patterns are
 //! bit-identical at every tile size.
@@ -138,8 +139,7 @@ fn print_usage(out: &mut impl Write) -> Result<(), CmdError> {
          geopattern mine <dataset.gpd|.gpb> [--minsup F] [--minconf F] [--algorithm A]\n                  \
          [--dep TYPE_A TYPE_B]... [--threads N|auto] [--itemsets] [--rules]\n                  \
          [--metrics json] [--timeout SECS] [--memory-budget BYTES]\n                  \
-         [--tile-size N] [--format wkt|gpb|auto]\n                  \
-         [--journal FILE] [--resume] [--max-retries N]\n  \
+         [--tile-size N] [--journal FILE] [--resume] [--max-retries N]\n  \
          geopattern generate-city [--grid N] [--seed S] [--out FILE] [--format wkt|gpb]\n  \
          geopattern relate <WKT_A> <WKT_B>\n  \
          geopattern gain --t T1,T2,... --n N   (m = T1 + T2 + ... + N, at most 128)\n\n\
@@ -148,10 +148,10 @@ fn print_usage(out: &mut impl Write) -> Result<(), CmdError> {
          --memory-budget cannot hold its TID lists; both produce identical itemsets,\n            \
          and --metrics json reports the pick (mining/auto_choice) and the bitmap\n            \
          engine's pass-2 method (mining/pass2/joins or mining/pass2/scan)\n\n\
-         --format selects the dataset encoding: wkt text, gpb binary, or auto\n\
-         (default; sniffs the GPB1 magic). --tile-size N (at most 4096) shards extraction\n\
-         over an N x N spatial tile grid, one tile at a time — output is bit-identical\n\
-         to the default single tile.\n\
+         mine reads a dataset as gpb binary when it starts with the GPB1 magic, else as\n\
+         wkt text; generate-city --format picks which one it writes.\n\
+         --tile-size N (at most 4096) shards extraction over an N x N spatial tile grid,\n\
+         one tile at a time — output is bit-identical to the default single tile.\n\
          --metrics json dumps span timings / counters / histograms for the run as JSON\n\
          on stdout after the report (a partial report on interrupted runs).\n\
          --timeout SECS cancels the run at a deadline (exit code 4).\n\
@@ -182,15 +182,13 @@ fn parse_algorithm(s: &str) -> Result<Algorithm, String> {
     })
 }
 
-/// On-disk dataset encodings accepted by `mine`.
+/// On-disk dataset encodings `generate-city` writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DatasetFormat {
     /// The line-oriented WKT text format (`.gpd`).
     Wkt,
     /// The compact binary format (`.gpb`).
     Gpb,
-    /// Decide by sniffing the `GPB1` magic (the default).
-    Auto,
 }
 
 impl DatasetFormat {
@@ -198,20 +196,15 @@ impl DatasetFormat {
         Ok(match s.to_ascii_lowercase().as_str() {
             "wkt" | "text" | "gpd" => DatasetFormat::Wkt,
             "gpb" | "binary" => DatasetFormat::Gpb,
-            "auto" => DatasetFormat::Auto,
-            other => return Err(format!("unknown --format {other:?} (supported: wkt, gpb, auto)")),
+            other => return Err(format!("unknown --format {other:?} (supported: wkt, gpb)")),
         })
     }
 }
 
-/// Loads a dataset from raw file contents, honouring `--format`.
-fn load_dataset(path: &str, bytes: &[u8], format: DatasetFormat) -> Result<SpatialDataset, CmdError> {
-    let binary = match format {
-        DatasetFormat::Wkt => false,
-        DatasetFormat::Gpb => true,
-        DatasetFormat::Auto => bytes.starts_with(b"GPB1"),
-    };
-    if binary {
+/// Loads a dataset from raw file contents: `.gpb` when they start with
+/// the `GPB1` magic, text otherwise.
+fn load_dataset(path: &str, bytes: &[u8]) -> Result<SpatialDataset, CmdError> {
+    if bytes.starts_with(b"GPB1") {
         from_gpb(bytes).map_err(|e| format!("parsing {path}: {e}").into())
     } else {
         let text =
@@ -315,10 +308,6 @@ fn cmd_mine(args: &[String], out: &mut impl Write) -> Result<(), CmdError> {
         })
         .transpose()?
         .unwrap_or(0);
-    let format = take_flag(&mut args, "--format")?
-        .map(|v| DatasetFormat::parse(&v))
-        .transpose()?
-        .unwrap_or(DatasetFormat::Auto);
     let metrics_format = take_flag(&mut args, "--metrics")?;
     let recorder = match metrics_format.as_deref() {
         Some("json") => Recorder::new(),
@@ -349,7 +338,7 @@ fn cmd_mine(args: &[String], out: &mut impl Write) -> Result<(), CmdError> {
     let bytes = std::fs::read(&path).map_err(|e| format!("reading {path}: {e}"))?;
     // Parsing builds the per-layer R-trees, so the "load" span covers both.
     let load_span = recorder.span("load");
-    let dataset = load_dataset(&path, &bytes, format)?;
+    let dataset = load_dataset(&path, &bytes)?;
     drop(load_span);
 
     // The journal fingerprint covers every output-affecting knob, so a
@@ -476,7 +465,7 @@ fn cmd_generate_city(args: &[String], out: &mut impl Write) -> Result<(), CmdErr
     let city = generate_city(&CityConfig { grid, seed, ..Default::default() });
     let bytes = match format {
         DatasetFormat::Gpb => to_gpb(&city),
-        DatasetFormat::Wkt | DatasetFormat::Auto => city.to_text().into_bytes(),
+        DatasetFormat::Wkt => city.to_text().into_bytes(),
     };
     match out_path {
         Some(path) => {

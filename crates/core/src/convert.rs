@@ -8,18 +8,15 @@
 //! pair filters.
 
 use geopattern_mining::{ItemCatalog, PairFilter, TransactionSet};
-use geopattern_sdb::{KnowledgeBase, Predicate, PredicateTable};
+use geopattern_sdb::{KnowledgeBase, PredicateTable};
 
 /// Converts a predicate table to a transaction set. Item ids equal
-/// predicate codes.
+/// predicate codes: item *i* is predicate *i*, even when two predicates
+/// render the same label.
 pub fn to_transactions(table: &PredicateTable) -> TransactionSet {
     let mut catalog = ItemCatalog::new();
     for p in table.predicates() {
-        let id = match p {
-            Predicate::NonSpatial { .. } => catalog.intern_attribute(p.to_string()),
-            Predicate::Spatial(sp) => catalog.intern_spatial(p.to_string(), &sp.feature_type),
-        };
-        debug_assert_eq!(id as usize + 1, catalog.len(), "codes must stay aligned");
+        catalog.push(p.to_string(), p.feature_type());
     }
     let mut ts = TransactionSet::new(catalog);
     for (_, codes) in table.rows() {
@@ -38,6 +35,7 @@ pub fn dependency_filter(kb: &KnowledgeBase, table: &PredicateTable) -> PairFilt
 mod tests {
     use super::*;
     use geopattern_qsr::{SpatialPredicate, TopologicalRelation as T};
+    use geopattern_sdb::Predicate;
 
     fn table() -> PredicateTable {
         let mut t = PredicateTable::new();
@@ -64,6 +62,23 @@ mod tests {
         }
         assert_eq!(ts.len(), 2);
         assert_eq!(ts.transactions()[0], vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn predicates_sharing_a_label_stay_distinct_items() {
+        // The attribute `contains_x` with value `y` and `contains` against
+        // a relevant layer named `x=y` both render as `contains_x=y`.
+        let mut t = PredicateTable::new();
+        let a =
+            t.intern(Predicate::NonSpatial { attribute: "contains_x".into(), value: "y".into() });
+        let b = t.intern(Predicate::Spatial(SpatialPredicate::topological(T::Contains, "x=y")));
+        assert_eq!(t.predicate(a).to_string(), t.predicate(b).to_string());
+        t.push_row("D1", vec![a, b]);
+        let ts = to_transactions(&t);
+        assert_eq!(ts.catalog.len(), t.num_predicates());
+        assert_eq!(ts.catalog.feature_type(a), None);
+        assert_eq!(ts.catalog.feature_type(b), Some("x=y"));
+        assert_eq!(ts.transactions()[0], vec![a, b]);
     }
 
     #[test]

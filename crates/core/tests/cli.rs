@@ -356,9 +356,9 @@ fn bad_tile_size_is_usage_error() {
 
 #[test]
 fn binary_dataset_round_trips_through_the_cli() {
-    // generate-city --format gpb writes a binary dataset; mine reads it
-    // back both by sniffing the magic (auto) and when told explicitly,
-    // and the report equals the text-format run's.
+    // generate-city --format gpb writes a binary dataset; mine tells it
+    // from text by its first bytes, and the report equals the text-format
+    // run's.
     let gpb_path = std::env::temp_dir().join("geopattern-cli-test-binary.gpb");
     let out = run(&[
         "generate-city",
@@ -382,29 +382,43 @@ fn binary_dataset_round_trips_through_the_cli() {
     let sniffed = run(&["mine", gpb_path.to_str().unwrap(), "--minsup", "0.3", "--itemsets"]);
     assert_eq!(sniffed.status.code(), Some(0), "stderr: {}", stderr(&sniffed));
     assert_eq!(stdout(&sniffed), stdout(&from_text), "binary run diverged from text run");
-
-    let explicit = run(&[
-        "mine",
-        gpb_path.to_str().unwrap(),
-        "--minsup",
-        "0.3",
-        "--itemsets",
-        "--format",
-        "gpb",
-    ]);
-    assert_eq!(explicit.status.code(), Some(0), "stderr: {}", stderr(&explicit));
-    assert_eq!(stdout(&explicit), stdout(&from_text));
-
-    // Forcing the wrong format is a clean parse error, not a panic.
-    let wrong = run(&["mine", gpb_path.to_str().unwrap(), "--format", "wkt"]);
-    assert_eq!(wrong.status.code(), Some(1), "stderr: {}", stderr(&wrong));
 }
 
 #[test]
 fn bad_format_is_usage_error() {
-    let out = run(&["mine", "x.gpd", "--format", "parquet"]);
+    // generate-city writes wkt or gpb; anything else, `auto` included,
+    // is an unknown format.
+    for format in ["parquet", "auto"] {
+        let out = run(&["generate-city", "--grid", "2", "--format", format]);
+        assert_eq!(out.status.code(), Some(1), "{format}");
+        assert!(stderr(&out).contains("unknown --format"), "{format}: {}", stderr(&out));
+    }
+    // mine has no --format: the file's first bytes decide, and the old
+    // flag is an unexpected argument.
+    let out = run(&["mine", "x.gpd", "--format", "gpb"]);
     assert_eq!(out.status.code(), Some(1));
-    assert!(stderr(&out).contains("unknown --format"));
+    assert!(stderr(&out).contains("unexpected arguments"), "{}", stderr(&out));
+}
+
+#[test]
+fn predicates_sharing_a_label_mine_as_distinct_items() {
+    // The reference attribute `contains_x=y` and `contains` against the
+    // relevant layer `x=y` both render as `contains_x=y`, yet are two
+    // items.
+    let path = std::env::temp_dir().join("geopattern-cli-test-same-label.gpd");
+    std::fs::write(
+        &path,
+        "layer district reference\n\
+         D1|POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))|contains_x=y\n\
+         D2|POLYGON ((20 0, 30 0, 30 10, 20 10, 20 0))|contains_x=y\n\
+         layer x=y\n\
+         p1|POLYGON ((2 2, 4 2, 4 4, 2 4, 2 2))|\n\
+         p2|POLYGON ((22 2, 24 2, 24 4, 22 4, 22 2))|\n",
+    )
+    .expect("write dataset");
+    let out = run(&["mine", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(stdout(&out).contains("2 transactions, 2 items"), "{}", stdout(&out));
 }
 
 #[test]

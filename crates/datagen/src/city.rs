@@ -25,7 +25,7 @@
 //! paper's motivating hypothesis (high crime ↔ slums, low crime ↔ schools
 //! and police centers) is discoverable.
 
-use geopattern_geom::{coord, Coord, LineString, Point, Polygon};
+use geopattern_geom::{coord, LineString, Point, Polygon};
 use geopattern_sdb::{Feature, KnowledgeBase, Layer, SpatialDataset};
 use geopattern_testkit::Rng;
 
@@ -224,12 +224,6 @@ pub fn default_knowledge() -> KnowledgeBase {
     let mut kb = KnowledgeBase::new();
     kb.add_type_dependency("street", "illuminationPoint");
     kb
-}
-
-/// A point on the district grid's interior, used by tests.
-pub fn city_center(config: &CityConfig) -> Coord {
-    let half = config.grid as f64 * config.cell / 2.0;
-    coord(half, half)
 }
 
 #[cfg(test)]

@@ -4,7 +4,6 @@
 use crate::bbox::Rect;
 use crate::coord::Coord;
 use crate::error::{GeomError, GeomResult};
-use crate::linestring::LineString;
 use crate::segment::{SegSegIntersection, Segment};
 
 /// Where a point lies relative to an areal geometry.
@@ -205,13 +204,6 @@ impl Ring {
         let a = a * 0.5;
         Coord::new(cx / (6.0 * a), cy / (6.0 * a))
     }
-
-    /// The ring as a closed `LineString` (first point repeated at the end).
-    pub fn to_linestring(&self) -> LineString {
-        let mut coords = self.coords.clone();
-        coords.push(self.coords[0]);
-        LineString::new(coords).expect("a valid ring closes into a valid linestring")
-    }
 }
 
 /// A polygon: one exterior ring and zero or more interior rings (holes).
@@ -316,11 +308,6 @@ impl Polygon {
                 PointLocation::Inside
             }
         }
-    }
-
-    /// True when `p` is inside or on the boundary.
-    pub fn covers_point(&self, p: Coord) -> bool {
-        self.locate(p) != PointLocation::Outside
     }
 
     /// Centroid accounting for holes (area-weighted).

@@ -9,10 +9,21 @@
 //!   item metadata, no background knowledge required).
 //!
 //! Candidate generation is the classic `apriori_gen` join + prune
-//! (Agrawal & Srikant 1994). Two support-counting backends are provided:
-//! per-transaction subset enumeration against a hashed candidate set,
-//! and the vertical engine of [`crate::bitmap`]. The default,
-//! [`CountingStrategy::Auto`], picks one per run.
+//! (Agrawal & Srikant 1994). Both support-counting backends run one
+//! level loop, which holds pass 1, the replay of a journaled prefix, each
+//! pass boundary (fail point, cancel checkpoint, `pass{k}` span),
+//! `apriori_gen`, Listing 1's C₂ removal and the level records. The
+//! backends differ in two places only:
+//!
+//! * how pass 2 counts C₂: hash-subset enumerates each transaction's
+//!   pairs against a hashed candidate set, and the vertical engine of
+//!   [`crate::bitmap`] counts by pair joins over the frequent items' TID
+//!   lists or by one row scan through the triangular kernel, whichever
+//!   costs less;
+//! * what follows L₂: hash-subset runs the loop's next pass, and the
+//!   vertical engine one equivalence-class descent over the same lists.
+//!
+//! The default, [`CountingStrategy::Auto`], picks a backend per run.
 //!
 //! Hash-subset counts every pass, and the vertical engine's row scan
 //! pass 2, over transaction chunks on the in-tree [`geopattern_par`]
@@ -26,7 +37,10 @@
 use crate::bitmap::{ItemLists, Pass2, TriangularC2};
 use crate::filter::PairFilter;
 use crate::item::{ItemId, TransactionSet};
-use crate::journal;
+use crate::journal::{
+    append_level, level_prefix, replay_levels, LevelRecord, APRIORI_LEVEL, FLAG_COMPLETE,
+    FLAG_LEVEL, FLAG_NO_CANDIDATES,
+};
 use crate::result::{FrequentItemset, MiningResult, MiningStats, MinSupport};
 use crate::robust;
 use geopattern_obs::Recorder;
@@ -230,6 +244,7 @@ pub fn try_mine(data: &TransactionSet, config: &AprioriConfig) -> Result<MiningR
         }
         fixed => (fixed, Grain::Fine),
     };
+    let vertical = counting == CountingStrategy::VerticalBitmap;
     let start = Instant::now();
     let _alg_span = rec.span("apriori");
     let threshold = config.min_support.threshold(data.len());
@@ -261,61 +276,36 @@ pub fn try_mine(data: &TransactionSet, config: &AprioriConfig) -> Result<MiningR
     // prefix, validated against the freshly recomputed L₁ (a journal from
     // different data or a mismatched configuration is discarded and the
     // run recomputes everything). Each completed pass below appends its
-    // level, so a crashed run restarts at the first unfinished pass.
-    let journaled =
-        journal::level_prefix(config.journal.as_ref(), journal::APRIORI_LEVEL, &levels[0]);
+    // level, so a crashed run restarts at the first unfinished pass. A
+    // terminal record (empty level, empty candidate set, or completion
+    // marker) means there is nothing left to mine. The vertical descent
+    // mines every level past L₂ at once, so short of a terminal record it
+    // resumes from L₂ at the latest and redoes the rest.
+    let journal = config.journal.as_ref();
+    let journaled = level_prefix(journal, APRIORI_LEVEL, &levels[0]);
     if journaled.is_empty() {
-        if let Some(j) = &config.journal {
-            let _ = j.append(
-                journal::APRIORI_LEVEL,
-                1,
-                &journal::encode_level(journal::FLAG_LEVEL, num_items as u64, 0, 0, &levels[0]),
-            );
+        append_level(journal, 1, FLAG_LEVEL, num_items, &stats, &levels[0]);
+    }
+    let complete = journaled.last().is_some_and(LevelRecord::is_terminal);
+    let usable = if vertical && !complete { journaled.len().min(2) } else { journaled.len() };
+    let skipped = replay_levels(&journaled[..usable], &mut stats, &mut levels);
+    if journal.is_some() {
+        rec.counter("robust/resume_levels_skipped", skipped as u64);
+    }
+
+    // One level loop for both backends. They differ in how pass 2 counts
+    // and in what follows L₂: hash-subset runs the next pass, the vertical
+    // engine one descent over the lists its pass 2 built.
+    let mut lists: Option<ItemLists> = None;
+    for k in levels.len() + 1.. {
+        if complete {
+            break;
         }
-    }
-
-    if counting == CountingStrategy::VerticalBitmap {
-        return try_mine_vertical(data, config, grain, threshold, stats, levels, journaled, start);
-    }
-
-    // Seed the loop from the journaled prefix: each record beyond L₁
-    // replays exactly the statistics pushes its pass would have made, and
-    // a terminal record (empty level, empty candidate set, or completion
-    // marker) means there is nothing left to mine.
-    let mut complete = journaled.first().is_some_and(|r| r.is_terminal());
-    let mut skipped = 0u64;
-    for record in journaled.iter().skip(1) {
-        skipped += 1;
-        match record.flag {
-            journal::FLAG_NO_CANDIDATES => {
-                stats.candidates_per_level.push(record.candidates as usize);
-                stats.pairs_removed_dependencies = record.removed_dep as usize;
-                stats.pairs_removed_same_type = record.removed_same as usize;
-                complete = true;
-            }
-            journal::FLAG_LEVEL => {
-                stats.candidates_per_level.push(record.candidates as usize);
-                stats.frequent_per_level.push(record.itemsets.len());
-                stats.pairs_removed_dependencies = record.removed_dep as usize;
-                stats.pairs_removed_same_type = record.removed_same as usize;
-                if record.itemsets.is_empty() {
-                    complete = true;
-                } else {
-                    levels.push(record.itemsets.clone());
-                }
-            }
-            _ => complete = true,
+        if vertical && k > 2 {
+            let lists = lists.unwrap_or_else(|| ItemLists::build(data, &levels[0]));
+            vertical_descent(config, threshold, &mut stats, &mut levels, &lists)?;
+            break;
         }
-    }
-    if config.journal.is_some() {
-        rec.counter("robust/resume_levels_skipped", skipped);
-    }
-
-    let mut k = levels.len() + 1;
-    // `complete` is decided entirely by the journaled prefix; the loop
-    // itself only exits through its `break`s.
-    #[allow(clippy::while_immutable_condition)]
-    while !complete {
         // Pass boundary: the cooperative cancellation point of Listing 1's
         // outer loop, plus the sequential fail-point site.
         robust::fire("mining/apriori.pass", &config.cancel);
@@ -328,7 +318,8 @@ pub fn try_mine(data: &TransactionSet, config: &AprioriConfig) -> Result<MiningR
         let mut candidates = apriori_gen(&prev);
         rec.counter(&format!("apriori.pass{k}.candidates"), candidates.len() as u64);
         if k == 2 {
-            // Listing 1: C₂ = C₂ − Φ − {pairs with the same feature type}.
+            // Listing 1: C₂ = C₂ − Φ − {pairs with the same feature type},
+            // before counting, so a removed pair never occupies a counter.
             let before = candidates.len();
             candidates.retain(|c| {
                 if config.dependencies.blocks(c[0], c[1]) {
@@ -341,35 +332,34 @@ pub fn try_mine(data: &TransactionSet, config: &AprioriConfig) -> Result<MiningR
                     true
                 }
             });
+            let pruned = (before - candidates.len()) as u64;
             rec.counter("apriori.c2.removed_dependencies", stats.pairs_removed_dependencies as u64);
             rec.counter("apriori.c2.removed_same_type", stats.pairs_removed_same_type as u64);
-            rec.counter(&format!("apriori.pass{k}.pruned"), (before - candidates.len()) as u64);
+            rec.counter("apriori.pass2.pruned", pruned);
+            if vertical {
+                rec.counter("mining/c2_pairs_filtered", pruned);
+            }
         }
         stats.candidates_per_level.push(candidates.len());
         if candidates.is_empty() {
-            if let Some(j) = &config.journal {
-                let _ = j.append(
-                    journal::APRIORI_LEVEL,
-                    k as u64,
-                    &journal::encode_level(
-                        journal::FLAG_NO_CANDIDATES,
-                        0,
-                        stats.pairs_removed_dependencies as u64,
-                        stats.pairs_removed_same_type as u64,
-                        &[],
-                    ),
-                );
-            }
+            append_level(journal, k, FLAG_NO_CANDIDATES, 0, &stats, &[]);
             break;
         }
         let num_candidates = candidates.len();
 
         // Track (never reject: Apriori's output never depends on the
-        // budget) the candidate set for the duration of the pass.
-        let candidate_bytes = robust::nested_vec_bytes(&candidates);
-        let _ = config.budget.reserve(candidate_bytes);
-        let counts = count_hash_subset(data, &candidates, k, config.threads, grain, &config.cancel);
-        config.budget.release(candidate_bytes);
+        // budget) the pass's candidates, and the vertical engine's lists,
+        // for the duration of the pass. The scan that fills the frequent
+        // items' lists also counts what a row scan of C₂ would cost.
+        lists = vertical.then(|| ItemLists::build(data, &levels[0]));
+        let pass_bytes = robust::nested_vec_bytes(&candidates)
+            + lists.as_ref().map_or(0, ApproxBytes::approx_bytes);
+        let _ = config.budget.reserve(pass_bytes);
+        let counts = match &lists {
+            None => count_hash_subset(data, &candidates, k, config.threads, grain, &config.cancel),
+            Some(lists) => count_c2_vertical(data, config, grain, lists, &levels[0], &candidates),
+        };
+        config.budget.release(pass_bytes);
         let counts = counts?;
 
         let lk: Vec<FrequentItemset> = candidates
@@ -380,24 +370,11 @@ pub fn try_mine(data: &TransactionSet, config: &AprioriConfig) -> Result<MiningR
             .collect();
         rec.counter(&format!("apriori.pass{k}.frequent"), lk.len() as u64);
         stats.frequent_per_level.push(lk.len());
-        if let Some(j) = &config.journal {
-            let _ = j.append(
-                journal::APRIORI_LEVEL,
-                k as u64,
-                &journal::encode_level(
-                    journal::FLAG_LEVEL,
-                    num_candidates as u64,
-                    stats.pairs_removed_dependencies as u64,
-                    stats.pairs_removed_same_type as u64,
-                    &lk,
-                ),
-            );
-        }
+        append_level(journal, k, FLAG_LEVEL, num_candidates, &stats, &lk);
         if lk.is_empty() {
             break;
         }
         levels.push(lk);
-        k += 1;
     }
 
     rec.counter("apriori.passes", levels.len() as u64);
@@ -407,183 +384,38 @@ pub fn try_mine(data: &TransactionSet, config: &AprioriConfig) -> Result<MiningR
     Ok(MiningResult { levels, stats })
 }
 
-/// The vertical engine behind [`CountingStrategy::VerticalBitmap`].
-///
-/// Pass 2 reuses `apriori_gen` and the KC/KC+ retain step verbatim (so
-/// the filter statistics are identical to the horizontal backends),
-/// builds the frequent items' TID lists, and counts the surviving C₂ by
-/// pair joins over those lists or by one streaming scan through the
-/// triangular kernel, whichever [`Pass2::choose`] finds cheaper. Passes 3
-/// and up run an equivalence-class DFS over the same lists
-/// ([`crate::bitmap::mine_vertical_levels`]). Output is bit-identical to
-/// the horizontal backends at any thread count and by either pass-2
-/// method; only wall-clock and memory shape change.
-#[allow(clippy::too_many_arguments)]
-fn try_mine_vertical(
+/// Pass 2 of the vertical engine: counts the post-filter `candidates` by
+/// pair joins over `lists` or by one row scan through the triangular
+/// kernel over the frequent items `l1`, whichever [`Pass2::choose`] finds
+/// cheaper, and records the pick.
+fn count_c2_vertical(
     data: &TransactionSet,
     config: &AprioriConfig,
     grain: Grain,
-    threshold: u64,
-    mut stats: MiningStats,
-    mut levels: Vec<Vec<FrequentItemset>>,
-    journaled: Vec<journal::LevelRecord>,
-    start: Instant,
-) -> Result<MiningResult, Interrupt> {
+    lists: &ItemLists,
+    l1: &[FrequentItemset],
+    candidates: &[Vec<ItemId>],
+) -> Result<Vec<u64>, Interrupt> {
     let rec = &config.recorder;
-
-    // Resume granularity here is the lattice level: a journaled L₂ skips
-    // pass 2, and a journal ending in a terminal record replays the whole
-    // descent. An *incomplete* descent (crash below pass 2) is redone from
-    // L₂ — its per-level records are only written together with the
-    // completion marker, so they never form an unfinished tail.
-    let run_complete = journaled.last().is_some_and(|r| r.is_terminal());
-    let usable = if run_complete { journaled.len() } else { journaled.len().min(2) };
-    let mut skipped = 0u64;
-    for record in journaled.iter().take(usable).skip(1) {
-        skipped += 1;
-        match record.flag {
-            journal::FLAG_NO_CANDIDATES => {
-                stats.candidates_per_level.push(record.candidates as usize);
-                stats.pairs_removed_dependencies = record.removed_dep as usize;
-                stats.pairs_removed_same_type = record.removed_same as usize;
-            }
-            journal::FLAG_LEVEL => {
-                stats.candidates_per_level.push(record.candidates as usize);
-                stats.frequent_per_level.push(record.itemsets.len());
-                stats.pairs_removed_dependencies = record.removed_dep as usize;
-                stats.pairs_removed_same_type = record.removed_same as usize;
-                if !record.itemsets.is_empty() {
-                    levels.push(record.itemsets.clone());
-                }
-            }
-            _ => {}
+    let join_words = candidates.len() as u64 * data.len().div_ceil(64) as u64;
+    let method = Pass2::choose(join_words, lists.scan_pairs());
+    rec.counter(&format!("mining/pass2/{}", method.name()), 1);
+    rec.counter("mining/pass2_join_words", join_words);
+    rec.counter("mining/pass2_scan_pairs", lists.scan_pairs());
+    match method {
+        Pass2::Joins => {
+            let threshold = config.min_support.threshold(data.len());
+            lists.count_pairs(candidates, threshold, config.threads, &config.cancel)
+        }
+        Pass2::Scan => {
+            let l1_items: Vec<ItemId> = l1.iter().map(|f| f.items[0]).collect();
+            let kernel = TriangularC2::new(data.catalog.len(), &l1_items, candidates);
+            count_chunked(data, candidates.len(), config.threads, grain, &config.cancel, {
+                let kernel = &kernel;
+                move |chunk, counts| kernel.count_chunk(chunk, counts)
+            })
         }
     }
-    if config.journal.is_some() {
-        rec.counter("robust/resume_levels_skipped", skipped);
-    }
-
-    'mining: {
-        if run_complete {
-            break 'mining;
-        }
-        if levels.len() >= 2 {
-            // L₂ came from the journal; go straight to the descent.
-            let lists = ItemLists::build(data, &levels[0]);
-            vertical_descent(config, threshold, &mut stats, &mut levels, &lists)?;
-            break 'mining;
-        }
-        // Pass-2 boundary: same fail-point and cancellation cadence as
-        // the horizontal loop.
-        robust::fire("mining/apriori.pass", &config.cancel);
-        robust::checkpoint(&config.cancel, rec)?;
-        let pass_span = rec.span("pass2");
-        let prev: Vec<&[ItemId]> = levels[0].iter().map(|f| f.items.as_slice()).collect();
-        if prev.is_empty() {
-            break 'mining;
-        }
-        let mut candidates = apriori_gen(&prev);
-        rec.counter("apriori.pass2.candidates", candidates.len() as u64);
-        // Listing 1: C₂ = C₂ − Φ − {pairs with the same feature type},
-        // applied *before* the kernel is built so filtered pairs never
-        // occupy a counter.
-        let before = candidates.len();
-        candidates.retain(|c| {
-            if config.dependencies.blocks(c[0], c[1]) {
-                stats.pairs_removed_dependencies += 1;
-                false
-            } else if config.same_type.blocks(c[0], c[1]) {
-                stats.pairs_removed_same_type += 1;
-                false
-            } else {
-                true
-            }
-        });
-        rec.counter("apriori.c2.removed_dependencies", stats.pairs_removed_dependencies as u64);
-        rec.counter("apriori.c2.removed_same_type", stats.pairs_removed_same_type as u64);
-        rec.counter("apriori.pass2.pruned", (before - candidates.len()) as u64);
-        rec.counter("mining/c2_pairs_filtered", (before - candidates.len()) as u64);
-        stats.candidates_per_level.push(candidates.len());
-        if candidates.is_empty() {
-            if let Some(j) = &config.journal {
-                let _ = j.append(
-                    journal::APRIORI_LEVEL,
-                    2,
-                    &journal::encode_level(
-                        journal::FLAG_NO_CANDIDATES,
-                        0,
-                        stats.pairs_removed_dependencies as u64,
-                        stats.pairs_removed_same_type as u64,
-                        &[],
-                    ),
-                );
-            }
-            break 'mining;
-        }
-        let num_candidates = candidates.len();
-
-        // The scan that fills the frequent items' lists also counts what
-        // a row scan of C₂ would cost; pair joins count from the lists,
-        // and the descent below reuses them.
-        let lists = ItemLists::build(data, &levels[0]);
-        let join_words = num_candidates as u64 * data.len().div_ceil(64) as u64;
-        let method = Pass2::choose(join_words, lists.scan_pairs());
-        rec.counter(&format!("mining/pass2/{}", method.name()), 1);
-        rec.counter("mining/pass2_join_words", join_words);
-        rec.counter("mining/pass2_scan_pairs", lists.scan_pairs());
-
-        let pass_bytes = robust::nested_vec_bytes(&candidates) + lists.approx_bytes();
-        let _ = config.budget.reserve(pass_bytes);
-        let counts = match method {
-            Pass2::Joins => {
-                lists.count_pairs(&candidates, threshold, config.threads, &config.cancel)
-            }
-            Pass2::Scan => {
-                let l1_items: Vec<ItemId> = levels[0].iter().map(|f| f.items[0]).collect();
-                let kernel = TriangularC2::new(data.catalog.len(), &l1_items, &candidates);
-                count_chunked(data, num_candidates, config.threads, grain, &config.cancel, {
-                    let kernel = &kernel;
-                    move |chunk, counts| kernel.count_chunk(chunk, counts)
-                })
-            }
-        };
-        config.budget.release(pass_bytes);
-        let counts = counts?;
-
-        let l2: Vec<FrequentItemset> = candidates
-            .into_iter()
-            .zip(counts)
-            .filter(|(_, c)| *c >= threshold)
-            .map(|(items, support)| FrequentItemset { items, support })
-            .collect();
-        rec.counter("apriori.pass2.frequent", l2.len() as u64);
-        stats.frequent_per_level.push(l2.len());
-        if let Some(j) = &config.journal {
-            let _ = j.append(
-                journal::APRIORI_LEVEL,
-                2,
-                &journal::encode_level(
-                    journal::FLAG_LEVEL,
-                    num_candidates as u64,
-                    stats.pairs_removed_dependencies as u64,
-                    stats.pairs_removed_same_type as u64,
-                    &l2,
-                ),
-            );
-        }
-        drop(pass_span);
-        if l2.is_empty() {
-            break 'mining;
-        }
-        levels.push(l2);
-        vertical_descent(config, threshold, &mut stats, &mut levels, &lists)?;
-    }
-
-    rec.counter("apriori.passes", levels.len() as u64);
-    rec.counter("apriori.frequent_itemsets", levels.iter().map(Vec::len).sum::<usize>() as u64);
-    robust::record_budget_peak(&config.budget, rec);
-    stats.duration = start.elapsed();
-    Ok(MiningResult { levels, stats })
 }
 
 /// Passes 3 and up in one vertical descent over the frequent items'
@@ -613,44 +445,20 @@ fn vertical_descent(
     )?;
     drop(deep_span);
     rec.counter("mining/bitmap_words", outcome.bitmap_words);
+    // One record per *attempted* depth (the deepest attempt may have
+    // found nothing), then the completion marker at the next shard.
+    let journal = config.journal.as_ref();
     for (d, &attempts) in outcome.attempts_per_level.iter().enumerate() {
         let k = d + 3;
+        let level = outcome.levels.get(d).map(Vec::as_slice).unwrap_or(&[]);
         rec.counter(&format!("apriori.pass{k}.candidates"), attempts as u64);
+        rec.counter(&format!("apriori.pass{k}.frequent"), level.len() as u64);
         stats.candidates_per_level.push(attempts);
-        let frequent = outcome.levels.get(d).map(Vec::len).unwrap_or(0);
-        rec.counter(&format!("apriori.pass{k}.frequent"), frequent as u64);
-        stats.frequent_per_level.push(frequent);
+        stats.frequent_per_level.push(level.len());
+        append_level(journal, k, FLAG_LEVEL, attempts, stats, level);
     }
-    if let Some(j) = &config.journal {
-        // One record per *attempted* depth (matching the statistics loop
-        // above — the deepest attempt may have found nothing), then the
-        // completion marker at the next contiguous shard.
-        for (d, &attempts) in outcome.attempts_per_level.iter().enumerate() {
-            let level = outcome.levels.get(d).map(Vec::as_slice).unwrap_or(&[]);
-            let _ = j.append(
-                journal::APRIORI_LEVEL,
-                (d + 3) as u64,
-                &journal::encode_level(
-                    journal::FLAG_LEVEL,
-                    attempts as u64,
-                    stats.pairs_removed_dependencies as u64,
-                    stats.pairs_removed_same_type as u64,
-                    level,
-                ),
-            );
-        }
-        let _ = j.append(
-            journal::APRIORI_LEVEL,
-            (outcome.attempts_per_level.len() + 3) as u64,
-            &journal::encode_level(
-                journal::FLAG_COMPLETE,
-                0,
-                stats.pairs_removed_dependencies as u64,
-                stats.pairs_removed_same_type as u64,
-                &[],
-            ),
-        );
-    }
+    let k = outcome.attempts_per_level.len() + 3;
+    append_level(journal, k, FLAG_COMPLETE, 0, stats, &[]);
     // Downward closure means no gaps: every non-empty level extends
     // the previous one.
     levels.extend(outcome.levels.into_iter().filter(|l| !l.is_empty()));

@@ -12,7 +12,7 @@
 
 use crate::filter::PairFilter;
 use crate::item::{ItemId, TransactionSet};
-use crate::journal;
+use crate::journal::{decode_class, encode_class, FP_BRANCH};
 use crate::result::{FrequentItemset, MiningResult, MiningStats, MinSupport};
 use crate::robust;
 use geopattern_obs::Recorder;
@@ -230,66 +230,33 @@ pub fn try_mine_fp(
         .into_iter()
         .filter(|&(_, c)| c >= threshold)
         .collect();
-    // The top level of `fp_mine`, unrolled so every prefix branch is a
-    // journaling unit: a completed branch's itemsets persist under
-    // `fpgrowth/branch` keyed by growth position, and a resumed run
-    // serves them from the record instead of re-growing.
+    // The top level of `fp_mine`, one journaling unit per prefix branch:
+    // a completed branch's itemsets persist under `fpgrowth/branch` keyed
+    // by growth position, and a resumed run serves them from the record
+    // instead of re-growing.
     robust::fire("mining/fpgrowth.grow", &config.cancel);
     robust::checkpoint(&config.cancel, rec)?;
-    let mut items: Vec<(&ItemId, &u64)> = item_counts.iter().collect();
-    items.sort_by(|a, b| a.1.cmp(b.1).then(a.0.cmp(b.0)));
+    let journal = config.journal.as_ref();
     let mut resumed = 0u64;
-    for (branch, (&item, &count)) in items.into_iter().enumerate() {
-        if let Some(j) = &config.journal {
-            if let Some(payload) = j.lookup(journal::FP_BRANCH, branch as u64) {
-                if let Some(sets) = journal::decode_class(&payload) {
-                    // The record's root must match the recomputed branch
-                    // root, or the record is ignored and the branch regrown.
-                    let ok = sets
-                        .first()
-                        .is_some_and(|f| f.items == [item] && f.support == count);
-                    if ok {
-                        found.extend(sets);
-                        resumed += 1;
-                        continue;
-                    }
-                }
+    for (branch, (item, count)) in growth_order(&item_counts).into_iter().enumerate() {
+        let record = journal.and_then(|j| j.lookup(FP_BRANCH, branch as u64));
+        if let Some(sets) = record.as_deref().and_then(decode_class) {
+            // The record's root must match the recomputed branch root, or
+            // the record is ignored and the branch regrown.
+            if sets.first().is_some_and(|f| f.items == [item] && f.support == count) {
+                found.extend(sets);
+                resumed += 1;
+                continue;
             }
         }
         let branch_start = found.len();
-        let pattern = vec![item];
-        found.push(FrequentItemset { items: pattern.clone(), support: count });
-        let base = tree.conditional_base(item);
-        let mut cond_counts: HashMap<ItemId, u64> = HashMap::new();
-        for (path, c) in &base {
-            for &p in path {
-                *cond_counts.entry(p).or_insert(0) += c;
-            }
-        }
-        cond_counts.retain(|_, c| *c >= threshold);
-        if !cond_counts.is_empty() {
-            let mut cond_tree = FpTree::new();
-            for (path, c) in &base {
-                let mut filtered: Vec<ItemId> =
-                    path.iter().copied().filter(|p| cond_counts.contains_key(p)).collect();
-                filtered.sort_unstable();
-                if !filtered.is_empty() {
-                    cond_tree.insert(&filtered, *c);
-                }
-            }
-            let _guard = guard_tree(&config.budget, &cond_tree)?;
-            fp_mine(&cond_tree, &cond_counts, threshold, config, &pattern, &mut found)?;
-        }
-        if let Some(j) = &config.journal {
-            let _ = j.append(
-                journal::FP_BRANCH,
-                branch as u64,
-                &journal::encode_class(&found[branch_start..]),
-            );
+        grow(&tree, (item, count), threshold, config, &[], &mut found)?;
+        if let Some(j) = journal {
+            let _ = j.append(FP_BRANCH, branch as u64, &encode_class(&found[branch_start..]));
         }
     }
     drop(grow_span);
-    if config.journal.is_some() {
+    if journal.is_some() {
         rec.counter("robust/resume_branches_skipped", resumed);
     }
     robust::record_budget_peak(&config.budget, rec);
@@ -328,6 +295,13 @@ fn guard_tree<'a>(budget: &'a MemoryBudget, tree: &FpTree) -> Result<BudgetGuard
     })
 }
 
+/// Items of `counts` in growth order: ascending count, ties by id.
+fn growth_order(counts: &HashMap<ItemId, u64>) -> Vec<(ItemId, u64)> {
+    let mut items: Vec<(ItemId, u64)> = counts.iter().map(|(&i, &c)| (i, c)).collect();
+    items.sort_by_key(|&(item, count)| (count, item));
+    items
+}
+
 fn fp_mine(
     tree: &FpTree,
     item_counts: &HashMap<ItemId, u64>,
@@ -340,50 +314,56 @@ fn fp_mine(
     // cooperative cancellation point.
     robust::fire("mining/fpgrowth.grow", &config.cancel);
     robust::checkpoint(&config.cancel, &config.recorder)?;
-
-    // Process items in ascending frequency (reverse of insertion order is
-    // not required for correctness — any order works; use ascending count).
-    let mut items: Vec<(&ItemId, &u64)> = item_counts.iter().collect();
-    items.sort_by(|a, b| a.1.cmp(b.1).then(a.0.cmp(b.0)));
-
-    for (&item, &count) in items {
+    for (item, count) in growth_order(item_counts) {
         // The KC/KC+ pruning point: a pattern containing a blocked pair —
         // and every extension of it — is never generated.
         if suffix.iter().any(|&s| config.filter.blocks(s, item)) {
             continue;
         }
-        let mut pattern = suffix.to_vec();
-        pattern.push(item);
-        out.push(FrequentItemset { items: pattern.clone(), support: count });
-
-        // Build the conditional tree for `item`.
-        let base = tree.conditional_base(item);
-        let mut cond_counts: HashMap<ItemId, u64> = HashMap::new();
-        for (path, c) in &base {
-            for &p in path {
-                *cond_counts.entry(p).or_insert(0) += c;
-            }
-        }
-        cond_counts.retain(|_, c| *c >= threshold);
-        if cond_counts.is_empty() {
-            continue;
-        }
-        let mut cond_tree = FpTree::new();
-        for (path, c) in &base {
-            let mut filtered: Vec<ItemId> =
-                path.iter().copied().filter(|p| cond_counts.contains_key(p)).collect();
-            // Keep a canonical order within the conditional tree.
-            filtered.sort_unstable();
-            if !filtered.is_empty() {
-                cond_tree.insert(&filtered, *c);
-            }
-        }
-        // The conditional tree is the recursion's memory cost; a refused
-        // tree fails the run rather than lose its extensions.
-        let _guard = guard_tree(&config.budget, &cond_tree)?;
-        fp_mine(&cond_tree, &cond_counts, threshold, config, &pattern, out)?;
+        grow(tree, (item, count), threshold, config, suffix, out)?;
     }
     Ok(())
+}
+
+/// One growth step: emits `suffix ∪ {item}` with its support, then builds
+/// `item`'s conditional tree over `tree` and mines it.
+fn grow(
+    tree: &FpTree,
+    (item, count): (ItemId, u64),
+    threshold: u64,
+    config: &FpGrowthConfig,
+    suffix: &[ItemId],
+    out: &mut Vec<FrequentItemset>,
+) -> Result<(), Interrupt> {
+    let mut pattern = suffix.to_vec();
+    pattern.push(item);
+    out.push(FrequentItemset { items: pattern.clone(), support: count });
+
+    let base = tree.conditional_base(item);
+    let mut cond_counts: HashMap<ItemId, u64> = HashMap::new();
+    for (path, c) in &base {
+        for &p in path {
+            *cond_counts.entry(p).or_insert(0) += c;
+        }
+    }
+    cond_counts.retain(|_, c| *c >= threshold);
+    if cond_counts.is_empty() {
+        return Ok(());
+    }
+    let mut cond_tree = FpTree::new();
+    for (path, c) in &base {
+        let mut filtered: Vec<ItemId> =
+            path.iter().copied().filter(|p| cond_counts.contains_key(p)).collect();
+        // Keep a canonical order within the conditional tree.
+        filtered.sort_unstable();
+        if !filtered.is_empty() {
+            cond_tree.insert(&filtered, *c);
+        }
+    }
+    // The conditional tree is the recursion's memory cost; a refused
+    // tree fails the run rather than lose its extensions.
+    let _guard = guard_tree(&config.budget, &cond_tree)?;
+    fp_mine(&cond_tree, &cond_counts, threshold, config, &pattern, out)
 }
 
 #[cfg(test)]

@@ -30,11 +30,20 @@ impl ItemCatalog {
     /// (the feature type of the first interning wins).
     pub fn intern(&mut self, label: impl Into<String>, feature_type: Option<&str>) -> ItemId {
         let label = label.into();
-        if let Some(&id) = self.by_label.get(&label) {
-            return id;
+        match self.by_label.get(&label) {
+            Some(&id) => id,
+            None => self.push(label, feature_type),
         }
+    }
+
+    /// Appends an item under the next id, even when an item with the same
+    /// label exists ([`ItemCatalog::id_of`] keeps the first). A catalog
+    /// built from numbered items, such as a predicate table's predicates,
+    /// keeps their numbers as ids this way.
+    pub fn push(&mut self, label: impl Into<String>, feature_type: Option<&str>) -> ItemId {
+        let label = label.into();
         let id = self.labels.len() as ItemId;
-        self.by_label.insert(label.clone(), id);
+        self.by_label.entry(label.clone()).or_insert(id);
         self.labels.push(label);
         self.feature_types.push(feature_type.map(str::to_string));
         id

@@ -26,7 +26,7 @@
 //! panic, and never to wrong output.
 
 use crate::item::ItemId;
-use crate::result::FrequentItemset;
+use crate::result::{FrequentItemset, MiningStats};
 use geopattern_par::journal::{put_u32, put_u64, Reader};
 use geopattern_par::Journal;
 
@@ -100,7 +100,7 @@ fn take_itemsets(r: &mut Reader) -> Option<Vec<FrequentItemset>> {
 }
 
 /// Encodes one level record.
-pub(crate) fn encode_level(
+fn encode_level(
     flag: u8,
     candidates: u64,
     removed_dep: u64,
@@ -117,7 +117,7 @@ pub(crate) fn encode_level(
 }
 
 /// Decodes one level record; `None` on any malformed byte.
-pub(crate) fn decode_level(payload: &[u8]) -> Option<LevelRecord> {
+fn decode_level(payload: &[u8]) -> Option<LevelRecord> {
     let mut r = Reader::new(payload);
     let flag = r.take_u8()?;
     if flag > FLAG_COMPLETE {
@@ -171,6 +171,53 @@ pub(crate) fn level_prefix(
         Some(first) if first.flag == FLAG_LEVEL && first.itemsets == l1 => out,
         _ => Vec::new(),
     }
+}
+
+/// Appends pass `k`'s level record to `journal`, if any, with the run's
+/// cumulative `C₂` filter totals from `stats`. A failed write is ignored:
+/// the pass is recounted on resume.
+pub(crate) fn append_level(
+    journal: Option<&Journal>,
+    k: usize,
+    flag: u8,
+    candidates: usize,
+    stats: &MiningStats,
+    itemsets: &[FrequentItemset],
+) {
+    if let Some(j) = journal {
+        let payload = encode_level(
+            flag,
+            candidates as u64,
+            stats.pairs_removed_dependencies as u64,
+            stats.pairs_removed_same_type as u64,
+            itemsets,
+        );
+        let _ = j.append(APRIORI_LEVEL, k as u64, &payload);
+    }
+}
+
+/// Seeds a run from the records of a journaled level prefix past L₁ (the
+/// first record, which the run recomputes): each record pushes exactly
+/// the statistics its pass pushed, and each non-empty level joins
+/// `levels`. Returns how many records it replayed.
+pub(crate) fn replay_levels(
+    prefix: &[LevelRecord],
+    stats: &mut MiningStats,
+    levels: &mut Vec<Vec<FrequentItemset>>,
+) -> usize {
+    let past_l1 = prefix.get(1..).unwrap_or_default();
+    for record in past_l1.iter().filter(|r| r.flag != FLAG_COMPLETE) {
+        stats.candidates_per_level.push(record.candidates as usize);
+        stats.pairs_removed_dependencies = record.removed_dep as usize;
+        stats.pairs_removed_same_type = record.removed_same as usize;
+        if record.flag == FLAG_LEVEL {
+            stats.frequent_per_level.push(record.itemsets.len());
+            if !record.itemsets.is_empty() {
+                levels.push(record.itemsets.clone());
+            }
+        }
+    }
+    past_l1.len()
 }
 
 #[cfg(test)]
@@ -410,20 +457,45 @@ mod tests {
     #[test]
     fn apriori_journal_resumes_across_counting_strategies() {
         // The levels are bit-identical across strategies, so a journal
-        // written by the horizontal engine seeds the vertical one.
+        // written by either backend seeds the other at every prefix. The
+        // candidate counts past pass 2 may differ by backend (the descent
+        // counts join attempts, hash-subset `apriori_gen` output), so only
+        // the itemsets and the C₂ filter totals are compared.
         let data = toy();
-        let horizontal = AprioriConfig::apriori(MinSupport::Count(1))
-            .with_counting(CountingStrategy::HashSubset);
-        let control = mine(&data, &horizontal);
+        let config = AprioriConfig::apriori_kc_plus(
+            MinSupport::Count(1),
+            PairFilter::from_pairs([(0u32, 1u32)]),
+            PairFilter::from_pairs([(2u32, 3u32)]),
+        );
+        let control = mine(&data, &config);
+        assert_eq!(control.stats.pairs_removed_dependencies, 1);
+        assert_eq!(control.stats.pairs_removed_same_type, 1);
         let dir = Scratch::new("cross-strategy");
-        let full = Journal::create(dir.path("full.journal"), 1).unwrap();
-        mine(&data, &horizontal.clone().with_journal(full.clone()));
-        let partial = partial_journal(&full, &dir.path("p.journal"), APRIORI_LEVEL, 2);
-        let vertical = AprioriConfig::apriori(MinSupport::Count(1))
-            .with_counting(CountingStrategy::VerticalBitmap)
-            .with_journal(partial);
-        let resumed = mine(&data, &vertical);
-        assert_eq!(sorted_sets(&control), sorted_sets(&resumed));
+        let (hash, bitmap) = (CountingStrategy::HashSubset, CountingStrategy::VerticalBitmap);
+        for (writer, reader) in [(hash, bitmap), (bitmap, hash)] {
+            let full = Journal::create(dir.path(&format!("{}.journal", writer.name())), 1).unwrap();
+            mine(&data, &config.clone().with_counting(writer).with_journal(full.clone()));
+            let total = full.records(APRIORI_LEVEL).len();
+            assert!(total >= 3, "{} must journal several levels, got {total}", writer.name());
+            for keep in 0..=total {
+                let ctx =
+                    format!("{} journal, {} resume, keep {keep}", writer.name(), reader.name());
+                let path = dir.path(&format!("{}-keep{keep}.journal", writer.name()));
+                let partial = partial_journal(&full, &path, APRIORI_LEVEL, keep);
+                let resumed =
+                    mine(&data, &config.clone().with_counting(reader).with_journal(partial));
+                assert_eq!(sorted_sets(&control), sorted_sets(&resumed), "{ctx}: itemsets");
+                assert_eq!(
+                    control.stats.pairs_removed_dependencies,
+                    resumed.stats.pairs_removed_dependencies,
+                    "{ctx}: removed_dep"
+                );
+                assert_eq!(
+                    control.stats.pairs_removed_same_type, resumed.stats.pairs_removed_same_type,
+                    "{ctx}: removed_same"
+                );
+            }
+        }
     }
 
     #[test]

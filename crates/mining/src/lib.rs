@@ -5,9 +5,11 @@
 //! Qualitative Spatial Reasoning* (Bogorny, Moelans & Alvares, ICDE 2007):
 //!
 //! * [`apriori`] — **Apriori**, **Apriori-KC** and **Apriori-KC+**
-//!   (Listing 1 of the paper) as one engine parameterised by the pairs
-//!   removed from `C₂`, with two support-counting backends (hash-subset
-//!   and the vertical bitmap engine);
+//!   (Listing 1 of the paper) as one level loop parameterised by the
+//!   pairs removed from `C₂`. Its two support-counting backends
+//!   (hash-subset and the vertical bitmap engine) differ only in how
+//!   pass 2 counts and in what follows L₂: the next pass, or one
+//!   vertical descent;
 //! * [`bitmap`] — vertical TID representations (word-packed bitsets and
 //!   a hybrid dense/sparse [`TidList`]), the two pass-2 methods (pair
 //!   joins and the triangular row scan, picked by cost) and the

@@ -124,16 +124,13 @@ pub struct ExtractionConfig {
     /// disjoint, so the paper's experiments leave it out; off by default.
     pub include_disjoint: bool,
     /// Distance bands to quantise feature distances into, if any.
-    /// Distance predicates apply to *non-intersecting* pairs only when
-    /// `distance_excludes_intersecting` is set (the common reading: a
-    /// district is not "far from" a police center it contains).
+    /// Distance predicates apply to *non-intersecting* pairs only (pairs
+    /// at distance 0 are skipped: a district is not "far from" a police
+    /// center it contains).
     pub distance: Option<DistanceScheme>,
-    /// Skip distance predicates for pairs that already intersect.
-    pub distance_excludes_intersecting: bool,
     /// Compute cone-based cardinal-direction predicates
     /// (`northOf_river`, …) — the paper's *order* relations \[11\]. Like
-    /// distance predicates, they apply to non-intersecting pairs when
-    /// `distance_excludes_intersecting` is set.
+    /// distance predicates, they apply to non-intersecting pairs only.
     pub direction: bool,
     /// Include the reference features' non-spatial attributes as
     /// `attribute=value` predicates.
@@ -174,7 +171,6 @@ impl Default for ExtractionConfig {
             topological: true,
             include_disjoint: false,
             distance: None,
-            distance_excludes_intersecting: true,
             direction: false,
             nonspatial_attributes: true,
             threads: Threads::Serial,
@@ -782,12 +778,10 @@ pub(crate) fn extract_row(
                     Some(within) => within,
                     None => prep_ref.distance_within(&pl.prepared[ci], cutoff),
                 };
-                let Some(d) = within else {
+                // Distance and direction describe non-intersecting pairs.
+                let Some(d) = within.filter(|&d| d != 0.0) else {
                     continue;
                 };
-                if d == 0.0 && config.distance_excludes_intersecting {
-                    continue;
-                }
                 if let Some(scheme) = &config.distance {
                     if let Some((band, _)) = scheme.classify(d) {
                         codes.push(pl.bands[band]);

@@ -28,11 +28,6 @@ impl Predicate {
             Predicate::Spatial(p) => Some(&p.feature_type),
         }
     }
-
-    /// True for spatial predicates.
-    pub fn is_spatial(&self) -> bool {
-        matches!(self, Predicate::Spatial(_))
-    }
 }
 
 impl fmt::Display for Predicate {

@@ -177,7 +177,6 @@ impl<'a> TileJournal<'a> {
             topological,
             include_disjoint,
             distance,
-            distance_excludes_intersecting,
             direction,
             nonspatial_attributes,
             threads: _,
@@ -194,7 +193,6 @@ impl<'a> TileJournal<'a> {
                 topological,
                 include_disjoint,
                 distance,
-                distance_excludes_intersecting,
                 direction,
                 nonspatial_attributes,
             )

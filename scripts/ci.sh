@@ -23,10 +23,11 @@ echo "==> fault-injection suite (fail points armed, fixed seeds)"
 cargo test --release -q -p geopattern-integration --test fault_injection
 cargo test --release -q -p geopattern-integration --test dataset_fuzz
 
-echo "==> CLI exit-code contract (timeout=4, worker panic=5, exceeded budget=7, absurd --tile-size=1, removed counting flag and algorithms=1, closed stdout pipe=0, gain past 128 items=1, gain exact at 126 items)"
+echo "==> CLI exit-code contract (timeout=4, worker panic=5, exceeded budget=7, absurd --tile-size=1, removed counting and format flags and algorithms=1, predicates sharing a label=0, closed stdout pipe=0, gain past 128 items=1, gain exact at 126 items)"
 DATASET="$(mktemp -t geopattern-ci-XXXXXX.gpd)"
 BIG_DATASET="$(mktemp -t geopattern-ci-XXXXXX.gpd)"
-trap 'rm -f "$DATASET" "$BIG_DATASET"' EXIT
+LABEL_DATASET="$(mktemp -t geopattern-ci-XXXXXX.gpd)"
+trap 'rm -f "$DATASET" "$BIG_DATASET" "$LABEL_DATASET"' EXIT
 cargo run --release -q -p geopattern --bin geopattern -- \
     generate-city --grid 4 --seed 9 --out "$DATASET"
 set +e
@@ -56,6 +57,25 @@ cargo run --release -q -p geopattern --bin geopattern -- \
 code=$?
 set -e
 test "$code" -eq 1 || { echo "expected exit 1 on the removed --counting flag, got $code"; exit 1; }
+# mine has no --format: the file's first bytes pick the loader, and the
+# old flag is an unexpected argument.
+set +e
+cargo run --release -q -p geopattern --bin geopattern -- \
+    mine "$DATASET" --format gpb >/dev/null 2>&1
+code=$?
+set -e
+test "$code" -eq 1 || { echo "expected exit 1 on the removed --format flag, got $code"; exit 1; }
+# The attribute contains_x=y and `contains` against the layer x=y render
+# alike but are two items: mining them is exit 0, not a panic (101).
+printf '%s\n' 'layer district reference' \
+    'D1|POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))|contains_x=y' \
+    'D2|POLYGON ((20 0, 30 0, 30 10, 20 10, 20 0))|contains_x=y' \
+    'layer x=y' \
+    'p1|POLYGON ((2 2, 4 2, 4 4, 2 4, 2 2))|' \
+    'p2|POLYGON ((22 2, 24 2, 24 4, 22 4, 22 2))|' > "$LABEL_DATASET"
+cargo run --release -q -p geopattern --bin geopattern -- mine "$LABEL_DATASET" \
+    | grep -q '2 transactions, 2 items' \
+    || { echo "predicates sharing a label did not mine as 2 items"; exit 1; }
 # Eclat and AprioriTid are gone; their names are unknown algorithms.
 for removed in eclat tid; do
     set +e
@@ -101,7 +121,7 @@ cargo test --release -q -p geopattern-integration --test crash_resume
 
 echo "==> CLI crash-safety contract (--journal/--resume/--max-retries, exit 6 on exhaustion)"
 JOURNAL="$(mktemp -t geopattern-ci-XXXXXX.journal)"
-trap 'rm -f "$DATASET" "$BIG_DATASET" "$JOURNAL"' EXIT
+trap 'rm -f "$DATASET" "$BIG_DATASET" "$LABEL_DATASET" "$JOURNAL"' EXIT
 rm -f "$JOURNAL"
 # Injected worker panics recover within the retry budget (exit 0), and
 # the shared journal lets every retry resume the failed attempt's work.
