@@ -385,6 +385,43 @@ fn binary_dataset_round_trips_through_the_cli() {
 }
 
 #[test]
+fn gpb_with_a_wrong_stored_envelope_is_exit_1() {
+    // A district with a school inside it; then the school's stored
+    // envelope is rewritten to a box far from its point.
+    let dataset = geopattern::SpatialDataset::from_text(
+        "layer district reference\n\
+         D1|POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))|\n\
+         layer school\n\
+         s1|POINT (5 5)|\n",
+    )
+    .expect("dataset parses");
+    let intact = geopattern::to_gpb(&dataset);
+    let rect = |v: f64| -> Vec<u8> { [v; 4].iter().flat_map(|x| x.to_le_bytes()).collect() };
+    let (school, far) = (rect(5.0), rect(50.0));
+    let at = intact.windows(32).position(|w| w == school.as_slice()).expect("school envelope");
+    let mut corrupt = intact.clone();
+    corrupt[at..at + 32].copy_from_slice(&far);
+
+    let path = std::env::temp_dir().join("geopattern-cli-test-envelope.gpb");
+    std::fs::write(&path, &intact).expect("write dataset");
+    let out = run(&["mine", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let report = stdout(&out);
+    assert!(report.contains("1 transactions, 1 items"), "{report}");
+    assert!(report.contains("1 exact pairs, 0 pruned by index"), "{report}");
+
+    // Trusting the stored envelope would prune the pair and mine 0 items.
+    std::fs::write(&path, &corrupt).expect("write dataset");
+    let out = run(&["mine", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));
+    assert!(
+        stderr(&out).contains(&format!("stored envelope at byte {at} does not match")),
+        "{}",
+        stderr(&out)
+    );
+}
+
+#[test]
 fn bad_format_is_usage_error() {
     // generate-city writes wkt or gpb; anything else, `auto` included,
     // is an unknown format.

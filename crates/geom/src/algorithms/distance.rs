@@ -134,8 +134,8 @@ fn line_to_polygon(l: &LineString, p: &Polygon) -> f64 {
 /// once and call [`crate::prepared::PreparedGeometry::distance_within`]
 /// directly; this convenience wrapper prepares both operands per call.
 pub fn geometry_distance_within(a: &Geometry, b: &Geometry, bound: f64) -> Option<f64> {
-    crate::prepared::PreparedGeometry::new(a.clone())
-        .distance_within(&crate::prepared::PreparedGeometry::new(b.clone()), bound)
+    crate::prepared::PreparedGeometry::new(a)
+        .distance_within(&crate::prepared::PreparedGeometry::new(b), bound)
 }
 
 fn polygon_to_polygon(a: &Polygon, b: &Polygon) -> f64 {

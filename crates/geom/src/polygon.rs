@@ -5,6 +5,7 @@ use crate::bbox::Rect;
 use crate::coord::Coord;
 use crate::error::{GeomError, GeomResult};
 use crate::segment::{SegSegIntersection, Segment};
+use std::cell::Cell;
 
 /// Where a point lies relative to an areal geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -335,13 +336,20 @@ impl Polygon {
     /// Uses a horizontal scanline placed strictly between two distinct
     /// vertex ordinates, so every edge crossing is transversal; the widest
     /// interior interval's midpoint is returned. Works for concave polygons
-    /// and polygons with holes (unlike the centroid).
+    /// and polygons with holes (unlike the centroid). Its buffers are this
+    /// thread's, so warm calls allocate nothing.
     pub fn interior_point(&self) -> Coord {
+        let mut scratch = SCANLINE_SCRATCH.take();
+        let p = self.interior_point_with(&mut scratch);
+        SCANLINE_SCRATCH.set(scratch);
+        p
+    }
+
+    fn interior_point_with(&self, scratch: &mut ScanlineScratch) -> Coord {
+        let ScanlineScratch { ys, order, xs } = scratch;
         // Collect distinct vertex ordinates.
-        let mut ys: Vec<f64> = self
-            .rings()
-            .flat_map(|r| r.coords().iter().map(|c| c.y))
-            .collect();
+        ys.clear();
+        ys.extend(self.rings().flat_map(|r| r.coords().iter().map(|c| c.y)));
         ys.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         ys.dedup();
         debug_assert!(ys.len() >= 2, "a valid ring spans at least two ordinates");
@@ -349,19 +357,20 @@ impl Polygon {
         // Try scanlines between consecutive ordinate pairs, preferring the
         // pair nearest the vertical middle (most likely to be wide).
         let mid = (ys[0] + ys[ys.len() - 1]) * 0.5;
-        let mut order: Vec<usize> = (0..ys.len() - 1).collect();
+        order.clear();
+        order.extend(0..ys.len() - 1);
         order.sort_by(|&a, &b| {
             let ca = (ys[a] + ys[a + 1]) * 0.5 - mid;
             let cb = (ys[b] + ys[b + 1]) * 0.5 - mid;
             ca.abs().partial_cmp(&cb.abs()).expect("finite")
         });
 
-        for idx in order {
+        for &idx in order.iter() {
             let y = (ys[idx] + ys[idx + 1]) * 0.5;
             if y <= ys[idx] || y >= ys[idx + 1] {
                 continue; // adjacent ordinates too close to separate in f64
             }
-            if let Some(p) = self.scanline_interior_point(y) {
+            if let Some(p) = self.scanline_interior_point(y, xs) {
                 return p;
             }
         }
@@ -371,9 +380,10 @@ impl Polygon {
     }
 
     /// Midpoint of the widest interior span of the horizontal line at `y`,
-    /// or `None` when the line misses the interior.
-    fn scanline_interior_point(&self, y: f64) -> Option<Coord> {
-        let mut xs: Vec<f64> = Vec::new();
+    /// or `None` when the line misses the interior. `xs` holds the
+    /// crossing abscissae.
+    fn scanline_interior_point(&self, y: f64, xs: &mut Vec<f64>) -> Option<Coord> {
+        xs.clear();
         for s in self.boundary_segments() {
             let (y0, y1) = (s.a.y, s.b.y);
             if (y0 < y && y1 > y) || (y1 < y && y0 > y) {
@@ -397,6 +407,21 @@ impl Polygon {
         }
         best.map(|(_, c)| c)
     }
+}
+
+/// [`Polygon::interior_point`]'s buffers: vertex ordinates, the scanline
+/// order and one scanline's crossing abscissae.
+#[derive(Default)]
+struct ScanlineScratch {
+    ys: Vec<f64>,
+    order: Vec<usize>,
+    xs: Vec<f64>,
+}
+
+thread_local! {
+    static SCANLINE_SCRATCH: Cell<ScanlineScratch> = const {
+        Cell::new(ScanlineScratch { ys: Vec::new(), order: Vec::new(), xs: Vec::new() })
+    };
 }
 
 /// A set of polygons with pairwise disjoint interiors (boundaries may touch

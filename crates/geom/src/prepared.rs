@@ -15,35 +15,50 @@
 //! vertex count while staying bit-identical to the brute-force
 //! [`crate::relate()`]. The same indexes power [`PreparedGeometry::distance_within`],
 //! a branch-and-bound bounded minimum distance.
+//!
+//! Preparation is allocation-lean. A prepared geometry holds its geometry
+//! owned or borrowed (`PreparedGeometry<&Geometry>`), so a caller that
+//! keeps its features copies none. A point or multi-point prepares
+//! nothing: its coordinates are read from the geometry. A region's
+//! indexes sit in one boxed block with its first member polygon inline;
+//! a polygon without holes takes 8 heap blocks in all (see
+//! [`crate::relate::shapes::PreparedAreal`]), and the boxing keeps
+//! `PreparedGeometry` itself small.
 
 use crate::bbox::Rect;
 use crate::coord::Coord;
 use crate::geometry::{GeomDim, Geometry};
 use crate::polygon::PointLocation;
-use crate::relate::shapes::{PreparedAreal, PreparedShape};
+use crate::relate::shapes::{point_set, PreparedAreal, PreparedShape, Shape};
 use crate::relate::{relate_shapes, Dim, IntersectionMatrix, Part};
 use crate::segment::Segment;
 use crate::segtree::{self, SegTree};
+use std::borrow::Borrow;
 use std::sync::OnceLock;
 
 /// A geometry plus cached relate-acceleration data.
+///
+/// `G` is how the geometry is held: owned (the default) or borrowed as
+/// `&Geometry`, which lets a caller prepare the features of a layer it
+/// keeps without copying them.
 #[derive(Debug, Clone)]
-pub struct PreparedGeometry {
-    geometry: Geometry,
+pub struct PreparedGeometry<G: Borrow<Geometry> = Geometry> {
+    geometry: G,
     envelope: Rect,
     interior_dim: Dim,
     boundary_dim: Dim,
     shape: OnceLock<PreparedShape>,
 }
 
-impl PreparedGeometry {
+impl<G: Borrow<Geometry>> PreparedGeometry<G> {
     /// Prepares a geometry.
-    pub fn new(geometry: Geometry) -> PreparedGeometry {
-        let envelope = geometry.envelope();
-        let (interior_dim, boundary_dim) = match geometry.dimension() {
+    pub fn new(geometry: G) -> PreparedGeometry<G> {
+        let g = geometry.borrow();
+        let envelope = g.envelope();
+        let (interior_dim, boundary_dim) = match g.dimension() {
             GeomDim::Point => (Dim::Zero, Dim::Empty),
             GeomDim::Line => {
-                let has_boundary = match &geometry {
+                let has_boundary = match g {
                     Geometry::LineString(l) => !l.boundary_points().is_empty(),
                     Geometry::MultiLineString(ml) => !ml.boundary_points().is_empty(),
                     _ => unreachable!("line dimension implies a lineal geometry"),
@@ -63,7 +78,7 @@ impl PreparedGeometry {
 
     /// The wrapped geometry.
     pub fn geometry(&self) -> &Geometry {
-        &self.geometry
+        self.geometry.borrow()
     }
 
     /// Cached envelope.
@@ -71,22 +86,25 @@ impl PreparedGeometry {
         self.envelope
     }
 
-    /// The indexed class view, built on first use and cached.
-    fn shape(&self) -> &PreparedShape {
-        self.shape.get_or_init(|| PreparedShape::build(&self.geometry))
+    /// The indexed class data, built on first use and cached.
+    fn prepared(&self) -> &PreparedShape {
+        self.shape.get_or_init(|| PreparedShape::build(self.geometry()))
+    }
+
+    /// The indexed class view.
+    fn shape(&self) -> Shape<'_> {
+        self.prepared().as_shape(self.geometry())
     }
 
     /// Relates `self` to `other`, with the envelope-disjoint fast path.
-    pub fn relate_to(&self, other: &PreparedGeometry) -> IntersectionMatrix {
+    pub fn relate_to<H: Borrow<Geometry>>(
+        &self,
+        other: &PreparedGeometry<H>,
+    ) -> IntersectionMatrix {
         if !self.envelope.intersects(&other.envelope) {
             return disjoint_matrix(self, other);
         }
-        relate_shapes(&self.shape().as_shape(), &other.shape().as_shape())
-    }
-
-    /// True when the envelopes rule out any intersection.
-    pub fn definitely_disjoint(&self, other: &PreparedGeometry) -> bool {
-        !self.envelope.intersects(&other.envelope)
+        relate_shapes(&self.shape(), &other.shape())
     }
 
     /// Minimum distance between the geometries if it does not exceed
@@ -99,26 +117,38 @@ impl PreparedGeometry {
     /// the minimum, and containment short-circuits fire exactly where the
     /// unbounded kernel returns an exact `0.0`. `bound == d` therefore
     /// yields `Some(d)`. A NaN `bound` yields `None`.
-    pub fn distance_within(&self, other: &PreparedGeometry, bound: f64) -> Option<f64> {
+    pub fn distance_within<H: Borrow<Geometry>>(
+        &self,
+        other: &PreparedGeometry<H>,
+        bound: f64,
+    ) -> Option<f64> {
         if segtree::exceeds(self.envelope.distance_to_rect(&other.envelope), bound) {
             segtree::note_early_exit(1);
             return None;
         }
-        let d = min_distance_within(self.shape(), other.shape(), bound);
+        let d = min_distance_within(
+            (self.prepared(), self.geometry()),
+            (other.prepared(), other.geometry()),
+            bound,
+        );
         (d <= bound).then_some(d)
     }
 }
 
-/// Bounded minimum distance over prepared class views. Returns the exact
-/// minimum when it is `<= bound`; any value above `bound` (possibly
-/// infinity) when it is not.
-fn min_distance_within(a: &PreparedShape, b: &PreparedShape, bound: f64) -> f64 {
+/// Bounded minimum distance over prepared class data, each beside the
+/// geometry it was built from. Returns the exact minimum when it is
+/// `<= bound`; any value above `bound` (possibly infinity) when it is not.
+fn min_distance_within(
+    a: (&PreparedShape, &Geometry),
+    b: (&PreparedShape, &Geometry),
+    bound: f64,
+) -> f64 {
     use PreparedShape as PS;
     match (a, b) {
-        (PS::P { coords: ca }, PS::P { coords: cb }) => {
+        ((PS::P, ga), (PS::P, gb)) => {
             let mut best = f64::INFINITY;
-            for &p in ca {
-                for &q in cb {
+            for &p in point_set(ga) {
+                for &q in point_set(gb) {
                     let d = p.distance(q);
                     if d < best {
                         best = d;
@@ -127,38 +157,41 @@ fn min_distance_within(a: &PreparedShape, b: &PreparedShape, bound: f64) -> f64 
             }
             best
         }
-        (PS::P { coords }, PS::L { segments, tree, .. })
-        | (PS::L { segments, tree, .. }, PS::P { coords }) => {
-            points_to_tree(coords, tree, segments, bound)
+        ((PS::P, g), (PS::L { segments, tree, .. }, _))
+        | ((PS::L { segments, tree, .. }, _), (PS::P, g)) => {
+            points_to_tree(point_set(g), tree, segments, bound)
         }
-        (PS::P { coords }, PS::A(pa)) | (PS::A(pa), PS::P { coords }) => {
+        ((PS::P, g), (PS::A(pa), _)) | ((PS::A(pa), _), (PS::P, g)) => {
             // A point inside (or on) the region is at distance exactly 0,
             // matching the unbounded kernel's containment case.
-            if any_not_outside(pa, coords) {
+            let coords = point_set(g);
+            if any_not_outside(pa, coords.iter().copied()) {
                 return 0.0;
             }
             points_to_tree(coords, &pa.tree, &pa.boundary, bound)
         }
-        (PS::L { segments: sa, tree: ta, .. }, PS::L { segments: sb, tree: tb, .. }) => {
+        ((PS::L { segments: sa, tree: ta, .. }, _), (PS::L { segments: sb, tree: tb, .. }, _)) => {
             ta.pair_distance_within(sa, tb, sb, bound)
         }
-        (PS::L { segments, tree, .. }, PS::A(pa))
-        | (PS::A(pa), PS::L { segments, tree, .. }) => {
+        ((PS::L { segments, tree, .. }, _), (PS::A(pa), _))
+        | ((PS::A(pa), _), (PS::L { segments, tree, .. }, _)) => {
             // Any curve vertex inside the region ⇒ distance exactly 0. A
             // curve crossing the boundary with no vertex inside resolves
             // to an exact 0.0 through an intersecting segment pair below,
             // exactly as in the unbounded kernel.
-            if segments.iter().any(|s| any_not_outside(pa, &[s.a, s.b])) {
+            if segments.iter().any(|s| any_not_outside(pa, [s.a, s.b])) {
                 return 0.0;
             }
             tree.pair_distance_within(segments, &pa.tree, &pa.boundary, bound)
         }
-        (PS::A(pa), PS::A(pb)) => {
+        ((PS::A(pa), _), (PS::A(pb), _)) => {
             // An exterior-ring vertex of one region inside the other ⇒
             // overlap ⇒ distance exactly 0 (the unbounded kernel's
             // containment test). Overlaps with no contained vertex cross
             // boundaries, which the segment pairs below resolve to 0.0.
-            if any_not_outside(pb, &pa.ext_coords) || any_not_outside(pa, &pb.ext_coords) {
+            if any_not_outside(pb, pa.exterior_vertices())
+                || any_not_outside(pa, pb.exterior_vertices())
+            {
                 return 0.0;
             }
             pa.tree.pair_distance_within(&pa.boundary, &pb.tree, &pb.boundary, bound)
@@ -168,8 +201,8 @@ fn min_distance_within(a: &PreparedShape, b: &PreparedShape, bound: f64) -> f64 
 
 /// True when any coordinate lies inside or on the region — the
 /// containment sweep of the bounded-distance kernel.
-fn any_not_outside(pa: &PreparedAreal, coords: &[Coord]) -> bool {
-    coords.iter().any(|&c| pa.locate(c) != PointLocation::Outside)
+fn any_not_outside(pa: &PreparedAreal, coords: impl IntoIterator<Item = Coord>) -> bool {
+    coords.into_iter().any(|c| pa.locate(c) != PointLocation::Outside)
 }
 
 /// Minimum distance from a point set to an indexed segment set, bounded.
@@ -192,7 +225,10 @@ fn points_to_tree(coords: &[Coord], tree: &SegTree, segments: &[Segment], bound:
 
 /// The exact DE-9IM matrix of two disjoint geometries, built from their
 /// cached part dimensions.
-fn disjoint_matrix(a: &PreparedGeometry, b: &PreparedGeometry) -> IntersectionMatrix {
+fn disjoint_matrix<G: Borrow<Geometry>, H: Borrow<Geometry>>(
+    a: &PreparedGeometry<G>,
+    b: &PreparedGeometry<H>,
+) -> IntersectionMatrix {
     let mut m = IntersectionMatrix::empty();
     m.set(Part::Interior, Part::Exterior, a.interior_dim);
     m.set(Part::Boundary, Part::Exterior, a.boundary_dim);
@@ -233,7 +269,7 @@ mod tests {
             for b in far {
                 let pa = prep(a);
                 let pb = prep(b);
-                assert!(pa.definitely_disjoint(&pb));
+                assert!(!pa.envelope().intersects(&pb.envelope()));
                 assert_eq!(
                     pa.relate_to(&pb),
                     relate(pa.geometry(), pb.geometry()),
@@ -252,7 +288,7 @@ mod tests {
     fn intersecting_pairs_delegate_to_exact_relate() {
         let a = prep("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))");
         let b = prep("POLYGON ((5 5, 15 5, 15 15, 5 15, 5 5))");
-        assert!(!a.definitely_disjoint(&b));
+        assert!(a.envelope().intersects(&b.envelope()));
         assert_eq!(a.relate_to(&b), relate(a.geometry(), b.geometry()));
         assert_eq!(a.relate_to(&b).to_string(), "212101212");
     }
@@ -263,7 +299,7 @@ mod tests {
         // prepared path must fall through to the exact relate.
         let c = prep("LINESTRING (0 5, 5 0)");
         let d = prep("LINESTRING (4.9 4.9, 10 10)");
-        assert!(!c.definitely_disjoint(&d), "envelopes overlap");
+        assert!(c.envelope().intersects(&d.envelope()), "envelopes overlap");
         let m = c.relate_to(&d);
         assert_eq!(m, relate(c.geometry(), d.geometry()));
         assert!(m.matches("FF*FF****"), "geometries are actually disjoint");
@@ -341,6 +377,15 @@ mod tests {
                 "symmetry {wa} vs {wb}"
             );
         }
+    }
+
+    #[test]
+    fn prepared_geometry_stays_small() {
+        // One prepared geometry per feature of a layer: the boxed region
+        // keeps the cached shape, and so each of them, small (192 and
+        // 152 bytes on 64-bit targets).
+        assert!(std::mem::size_of::<PreparedGeometry>() <= 192);
+        assert!(std::mem::size_of::<PreparedGeometry<&Geometry>>() <= 152);
     }
 
     #[test]

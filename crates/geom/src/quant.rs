@@ -132,6 +132,9 @@ impl Quantizer {
 /// [`QLANES`] with degenerate sentinel edges (`a == b ==` vertex 0),
 /// which cannot toggle parity and whose band reduces to a point
 /// proximity check against a genuine vertex.
+///
+/// The eight per-edge lane arrays share one buffer, so a built ring
+/// holds two heap blocks: `starts` and `lanes`.
 #[derive(Debug, Clone)]
 pub struct QuantRing {
     qz: Quantizer,
@@ -147,33 +150,155 @@ pub struct QuantRing {
     qy0: i64,
     /// Stripe height in cells (≥ 1).
     stripe_h: i64,
+    /// Stripe `s` owns slots `starts[s]..starts[s + 1]`; the last entry
+    /// is the slot count.
     starts: Vec<u32>,
-    ax: Vec<i32>,
-    ay: Vec<i32>,
-    bx: Vec<i32>,
-    by: Vec<i32>,
-    /// Band-expanded per-edge envelopes (`min - BAND`, `max + BAND` on
-    /// each axis), precomputed so the hot scan is pure `i32` compares:
-    /// a query left of `exmin` toggles iff the edge y-straddles it, one
-    /// right of `exmax` never toggles, and only the thin strip between
-    /// needs the widened exact crossing product. The same bounds gate
-    /// the snap-band proximity check.
-    exmin: Vec<i32>,
-    exmax: Vec<i32>,
-    eymin: Vec<i32>,
-    eymax: Vec<i32>,
+    /// The lane arrays, one slot count long each, back to back in the
+    /// order `AX, AY, BX, BY, EXMIN, EXMAX, EYMIN, EYMAX`: the quantized
+    /// edge endpoints, then the band-expanded per-edge envelopes
+    /// (`min - BAND`, `max + BAND` on each axis). The envelopes make the
+    /// hot scan pure `i32` compares: a query left of `EXMIN` toggles iff
+    /// the edge y-straddles it, one right of `EXMAX` never toggles, and
+    /// only the thin strip between needs the widened exact crossing
+    /// product. The same bounds gate the snap-band proximity check.
+    lanes: Vec<i32>,
+}
+
+/// Lane offsets into [`QuantRing`]'s `lanes`, in slot-count units.
+const AX: usize = 0;
+const AY: usize = 1;
+const BX: usize = 2;
+const BY: usize = 3;
+const EXMIN: usize = 4;
+const EXMAX: usize = 5;
+const EYMIN: usize = 6;
+const EYMAX: usize = 7;
+/// Lane arrays per slot.
+const LANE_ARRAYS: usize = 8;
+
+/// A stripe's edge count padded to whole [`QLANES`] blocks.
+fn padded(count: u32) -> u32 {
+    count.div_ceil(QLANES as u32) * QLANES as u32
 }
 
 impl QuantRing {
-    /// Quantizes a ring onto a grid sized from its own envelope.
+    /// Quantizes a ring onto a grid sized from its own envelope. Builds
+    /// straight into the ring's two buffers: vertices are snapped again
+    /// wherever an edge needs them instead of being collected first.
     pub fn build(ring: &Ring) -> QuantRing {
         let envelope = ring.envelope();
         let qz = Quantizer::for_rect(&envelope);
-        let quantized: Option<Vec<(i32, i32)>> =
-            ring.coords().iter().map(|&c| qz.quantize(c)).collect();
-        match quantized {
-            Some(q) => QuantRing::from_grid_points(qz, envelope, &q),
-            None => QuantRing::degenerate(qz, envelope),
+        let coords = ring.coords();
+        let (mut qymin, mut qymax) = (i64::MAX, i64::MIN);
+        for &c in coords {
+            let Some((_, y)) = qz.quantize(c) else {
+                return QuantRing::degenerate(qz, envelope);
+            };
+            qymin = qymin.min(y as i64);
+            qymax = qymax.max(y as i64);
+        }
+        if coords.is_empty() {
+            return QuantRing::degenerate(qz, envelope);
+        }
+        let vertex = |i: usize| qz.quantize(coords[i]).expect("every vertex snapped above");
+        // Closed edge list (last vertex back to the first), mirroring
+        // Ring::segments.
+        let len = coords.len();
+        let edge = |i: usize| -> (i32, i32, i32, i32) {
+            let (a, b) = (vertex(i), vertex((i + 1) % len));
+            (a.0, a.1, b.0, b.1)
+        };
+        // Band-expanded stripe extent: queries quantize within the f64
+        // envelope, so their cells lie within one cell of [qymin, qymax];
+        // anchor the grid one band below to keep indices non-negative.
+        let qy0 = qymin - BAND - 1;
+        let height = (qymax + BAND + 1) - qy0 + 1;
+
+        // Start near one stripe per few edges and halve until the
+        // duplicated-edge footprint is modest; tall-edge rings degrade
+        // toward a single stripe rather than exploding memory. Stripe
+        // `s`'s edge count accumulates in `starts[s + 1]`.
+        let mut stripes = (len / 4).clamp(1, 256);
+        let mut starts: Vec<u32> = Vec::with_capacity(stripes + 1);
+        let stripe_h = loop {
+            let stripe_h = (height / stripes as i64).max(1);
+            let sidx =
+                |v: i64| ((((v - qy0).max(0)) / stripe_h) as usize).min(stripes - 1);
+            starts.clear();
+            starts.resize(stripes + 1, 0);
+            for i in 0..len {
+                let (_, ay, _, by) = edge(i);
+                let (lo, hi) = (ay.min(by) as i64 - BAND, ay.max(by) as i64 + BAND);
+                for c in &mut starts[sidx(lo) + 1..=sidx(hi) + 1] {
+                    *c += 1;
+                }
+            }
+            let slots: usize = starts[1..].iter().map(|&c| padded(c) as usize).sum();
+            if stripes == 1 || slots <= 6 * len.max(QLANES) {
+                break stripe_h;
+            }
+            stripes /= 2;
+        };
+        for s in 0..stripes {
+            starts[s + 1] = starts[s] + padded(starts[s + 1]);
+        }
+        let total = starts[stripes] as usize;
+        let band = BAND as i32;
+        let sentinel = vertex(0);
+        let mut lanes = Vec::with_capacity(LANE_ARRAYS * total);
+        for fill in [
+            sentinel.0,
+            sentinel.1,
+            sentinel.0,
+            sentinel.1,
+            sentinel.0 - band,
+            sentinel.0 + band,
+            sentinel.1 - band,
+            sentinel.1 + band,
+        ] {
+            lanes.resize(lanes.len() + total, fill);
+        }
+        // `starts[s]` serves as stripe `s`'s write cursor, then goes back
+        // to the stripe's first slot below.
+        let sidx = |v: i64| ((((v - qy0).max(0)) / stripe_h) as usize).min(stripes - 1);
+        for i in 0..len {
+            let (eax, eay, ebx, eby) = edge(i);
+            let (lo, hi) = (eay.min(eby) as i64 - BAND, eay.max(eby) as i64 + BAND);
+            for cursor in &mut starts[sidx(lo)..=sidx(hi)] {
+                let at = *cursor as usize;
+                for (lane, value) in [
+                    (AX, eax),
+                    (AY, eay),
+                    (BX, ebx),
+                    (BY, eby),
+                    (EXMIN, eax.min(ebx) - band),
+                    (EXMAX, eax.max(ebx) + band),
+                    (EYMIN, eay.min(eby) - band),
+                    (EYMAX, eay.max(eby) + band),
+                ] {
+                    lanes[lane * total + at] = value;
+                }
+                *cursor += 1;
+            }
+        }
+        // Each cursor now sits its stripe's edge count past the stripe's
+        // first slot; the padded counts rebuild the starts from slot 0.
+        let mut first = 0u32;
+        for start in &mut starts[..stripes] {
+            let count = *start - first;
+            *start = first;
+            first += padded(count);
+        }
+        QuantRing {
+            qz,
+            envelope,
+            degenerate: false,
+            len,
+            stripes,
+            qy0,
+            stripe_h,
+            starts,
+            lanes,
         }
     }
 
@@ -187,116 +312,15 @@ impl QuantRing {
             qy0: 0,
             stripe_h: 1,
             starts: vec![0, 0],
-            ax: Vec::new(),
-            ay: Vec::new(),
-            bx: Vec::new(),
-            by: Vec::new(),
-            exmin: Vec::new(),
-            exmax: Vec::new(),
-            eymin: Vec::new(),
-            eymax: Vec::new(),
+            lanes: Vec::new(),
         }
     }
 
-    fn from_grid_points(qz: Quantizer, envelope: Rect, q: &[(i32, i32)]) -> QuantRing {
-        if q.is_empty() {
-            return QuantRing::degenerate(qz, envelope);
-        }
-        // Closed edge list (last vertex back to the first), mirroring
-        // Ring::segments.
-        let len = q.len();
-        let edge = |i: usize| -> (i32, i32, i32, i32) {
-            let a = q[i];
-            let b = q[(i + 1) % len];
-            (a.0, a.1, b.0, b.1)
-        };
-        let qymin = q.iter().map(|&(_, y)| y).min().unwrap() as i64;
-        let qymax = q.iter().map(|&(_, y)| y).max().unwrap() as i64;
-        // Band-expanded stripe extent: queries quantize within the f64
-        // envelope, so their cells lie within one cell of [qymin, qymax];
-        // anchor the grid one band below to keep indices non-negative.
-        let qy0 = qymin - BAND - 1;
-        let height = (qymax + BAND + 1) - qy0 + 1;
-
-        // Start near one stripe per few edges and halve until the
-        // duplicated-edge footprint is modest; tall-edge rings degrade
-        // toward a single stripe rather than exploding memory.
-        let mut stripes = (len / 4).clamp(1, 256);
-        let mut counts;
-        let mut stripe_h;
-        loop {
-            stripe_h = (height / stripes as i64).max(1);
-            let sidx =
-                |v: i64| ((((v - qy0).max(0)) / stripe_h) as usize).min(stripes - 1);
-            counts = vec![0u32; stripes];
-            for i in 0..len {
-                let (_, ay, _, by) = edge(i);
-                let (lo, hi) = (ay.min(by) as i64 - BAND, ay.max(by) as i64 + BAND);
-                for c in &mut counts[sidx(lo)..=sidx(hi)] {
-                    *c += 1;
-                }
-            }
-            let padded: usize =
-                counts.iter().map(|&c| (c as usize).div_ceil(QLANES) * QLANES).sum();
-            if stripes == 1 || padded <= 6 * len.max(QLANES) {
-                break;
-            }
-            stripes /= 2;
-        }
-
-        let mut starts = Vec::with_capacity(stripes + 1);
-        starts.push(0u32);
-        for &c in &counts {
-            let padded = (c as usize).div_ceil(QLANES) * QLANES;
-            starts.push(starts.last().unwrap() + padded as u32);
-        }
-        let total = *starts.last().unwrap() as usize;
-        let band = BAND as i32;
-        let sentinel = q[0];
-        let mut ax = vec![sentinel.0; total];
-        let mut ay = vec![sentinel.1; total];
-        let mut bx = vec![sentinel.0; total];
-        let mut by = vec![sentinel.1; total];
-        let mut exmin = vec![sentinel.0 - band; total];
-        let mut exmax = vec![sentinel.0 + band; total];
-        let mut eymin = vec![sentinel.1 - band; total];
-        let mut eymax = vec![sentinel.1 + band; total];
-        let mut cursor: Vec<usize> = starts[..stripes].iter().map(|&s| s as usize).collect();
-        let sidx = |v: i64| ((((v - qy0).max(0)) / stripe_h) as usize).min(stripes - 1);
-        for i in 0..len {
-            let (eax, eay, ebx, eby) = edge(i);
-            let (lo, hi) = (eay.min(eby) as i64 - BAND, eay.max(eby) as i64 + BAND);
-            for slot in &mut cursor[sidx(lo)..=sidx(hi)] {
-                let at = *slot;
-                ax[at] = eax;
-                ay[at] = eay;
-                bx[at] = ebx;
-                by[at] = eby;
-                exmin[at] = eax.min(ebx) - band;
-                exmax[at] = eax.max(ebx) + band;
-                eymin[at] = eay.min(eby) - band;
-                eymax[at] = eay.max(eby) + band;
-                *slot = at + 1;
-            }
-        }
-        QuantRing {
-            qz,
-            envelope,
-            degenerate: false,
-            len,
-            stripes,
-            qy0,
-            stripe_h,
-            starts,
-            ax,
-            ay,
-            bx,
-            by,
-            exmin,
-            exmax,
-            eymin,
-            eymax,
-        }
+    /// Lane array `lane` (one of the lane offsets), every slot.
+    #[inline]
+    fn lane(&self, lane: usize) -> &[i32] {
+        let slots = self.lanes.len() / LANE_ARRAYS;
+        &self.lanes[lane * slots..(lane + 1) * slots]
     }
 
     /// The quantizer this ring was built with.
@@ -346,14 +370,13 @@ impl QuantRing {
         // the query's x need the widened exact products, and only lanes
         // whose full envelope contains the query need the snap-band
         // distance — both rare, handled scalar per flagged lane.
-        let chunks = self
-            .ay[lo..hi]
-            .chunks_exact(QLANES)
-            .zip(self.by[lo..hi].chunks_exact(QLANES))
-            .zip(self.exmin[lo..hi].chunks_exact(QLANES))
-            .zip(self.exmax[lo..hi].chunks_exact(QLANES))
-            .zip(self.eymin[lo..hi].chunks_exact(QLANES))
-            .zip(self.eymax[lo..hi].chunks_exact(QLANES));
+        let lane = |lane: usize| self.lane(lane)[lo..hi].chunks_exact(QLANES);
+        let chunks = lane(AY)
+            .zip(lane(BY))
+            .zip(lane(EXMIN))
+            .zip(lane(EXMAX))
+            .zip(lane(EYMIN))
+            .zip(lane(EYMAX));
         'scan: for (block, (((((ays, bys), exmins), exmaxs), eymins), eymaxs)) in
             chunks.enumerate()
         {
@@ -373,17 +396,13 @@ impl QuantRing {
             lanes += QLANES as u64;
             if exact.iter().any(|&e| e) || near.iter().any(|&n| n) {
                 let base = lo + block * QLANES;
+                let slot = |lane: usize, i: usize| self.lane(lane)[i] as i64;
                 for l in 0..QLANES {
                     if !(exact[l] || near[l]) {
                         continue;
                     }
                     let i = base + l;
-                    let (ax, ay, bx, by) = (
-                        self.ax[i] as i64,
-                        self.ay[i] as i64,
-                        self.bx[i] as i64,
-                        self.by[i] as i64,
-                    );
+                    let (ax, ay, bx, by) = (slot(AX, i), slot(AY, i), slot(BX, i), slot(BY, i));
                     if near[l] && within_band(px as i64, py as i64, ax, ay, bx, by) {
                         ambiguous = true;
                         break 'scan;

@@ -296,10 +296,10 @@ fn relate_aa(a: &Areal, b: &Areal) -> IntersectionMatrix {
     // crossing, which the fragment flags catch.
     let ips_a = a.interior_points();
     let ips_b = b.interior_points();
-    let a_ip_in_b = ips_a.iter().any(|&c| b.locate(c) == PointLocation::Inside);
-    let a_ip_out_b = ips_a.iter().any(|&c| b.locate(c) == PointLocation::Outside);
-    let b_ip_in_a = ips_b.iter().any(|&c| a.locate(c) == PointLocation::Inside);
-    let b_ip_out_a = ips_b.iter().any(|&c| a.locate(c) == PointLocation::Outside);
+    let a_ip_in_b = ips_a.any(|c| b.locate(c) == PointLocation::Inside);
+    let a_ip_out_b = ips_a.any(|c| b.locate(c) == PointLocation::Outside);
+    let b_ip_in_a = ips_b.any(|c| a.locate(c) == PointLocation::Inside);
+    let b_ip_out_a = ips_b.any(|c| a.locate(c) == PointLocation::Outside);
 
     if fa.inside || fb.inside || a_ip_in_b || b_ip_in_a {
         m.set(Part::Interior, Part::Interior, Dim::Two);

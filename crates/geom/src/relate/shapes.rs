@@ -21,11 +21,18 @@
 //! to visitors, interior points are borrowed, and the parameter-space
 //! bookkeeping (split cuts, collinear-overlap intervals) runs in per-thread
 //! buffers that warm calls reuse.
+//!
+//! Building the prepared data is lean as well: a point set's view borrows
+//! the geometry's coordinates and stores nothing, and a region is one
+//! boxed [`PreparedAreal`] — first member inline, each member's interior
+//! point computed once, its exterior vertices read off the cached
+//! boundary — whose rings keep their lane and ordinate arrays in two
+//! buffers each.
 
 use crate::bbox::Rect;
 use crate::coord::Coord;
 use crate::geometry::Geometry;
-use crate::polygon::{MultiPolygon, PointLocation, Polygon};
+use crate::polygon::{MultiPolygon, PointLocation, Polygon, Ring};
 use crate::quant::PreparedRing;
 use crate::segment::{merge_intervals, SegSegIntersection, Segment};
 use crate::segtree::SegTree;
@@ -209,48 +216,68 @@ impl<'a> Areal<'a> {
         }
     }
 
-    /// A point strictly inside the region.
-    pub fn interior_point(&self) -> Coord {
+    /// One interior point per connected component of the region's interior
+    /// (one per member polygon), in member order. Needed for completeness
+    /// of the region×region interior tests: a component whose boundary is
+    /// entirely shared with the other operand (e.g. a polygon exactly
+    /// filling a hole) is only detectable through its interior point.
+    /// Computed for a plain view; read, without copying, from the members
+    /// of a prepared region.
+    pub(crate) fn interior_points(&self) -> InteriorPoints<'_> {
         match self {
-            Areal::One(p) => p.interior_point(),
-            Areal::Many(mp) => mp.interior_point(),
-            Areal::Indexed(pa) => pa.interior_pt,
+            Areal::One(p) => InteriorPoints::Computed(vec![p.interior_point()]),
+            Areal::Many(mp) => InteriorPoints::Computed(
+                mp.polygons().iter().map(Polygon::interior_point).collect(),
+            ),
+            Areal::Indexed(pa) => InteriorPoints::Prepared(pa),
         }
     }
+}
 
-    /// One interior point per connected component of the region's interior
-    /// (one per member polygon). Needed for completeness of the
-    /// region×region interior tests: a component whose boundary is entirely
-    /// shared with the other operand (e.g. a polygon exactly filling a
-    /// hole) is only detectable through its interior point. Borrowed,
-    /// without copying, from a prepared region.
-    pub fn interior_points(&self) -> Cow<'_, [Coord]> {
+/// A region's interior points ([`Areal::interior_points`]).
+pub(crate) enum InteriorPoints<'a> {
+    /// Computed for a plain view.
+    Computed(Vec<Coord>),
+    /// Stored on a prepared region's members.
+    Prepared(&'a PreparedAreal),
+}
+
+impl InteriorPoints<'_> {
+    /// True when `test` holds for some point, trying them in member order
+    /// and stopping at the first that passes.
+    pub(crate) fn any(&self, test: impl FnMut(Coord) -> bool) -> bool {
         match self {
-            Areal::One(p) => Cow::Owned(vec![p.interior_point()]),
-            Areal::Many(mp) => {
-                Cow::Owned(mp.polygons().iter().map(|p| p.interior_point()).collect())
-            }
-            Areal::Indexed(pa) => Cow::Borrowed(&pa.interior_pts),
+            InteriorPoints::Computed(points) => points.iter().copied().any(test),
+            InteriorPoints::Prepared(pa) => pa.members().map(|m| m.interior).any(test),
         }
     }
 }
 
 /// A region with all relate/distance acceleration data precomputed: ring
-/// indexes for point location, the flattened boundary with a segment tree
-/// over it, per-component interior points, and the exterior-ring vertices
-/// used by bounded-distance containment checks.
+/// indexes for point location and one interior point per member, and the
+/// flattened boundary with a segment tree over it.
 ///
-/// Interior points are snapshotted from the exact (unindexed) computation
-/// at build time, and the per-edge location tests replicate the ring scan
-/// verbatim, so every classification equals the brute-force one.
+/// The first member is stored inline and a multi-polygon's others in
+/// `rest`. A prepared polygon without holes therefore holds seven heap
+/// blocks: four for its exterior [`PreparedRing`] (the grid's starts and
+/// lanes, the exact index's edges and ordinates), the boundary, and the
+/// tree's two — eight with the box a prepared geometry keeps it in. The
+/// boundary doubles as the exterior-ring vertex list the bounded-distance
+/// containment checks read.
+///
+/// Interior points are computed once at build time by the exact
+/// (unindexed) [`Polygon::interior_point`], and the per-edge location
+/// tests replicate the ring scan verbatim, so every classification equals
+/// the brute-force one.
 #[derive(Debug, Clone)]
 pub struct PreparedAreal {
-    polys: Vec<PreparedPoly>,
+    first: PreparedPoly,
+    rest: Vec<PreparedPoly>,
+    /// Every member's boundary segments, member by member, each member's
+    /// exterior ring first and then its holes (the order of
+    /// [`Areal::boundary_cow`]).
     pub(crate) boundary: Vec<Segment>,
     pub(crate) tree: SegTree,
-    pub(crate) interior_pt: Coord,
-    pub(crate) interior_pts: Vec<Coord>,
-    pub(crate) ext_coords: Vec<Coord>,
 }
 
 #[derive(Debug, Clone)]
@@ -259,9 +286,19 @@ struct PreparedPoly {
     /// ([`PreparedRing::locate`] is bit-identical to the index alone).
     exterior: PreparedRing,
     holes: Vec<PreparedRing>,
+    /// [`Polygon::interior_point`] of this member.
+    interior: Coord,
 }
 
 impl PreparedPoly {
+    fn build(p: &Polygon) -> PreparedPoly {
+        PreparedPoly {
+            exterior: PreparedRing::build(p.exterior()),
+            holes: p.holes().iter().map(PreparedRing::build).collect(),
+            interior: p.interior_point(),
+        }
+    }
+
     /// Mirrors [`Polygon::locate`] with indexed rings.
     fn locate(&self, c: Coord) -> PointLocation {
         match self.exterior.locate(c) {
@@ -284,35 +321,42 @@ impl PreparedPoly {
 impl PreparedAreal {
     /// Prepares a polygon.
     pub fn from_polygon(p: &Polygon) -> PreparedAreal {
-        PreparedAreal::from_members(std::slice::from_ref(p), &Areal::One(p))
+        PreparedAreal::from_members(std::slice::from_ref(p))
     }
 
     /// Prepares a multi-polygon.
     pub fn from_multi(mp: &MultiPolygon) -> PreparedAreal {
-        PreparedAreal::from_members(mp.polygons(), &Areal::Many(mp))
+        PreparedAreal::from_members(mp.polygons())
     }
 
-    fn from_members(members: &[Polygon], view: &Areal) -> PreparedAreal {
-        let polys = members
-            .iter()
-            .map(|p| PreparedPoly {
-                exterior: PreparedRing::build(p.exterior()),
-                holes: p.holes().iter().map(PreparedRing::build).collect(),
-            })
-            .collect();
-        let boundary = view.boundary_segments();
+    fn from_members(members: &[Polygon]) -> PreparedAreal {
+        let (first, rest) = members.split_first().expect("a region has a member polygon");
+        let edges = members.iter().flat_map(Polygon::rings).map(Ring::num_points).sum();
+        let mut boundary = Vec::with_capacity(edges);
+        boundary.extend(members.iter().flat_map(Polygon::boundary_segments));
         let tree = SegTree::build(&boundary);
         PreparedAreal {
-            polys,
+            first: PreparedPoly::build(first),
+            rest: rest.iter().map(PreparedPoly::build).collect(),
             boundary,
             tree,
-            interior_pt: view.interior_point(),
-            interior_pts: view.interior_points().into_owned(),
-            ext_coords: members
-                .iter()
-                .flat_map(|p| p.exterior().coords().iter().copied())
-                .collect(),
         }
+    }
+
+    fn members(&self) -> impl Iterator<Item = &PreparedPoly> {
+        std::iter::once(&self.first).chain(&self.rest)
+    }
+
+    /// Every member's exterior-ring vertices, in ring order, read off the
+    /// cached boundary: a member's run of boundary segments starts with its
+    /// exterior ring, whose segment `i` starts at vertex `i`.
+    pub(crate) fn exterior_vertices(&self) -> impl Iterator<Item = Coord> + '_ {
+        let mut at = 0;
+        self.members().flat_map(move |m| {
+            let exterior = &self.boundary[at..at + m.exterior.index().len()];
+            at += exterior.len() + m.holes.iter().map(|h| h.index().len()).sum::<usize>();
+            exterior.iter().map(|s| s.a)
+        })
     }
 
     /// Classifies `c` against the region. Mirrors
@@ -320,7 +364,7 @@ impl PreparedAreal {
     /// [`Polygon::locate`] for a single member) over indexed rings.
     pub fn locate(&self, c: Coord) -> PointLocation {
         let mut on_boundary = false;
-        for poly in &self.polys {
+        for poly in self.members() {
             match poly.locate(c) {
                 PointLocation::Inside => return PointLocation::Inside,
                 PointLocation::OnBoundary => on_boundary = true,
@@ -462,27 +506,37 @@ pub fn shape_of(g: &Geometry) -> Shape<'_> {
 }
 
 /// The cached, index-carrying form of a geometry's class view, stored by
-/// [`crate::prepared::PreparedGeometry`] and borrowed as a [`Shape`] per
-/// relate call.
+/// [`crate::prepared::PreparedGeometry`] and borrowed, together with the
+/// geometry, as a [`Shape`] per relate call.
+///
+/// A point set stores nothing: its coordinates are the geometry's. A
+/// region's data sits in one boxed block, which keeps the enum (and the
+/// prepared geometry holding it) small.
 #[derive(Debug, Clone)]
 pub(crate) enum PreparedShape {
-    P {
-        coords: Vec<Coord>,
-    },
+    P,
     L {
         segments: Vec<Segment>,
         boundary: Vec<Coord>,
         tree: SegTree,
     },
-    A(PreparedAreal),
+    A(Box<PreparedAreal>),
+}
+
+/// The coordinates of a point or multi-point, borrowed.
+pub(crate) fn point_set(g: &Geometry) -> &[Coord] {
+    match g {
+        Geometry::Point(p) => std::slice::from_ref(&p.0),
+        Geometry::MultiPoint(mp) => mp.coords(),
+        _ => unreachable!("a point-set shape is built from a point or multi-point"),
+    }
 }
 
 impl PreparedShape {
     /// Builds the indexed class view of a geometry.
     pub(crate) fn build(g: &Geometry) -> PreparedShape {
         match g {
-            Geometry::Point(p) => PreparedShape::P { coords: vec![p.coord()] },
-            Geometry::MultiPoint(mp) => PreparedShape::P { coords: mp.coords().to_vec() },
+            Geometry::Point(_) | Geometry::MultiPoint(_) => PreparedShape::P,
             Geometry::LineString(l) => {
                 let segments: Vec<Segment> = l.segments().collect();
                 let tree = SegTree::build(&segments);
@@ -493,15 +547,18 @@ impl PreparedShape {
                 let tree = SegTree::build(&segments);
                 PreparedShape::L { segments, boundary: ml.boundary_points(), tree }
             }
-            Geometry::Polygon(p) => PreparedShape::A(PreparedAreal::from_polygon(p)),
-            Geometry::MultiPolygon(mp) => PreparedShape::A(PreparedAreal::from_multi(mp)),
+            Geometry::Polygon(p) => PreparedShape::A(Box::new(PreparedAreal::from_polygon(p))),
+            Geometry::MultiPolygon(mp) => {
+                PreparedShape::A(Box::new(PreparedAreal::from_multi(mp)))
+            }
         }
     }
 
-    /// Borrows the prepared data as a [`Shape`] view with indexes attached.
-    pub(crate) fn as_shape(&self) -> Shape<'_> {
+    /// Borrows the prepared data of `g` (the geometry this shape was
+    /// built from) as a [`Shape`] view with indexes attached.
+    pub(crate) fn as_shape<'a>(&'a self, g: &'a Geometry) -> Shape<'a> {
         match self {
-            PreparedShape::P { coords } => Shape::P(Puntal { coords: Cow::Borrowed(coords) }),
+            PreparedShape::P => Shape::P(Puntal { coords: Cow::Borrowed(point_set(g)) }),
             PreparedShape::L { segments, boundary, tree } => Shape::L(Lineal {
                 segments: Cow::Borrowed(segments),
                 boundary: Cow::Borrowed(boundary),
@@ -538,7 +595,7 @@ mod tests {
         let l = LineString::from_xy(&[(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (5.0, 2.0)]).unwrap();
         let g: Geometry = l.into();
         let prepared = PreparedShape::build(&g);
-        let (brute, indexed) = (shape_of(&g), prepared.as_shape());
+        let (brute, indexed) = (shape_of(&g), prepared.as_shape(&g));
         let (Shape::L(brute), Shape::L(indexed)) = (brute, indexed) else {
             panic!("lineal expected");
         };

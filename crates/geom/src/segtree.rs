@@ -514,11 +514,12 @@ pub struct RingIndex {
     envelope: Rect,
     /// Ring edges sorted ascending by `envelope().min.y`.
     edges: Vec<Segment>,
-    /// `edges[i].envelope().min.y`, for the prefix binary search.
-    ymins: Vec<f64>,
-    /// Implicit binary tree: `maxes[size + i] = edges[i].envelope().max.y`
-    /// (−∞ past the end), internal nodes the max of their children.
-    maxes: Vec<f64>,
+    /// Two arrays in one buffer. First `edges[i].envelope().min.y`, for
+    /// the prefix binary search (`edges.len()` values); then the implicit
+    /// binary max-tree (`2 * size` values), whose leaf `size + i` is
+    /// `edges[i].envelope().max.y` (−∞ past the end) and whose internal
+    /// nodes are the max of their children.
+    ys: Vec<f64>,
     /// Leaf count of the implicit tree (power of two).
     size: usize,
 }
@@ -529,16 +530,18 @@ impl RingIndex {
         let mut edges: Vec<Segment> = ring.segments().collect();
         assert!(edges.len() <= u32::MAX as usize, "a RingIndex indexes at most u32::MAX edges");
         edges.sort_by(|a, b| a.envelope().min.y.total_cmp(&b.envelope().min.y));
-        let ymins: Vec<f64> = edges.iter().map(|s| s.envelope().min.y).collect();
         let size = edges.len().next_power_of_two();
-        let mut maxes = vec![f64::NEG_INFINITY; 2 * size];
+        let mut ys = Vec::with_capacity(edges.len() + 2 * size);
+        ys.extend(edges.iter().map(|s| s.envelope().min.y));
+        ys.resize(edges.len() + 2 * size, f64::NEG_INFINITY);
+        let maxes = &mut ys[edges.len()..];
         for (i, s) in edges.iter().enumerate() {
             maxes[size + i] = s.envelope().max.y;
         }
         for i in (1..size).rev() {
             maxes[i] = maxes[2 * i].max(maxes[2 * i + 1]);
         }
-        RingIndex { envelope: ring.envelope(), edges, ymins, maxes, size }
+        RingIndex { envelope: ring.envelope(), edges, ys, size }
     }
 
     /// Number of indexed edges.
@@ -569,12 +572,13 @@ impl RingIndex {
         }
         // Edges [0, k) have min.y <= p.y; the max-tree prunes those with
         // max.y < p.y among them.
-        let k = self.ymins.partition_point(|&y| y <= p.y);
+        let (ymins, maxes) = self.ys.split_at(self.edges.len());
+        let k = ymins.partition_point(|&y| y <= p.y);
         let mut on_boundary = false;
         let mut inside = false;
         let mut stack = Stack::new((1, 0, self.size));
         while let Some((node, lo, hi)) = stack.pop() {
-            if lo >= k || self.maxes[node] < p.y {
+            if lo >= k || maxes[node] < p.y {
                 continue;
             }
             if hi - lo == 1 {

@@ -58,9 +58,11 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 thread_local! {
-    /// The calling thread's stack of active span names. Worker threads
-    /// start with an empty stack, so spans opened inside a thread pool
-    /// root their own paths — no cross-thread coordination needed.
+    /// The calling thread's stack of active span names, with no
+    /// cross-thread coordination. A spawned pool worker starts with an
+    /// empty stack, so a span it opens roots its own path; the calling
+    /// thread also runs pool work, and a span opened there nests under
+    /// the caller's open spans. No pool closure opens a span.
     static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
 }
 

@@ -23,12 +23,16 @@
 //!
 //! Work distribution is *chunked self-scheduling*: the input is cut into
 //! more chunks than workers (bounding imbalance to one chunk) and workers
-//! claim chunks from a shared atomic cursor. Every result lands in the
-//! output slot of its input index, so the output is identical to the
-//! serial map regardless of thread count or scheduling — parallelism is
-//! never allowed to change answers, only wall-clock. The one output-slot
-//! write the pool needs is the crate's only `unsafe` code; the crate
-//! denies `unsafe_code` everywhere else.
+//! claim chunks from a shared atomic cursor. The calling thread is one of
+//! the workers: a pool of `n` workers is the caller plus `n − 1` spawned
+//! scoped threads, so a two-worker stage spawns one thread, and the
+//! caller's thread-local state (the geometry kernel counters and scratch
+//! buffers, a recorder's span stack) sees the chunks the caller runs.
+//! Every result lands in the output slot of its input index, so the
+//! output is identical to the serial map regardless of thread count or
+//! scheduling — parallelism is never allowed to change answers, only
+//! wall-clock. The one output-slot write the pool needs is the crate's
+//! only `unsafe` code; the crate denies `unsafe_code` everywhere else.
 //!
 //! Thread counts come from [`Threads`]: `Serial` (1), `Fixed(n)`, or
 //! `Auto`, which honours the `GEOPATTERN_THREADS` environment variable and
@@ -73,7 +77,8 @@ pub use journal::{atomic_write, fnv1a64, Journal};
 /// typo or an attack, not a machine.
 pub const MAX_THREADS: usize = 4096;
 
-/// How many worker threads a parallel stage may use.
+/// How many worker threads a parallel stage may use. `n` workers are the
+/// calling thread plus `n − 1` spawned threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Threads {
     /// One thread: the exact serial code path, no pool involved.
@@ -258,6 +263,14 @@ where
 /// A `Send`/`Sync` wrapper for the output-buffer pointer shared with the
 /// scoped workers. Safe because workers write disjoint indices.
 struct SendPtr<T>(*mut T);
+
+impl<T> SendPtr<T> {
+    /// The pointer. A method, so that a closure using it captures the
+    /// whole `Sync` wrapper rather than the bare pointer field.
+    fn get(&self) -> *mut T {
+        self.0
+    }
+}
 // SAFETY: the one field points into `pool`'s output buffer, which outlives
 // the worker scope; workers only move `T` values into disjoint slots, so
 // sending the pointer to another thread needs only `T: Send`.
@@ -339,51 +352,49 @@ where
         // ranges.
         let slots_ptr = SendPtr(slots.as_mut_ptr());
         let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let slots_ptr = &slots_ptr;
-                let cursor = &cursor;
-                let f = &f;
-                let error = &error;
-                let stop = &stop;
-                scope.spawn(move || loop {
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    if let Err(interrupt) = cancel.check() {
-                        report_interrupt(error, stop, interrupt);
-                        break;
-                    }
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= items.len() {
-                        break;
-                    }
-                    let end = (start + chunk).min(items.len());
-                    // Catch per chunk: a panicking closure poisons only its
-                    // own chunk; the slots it did write are discarded with
-                    // the buffer when the error path returns.
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        for (i, item) in items[start..end].iter().enumerate() {
-                            let idx = start + i;
-                            // SAFETY: idx is claimed by exactly one worker
-                            // via the atomic cursor, and `slots` outlives
-                            // the scope.
-                            unsafe { *slots_ptr.0.add(idx) = Some(f(idx, item)) };
-                        }
-                    }));
-                    if let Err(payload) = outcome {
-                        report_interrupt(
-                            error,
-                            stop,
-                            Interrupt::WorkerPanic {
-                                stage: stage.to_string(),
-                                message: control::panic_message(payload.as_ref()),
-                            },
-                        );
-                        break;
-                    }
-                });
+        let work = || loop {
+            if stop.load(Ordering::Acquire) {
+                break;
             }
+            if let Err(interrupt) = cancel.check() {
+                report_interrupt(&error, &stop, interrupt);
+                break;
+            }
+            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if start >= items.len() {
+                break;
+            }
+            let end = (start + chunk).min(items.len());
+            // Catch per chunk: a panicking closure poisons only its own
+            // chunk; the slots it did write are discarded with the buffer
+            // when the error path returns.
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                for (i, item) in items[start..end].iter().enumerate() {
+                    let idx = start + i;
+                    // SAFETY: idx is claimed by exactly one worker via the
+                    // atomic cursor, and `slots` outlives the scope.
+                    unsafe { *slots_ptr.get().add(idx) = Some(f(idx, item)) };
+                }
+            }));
+            if let Err(payload) = outcome {
+                report_interrupt(
+                    &error,
+                    &stop,
+                    Interrupt::WorkerPanic {
+                        stage: stage.to_string(),
+                        message: control::panic_message(payload.as_ref()),
+                    },
+                );
+                break;
+            }
+        };
+        // The calling thread is one of the workers: it spawns the others,
+        // then claims chunks beside them until the cursor runs out.
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(work);
+            }
+            work();
         });
     }
     if let Some(interrupt) = error.into_inner().unwrap_or_else(|poison| poison.into_inner()) {
@@ -464,6 +475,37 @@ mod tests {
             let parallel = par_map(threads, &items, |_, &x| x * x + 1);
             assert_eq!(parallel, serial, "{threads:?}");
         }
+    }
+
+    #[test]
+    fn the_calling_thread_is_one_of_the_workers() {
+        use std::collections::HashSet;
+        use std::sync::Condvar;
+        wide_host();
+        let caller = std::thread::current().id();
+        // A spawned worker holds its first item until the caller has run
+        // one, so the caller claims a chunk whenever it works at all. A
+        // caller that never does (the pool spawning every worker) lets
+        // the wait time out, once, for everyone.
+        let caller_ran = (Mutex::new(false), Condvar::new());
+        let items: Vec<u32> = (0..64).collect();
+        let ids = par_map(Threads::Fixed(2), &items, |_, _| {
+            let me = std::thread::current().id();
+            let (ran, wake) = &caller_ran;
+            let mut ran = ran.lock().unwrap();
+            if me == caller {
+                *ran = true;
+                wake.notify_all();
+            } else if !*ran {
+                let timeout = std::time::Duration::from_secs(5);
+                ran = wake.wait_timeout_while(ran, timeout, |ran| !*ran).unwrap().0;
+                *ran = true;
+            }
+            me
+        });
+        let distinct: HashSet<_> = ids.into_iter().collect();
+        assert!(distinct.contains(&caller), "the calling thread ran no item");
+        assert!(distinct.len() <= 2, "{} threads ran items for 2 workers", distinct.len());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! (slums, schools, police centers, …) and records them *at feature-type
 //! granularity* as rows of a [`PredicateTable`]. This is the step the
 //! paper identifies as the computational cost centre of spatial frequent
-//! pattern mining; three accelerations apply:
+//! pattern mining; five accelerations apply:
 //!
 //! * the layer's R-tree prunes candidate pairs for topological relations
 //!   (envelope-disjoint pairs can only be `disjoint`);
@@ -72,7 +72,8 @@ use crate::feature::{Feature, Layer};
 use crate::predicate_table::{Predicate, PredicateTable};
 use crate::tiled;
 use geopattern_geom::{
-    take_kernel_counters, GeomDim, IntersectionMatrix, KernelCounters, PreparedGeometry, Rect,
+    take_kernel_counters, GeomDim, Geometry, IntersectionMatrix, KernelCounters, PreparedGeometry,
+    Rect,
 };
 use geopattern_obs::{Metrics, Recorder};
 use geopattern_par::{try_par_map, CancelToken, Interrupt, Journal, MemoryBudget, Threads};
@@ -80,6 +81,7 @@ use geopattern_qsr::{
     classify, geometry_direction, CardinalDirection, DistanceScheme, SpatialPredicate,
     TopologicalRelation,
 };
+use std::cell::Cell;
 use std::collections::HashMap;
 
 /// How extraction shards its spatial work.
@@ -279,10 +281,11 @@ impl ExtractionStats {
 
 /// A relevant layer with every feature prepared once, shared read-only by
 /// all workers — every tile extracts against the same prepared set, so no
-/// geometry is ever prepared twice.
+/// geometry is ever prepared twice. The prepared geometries borrow the
+/// layer's, so preparing copies none.
 pub(crate) struct PreparedLayer<'a> {
     pub(crate) layer: &'a Layer,
-    pub(crate) prepared: Vec<PreparedGeometry>,
+    pub(crate) prepared: Vec<PreparedGeometry<&'a Geometry>>,
     pub(crate) dims: Vec<GeomDim>,
     /// See [`ExtractionConfig::bounded_window`].
     pub(crate) window: Option<f64>,
@@ -307,7 +310,7 @@ impl<'a> PreparedLayer<'a> {
             prepared: layer
                 .features()
                 .iter()
-                .map(|f| PreparedGeometry::new(f.geometry.clone()))
+                .map(|f| PreparedGeometry::new(&f.geometry))
                 .collect(),
             dims: layer.features().iter().map(|f| f.geometry.dimension()).collect(),
             window,
@@ -319,15 +322,26 @@ impl<'a> PreparedLayer<'a> {
     }
 
     /// The rows a distance or direction scan visits, ascending, and their
-    /// count: the window's R-tree hits around `envelope`, or every row,
-    /// iterated as a range, when there is no window (the last band is
-    /// unbounded, or direction predicates are on).
-    fn scan(&self, envelope: &Rect) -> (usize, impl Iterator<Item = usize>) {
-        let (hits, all) = match self.window {
-            Some(max_d) => (self.layer.index().query_window(envelope, max_d), 0..0),
-            None => (Vec::new(), 0..self.layer.len()),
+    /// count: the window's R-tree hits around `envelope`, collected in
+    /// `hits`, or every row, iterated as a range, when there is no window
+    /// (the last band is unbounded, or direction predicates are on).
+    fn scan<'h>(
+        &self,
+        envelope: &Rect,
+        hits: &'h mut Vec<usize>,
+    ) -> (usize, impl Iterator<Item = usize> + 'h) {
+        let all = match self.window {
+            // The window query: the envelope buffered by the largest band.
+            Some(max_d) => {
+                self.layer.index().query_rect_into(&envelope.buffered(max_d), hits);
+                0..0
+            }
+            None => {
+                hits.clear();
+                0..self.layer.len()
+            }
         };
-        (hits.len() + all.len(), hits.into_iter().chain(all))
+        (hits.len() + all.len(), hits.iter().copied().chain(all))
     }
 }
 
@@ -640,7 +654,7 @@ fn build_self_join_memo(
             }
             let mut dist = Vec::new();
             if want_dist {
-                for ci in pl.scan(&envelope).1 {
+                for ci in pl.scan(&envelope, &mut Vec::new()).1 {
                     if ci >= row {
                         dist.push((
                             ci as u32,
@@ -686,6 +700,12 @@ fn record_kernel_counters(metrics: &mut Metrics, k: &KernelCounters) {
     metrics.add_counter("geom/quant_lanes_tested", k.quant_lanes_tested);
 }
 
+thread_local! {
+    /// [`extract_row`]'s R-tree hit buffer, which a thread's rows pass on
+    /// to each other so that warm rows allocate none.
+    static CANDIDATES: Cell<Vec<usize>> = const { Cell::new(Vec::new()) };
+}
+
 /// Computes one reference feature's predicates, in the exact order the
 /// serial implementation emits them.
 ///
@@ -713,9 +733,12 @@ pub(crate) fn extract_row(
     // rows, so this row's counters below report exactly its own work.
     let _ = take_kernel_counters();
 
-    let prep_ref = PreparedGeometry::new(ref_feature.geometry.clone());
+    let prep_ref = PreparedGeometry::new(&ref_feature.geometry);
     let ref_dim = ref_feature.geometry.dimension();
     let ref_envelope = ref_feature.envelope();
+    // Each layer's R-tree hits, in the buffer this thread's previous row
+    // left behind.
+    let mut candidates = CANDIDATES.take();
 
     'layers: for pl in layers {
         let layer = pl.layer;
@@ -723,10 +746,10 @@ pub(crate) fn extract_row(
         if config.topological {
             // Envelope prefilter: only envelope-intersecting pairs can
             // have a non-disjoint topological relation.
-            let candidates = layer.query_envelope(&ref_envelope);
+            layer.index().query_rect_into(&ref_envelope, &mut candidates);
             stats.pruned_pairs += layer.len() - candidates.len();
             let mut disjoint_count = layer.len() - candidates.len();
-            for ci in candidates {
+            for &ci in &candidates {
                 if watch {
                     cancel_checks += 1;
                     if cancel.interrupted() {
@@ -758,7 +781,7 @@ pub(crate) fn extract_row(
             // so the buffered window query is a lossless prefilter; the
             // R-tree returns indices sorted ascending, preserving the full
             // scan's emission order on the surviving pairs.
-            let (scanned, scan) = pl.scan(&ref_envelope);
+            let (scanned, scan) = pl.scan(&ref_envelope, &mut candidates);
             stats.pruned_pairs += layer.len() - scanned;
             // Bounded branch-and-bound distance: beyond the cutoff no band
             // classifies, so `None` carries exactly the information the
@@ -796,6 +819,8 @@ pub(crate) fn extract_row(
             }
         }
     }
+
+    CANDIDATES.set(candidates);
 
     // The row's counters, summed by the merge in row order. A truncated
     // (interrupted) batch is not measured — the pool discards the whole

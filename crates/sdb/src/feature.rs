@@ -2,8 +2,8 @@
 //!
 //! A *feature* is a geographic object instance: a geometry plus non-spatial
 //! attributes. A *layer* groups all instances of one feature type
-//! (`district`, `slum`, `school`, …) and owns a lazily built R-tree index
-//! over their envelopes.
+//! (`district`, `slum`, `school`, …) and owns an R-tree index over their
+//! envelopes, bulk-loaded when the layer is built.
 
 use crate::rtree::RTree;
 use geopattern_geom::{Geometry, Rect};
@@ -95,12 +95,6 @@ impl Layer {
         self.features.is_empty()
     }
 
-    /// Adds a feature, updating the index.
-    pub fn push(&mut self, feature: Feature) {
-        self.index.insert(feature.envelope());
-        self.features.push(feature);
-    }
-
     /// Indices of features whose envelope intersects `query`.
     pub fn query_envelope(&self, query: &Rect) -> Vec<usize> {
         self.index.query_rect(query)
@@ -157,11 +151,12 @@ mod tests {
     }
 
     #[test]
-    fn layer_push_updates_index() {
-        let mut layer = Layer::new("school", vec![]);
-        assert!(layer.is_empty());
-        layer.push(point_feature("a", 5.0, 5.0));
-        layer.push(point_feature("b", 50.0, 50.0));
+    fn layer_envelope_covers_every_feature() {
+        assert!(Layer::new("school", vec![]).is_empty());
+        let layer = Layer::new(
+            "school",
+            vec![point_feature("a", 5.0, 5.0), point_feature("b", 50.0, 50.0)],
+        );
         let hits = layer.query_envelope(&Rect::new(coord(0.0, 0.0), coord(10.0, 10.0)));
         assert_eq!(hits, vec![0]);
         assert_eq!(layer.envelope().max, coord(50.0, 50.0));

@@ -29,17 +29,18 @@
 //! or, via [`GpbReader::read_layer_window`], only the features whose
 //! *stored* envelope intersects a query window — without materialising
 //! anything else. That is what lets tiled extraction stream the slice of
-//! a dataset one tile needs. Stored envelopes also skip the
-//! envelope-recomputation pass on load (see `Layer::with_envelopes`),
-//! which together with binary coordinate reads is where the load speedup
-//! over WKT comes from.
+//! a dataset one tile needs. Binary coordinate reads are where the load
+//! speedup over WKT comes from.
 //!
 //! Decoding is **total**: every read is bounds-checked, preallocations
 //! are capped by the bytes actually remaining, and corrupt input surfaces
 //! as a typed [`GpbError`] — never a panic. Geometries go through the
-//! same validating constructors as WKT parsing, so a decoded dataset
-//! upholds every invariant the rest of the system assumes, and
-//! WKT → `.gpb` → WKT round-trips are textually stable.
+//! same validating constructors as WKT parsing, and every assembled
+//! feature's stored envelope must equal its geometry's envelope
+//! ([`GpbError::EnvelopeMismatch`]) before it builds the layer's R-tree
+//! (see `Layer::with_envelopes`), so a decoded dataset upholds every
+//! invariant the rest of the system assumes, and WKT → `.gpb` → WKT
+//! round-trips are textually stable.
 
 use crate::dataset::SpatialDataset;
 use crate::feature::{Feature, Layer};
@@ -76,6 +77,10 @@ pub enum GpbError {
     Malformed { offset: usize, message: String },
     /// A decoded geometry failed validation.
     Geometry { offset: usize, source: GeomError },
+    /// A feature's stored envelope differs from its geometry's envelope.
+    /// Stored envelopes build the layer's R-tree, so trusting a wrong one
+    /// would silently drop the feature's candidate pairs.
+    EnvelopeMismatch { offset: usize },
     /// No (or more than one) reference layer.
     ReferenceLayer(String),
 }
@@ -91,6 +96,9 @@ impl fmt::Display for GpbError {
             }
             GpbError::Geometry { offset, source } => {
                 write!(f, "invalid geometry at byte {offset}: {source}")
+            }
+            GpbError::EnvelopeMismatch { offset } => {
+                write!(f, "stored envelope at byte {offset} does not match its geometry")
             }
             GpbError::ReferenceLayer(m) => write!(f, "{m}"),
         }
@@ -326,7 +334,7 @@ impl<'a> Cursor<'a> {
         let offset = self.at;
         let (min_x, min_y) = (self.f64()?, self.f64()?);
         let (max_x, max_y) = (self.f64()?, self.f64()?);
-        // Stored envelopes feed the R-tree directly (no recomputation), so
+        // Stored envelopes decide what a windowed read assembles, so
         // corrupted bytes must be rejected here, not trusted downstream.
         if !(min_x.is_finite() && min_y.is_finite() && max_x.is_finite() && max_y.is_finite())
             || min_x > max_x
@@ -438,7 +446,11 @@ impl<'a> GpbReader<'a> {
 
     /// Decodes only the features of layer `i` whose stored envelope
     /// intersects `window` — the streaming path tiled extraction uses to
-    /// load one tile's slice of a dataset.
+    /// load one tile's slice of a dataset. Like every read, it rejects a
+    /// feature whose stored envelope differs from its geometry's
+    /// ([`GpbError::EnvelopeMismatch`]), but it can check only the
+    /// features it assembles: a wrong envelope that puts a feature outside
+    /// the window goes unseen.
     pub fn read_layer_window(&self, i: usize, window: &Rect) -> Result<Layer, GpbError> {
         self.decode_layer(i, Some(window))
     }
@@ -541,6 +553,7 @@ impl<'a> GpbReader<'a> {
         let mut coord_at = 0usize;
         for _ in 0..n_features {
             let id = cur.str()?;
+            let envelope_offset = cur.at;
             let envelope = cur.rect()?;
             let struct_offset = cur.at;
             let structure = GeomStructure::decode(&mut cur)?;
@@ -560,7 +573,15 @@ impl<'a> GpbReader<'a> {
             }
             let coord_start = coord_at;
             coord_at += structure.coord_count();
-            pending.push(Pending { id, envelope, structure, coord_start, attrs, struct_offset });
+            pending.push(Pending {
+                id,
+                envelope,
+                envelope_offset,
+                structure,
+                coord_start,
+                attrs,
+                struct_offset,
+            });
         }
 
         let coords_offset = cur.at;
@@ -587,7 +608,8 @@ impl<'a> GpbReader<'a> {
         Ok(PendingLayer { pending, xs, ys })
     }
 
-    /// Assembles one pending feature from its layer's columnar coords.
+    /// Assembles one pending feature from its layer's columnar coords,
+    /// checking its stored envelope against the assembled geometry.
     fn assemble_one(
         &self,
         p: &Pending<'a>,
@@ -599,6 +621,9 @@ impl<'a> GpbReader<'a> {
             .structure
             .assemble(&src)
             .map_err(|source| GpbError::Geometry { offset: p.struct_offset, source })?;
+        if geometry.envelope() != p.envelope {
+            return Err(GpbError::EnvelopeMismatch { offset: p.envelope_offset });
+        }
         let mut feature = Feature::new(p.id, geometry);
         for &(k, v) in &p.attrs {
             feature
@@ -632,6 +657,7 @@ impl<'a> GpbReader<'a> {
 struct Pending<'a> {
     id: &'a str,
     envelope: Rect,
+    envelope_offset: usize,
     structure: GeomStructure,
     coord_start: usize,
     attrs: Vec<(u32, u32)>,
@@ -897,6 +923,44 @@ mod tests {
                 assert!(ds.reference.len() <= 1);
             }
         }
+    }
+
+    /// The 32 bytes `put_rect` writes for `r`.
+    fn rect_bytes(r: &Rect) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_rect(&mut out, r);
+        out
+    }
+
+    #[test]
+    fn stored_envelope_must_match_the_geometry() {
+        // POINT (3 4)'s stored envelope, rewritten to a far-away box.
+        let bytes = to_gpb(&sample());
+        let stored = rect_bytes(&Rect::of_point(coord(3.0, 4.0)));
+        let at = bytes.windows(32).position(|w| w == stored.as_slice()).unwrap();
+        assert_eq!(bytes.windows(32).filter(|w| *w == stored.as_slice()).count(), 1);
+        let mut v = bytes.clone();
+        let far = Rect::of_point(coord(50.0, 50.0));
+        v[at..at + 32].copy_from_slice(&rect_bytes(&far));
+
+        let err = from_gpb(&v).unwrap_err();
+        assert!(matches!(err, GpbError::EnvelopeMismatch { offset } if offset == at), "{err}");
+        assert_eq!(
+            err.to_string(),
+            format!("stored envelope at byte {at} does not match its geometry")
+        );
+        let reader = GpbReader::open(&v).unwrap();
+        assert!(reader.read_layer(0).is_ok());
+        assert!(matches!(reader.read_layer(1), Err(GpbError::EnvelopeMismatch { .. })));
+        assert!(matches!(
+            reader.read_layer_window(1, &far),
+            Err(GpbError::EnvelopeMismatch { .. })
+        ));
+        // A window that excludes the stored envelope never assembles the
+        // feature, so it cannot check it.
+        let window = reader.read_layer_window(1, &Rect::new(coord(5.0, 5.0), coord(6.0, 6.0)));
+        let ids: Vec<String> = window.unwrap().features().iter().map(|f| f.id.clone()).collect();
+        assert_eq!(ids, ["ls", "poly", "mpoly"]);
     }
 
     fn version_of(bytes: &[u8]) -> u32 {

@@ -1,18 +1,15 @@
 //! An R-tree spatial index.
 //!
-//! Supports Sort-Tile-Recursive (STR) bulk loading for static layers and
-//! incremental insertion (least-enlargement descent with quadratic split)
-//! for growing ones. The predicate-extraction engine uses envelope queries
-//! to prune the candidate (reference, relevant) feature pairs before any
-//! exact DE-9IM computation — the cost centre the paper identifies
-//! ("the computational cost relies on the spatial predicate extraction").
+//! Built once per layer by Sort-Tile-Recursive (STR) bulk loading. The
+//! predicate-extraction engine uses envelope queries to prune the
+//! candidate (reference, relevant) feature pairs before any exact DE-9IM
+//! computation — the cost centre the paper identifies ("the computational
+//! cost relies on the spatial predicate extraction").
 
-use geopattern_geom::{Coord, Rect};
+use geopattern_geom::Rect;
 
 /// Maximum number of entries per node.
 const MAX_ENTRIES: usize = 8;
-/// Minimum fill after a split.
-const MIN_ENTRIES: usize = 3;
 
 /// Anything indexable: it must expose an envelope.
 pub trait HasEnvelope {
@@ -47,19 +44,13 @@ impl Node {
 pub struct RTree {
     root: Option<Node>,
     bboxes: Vec<Rect>,
-    len: usize,
 }
 
 impl RTree {
-    /// Empty tree.
-    pub fn new() -> RTree {
-        RTree { root: None, bboxes: Vec::new(), len: 0 }
-    }
-
     /// Bulk loads a tree over `items` with STR packing.
     pub fn bulk_load<T: HasEnvelope>(items: &[T]) -> RTree {
         let bboxes: Vec<Rect> = items.iter().map(|t| t.envelope()).collect();
-        let mut tree = RTree { root: None, bboxes, len: items.len() };
+        let mut tree = RTree { root: None, bboxes };
         if items.is_empty() {
             return tree;
         }
@@ -115,120 +106,30 @@ impl RTree {
 
     /// Number of indexed items.
     pub fn len(&self) -> usize {
-        self.len
+        self.bboxes.len()
     }
 
     /// True when no items are indexed.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.bboxes.is_empty()
     }
 
-    /// Inserts an item with the given envelope; returns its index
-    /// (contiguous with the bulk-loaded items).
-    pub fn insert(&mut self, envelope: Rect) -> usize {
-        let id = self.bboxes.len();
-        self.bboxes.push(envelope);
-        self.len += 1;
-        match self.root.take() {
-            None => {
-                self.root = Some(Node::Leaf { entries: vec![id], bbox: envelope });
-            }
-            Some(mut root) => {
-                if let Some(sibling) = Self::insert_rec(&self.bboxes, &mut root, id, envelope) {
-                    let bbox = root.bbox().union(&sibling.bbox());
-                    self.root = Some(Node::Inner { children: vec![root, sibling], bbox });
-                } else {
-                    self.root = Some(root);
-                }
-            }
-        }
-        id
-    }
-
-    fn insert_rec(bboxes: &[Rect], node: &mut Node, id: usize, env: Rect) -> Option<Node> {
-        match node {
-            Node::Leaf { entries, bbox } => {
-                entries.push(id);
-                *bbox = bbox.union(&env);
-                if entries.len() > MAX_ENTRIES {
-                    Some(Self::split_leaf(bboxes, entries, bbox))
-                } else {
-                    None
-                }
-            }
-            Node::Inner { children, bbox } => {
-                *bbox = bbox.union(&env);
-                // Least-enlargement child, ties broken by smaller area.
-                let best = children
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| {
-                        let ea = a.bbox().enlargement(&env);
-                        let eb = b.bbox().enlargement(&env);
-                        ea.partial_cmp(&eb)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then_with(|| {
-                                a.bbox()
-                                    .area()
-                                    .partial_cmp(&b.bbox().area())
-                                    .unwrap_or(std::cmp::Ordering::Equal)
-                            })
-                    })
-                    .map(|(i, _)| i)
-                    .expect("inner nodes are never empty");
-                if let Some(new_child) = Self::insert_rec(bboxes, &mut children[best], id, env) {
-                    children.push(new_child);
-                    if children.len() > MAX_ENTRIES {
-                        return Some(Self::split_inner(children, bbox));
-                    }
-                }
-                None
-            }
-        }
-    }
-
-    fn split_leaf(bboxes: &[Rect], entries: &mut Vec<usize>, bbox: &mut Rect) -> Node {
-        let items = std::mem::take(entries);
-        let rects: Vec<Rect> = items.iter().map(|&i| bboxes[i]).collect();
-        let (ga, gb) = quadratic_split(&rects);
-        let left: Vec<usize> = ga.iter().map(|&p| items[p]).collect();
-        let right: Vec<usize> = gb.iter().map(|&p| items[p]).collect();
-        let lbox = left.iter().fold(Rect::EMPTY, |acc, &i| acc.union(&bboxes[i]));
-        let rbox = right.iter().fold(Rect::EMPTY, |acc, &i| acc.union(&bboxes[i]));
-        *entries = left;
-        *bbox = lbox;
-        Node::Leaf { entries: right, bbox: rbox }
-    }
-
-    fn split_inner(children: &mut Vec<Node>, bbox: &mut Rect) -> Node {
-        let items = std::mem::take(children);
-        let rects: Vec<Rect> = items.iter().map(|n| n.bbox()).collect();
-        let (ga, gb) = quadratic_split(&rects);
-        let mut left = Vec::new();
-        let mut right = Vec::new();
-        for (i, n) in items.into_iter().enumerate() {
-            if ga.contains(&i) {
-                left.push(n);
-            } else {
-                debug_assert!(gb.contains(&i));
-                right.push(n);
-            }
-        }
-        let lbox = left.iter().fold(Rect::EMPTY, |acc, n| acc.union(&n.bbox()));
-        let rbox = right.iter().fold(Rect::EMPTY, |acc, n| acc.union(&n.bbox()));
-        *children = left;
-        *bbox = lbox;
-        Node::Inner { children: right, bbox: rbox }
-    }
-
-    /// All item indices whose envelope intersects `query`.
+    /// All item indices whose envelope intersects `query`, ascending.
     pub fn query_rect(&self, query: &Rect) -> Vec<usize> {
         let mut out = Vec::new();
+        self.query_rect_into(query, &mut out);
+        out
+    }
+
+    /// [`RTree::query_rect`] into `out`, which is cleared first: a caller
+    /// that keeps one buffer for many queries allocates only while it
+    /// grows.
+    pub fn query_rect_into(&self, query: &Rect, out: &mut Vec<usize>) {
+        out.clear();
         if let Some(root) = &self.root {
-            self.query_rec(root, query, &mut out);
+            self.query_rec(root, query, out);
         }
         out.sort_unstable();
-        out
     }
 
     fn query_rec(&self, node: &Node, query: &Rect, out: &mut Vec<usize>) {
@@ -251,15 +152,6 @@ impl RTree {
         }
     }
 
-    /// All item indices whose envelope lies within `max_dist` of `point`.
-    pub fn query_within_distance(&self, point: Coord, max_dist: f64) -> Vec<usize> {
-        let query = Rect::of_point(point).buffered(max_dist);
-        self.query_rect(&query)
-            .into_iter()
-            .filter(|&i| self.bboxes[i].distance_to_point(point) <= max_dist)
-            .collect()
-    }
-
     /// All item indices whose envelope intersects `rect` buffered by
     /// `margin` on every side — the spatial window query used by bounded
     /// distance-band extraction (a geometry within distance `d` of `rect`
@@ -267,85 +159,6 @@ impl RTree {
     pub fn query_window(&self, rect: &Rect, margin: f64) -> Vec<usize> {
         self.query_rect(&rect.buffered(margin))
     }
-
-    /// The envelope stored for item `i`.
-    pub fn envelope_of(&self, i: usize) -> Rect {
-        self.bboxes[i]
-    }
-
-    /// Height of the tree (0 when empty, 1 for a single leaf).
-    pub fn height(&self) -> usize {
-        fn depth(n: &Node) -> usize {
-            match n {
-                Node::Leaf { .. } => 1,
-                Node::Inner { children, .. } => 1 + children.iter().map(depth).max().unwrap_or(0),
-            }
-        }
-        self.root.as_ref().map(depth).unwrap_or(0)
-    }
-}
-
-impl Default for RTree {
-    fn default() -> Self {
-        RTree::new()
-    }
-}
-
-/// Guttman's quadratic split: picks the pair of seeds wasting the most
-/// area, then assigns each remaining rect to the group whose bbox grows
-/// least, respecting the minimum fill.
-fn quadratic_split(rects: &[Rect]) -> (Vec<usize>, Vec<usize>) {
-    debug_assert!(rects.len() >= 2);
-    // Seed selection.
-    let mut worst = (0, 1, f64::NEG_INFINITY);
-    for i in 0..rects.len() {
-        for j in (i + 1)..rects.len() {
-            let waste = rects[i].union(&rects[j]).area() - rects[i].area() - rects[j].area();
-            if waste > worst.2 {
-                worst = (i, j, waste);
-            }
-        }
-    }
-    let mut ga = vec![worst.0];
-    let mut gb = vec![worst.1];
-    let mut boxa = rects[worst.0];
-    let mut boxb = rects[worst.1];
-    let mut remaining: Vec<usize> = (0..rects.len()).filter(|&i| i != worst.0 && i != worst.1).collect();
-
-    while let Some(pos) = pick_next(&remaining, &boxa, &boxb, rects) {
-        let i = remaining.swap_remove(pos);
-        let need_a = MIN_ENTRIES.saturating_sub(ga.len());
-        let need_b = MIN_ENTRIES.saturating_sub(gb.len());
-        let to_a = if remaining.len() + 1 == need_a {
-            true
-        } else if remaining.len() + 1 == need_b {
-            false
-        } else {
-            let da = boxa.enlargement(&rects[i]);
-            let db = boxb.enlargement(&rects[i]);
-            da < db || (da == db && ga.len() <= gb.len())
-        };
-        if to_a {
-            ga.push(i);
-            boxa = boxa.union(&rects[i]);
-        } else {
-            gb.push(i);
-            boxb = boxb.union(&rects[i]);
-        }
-    }
-    (ga, gb)
-}
-
-fn pick_next(remaining: &[usize], boxa: &Rect, boxb: &Rect, rects: &[Rect]) -> Option<usize> {
-    remaining
-        .iter()
-        .enumerate()
-        .max_by(|(_, &i), (_, &j)| {
-            let di = (boxa.enlargement(&rects[i]) - boxb.enlargement(&rects[i])).abs();
-            let dj = (boxa.enlargement(&rects[j]) - boxb.enlargement(&rects[j])).abs();
-            di.partial_cmp(&dj).unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .map(|(pos, _)| pos)
 }
 
 #[cfg(test)]
@@ -380,10 +193,9 @@ mod tests {
 
     #[test]
     fn empty_tree() {
-        let t = RTree::new();
+        let t = RTree::bulk_load::<Rect>(&[]);
         assert!(t.is_empty());
         assert_eq!(t.query_rect(&rect(0.0, 0.0, 100.0, 100.0)), Vec::<usize>::new());
-        assert_eq!(t.height(), 0);
     }
 
     #[test]
@@ -391,7 +203,6 @@ mod tests {
         let items = grid(12); // 144 items, multiple levels
         let t = RTree::bulk_load(&items);
         assert_eq!(t.len(), 144);
-        assert!(t.height() >= 2);
         let queries = [
             rect(0.0, 0.0, 25.0, 25.0),
             rect(50.0, 50.0, 55.0, 55.0),
@@ -405,58 +216,19 @@ mod tests {
     }
 
     #[test]
-    fn incremental_insert_matches_brute_force() {
-        let items = grid(10);
-        let mut t = RTree::new();
-        for r in &items {
-            t.insert(*r);
-        }
-        assert_eq!(t.len(), 100);
-        let queries = [
-            rect(0.0, 0.0, 25.0, 25.0),
-            rect(45.0, 45.0, 60.0, 60.0),
-            rect(200.0, 200.0, 300.0, 300.0),
-        ];
-        for q in queries {
-            assert_eq!(t.query_rect(&q), brute_force(&items, &q), "query {q:?}");
-        }
-    }
-
-    #[test]
-    fn mixed_bulk_and_insert() {
-        let base = grid(6);
-        let mut t = RTree::bulk_load(&base);
-        let extra = rect(1000.0, 1000.0, 1001.0, 1001.0);
-        let id = t.insert(extra);
-        assert_eq!(id, base.len());
-        assert_eq!(t.query_rect(&rect(999.0, 999.0, 1002.0, 1002.0)), vec![id]);
-        // Old items still findable.
-        assert_eq!(
-            t.query_rect(&rect(0.0, 0.0, 4.0, 4.0)),
-            brute_force(&base, &rect(0.0, 0.0, 4.0, 4.0))
-        );
-    }
-
-    #[test]
-    fn query_within_distance() {
+    fn query_window_matches_brute_force() {
         let items = grid(5);
         let t = RTree::bulk_load(&items);
-        // Point at origin; items are 10 apart with 5x5 boxes.
-        let near = t.query_within_distance(coord(0.0, 0.0), 6.0);
-        assert!(near.contains(&0)); // the (0,0) cell, distance 0
-        for &i in &near {
-            assert!(t.envelope_of(i).distance_to_point(coord(0.0, 0.0)) <= 6.0);
-        }
-        // Brute-force cross-check.
-        let expected: Vec<usize> = items
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.distance_to_point(coord(0.0, 0.0)) <= 6.0)
-            .map(|(i, _)| i)
-            .collect();
-        let mut near_sorted = near.clone();
-        near_sorted.sort_unstable();
-        assert_eq!(near_sorted, expected);
+        // Items are 10 apart with 5x5 boxes: a 6-unit margin around the
+        // (0,0) cell reaches its right and upper neighbours, not beyond.
+        let window = rect(0.0, 0.0, 5.0, 5.0);
+        let near = t.query_window(&window, 6.0);
+        assert_eq!(near, brute_force(&items, &window.buffered(6.0)));
+        assert_eq!(near, vec![0, 1, 5, 6]);
+        // The buffer-reusing form clears what the buffer held.
+        let mut out = vec![99];
+        t.query_rect_into(&window.buffered(6.0), &mut out);
+        assert_eq!(out, near);
     }
 
     #[test]
@@ -471,17 +243,14 @@ mod tests {
 
     #[test]
     fn overlapping_items() {
-        // Heavily overlapping rectangles stress the split heuristics.
+        // Heavily overlapping rectangles: every leaf box overlaps others.
         let items: Vec<Rect> = (0..80)
             .map(|i| {
                 let f = i as f64;
                 rect(f * 0.5, f * 0.25, f * 0.5 + 20.0, f * 0.25 + 20.0)
             })
             .collect();
-        let mut t = RTree::new();
-        for r in &items {
-            t.insert(*r);
-        }
+        let t = RTree::bulk_load(&items);
         let q = rect(10.0, 5.0, 12.0, 6.0);
         assert_eq!(t.query_rect(&q), brute_force(&items, &q));
     }

@@ -190,7 +190,7 @@ cargo test --release -q -p geopattern-integration --test bitmap_properties
 echo "==> point-location gate (quant → exact equals Ring::locate and RingIndex::locate; certain grid answers exact)"
 cargo test --release -q -p geopattern-integration --test quant_properties
 
-echo "==> candidate-pair gate (classify on compiled patterns equals the string-pattern version on all 4^9 matrices x 9 dimension pairs; warm relate_to + classify and distance_within allocate nothing)"
+echo "==> candidate-pair gate (classify on compiled patterns equals the string-pattern version on all 4^9 matrices x 9 dimension pairs; warm relate_to + classify and distance_within allocate nothing; preparation budgets: a 4-vertex polygon in <= 8 allocations, a point in 0, a serial grid-20 city extraction in <= 25 per reference row)"
 cargo test --release -q -p geopattern-qsr --test classify_exhaustive
 cargo test --release -q -p geopattern-integration --test pair_allocations
 

@@ -6,6 +6,11 @@
 //! intervals, curve coverage), and a boundary probe that point location
 //! hands to the exact `RingIndex`.
 //!
+//! Preparation has budgets too: a 4-vertex polygon's lazy indexes take at
+//! most 8 heap blocks, a point's none, and a serial extraction over a
+//! generated city stays under a fixed number of allocations per
+//! reference row.
+//!
 //! A `#[global_allocator]` wraps `System` and counts on a thread-local,
 //! because the harness runs tests on parallel threads and a global count
 //! would see theirs.
@@ -15,10 +20,12 @@ use std::cell::Cell;
 use std::f64::consts::TAU;
 use std::hint::black_box;
 
+use geopattern_datagen::{generate_city, CityConfig};
 use geopattern_geom::{
     from_wkt, relate, take_kernel_counters, Geometry, Polygon, PreparedGeometry,
 };
 use geopattern_qsr::{classify, TopologicalRelation};
+use geopattern_sdb::{extract_predicates, ExtractionConfig, Layer};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -200,4 +207,49 @@ fn warm_distance_within_allocates_nothing() {
         }
     }
     assert!(take_kernel_counters().pairs_exact > 0, "the tree traversals ran");
+}
+
+/// A cold `relate_to` that prepares `wkt`'s geometry (borrowed, not
+/// cloned) against an already prepared square, after this thread's
+/// first build has sized its scratch buffers.
+fn cold_preparation(wkt: &str) -> u64 {
+    let square = prep(SQUARE);
+    warm_relate_allocates_nothing(&prep(SQUARE), &square, "warm-up");
+    let geometry = from_wkt(wkt).unwrap();
+    allocations(|| {
+        let prepared = PreparedGeometry::new(&geometry);
+        black_box(prepared.relate_to(&square));
+    })
+}
+
+#[test]
+fn preparing_a_4_vertex_polygon_takes_at_most_8_allocations() {
+    let cold = cold_preparation("POLYGON ((2 2, 4 2, 4 4, 2 4, 2 2))");
+    assert!(cold <= 8, "{cold} allocations");
+}
+
+#[test]
+fn preparing_a_point_allocates_nothing() {
+    assert_eq!(cold_preparation("POINT (5 5)"), 0);
+}
+
+/// Allocations per reference row of one serial, topological extraction
+/// over a generated city, everything included: preparation, R-tree
+/// queries, rows and the merge into a table. The grid-20 city below
+/// takes 9,435 (23.6 per row), so the bound leaves a margin of about 6%.
+const EXTRACTION_ALLOCATIONS_PER_ROW: u64 = 25;
+
+#[test]
+fn serial_extraction_stays_under_its_per_row_budget() {
+    let city = generate_city(&CityConfig { grid: 20, ..CityConfig::default() });
+    let relevant: Vec<&Layer> = city.relevant.iter().collect();
+    let config = ExtractionConfig::default();
+    let rows = city.reference.len() as u64;
+    let total = allocations(|| {
+        black_box(extract_predicates(&city.reference, &relevant, &config).unwrap());
+    });
+    assert!(
+        total <= EXTRACTION_ALLOCATIONS_PER_ROW * rows,
+        "{total} allocations for {rows} rows"
+    );
 }
