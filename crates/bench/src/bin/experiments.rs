@@ -15,12 +15,15 @@
 //! serial vs N-thread wall-clock for predicate extraction and support
 //! counting on a large generated city, with outputs verified identical.
 //! The `kernel` subcommand benchmarks the segment-indexed geometry kernel
-//! against the brute-force one on layers of growing vertex count, plus
-//! quant → exact point location against the exact segment index alone,
-//! and re-runs a small extraction across thread counts to prove the
-//! outputs bit-identical; with `--check` it exits non-zero unless
-//! quant → exact point location beats the exact index by ≥ 2x on the
-//! largest layer in the run and lattice fallbacks stay under 5%. The
+//! against the brute-force one on layers of growing vertex count, the
+//! relation entry point (which stops once the relation is decided)
+//! against the full matrix, plus quant → exact point location against
+//! the exact segment index alone, and re-runs a small extraction across
+//! thread counts to prove the outputs bit-identical; any output that
+//! differs from its reference aborts it, and with `--check` it exits
+//! non-zero unless quant → exact point location beats the exact index by
+//! ≥ 2x on the largest layer in the run and lattice fallbacks stay under
+//! 5%. The
 //! `counting` subcommand races the support-counting strategies
 //! (hash-subset, bitmap and the default auto) on two workloads — the
 //! dense seed-42 one and a seeded sparse-basket one, one per side of the
@@ -1090,7 +1093,10 @@ struct LocateRow {
 /// bit-identical first:
 ///
 /// * **relate** — full DE-9IM matrices over every envelope-intersecting
-///   cross pair (the extraction workload for topological predicates);
+///   cross pair, and on the same pairs the relation entry point
+///   (`PreparedGeometry::relation`, the call extraction makes), which
+///   stops the engine once the relation is decided; every pair's relation
+///   is first checked equal to `classify` of its `relate_to` matrix;
 /// * **bounded distance** — `PreparedGeometry::distance_within` against
 ///   `geometry_distance` + threshold over a fixed pair sample (the
 ///   extraction workload for a bounded distance scheme), where the
@@ -1103,12 +1109,14 @@ struct LocateRow {
 /// A lattice workload measures how often the quantized grid falls back
 /// to the exact index, and a final stage re-runs a small extraction at
 /// 1, 2 and 8 threads and asserts the predicate tables, rows and stats
-/// identical. With `check`, the run exits non-zero unless quant → exact
-/// beats the exact index alone by ≥ 2x on the largest layer and lattice
-/// fallbacks stay under 5% of probes.
+/// identical. Any output that differs from its reference aborts the run,
+/// with or without `check`. With `check`, the run also exits non-zero
+/// unless quant → exact beats the exact index alone by ≥ 2x on the
+/// largest layer and lattice fallbacks stay under 5% of probes.
 fn print_kernel(max_vertices: usize, check: bool) {
     use geopattern_geom::{
-        geometry_distance, relate, take_kernel_counters, Geometry, PreparedGeometry, PreparedRing,
+        classify, geometry_distance, relate, take_kernel_counters, Geometry, PreparedGeometry,
+        PreparedRing,
     };
 
     header("Geometry kernel — segment-indexed vs brute-force");
@@ -1137,6 +1145,8 @@ fn print_kernel(max_vertices: usize, check: bool) {
 
     let mut rows = Vec::new();
     let mut locate_rows: Vec<LocateRow> = Vec::new();
+    // (vertices, pairs, relate_to µs, relation µs, speedup)
+    let mut relation_rows: Vec<(usize, usize, u128, u128, f64)> = Vec::new();
     for &vertices in &sizes {
         let mut rng = geopattern_testkit::Rng::seed_from_u64(42 + vertices as u64);
         let la = geopattern_datagen::random_layer(&mut rng, "a", COUNT, vertices, EXTENT);
@@ -1162,9 +1172,13 @@ fn print_kernel(max_vertices: usize, check: bool) {
         let dist_pairs: Vec<(usize, usize)> =
             (0..COUNT * COUNT).step_by(stride).map(|k| (k / COUNT, k % COUNT)).collect();
 
-        // Correctness first: both paths must agree exactly on this workload.
+        // Correctness first: both paths must agree exactly on this workload,
+        // and the relation must be the one `classify` reads off the matrix.
         for &(i, j) in &relate_pairs {
-            assert_eq!(pa[i].relate_to(&pb[j]), relate(ga[i], gb[j]), "relate diverged");
+            let m = pa[i].relate_to(&pb[j]);
+            assert_eq!(m, relate(ga[i], gb[j]), "relate diverged");
+            let (da, db) = (ga[i].dimension(), gb[j].dimension());
+            assert_eq!(pa[i].relation(&pb[j]), classify(&m, da, db), "relation diverged");
         }
         for &(i, j) in &dist_pairs {
             let d = geometry_distance(ga[i], gb[j]);
@@ -1183,6 +1197,19 @@ fn print_kernel(max_vertices: usize, check: bool) {
                 std::hint::black_box(pa[i].relate_to(&pb[j]));
             }
         });
+        let relation_us = time_us_n(reps, || {
+            for &(i, j) in &relate_pairs {
+                std::hint::black_box(pa[i].relation(&pb[j]));
+            }
+        });
+        let relation_speedup = relate_indexed_us as f64 / relation_us.max(1) as f64;
+        relation_rows.push((
+            vertices,
+            relate_pairs.len(),
+            relate_indexed_us,
+            relation_us,
+            relation_speedup,
+        ));
         let dist_brute_us = time_us_n(reps, || {
             for &(i, j) in &dist_pairs {
                 std::hint::black_box(geometry_distance(ga[i], gb[j]) <= BOUND);
@@ -1260,6 +1287,7 @@ fn print_kernel(max_vertices: usize, check: bool) {
         rows.push(format!(
             "{{\"vertices\":{vertices},\"relate_pairs\":{},\"relate_brute_us\":{relate_brute_us},\
              \"relate_indexed_us\":{relate_indexed_us},\"relate_speedup\":{},\
+             \"relation_us\":{relation_us},\"relation_speedup\":{},\
              \"distance_pairs\":{},\"distance_brute_us\":{dist_brute_us},\
              \"distance_indexed_us\":{dist_indexed_us},\"distance_speedup\":{},\
              \"distance_early_exit\":{},\"segtree_nodes_visited\":{},\"pairs_exact\":{},\
@@ -1269,6 +1297,7 @@ fn print_kernel(max_vertices: usize, check: bool) {
              \"quant_fallback_exact\":{}}}",
             relate_pairs.len(),
             json_f64(relate_speedup),
+            json_f64(relation_speedup),
             dist_pairs.len(),
             json_f64(dist_speedup),
             counters.distance_early_exit,
@@ -1282,6 +1311,18 @@ fn print_kernel(max_vertices: usize, check: bool) {
         ));
     }
     println!("\nall indexed outputs verified bit-identical to brute-force");
+
+    println!(
+        "\nrelation — the engine until the relation is decided vs the full matrix \
+         (relation = classify(relate_to) verified per pair)"
+    );
+    println!(
+        "{:>9} {:>7} {:>14} {:>12} {:>8}",
+        "vertices", "pairs", "relate_to µs", "relation µs", "speedup"
+    );
+    for &(vertices, pairs, full_us, relation_us, speedup) in &relation_rows {
+        println!("{vertices:>9} {pairs:>7} {full_us:>14} {relation_us:>12} {speedup:>7.2}x");
+    }
 
     println!(
         "\npoint location — quant → exact vs the exact index alone (identity verified per probe)"

@@ -20,7 +20,10 @@
 //!   point-in-polygon, interior points, centroids and minimum distances
 //!   ([`algorithms`]);
 //! * the **DE-9IM `relate` engine** ([`mod@relate`]) producing full
-//!   [`IntersectionMatrix`] values for every geometry-class pair;
+//!   [`IntersectionMatrix`] values for every geometry-class pair, the
+//!   Egenhofer [`TopologicalRelation`] [`classify`] reads off them, and a
+//!   relation entry point ([`PreparedGeometry::relation`]) that stops the
+//!   engine as soon as the relation is decided;
 //! * WKT reading/writing ([`wkt`]) for dataset IO.
 //!
 //! # Example
@@ -64,7 +67,10 @@ pub use point::{MultiPoint, Point};
 pub use polygon::{MultiPolygon, PointLocation, Polygon, Ring};
 pub use prepared::PreparedGeometry;
 pub use quant::{PreparedRing, QuantRing, Quantizer};
-pub use relate::{intersects, relate, CellWords, Dim, IntersectionMatrix, Part, Pattern};
+pub use relate::{
+    classify, classify_lower_bound, intersects, relate, CellWords, Dim, IntersectionMatrix, Part,
+    Pattern, TopologicalRelation,
+};
 pub use robust::{orient2d, orientation, Orientation};
 pub use segment::{SegSegIntersection, Segment};
 pub use segtree::{take_kernel_counters, KernelCounters, RingIndex, SegTree};

@@ -16,6 +16,14 @@
 //! [`crate::relate()`]. The same indexes power [`PreparedGeometry::distance_within`],
 //! a branch-and-bound bounded minimum distance.
 //!
+//! The relate machinery has two entry points here:
+//!
+//! * [`PreparedGeometry::relate_to`], the oracle: the full DE-9IM matrix;
+//! * [`PreparedGeometry::relation`]: the Egenhofer relation `classify`
+//!   reads off that matrix, from a run of the same engine that stops as
+//!   soon as the cells computed so far decide it. Predicate extraction
+//!   calls this one; it never differs from `classify(relate_to(..))`.
+//!
 //! Preparation is allocation-lean. A prepared geometry holds its geometry
 //! owned or borrowed (`PreparedGeometry<&Geometry>`), so a caller that
 //! keeps its features copies none. A point or multi-point prepares
@@ -30,7 +38,9 @@ use crate::coord::Coord;
 use crate::geometry::{GeomDim, Geometry};
 use crate::polygon::PointLocation;
 use crate::relate::shapes::{point_set, PreparedAreal, PreparedShape, Shape};
-use crate::relate::{relate_shapes, Dim, IntersectionMatrix, Part};
+use crate::relate::{
+    classify, relate_shapes, Dim, IntersectionMatrix, Part, TopologicalRelation, Until,
+};
 use crate::segment::Segment;
 use crate::segtree::{self, SegTree};
 use std::borrow::Borrow;
@@ -96,15 +106,40 @@ impl<G: Borrow<Geometry>> PreparedGeometry<G> {
         self.prepared().as_shape(self.geometry())
     }
 
-    /// Relates `self` to `other`, with the envelope-disjoint fast path.
+    /// Relates `self` to `other`, with the envelope-disjoint fast path:
+    /// the full DE-9IM matrix, bit-identical to [`crate::relate()`]. This
+    /// is the engine's oracle.
     pub fn relate_to<H: Borrow<Geometry>>(
         &self,
         other: &PreparedGeometry<H>,
     ) -> IntersectionMatrix {
+        self.relate_until(other, Until::Complete)
+    }
+
+    /// The Egenhofer relation of `self` to `other`: [`classify`] of
+    /// [`PreparedGeometry::relate_to`]'s matrix, from the same engine run
+    /// only until the cells computed so far decide the class
+    /// ([`crate::classify_lower_bound`]). A pair of overlapping regions
+    /// stops once one fragment of the first boundary lies inside the
+    /// second region and one outside.
+    pub fn relation<H: Borrow<Geometry>>(
+        &self,
+        other: &PreparedGeometry<H>,
+    ) -> TopologicalRelation {
+        let (da, db) = (self.geometry().dimension(), other.geometry().dimension());
+        classify(&self.relate_until(other, Until::Decided(da, db)), da, db)
+    }
+
+    /// The engine run behind both entry points.
+    fn relate_until<H: Borrow<Geometry>>(
+        &self,
+        other: &PreparedGeometry<H>,
+        until: Until,
+    ) -> IntersectionMatrix {
         if !self.envelope.intersects(&other.envelope) {
             return disjoint_matrix(self, other);
         }
-        relate_shapes(&self.shape(), &other.shape())
+        relate_shapes(&self.shape(), &other.shape(), until)
     }
 
     /// Minimum distance between the geometries if it does not exceed
@@ -280,6 +315,11 @@ mod tests {
                     pa.relate_to(&pb).transposed(),
                     "transpose consistency for {a} vs {b}"
                 );
+                assert_eq!(
+                    pa.relation(&pb),
+                    TopologicalRelation::Disjoint,
+                    "{a} vs {b}"
+                );
             }
         }
     }
@@ -334,6 +374,13 @@ mod tests {
                 pb.relate_to(&pa),
                 pa.relate_to(&pb).transposed(),
                 "transpose consistency for {wa} vs {wb}"
+            );
+            let (da, db) = (pa.geometry().dimension(), pb.geometry().dimension());
+            let brute = classify(&relate(pa.geometry(), pb.geometry()), da, db);
+            assert_eq!(
+                pa.relation(&pb),
+                brute,
+                "relation diverged for {wa} vs {wb}"
             );
         }
     }

@@ -190,6 +190,25 @@ impl CellWords {
             && d1 & !one == 0
             && d2 & !two == 0
     }
+
+    /// The pattern test on a *lower bound* of a matrix, whose cells may
+    /// still rise but never fall, as far as the bound settles it:
+    /// `Some(true)` when every completion matches (the `T` and `2` cells
+    /// match already and there is no `F`, `0` or `1` cell, the cells a rise
+    /// could break), `Some(false)` when none does (an `F` cell is non-empty
+    /// already, or an exact cell is above its digit), `None` otherwise.
+    #[inline]
+    pub(crate) const fn settled(self, p: Pattern) -> Option<bool> {
+        let [empty, _, one, two] = self.by_dim;
+        let [f, d0, d1, _] = p.exact;
+        if f & !empty != 0 || d0 & (one | two) != 0 || d1 & two != 0 {
+            Some(false)
+        } else if f | d0 | d1 == 0 && self.matches(p) {
+            Some(true)
+        } else {
+            None
+        }
+    }
 }
 
 /// Why a nine-cell DE-9IM string did not parse.

@@ -1,9 +1,18 @@
-//! DE-9IM computation (`relate`) for every pair of supported geometries.
+//! DE-9IM computation (`relate`) for every pair of supported geometries,
+//! and the Egenhofer relation read from it.
 //!
-//! The entry point is [`relate`], which returns the full
-//! [`IntersectionMatrix`] of two geometries. Named predicates and the
-//! Egenhofer relation classification live in `geopattern-qsr`, which
-//! interprets the matrices produced here.
+//! The engine has two entry points, both over the same per-class-pair
+//! bodies:
+//!
+//! * **the oracle**, [`relate`] (and the indexed
+//!   [`crate::PreparedGeometry::relate_to`]), which returns the full
+//!   [`IntersectionMatrix`] of two geometries;
+//! * **the relation**, [`crate::PreparedGeometry::relation`], which
+//!   returns the [`TopologicalRelation`] that [`classify`] reads off that
+//!   matrix, and stops as soon as the cells computed so far decide it.
+//!
+//! Named predicates and the relation classification (the [`relation`]
+//! module) are pattern tests on the matrices produced here.
 //!
 //! # Method
 //!
@@ -23,6 +32,21 @@
 //! All *existence* decisions route through the robust orientation
 //! predicate; only the coordinates of split points are rounded.
 //!
+//! # Stopping early
+//!
+//! Cells start empty and only rise as evidence arrives, so a matrix under
+//! construction is a lower bound of the final one. A run carries a stop
+//! rule: the oracle's never fires, and the relation's fires once
+//! [`classify_lower_bound`] decides the class, which no later rise can then
+//! change. The curve × region and region × region bodies raise their cells
+//! the first time a kind of fragment appears and test the rule only then,
+//! a few times per pair. Only `overlaps` and `crosses` can settle early,
+//! and one fragment of a boundary (or curve) inside the other operand and
+//! one outside settle them. Every other relation rests on `F` cells and
+//! runs to the end. The point classes and curve × curve take no rule: the
+//! first are linear in their points, and the second gathers its exterior
+//! cells last, so no class of it settles before its matrix is complete.
+//!
 //! # Precision caveat
 //!
 //! Fragment midpoints are classified in floating point. Adversarial inputs
@@ -31,34 +55,70 @@
 //! scale) are far from this regime.
 
 pub mod matrix;
+pub mod relation;
 pub mod shapes;
 
 pub use matrix::{CellWords, Dim, IntersectionMatrix, Part, Pattern};
+pub use relation::{classify, classify_lower_bound, TopologicalRelation};
 
-use crate::geometry::Geometry;
+use crate::geometry::{GeomDim, Geometry};
 use crate::polygon::PointLocation;
 use crate::segment::SegSegIntersection;
-use shapes::{shape_of, Areal, Lineal, LinealLocation, Puntal, Shape};
+use shapes::{shape_of, Areal, Fragment, Lineal, LinealLocation, Puntal, Shape};
+
+/// How far a run of the engine goes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Until {
+    /// To the full matrix: the oracle.
+    Complete,
+    /// Until [`classify_lower_bound`] decides the relation of operands of
+    /// these dimensions.
+    Decided(GeomDim, GeomDim),
+}
+
+impl Until {
+    /// The rule for the operands swapped, for a body that computes the
+    /// transposed matrix. Classification commutes with transposition
+    /// (the relation becomes its converse), so the swapped rule fires
+    /// exactly when the original would.
+    fn transposed(self) -> Until {
+        match self {
+            Until::Complete => Until::Complete,
+            Until::Decided(da, db) => Until::Decided(db, da),
+        }
+    }
+
+    /// True when the run may stop at `m`, a lower bound of the final
+    /// matrix.
+    fn reached(self, m: &IntersectionMatrix) -> bool {
+        match self {
+            Until::Complete => false,
+            Until::Decided(da, db) => classify_lower_bound(m, da, db).is_some(),
+        }
+    }
+}
 
 /// Computes the DE-9IM matrix of `a` against `b`.
 pub fn relate(a: &Geometry, b: &Geometry) -> IntersectionMatrix {
-    relate_shapes(&shape_of(a), &shape_of(b))
+    relate_shapes(&shape_of(a), &shape_of(b), Until::Complete)
 }
 
-/// Computes the DE-9IM matrix of two class views. Views carrying segment
-/// indexes (from [`crate::prepared::PreparedGeometry`]) take the indexed
-/// candidate paths; the result is bit-identical either way.
-pub(crate) fn relate_shapes(a: &Shape, b: &Shape) -> IntersectionMatrix {
+/// Runs the engine on two class views until `until` fires: the full
+/// matrix for [`Until::Complete`], otherwise possibly a lower bound of it
+/// that already decides the relation. Views carrying segment indexes
+/// (from [`crate::prepared::PreparedGeometry`]) take the indexed candidate
+/// paths; the result is bit-identical either way.
+pub(crate) fn relate_shapes(a: &Shape, b: &Shape, until: Until) -> IntersectionMatrix {
     match (a, b) {
         (Shape::P(pa), Shape::P(pb)) => relate_pp(pa, pb),
         (Shape::P(p), Shape::L(l)) => relate_pl(p, l),
         (Shape::P(p), Shape::A(ar)) => relate_pa(p, ar),
         (Shape::L(l), Shape::P(p)) => relate_pl(p, l).transposed(),
         (Shape::L(la), Shape::L(lb)) => relate_ll(la, lb),
-        (Shape::L(l), Shape::A(ar)) => relate_la(l, ar),
+        (Shape::L(l), Shape::A(ar)) => relate_la(l, ar, until),
         (Shape::A(ar), Shape::P(p)) => relate_pa(p, ar).transposed(),
-        (Shape::A(ar), Shape::L(l)) => relate_la(l, ar).transposed(),
-        (Shape::A(aa), Shape::A(ab)) => relate_aa(aa, ab),
+        (Shape::A(ar), Shape::L(l)) => relate_la(l, ar, until.transposed()).transposed(),
+        (Shape::A(aa), Shape::A(ab)) => relate_aa(aa, ab, until),
     }
 }
 
@@ -208,27 +268,31 @@ fn relate_ll(a: &Lineal, b: &Lineal) -> IntersectionMatrix {
     m
 }
 
-fn relate_la(l: &Lineal, ar: &Areal) -> IntersectionMatrix {
+fn relate_la(l: &Lineal, ar: &Areal, until: Until) -> IntersectionMatrix {
+    use Part::{Boundary as B, Exterior as E, Interior as I};
     let mut m = IntersectionMatrix::empty();
-    m.set(Part::Exterior, Part::Exterior, Dim::Two);
+    m.set(E, E, Dim::Two);
     // A curve never covers a region's interior.
-    m.set(Part::Exterior, Part::Interior, Dim::Two);
+    m.set(E, I, Dim::Two);
 
     let boundary = ar.boundary_cow();
     let btree = ar.boundary_tree();
-    let flags = shapes::split_classify_indexed(&l.segments, &boundary, btree, ar);
-    if flags.inside {
-        m.raise(Part::Interior, Part::Interior, Dim::One);
-    }
-    if flags.on_boundary {
-        m.raise(Part::Interior, Part::Boundary, Dim::One);
-    }
-    if flags.outside {
-        m.raise(Part::Interior, Part::Exterior, Dim::One);
+    let mut touch_point = false;
+    let stopped = shapes::split_classify_indexed(&l.segments, &boundary, btree, ar, |found| {
+        match found {
+            Fragment::Inside => m.raise(I, I, Dim::One),
+            Fragment::OnBoundary => m.raise(I, B, Dim::One),
+            Fragment::Outside => m.raise(I, E, Dim::One),
+            Fragment::TouchPoint => touch_point = true,
+        }
+        until.reached(&m)
+    });
+    if stopped {
+        return m;
     }
 
     // Isolated curve/boundary touch points: dimension 0 in I×B or B×B.
-    if flags.touch_point {
+    if touch_point {
         let touch = |sa: &crate::segment::Segment,
                          sb: &crate::segment::Segment,
                          m: &mut IntersectionMatrix| {
@@ -238,9 +302,7 @@ fn relate_la(l: &Lineal, ar: &Areal) -> IntersectionMatrix {
                     // fail the exact on-segment test; such a point is
                     // never an exact curve endpoint, so it classifies
                     // as curve-interior.
-                    LinealLocation::Interior | LinealLocation::Exterior => {
-                        m.raise(Part::Interior, Part::Boundary, Dim::Zero)
-                    }
+                    LinealLocation::Interior | LinealLocation::Exterior => m.raise(I, B, Dim::Zero),
                     LinealLocation::Boundary => {}
                 }
             }
@@ -262,9 +324,9 @@ fn relate_la(l: &Lineal, ar: &Areal) -> IntersectionMatrix {
     // Curve endpoints against the region.
     for &bp in l.boundary.iter() {
         match ar.locate(bp) {
-            PointLocation::Inside => m.raise(Part::Boundary, Part::Interior, Dim::Zero),
-            PointLocation::OnBoundary => m.raise(Part::Boundary, Part::Boundary, Dim::Zero),
-            PointLocation::Outside => m.raise(Part::Boundary, Part::Exterior, Dim::Zero),
+            PointLocation::Inside => m.raise(B, I, Dim::Zero),
+            PointLocation::OnBoundary => m.raise(B, B, Dim::Zero),
+            PointLocation::Outside => m.raise(B, E, Dim::Zero),
         }
     }
 
@@ -273,19 +335,62 @@ fn relate_la(l: &Lineal, ar: &Areal) -> IntersectionMatrix {
         .iter()
         .all(|s| shapes::segment_covered_by_indexed(s, &l.segments, l.tree))
     {
-        m.raise(Part::Exterior, Part::Boundary, Dim::One);
+        m.raise(E, B, Dim::One);
     }
     m
 }
 
-fn relate_aa(a: &Areal, b: &Areal) -> IntersectionMatrix {
+fn relate_aa(a: &Areal, b: &Areal, until: Until) -> IntersectionMatrix {
+    use Part::{Boundary as B, Exterior as E, Interior as I};
     let mut m = IntersectionMatrix::empty();
-    m.set(Part::Exterior, Part::Exterior, Dim::Two);
+    m.set(E, E, Dim::Two);
 
+    // Each kind of boundary fragment raises its cells the first time it
+    // appears. A boundary arc of one region strictly inside the other
+    // spans an areal neighbourhood on both sides, hence the 2s it puts in
+    // I×E / E×I.
     let ba = a.boundary_cow();
     let bb = b.boundary_cow();
-    let fa = shapes::split_classify_indexed(&ba, &bb, b.boundary_tree(), b); // ∂A against B
-    let fb = shapes::split_classify_indexed(&bb, &ba, a.boundary_tree(), a); // ∂B against A
+    // ∂A against B.
+    let stopped = shapes::split_classify_indexed(&ba, &bb, b.boundary_tree(), b, |found| {
+        match found {
+            Fragment::Inside => {
+                m.raise(I, I, Dim::Two);
+                m.raise(B, I, Dim::One);
+                m.raise(E, I, Dim::Two);
+            }
+            Fragment::Outside => {
+                m.raise(I, E, Dim::Two);
+                m.raise(B, E, Dim::One);
+            }
+            Fragment::OnBoundary => m.raise(B, B, Dim::One),
+            Fragment::TouchPoint => m.raise(B, B, Dim::Zero),
+        }
+        until.reached(&m)
+    });
+    if stopped {
+        return m;
+    }
+    // ∂B against A.
+    let stopped = shapes::split_classify_indexed(&bb, &ba, a.boundary_tree(), a, |found| {
+        match found {
+            Fragment::Inside => {
+                m.raise(I, I, Dim::Two);
+                m.raise(I, B, Dim::One);
+                m.raise(I, E, Dim::Two);
+            }
+            Fragment::Outside => {
+                m.raise(E, I, Dim::Two);
+                m.raise(E, B, Dim::One);
+            }
+            Fragment::OnBoundary => m.raise(B, B, Dim::One),
+            Fragment::TouchPoint => m.raise(B, B, Dim::Zero),
+        }
+        until.reached(&m)
+    });
+    if stopped {
+        return m;
+    }
 
     // Per-component interior points. A component whose boundary lies
     // entirely on the other operand's boundary (e.g. a polygon exactly
@@ -293,41 +398,20 @@ fn relate_aa(a: &Areal, b: &Areal) -> IntersectionMatrix {
     // its interior point is the only witness. Since each polygon's interior
     // is connected, one point per component makes the tests below complete:
     // any interior region not witnessed by a point forces a boundary
-    // crossing, which the fragment flags catch.
+    // crossing, which the fragments catch.
     let ips_a = a.interior_points();
     let ips_b = b.interior_points();
-    let a_ip_in_b = ips_a.any(|c| b.locate(c) == PointLocation::Inside);
-    let a_ip_out_b = ips_a.any(|c| b.locate(c) == PointLocation::Outside);
-    let b_ip_in_a = ips_b.any(|c| a.locate(c) == PointLocation::Inside);
-    let b_ip_out_a = ips_b.any(|c| a.locate(c) == PointLocation::Outside);
-
-    if fa.inside || fb.inside || a_ip_in_b || b_ip_in_a {
-        m.set(Part::Interior, Part::Interior, Dim::Two);
+    if ips_a.any(|c| b.locate(c) == PointLocation::Inside) {
+        m.raise(I, I, Dim::Two);
     }
-    // A boundary arc of one region strictly inside the other spans an areal
-    // neighbourhood on both sides, hence the 2s in I×E / E×I below.
-    if fb.inside {
-        m.set(Part::Interior, Part::Boundary, Dim::One);
+    if ips_a.any(|c| b.locate(c) == PointLocation::Outside) {
+        m.raise(I, E, Dim::Two);
     }
-    if fa.outside || fb.inside || a_ip_out_b {
-        m.set(Part::Interior, Part::Exterior, Dim::Two);
+    if ips_b.any(|c| a.locate(c) == PointLocation::Inside) {
+        m.raise(I, I, Dim::Two);
     }
-    if fa.inside {
-        m.set(Part::Boundary, Part::Interior, Dim::One);
-    }
-    if fa.on_boundary || fb.on_boundary {
-        m.set(Part::Boundary, Part::Boundary, Dim::One);
-    } else if fa.touch_point || fb.touch_point {
-        m.set(Part::Boundary, Part::Boundary, Dim::Zero);
-    }
-    if fa.outside {
-        m.set(Part::Boundary, Part::Exterior, Dim::One);
-    }
-    if fb.outside || fa.inside || b_ip_out_a {
-        m.set(Part::Exterior, Part::Interior, Dim::Two);
-    }
-    if fb.outside {
-        m.set(Part::Exterior, Part::Boundary, Dim::One);
+    if ips_b.any(|c| a.locate(c) == PointLocation::Outside) {
+        m.raise(E, I, Dim::Two);
     }
     m
 }

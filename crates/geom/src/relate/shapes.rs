@@ -379,32 +379,33 @@ impl PreparedAreal {
     }
 }
 
-/// Classification evidence gathered by splitting a set of segments at their
-/// intersections with a region's boundary and classifying each fragment.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SplitFlags {
-    /// Some fragment lies strictly inside the region.
-    pub inside: bool,
-    /// Some fragment runs along the region's boundary (collinear overlap).
-    pub on_boundary: bool,
-    /// Some fragment lies strictly outside the region.
-    pub outside: bool,
-    /// Some isolated intersection point with the boundary exists.
-    pub touch_point: bool,
+/// What a piece of a boundary or curve segment is, once the segment is
+/// split at its intersections with a region's boundary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fragment {
+    /// A fragment strictly inside the region.
+    Inside,
+    /// A fragment along the region's boundary (a collinear overlap).
+    OnBoundary,
+    /// A fragment strictly outside the region.
+    Outside,
+    /// Not a fragment but a cut: an isolated intersection point with the
+    /// region's boundary.
+    TouchPoint,
 }
 
 /// Splits every segment in `segs` at its intersections with
-/// `region_boundary` and classifies the fragments against `region`.
+/// `region_boundary` (indexed by `tree`, when given) and classifies the
+/// fragments against `region`, calling `found` with each kind of
+/// [`Fragment`] the first time it appears. The scan stops, and returns
+/// `true`, as soon as `found` does; otherwise it covers every segment and
+/// returns `false`. `found` runs at most four times per call, so it may
+/// test a stop rule without a per-segment cost.
 ///
 /// Fragments that coincide with a collinear overlap run are classified
-/// `on_boundary` *symbolically* (from the overlap interval itself) rather
+/// `OnBoundary` *symbolically* (from the overlap interval itself) rather
 /// than by locating their midpoint, so hairline rounding in the midpoint
 /// computation cannot flip a shared-edge case into an overlap case.
-pub fn split_classify(segs: &[Segment], region_boundary: &[Segment], region: &Areal) -> SplitFlags {
-    split_classify_indexed(segs, region_boundary, None, region)
-}
-
-/// [`split_classify`] with an optional segment tree over `region_boundary`.
 ///
 /// The tree yields the boundary segments whose envelopes meet the probe's,
 /// in traversal order; skipped boundary segments cannot intersect (their
@@ -417,19 +418,24 @@ pub(crate) fn split_classify_indexed(
     region_boundary: &[Segment],
     tree: Option<&SegTree>,
     region: &Areal,
-) -> SplitFlags {
+    mut found: impl FnMut(Fragment) -> bool,
+) -> bool {
     with_scratch(|Scratch { cuts, intervals: on_intervals }| {
-        let mut flags = SplitFlags::default();
+        let mut seen = [false; 4];
+        // Reports a kind on its first sighting; true when `found` stops.
+        let mut report =
+            |kind: Fragment| !std::mem::replace(&mut seen[kind as usize], true) && found(kind);
         for s in segs {
             cuts.clear();
             cuts.extend([0.0, 1.0]);
             on_intervals.clear();
+            let mut touched = false;
             let mut cut_with = |t: &Segment| match s.intersect(t) {
                 SegSegIntersection::None => {}
                 SegSegIntersection::Point(p) => {
                     let tp = s.param_of_collinear_point_clamped(p);
                     cuts.push(tp);
-                    flags.touch_point = true;
+                    touched = true;
                 }
                 SegSegIntersection::Overlap(ov) => {
                     let p0 = s.param_of_collinear_point(ov.a);
@@ -444,6 +450,9 @@ pub(crate) fn split_classify_indexed(
                 Some(tree) => tree.query(&s.envelope(), |i| cut_with(&region_boundary[i as usize])),
                 None => region_boundary.iter().for_each(cut_with),
             }
+            if touched && report(Fragment::TouchPoint) {
+                return true;
+            }
             cuts.sort_by(|a, b| a.partial_cmp(b).expect("finite params"));
             cuts.dedup_by(|a, b| (*a - *b).abs() <= PARAM_EPS);
             merge_intervals(on_intervals);
@@ -455,22 +464,25 @@ pub(crate) fn split_classify_indexed(
                 }
                 let mid = (lo + hi) * 0.5;
                 // Fragments inside a recorded overlap run lie on the boundary.
-                if on_intervals
+                let kind = if on_intervals
                     .iter()
                     .any(|&(olo, ohi)| olo - PARAM_EPS <= lo && hi <= ohi + PARAM_EPS)
                 {
-                    flags.on_boundary = true;
-                    continue;
-                }
-                match region.locate(s.a.lerp(s.b, mid)) {
-                    PointLocation::Inside => flags.inside = true,
-                    PointLocation::Outside => flags.outside = true,
-                    // Numerically pinched fragment grazing the boundary.
-                    PointLocation::OnBoundary => flags.on_boundary = true,
+                    Fragment::OnBoundary
+                } else {
+                    match region.locate(s.a.lerp(s.b, mid)) {
+                        PointLocation::Inside => Fragment::Inside,
+                        PointLocation::Outside => Fragment::Outside,
+                        // Numerically pinched fragment grazing the boundary.
+                        PointLocation::OnBoundary => Fragment::OnBoundary,
+                    }
+                };
+                if report(kind) {
+                    return true;
                 }
             }
         }
-        flags
+        false
     })
 }
 
@@ -626,27 +638,54 @@ mod tests {
         assert!(!short.covered_by(&perp));
     }
 
+    /// The kinds of fragment `segs` splits into against `poly`.
+    fn fragments(segs: &[Segment], poly: &Polygon) -> Vec<Fragment> {
+        let region = Areal::One(poly);
+        let boundary = region.boundary_segments();
+        let mut kinds = Vec::new();
+        let stopped = split_classify_indexed(segs, &boundary, None, &region, |kind| {
+            kinds.push(kind);
+            false
+        });
+        assert!(!stopped);
+        kinds
+    }
+
     #[test]
     fn split_classify_crossing_polygon() {
-        let poly = crate::polygon::Polygon::rect(coord(0.0, 0.0), coord(2.0, 2.0)).unwrap();
+        use Fragment::*;
+        let poly = Polygon::rect(coord(0.0, 0.0), coord(2.0, 2.0)).unwrap();
+        // A segment crossing straight through.
+        let f = fragments(&[Segment::new(coord(-1.0, 1.0), coord(3.0, 1.0))], &poly);
+        assert_eq!(f, [TouchPoint, Outside, Inside]);
+        // A segment running along an edge, meeting the two next edges at
+        // its ends.
+        let f = fragments(&[Segment::new(coord(0.0, 0.0), coord(2.0, 0.0))], &poly);
+        assert_eq!(f, [TouchPoint, OnBoundary]);
+        // A segment fully inside.
+        let f = fragments(&[Segment::new(coord(0.5, 0.5), coord(1.5, 1.5))], &poly);
+        assert_eq!(f, [Inside]);
+        // A segment fully outside.
+        let f = fragments(&[Segment::new(coord(5.0, 5.0), coord(6.0, 6.0))], &poly);
+        assert_eq!(f, [Outside]);
+    }
+
+    #[test]
+    fn split_classify_stops_when_found_says_so() {
+        let poly = Polygon::rect(coord(0.0, 0.0), coord(2.0, 2.0)).unwrap();
         let region = Areal::One(&poly);
         let boundary = region.boundary_segments();
-        // A segment crossing straight through.
-        let segs = [Segment::new(coord(-1.0, 1.0), coord(3.0, 1.0))];
-        let f = split_classify(&segs, &boundary, &region);
-        assert!(f.inside && f.outside && f.touch_point && !f.on_boundary);
-        // A segment running along an edge.
-        let segs = [Segment::new(coord(0.0, 0.0), coord(2.0, 0.0))];
-        let f = split_classify(&segs, &boundary, &region);
-        assert!(f.on_boundary && !f.inside && !f.outside);
-        // A segment fully inside.
-        let segs = [Segment::new(coord(0.5, 0.5), coord(1.5, 1.5))];
-        let f = split_classify(&segs, &boundary, &region);
-        assert!(f.inside && !f.outside && !f.on_boundary && !f.touch_point);
-        // A segment fully outside.
-        let segs = [Segment::new(coord(5.0, 5.0), coord(6.0, 6.0))];
-        let f = split_classify(&segs, &boundary, &region);
-        assert!(f.outside && !f.inside && !f.on_boundary && !f.touch_point);
+        let segs = [
+            Segment::new(coord(-1.0, 1.0), coord(3.0, 1.0)),
+            Segment::new(coord(0.0, 0.0), coord(2.0, 0.0)),
+        ];
+        let mut kinds = Vec::new();
+        let stopped = split_classify_indexed(&segs, &boundary, None, &region, |kind| {
+            kinds.push(kind);
+            kind == Fragment::Outside
+        });
+        assert!(stopped);
+        assert_eq!(kinds, [Fragment::TouchPoint, Fragment::Outside]);
     }
 
     #[test]

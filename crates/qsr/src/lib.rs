@@ -51,4 +51,4 @@ pub use distance::{DistanceBand, DistanceScheme, DistanceSchemeError};
 pub use network::{Consistency, ConstraintNetwork};
 pub use predicate::{QualitativeRelation, SpatialPredicate};
 pub use rcc8::{compose_base, Rcc8, Rcc8Set};
-pub use topological::{classify, topological_relation, TopologicalRelation};
+pub use topological::{classify, classify_lower_bound, topological_relation, TopologicalRelation};

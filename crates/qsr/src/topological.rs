@@ -2,164 +2,18 @@
 //!
 //! The paper enumerates the topological predicates of the 9-intersection
 //! model (Egenhofer & Franzosa): *contains, within, touches, crosses,
-//! covers, coveredBy, overlaps, equals,* and *disjoint*. This module
-//! classifies an [`IntersectionMatrix`] into exactly one of them, honouring
-//! the dimension-dependent definitions of `crosses` and `overlaps`.
+//! covers, coveredBy, overlaps, equals,* and *disjoint*. [`classify`]
+//! maps a matrix onto exactly one of them, honouring the
+//! dimension-dependent definitions of `crosses` and `overlaps`.
+//!
+//! The relation type and its classification live in `geopattern-geom`,
+//! beside the relate engine, whose relation entry point
+//! ([`geopattern_geom::PreparedGeometry::relation`]) stops as soon as
+//! [`classify_lower_bound`] decides the class. They are re-exported here
+//! at their long-standing paths.
 
-use geopattern_geom::{GeomDim, Geometry, IntersectionMatrix, Pattern};
-use std::fmt;
-
-/// The nine named topological relations used by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum TopologicalRelation {
-    Equals,
-    Disjoint,
-    Touches,
-    Contains,
-    Within,
-    Covers,
-    CoveredBy,
-    Overlaps,
-    Crosses,
-}
-
-impl TopologicalRelation {
-    /// All nine relations.
-    pub const ALL: [TopologicalRelation; 9] = [
-        TopologicalRelation::Equals,
-        TopologicalRelation::Disjoint,
-        TopologicalRelation::Touches,
-        TopologicalRelation::Contains,
-        TopologicalRelation::Within,
-        TopologicalRelation::Covers,
-        TopologicalRelation::CoveredBy,
-        TopologicalRelation::Overlaps,
-        TopologicalRelation::Crosses,
-    ];
-
-    /// The converse relation: `a R b ⇔ b conv(R) a`.
-    pub fn converse(self) -> TopologicalRelation {
-        use TopologicalRelation::*;
-        match self {
-            Contains => Within,
-            Within => Contains,
-            Covers => CoveredBy,
-            CoveredBy => Covers,
-            other => other,
-        }
-    }
-
-    /// Lower-camel-case name as used in the paper's predicates
-    /// (`contains_slum`, `coveredBy_district`, …).
-    pub fn name(self) -> &'static str {
-        use TopologicalRelation::*;
-        match self {
-            Equals => "equals",
-            Disjoint => "disjoint",
-            Touches => "touches",
-            Contains => "contains",
-            Within => "within",
-            Covers => "covers",
-            CoveredBy => "coveredBy",
-            Overlaps => "overlaps",
-            Crosses => "crosses",
-        }
-    }
-
-    /// Parses a relation name (case-insensitive).
-    pub fn parse(s: &str) -> Option<TopologicalRelation> {
-        let lower = s.to_ascii_lowercase();
-        Self::ALL.iter().copied().find(|r| r.name().to_ascii_lowercase() == lower)
-    }
-}
-
-impl fmt::Display for TopologicalRelation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// The patterns [`classify`] tests, compiled at build time.
-mod patterns {
-    use geopattern_geom::Pattern;
-
-    /// Each geometry covers the other.
-    pub const EQUALS: Pattern = Pattern::new("T*F**FFF*");
-    /// Nothing of B lies outside A, and some part of B meets A.
-    pub const B_INSIDE_A: [Pattern; 4] = [
-        Pattern::new("T*****FF*"),
-        Pattern::new("*T****FF*"),
-        Pattern::new("***T**FF*"),
-        Pattern::new("****T*FF*"),
-    ];
-    /// Nothing of A lies outside B, and some part of A meets B.
-    pub const A_INSIDE_B: [Pattern; 4] = [
-        Pattern::new("T*F**F***"),
-        Pattern::new("*TF**F***"),
-        Pattern::new("**FT*F***"),
-        Pattern::new("**F*TF***"),
-    ];
-    /// The interiors meet.
-    pub const INTERIORS_MEET: Pattern = Pattern::new("T********");
-    /// The boundaries are apart.
-    pub const BOUNDARIES_APART: Pattern = Pattern::new("****F****");
-    /// The interiors meet and each extends beyond the other.
-    pub const INTERIORS_OVERLAP: Pattern = Pattern::new("T*T***T**");
-    /// The interiors meet in isolated points only.
-    pub const INTERIORS_MEET_AT_POINTS: Pattern = Pattern::new("0********");
-    /// The interiors are apart and some boundary meets the other operand.
-    pub const BOUNDARY_CONTACT: [Pattern; 3] = [
-        Pattern::new("FT*******"),
-        Pattern::new("F**T*****"),
-        Pattern::new("F***T****"),
-    ];
-}
-
-/// Classifies a DE-9IM matrix (computed for geometries of dimensions `da`,
-/// `db`) into exactly one [`TopologicalRelation`].
-///
-/// The relations are jointly exhaustive and pairwise disjoint: for any pair
-/// of valid geometries exactly one classification is returned. The matrix
-/// is turned into bit words once and tested against compiled patterns, so
-/// classifying allocates nothing.
-pub fn classify(m: &IntersectionMatrix, da: GeomDim, db: GeomDim) -> TopologicalRelation {
-    use patterns::*;
-    use TopologicalRelation::*;
-
-    let w = m.words();
-    let any = |ps: &[Pattern]| ps.iter().any(|&p| w.matches(p));
-    if w.matches(EQUALS) {
-        return Equals;
-    }
-    // B entirely inside A. Interiors must meet for containment; otherwise
-    // it's a touch (possible only in degenerate lower-dimensional cases).
-    if any(&B_INSIDE_A) && w.matches(INTERIORS_MEET) {
-        return if w.matches(BOUNDARIES_APART) { Contains } else { Covers };
-    }
-    // A entirely inside B.
-    if any(&A_INSIDE_B) && w.matches(INTERIORS_MEET) {
-        return if w.matches(BOUNDARIES_APART) { Within } else { CoveredBy };
-    }
-    // Interiors intersect and both extend beyond the other.
-    let lines = da == GeomDim::Line && db == GeomDim::Line;
-    if w.matches(INTERIORS_OVERLAP) || (lines && w.matches(INTERIORS_MEET_AT_POINTS)) {
-        // Dimension rules: crosses when the dimensions differ, or for two
-        // curves meeting at isolated points; overlaps when the common part
-        // has the operands' own dimension.
-        if da != db {
-            return Crosses;
-        }
-        if lines {
-            return if w.matches(INTERIORS_MEET_AT_POINTS) { Crosses } else { Overlaps };
-        }
-        return Overlaps;
-    }
-    // Any remaining contact is boundary-only.
-    if any(&BOUNDARY_CONTACT) {
-        return Touches;
-    }
-    Disjoint
-}
+pub use geopattern_geom::{classify, classify_lower_bound, TopologicalRelation};
+use geopattern_geom::Geometry;
 
 /// Convenience: relate two geometries and classify the result.
 pub fn topological_relation(a: &Geometry, b: &Geometry) -> TopologicalRelation {
@@ -283,6 +137,4 @@ mod tests {
         assert_eq!(TopologicalRelation::Contains.converse(), TopologicalRelation::Within);
         assert_eq!(TopologicalRelation::Touches.converse(), TopologicalRelation::Touches);
     }
-
-    use geopattern_geom::Geometry;
 }

@@ -4,12 +4,21 @@
 //! char-by-char reference on every pattern `classify` uses, and on the
 //! invalid inputs, error text included.
 //!
+//! The same sweep proves the relation engine's stop rule,
+//! `classify_lower_bound`: whenever it calls a matrix decided, `classify`
+//! agrees on it, and every raise of one cell by one level is decided too,
+//! with the same class. Every completion of a matrix is reached by such
+//! raises, so by induction the engine may stop there: no evidence still
+//! to come can change the answer. Classification also commutes with
+//! transposition, which lets the engine run a swapped pair's rule on the
+//! transposed matrix.
+//!
 //! Matrices are built straight from an 18-bit code (2 bits per cell,
 //! row-major), not through strings, so the sweep stays fast in a debug
 //! build.
 
 use geopattern_geom::{Dim, GeomDim, IntersectionMatrix, Part};
-use geopattern_qsr::{classify, TopologicalRelation};
+use geopattern_qsr::{classify, classify_lower_bound, TopologicalRelation};
 
 const DIMS: [Dim; 4] = [Dim::Empty, Dim::Zero, Dim::One, Dim::Two];
 const PARTS: [Part; 3] = [Part::Interior, Part::Boundary, Part::Exterior];
@@ -217,4 +226,75 @@ fn invalid_patterns_and_matrix_strings_keep_their_error_text() {
 #[should_panic(expected = "invalid DE-9IM pattern")]
 fn matches_panics_on_an_invalid_pattern() {
     IntersectionMatrix::empty().matches("TTTTTTTTX");
+}
+
+#[test]
+fn the_stop_rule_is_sound_on_every_matrix() {
+    use TopologicalRelation::*;
+    let mut decided = [0u64; 9];
+    for code in 0..1u32 << 18 {
+        let m = matrix(code);
+        for da in GEOM_DIMS {
+            for db in GEOM_DIMS {
+                let Some(rel) = classify_lower_bound(&m, da, db) else {
+                    continue;
+                };
+                assert_eq!(classify(&m, da, db), rel, "{m} {da:?} {db:?}");
+                for cell in 0..9 {
+                    if (code >> (2 * cell)) & 3 == 3 {
+                        continue;
+                    }
+                    let raised = matrix(code + (1 << (2 * cell)));
+                    assert_eq!(
+                        classify_lower_bound(&raised, da, db),
+                        Some(rel),
+                        "{m} raised to {raised}, {da:?} {db:?}"
+                    );
+                }
+                // Every other relation rests on an `F` cell.
+                assert!(
+                    matches!(rel, Overlaps | Crosses),
+                    "{m} {da:?} {db:?}: {rel}"
+                );
+                decided[rel as usize] += 1;
+            }
+        }
+    }
+    assert!(
+        decided[Overlaps as usize] > 0 && decided[Crosses as usize] > 0,
+        "{decided:?}"
+    );
+    // Not vacuous where the engine stops: ∂A has met B's inside and its
+    // outside, and nothing else is known yet.
+    use GeomDim::{Area, Line};
+    let lower = |s: &str| s.parse::<IntersectionMatrix>().unwrap();
+    assert_eq!(
+        classify_lower_bound(&lower("2F21F12F2"), Area, Area),
+        Some(Overlaps)
+    );
+    assert_eq!(
+        classify_lower_bound(&lower("1F1FFF2F2"), Line, Area),
+        Some(Crosses)
+    );
+}
+
+#[test]
+fn classification_commutes_with_transposition() {
+    for code in 0..1u32 << 18 {
+        let m = matrix(code);
+        let t = m.transposed();
+        for da in GEOM_DIMS {
+            for db in GEOM_DIMS {
+                let rel = classify(&m, da, db);
+                assert_eq!(classify(&t, db, da), rel.converse(), "{m} {da:?} {db:?}");
+                let lower = classify_lower_bound(&m, da, db);
+                let swapped = classify_lower_bound(&t, db, da);
+                assert_eq!(
+                    swapped,
+                    lower.map(TopologicalRelation::converse),
+                    "{m} {da:?} {db:?}"
+                );
+            }
+        }
+    }
 }

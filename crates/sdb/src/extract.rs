@@ -9,6 +9,12 @@
 //!
 //! * the layer's R-tree prunes candidate pairs for topological relations
 //!   (envelope-disjoint pairs can only be `disjoint`);
+//! * each surviving pair's relation comes from
+//!   [`PreparedGeometry::relation`], which runs the relate engine only
+//!   until the relation is decided (one fragment of a boundary inside the
+//!   other operand and one outside settle `overlaps`), instead of
+//!   [`PreparedGeometry::relate_to`], the full-matrix oracle, followed by
+//!   `classify`; the two never differ;
 //! * distance-band predicates run through an R-tree *window query* — the
 //!   reference envelope buffered by the largest bounded band — instead of
 //!   a full scan, whenever the scheme's last band is bounded and direction
@@ -20,10 +26,7 @@
 //!   candidate set run the sublinear indexed kernel;
 //! * surviving distance pairs use the branch-and-bound
 //!   [`PreparedGeometry::distance_within`] with the scheme's largest
-//!   bounded band as cutoff, instead of the full minimum distance;
-//! * self-join layers (the relevant layer *is* the reference layer) build
-//!   a symmetric per-pair memo up front, so each unordered relate/distance
-//!   pair is computed once instead of twice.
+//!   bounded band as cutoff, instead of the full minimum distance.
 //!
 //! # The one entry point
 //!
@@ -37,7 +40,7 @@
 //! 1. plan the reference rows into the *occupied* tiles of a
 //!    [`geopattern_geom::TileGrid`] (the `tiled` module; the default
 //!    grid is one tile holding every row in row order);
-//! 2. prepare the relevant layers once (`prepare_layers`) and number the
+//! 2. prepare the relevant layers once (`PreparedLayer`) and number the
 //!    extraction vocabulary (`Vocabulary`);
 //! 3. run the tiles one after another, each tile's rows in parallel on
 //!    the in-tree [`geopattern_par`] pool (rows are independent);
@@ -71,15 +74,11 @@
 use crate::feature::{Feature, Layer};
 use crate::predicate_table::{Predicate, PredicateTable};
 use crate::tiled;
-use geopattern_geom::{
-    take_kernel_counters, GeomDim, Geometry, IntersectionMatrix, KernelCounters, PreparedGeometry,
-    Rect,
-};
+use geopattern_geom::{take_kernel_counters, Geometry, KernelCounters, PreparedGeometry, Rect};
 use geopattern_obs::{Metrics, Recorder};
-use geopattern_par::{try_par_map, CancelToken, Interrupt, Journal, MemoryBudget, Threads};
+use geopattern_par::{CancelToken, Interrupt, Journal, MemoryBudget, Threads};
 use geopattern_qsr::{
-    classify, geometry_direction, CardinalDirection, DistanceScheme, SpatialPredicate,
-    TopologicalRelation,
+    geometry_direction, CardinalDirection, DistanceScheme, SpatialPredicate, TopologicalRelation,
 };
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -286,11 +285,8 @@ impl ExtractionStats {
 pub(crate) struct PreparedLayer<'a> {
     pub(crate) layer: &'a Layer,
     pub(crate) prepared: Vec<PreparedGeometry<&'a Geometry>>,
-    pub(crate) dims: Vec<GeomDim>,
     /// See [`ExtractionConfig::bounded_window`].
     pub(crate) window: Option<f64>,
-    /// Per-pair results precomputed once for self-join layers.
-    pub(crate) memo: Option<SelfJoinMemo>,
     /// Vocabulary codes of this layer's topological predicates, indexed by
     /// `TopologicalRelation as usize` (filled when `topological` is on).
     topological: [u32; TopologicalRelation::ALL.len()],
@@ -312,9 +308,7 @@ impl<'a> PreparedLayer<'a> {
                 .iter()
                 .map(|f| PreparedGeometry::new(&f.geometry))
                 .collect(),
-            dims: layer.features().iter().map(|f| f.geometry.dimension()).collect(),
             window,
-            memo: None,
             topological: [u32::MAX; TopologicalRelation::ALL.len()],
             bands: Vec::new(),
             directions: [u32::MAX; CardinalDirection::ALL.len()],
@@ -409,48 +403,6 @@ impl Vocabulary {
     }
 }
 
-/// Precomputed pair results for a self-join layer (the relevant layer is
-/// the reference layer itself, pointer-identical). Row `i` stores results
-/// for its candidates `j >= i` only, in ascending `j`; a row's `j < i`
-/// candidates read row `j`'s entry for `i` instead — transposed for
-/// matrices, as-is for distances (both exactly symmetric; candidate sets
-/// are symmetric because envelope intersection and buffered-window
-/// intersection are). Every unordered pair is thus computed exactly once
-/// instead of once per orientation.
-pub(crate) struct SelfJoinMemo {
-    /// Envelope-intersecting candidates per row (topological path).
-    topo: Option<MemoRows<IntersectionMatrix>>,
-    /// Window-query (or full-scan) candidates per row (distance path):
-    /// `distance_within` results at the layer's cutoff.
-    dist: Option<MemoRows<Option<f64>>>,
-}
-
-/// Per-row `(candidate index, result)` entries, ascending by candidate.
-type MemoRows<T> = Vec<Vec<(u32, T)>>;
-
-impl SelfJoinMemo {
-    fn lookup_topo(&self, row: usize, ci: usize) -> Option<IntersectionMatrix> {
-        let topo = self.topo.as_ref()?;
-        if ci >= row {
-            let entries = &topo[row];
-            let at = entries.binary_search_by_key(&(ci as u32), |e| e.0).ok()?;
-            Some(entries[at].1)
-        } else {
-            let entries = &topo[ci];
-            let at = entries.binary_search_by_key(&(row as u32), |e| e.0).ok()?;
-            Some(entries[at].1.transposed())
-        }
-    }
-
-    fn lookup_dist(&self, row: usize, ci: usize) -> Option<Option<f64>> {
-        let dist = self.dist.as_ref()?;
-        let (r, c) = if ci >= row { (row, ci) } else { (ci, row) };
-        let entries = &dist[r];
-        let at = entries.binary_search_by_key(&(c as u32), |e| e.0).ok()?;
-        Some(entries[at].1)
-    }
-}
-
 /// One worker's output for one reference feature: the row's vocabulary
 /// codes in serial emission order, plus the row's share of the stats and
 /// counters.
@@ -494,7 +446,12 @@ pub fn extract_predicates(
     };
     let (layers, vocabulary) = {
         let _prepare_span = recorder.span("prepare");
-        let mut layers = prepare_layers(reference, relevant, config, window, record)?;
+        // Every tile extracts against this one prepared set: one half of
+        // why outputs, kernel counters included, do not depend on the
+        // tiling (the other half is the row-order merge in
+        // `merge_batches`).
+        let mut layers: Vec<PreparedLayer> =
+            relevant.iter().map(|layer| PreparedLayer::new(layer, window)).collect();
         let vocabulary = Vocabulary::new(reference, &mut layers, config);
         (layers, vocabulary)
     };
@@ -542,32 +499,6 @@ pub fn extract_predicates(
     }
     let batches = owner.iter().map(|&t| done[t as usize].next().expect("one batch per owned row"));
     Ok(merge_batches(reference.features().iter().zip(batches), &vocabulary.dictionary, config))
-}
-
-/// Prepares every relevant layer exactly once: geometry preparation plus
-/// the self-join memo when a relevant layer *is* the reference layer
-/// (pointer identity). Every tile extracts against this one prepared set
-/// — one half of why outputs, kernel counters included, do not depend on
-/// the tiling (the other half is the row-order merge in
-/// [`merge_batches`]).
-fn prepare_layers<'a>(
-    reference: &Layer,
-    relevant: &[&'a Layer],
-    config: &ExtractionConfig,
-    window: Option<f64>,
-    record: bool,
-) -> Result<Vec<PreparedLayer<'a>>, Interrupt> {
-    let layers: Vec<PreparedLayer> =
-        relevant.iter().map(|layer| PreparedLayer::new(layer, window)).collect();
-    layers
-        .into_iter()
-        .map(|mut pl| {
-            if std::ptr::eq(pl.layer as *const Layer, reference as *const Layer) {
-                pl.memo = Some(build_self_join_memo(&pl, config, record)?);
-            }
-            Ok(pl)
-        })
-        .collect::<Result<_, Interrupt>>()
 }
 
 /// Single-threaded merge: renumbering vocabulary codes on their first
@@ -621,74 +552,9 @@ fn merge_batches<'a>(
     (table, stats)
 }
 
-/// Precomputes every unordered pair result of a self-join layer, in
-/// parallel over rows. Row `i` runs exactly the candidate queries
-/// [`extract_row`] will run and keeps the `j >= i` half; each row's kernel
-/// counters are summed in row order and recorded once, so the metrics
-/// stay thread-count invariant.
-fn build_self_join_memo(
-    pl: &PreparedLayer,
-    config: &ExtractionConfig,
-    record: bool,
-) -> Result<SelfJoinMemo, Interrupt> {
-    let layer = pl.layer;
-    let cutoff = pl.window.unwrap_or(f64::INFINITY);
-    let want_dist = config.distance.is_some() || config.direction;
-    type MemoRow = (Vec<(u32, IntersectionMatrix)>, Vec<(u32, Option<f64>)>, KernelCounters);
-    let rows: Vec<MemoRow> = try_par_map(
-        config.threads,
-        &config.cancel,
-        "extract/prepare",
-        layer.features(),
-        |row, feature| {
-            // Discard counter residue left on this worker thread by other rows.
-            let _ = take_kernel_counters();
-            let envelope = feature.envelope();
-            let mut topo = Vec::new();
-            if config.topological {
-                for ci in layer.query_envelope(&envelope) {
-                    if ci >= row {
-                        topo.push((ci as u32, pl.prepared[row].relate_to(&pl.prepared[ci])));
-                    }
-                }
-            }
-            let mut dist = Vec::new();
-            if want_dist {
-                for ci in pl.scan(&envelope, &mut Vec::new()).1 {
-                    if ci >= row {
-                        dist.push((
-                            ci as u32,
-                            pl.prepared[row].distance_within(&pl.prepared[ci], cutoff),
-                        ));
-                    }
-                }
-            }
-            (topo, dist, take_kernel_counters())
-        },
-    )?;
-    let mut topo = Vec::with_capacity(rows.len());
-    let mut dist = Vec::with_capacity(rows.len());
-    let mut kernel = KernelCounters::default();
-    for (t, d, k) in rows {
-        topo.push(t);
-        dist.push(d);
-        kernel += k;
-    }
-    if record && !topo.is_empty() {
-        let mut metrics = Metrics::new();
-        record_kernel_counters(&mut metrics, &kernel);
-        config.recorder.absorb(&metrics);
-    }
-    Ok(SelfJoinMemo {
-        topo: config.topological.then_some(topo),
-        dist: want_dist.then_some(dist),
-    })
-}
-
 /// Names the geometry-kernel counters: the row-order sums of every
-/// measured extraction task (row or memo entry), recorded once per
-/// extraction and once per self-join memo, so totals are invariant under
-/// the worker thread count.
+/// measured row, recorded once per extraction, so totals are invariant
+/// under the worker thread count.
 fn record_kernel_counters(metrics: &mut Metrics, k: &KernelCounters) {
     metrics.add_counter("geom/segtree_nodes_visited", k.segtree_nodes_visited);
     metrics.add_counter("geom/pairs_exact", k.pairs_exact);
@@ -734,7 +600,6 @@ pub(crate) fn extract_row(
     let _ = take_kernel_counters();
 
     let prep_ref = PreparedGeometry::new(&ref_feature.geometry);
-    let ref_dim = ref_feature.geometry.dimension();
     let ref_envelope = ref_feature.envelope();
     // Each layer's R-tree hits, in the buffer this thread's previous row
     // left behind.
@@ -758,11 +623,7 @@ pub(crate) fn extract_row(
                     }
                 }
                 stats.candidate_pairs += 1;
-                let m = match pl.memo.as_ref().and_then(|memo| memo.lookup_topo(row, ci)) {
-                    Some(m) => m,
-                    None => prep_ref.relate_to(&pl.prepared[ci]),
-                };
-                let rel = classify(&m, ref_dim, pl.dims[ci]);
+                let rel = prep_ref.relation(&pl.prepared[ci]);
                 if rel == TopologicalRelation::Disjoint {
                     disjoint_count += 1;
                     continue;
@@ -797,11 +658,8 @@ pub(crate) fn extract_row(
                 }
                 let rel_feature = &layer.features()[ci];
                 stats.candidate_pairs += 1;
-                let within = match pl.memo.as_ref().and_then(|memo| memo.lookup_dist(row, ci)) {
-                    Some(within) => within,
-                    None => prep_ref.distance_within(&pl.prepared[ci], cutoff),
-                };
                 // Distance and direction describe non-intersecting pairs.
+                let within = prep_ref.distance_within(&pl.prepared[ci], cutoff);
                 let Some(d) = within.filter(|&d| d != 0.0) else {
                     continue;
                 };

@@ -393,9 +393,10 @@ mod tests {
     }
 
     #[test]
-    fn tiled_self_join_matches_flat_with_memo() {
-        // Every tiling extracts against one `prepare_layers` set, self-join
-        // memo included. The tables and stats must agree exactly.
+    fn tiled_self_join_matches_flat() {
+        // The reference layer as its own relevant layer: every tiling
+        // extracts against one prepared set. The tables and stats must
+        // agree exactly.
         let (districts, _slums, _schools) = scene();
         let config = ExtractionConfig::topological_only()
             .with_distance(DistanceScheme::new(vec![("near", 12.0)]).unwrap());

@@ -190,8 +190,9 @@ cargo test --release -q -p geopattern-integration --test bitmap_properties
 echo "==> point-location gate (quant → exact equals Ring::locate and RingIndex::locate; certain grid answers exact)"
 cargo test --release -q -p geopattern-integration --test quant_properties
 
-echo "==> candidate-pair gate (classify on compiled patterns equals the string-pattern version on all 4^9 matrices x 9 dimension pairs; warm relate_to + classify and distance_within allocate nothing; preparation budgets: a 4-vertex polygon in <= 8 allocations, a point in 0, a serial grid-20 city extraction in <= 25 per reference row)"
+echo "==> candidate-pair gate (classify on compiled patterns equals the string-pattern version on all 4^9 matrices x 9 dimension pairs; the stop-rule proof on the same sweep: a decided matrix keeps its class under every one-cell raise; the differential suite: relation equals classify(relate_to) and its converse on every R-tree candidate pair of stars-shaped layers and generated cities; warm relate_to + classify, relation and distance_within allocate nothing; preparation budgets: a 4-vertex polygon in <= 8 allocations, a point in 0, a serial grid-20 city extraction in <= 25 per reference row)"
 cargo test --release -q -p geopattern-qsr --test classify_exhaustive
+cargo test --release -q -p geopattern-integration --test relation_differential
 cargo test --release -q -p geopattern-integration --test pair_allocations
 
 echo "==> tiling-equivalence gate (tiled extraction bit-identical to the one-tile default)"

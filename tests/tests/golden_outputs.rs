@@ -8,7 +8,7 @@
 //! pin the output itself. They are never regenerated to make a test pass.
 //!
 //! Both goldens run on `generate-city --grid 4 --seed 9` with the
-//! reference layer added as a relevant layer (the self-join memo path),
+//! reference layer added as a relevant layer (a self-join),
 //! `include_disjoint: true` and a recorder attached:
 //!
 //! * `window`: a bounded two-band distance scheme, direction off — the

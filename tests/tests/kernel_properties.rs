@@ -1,7 +1,8 @@
 //! Property tests for the segment-indexed geometry kernel.
 //!
 //! The prepared-geometry path (lazy segment R-trees, monotone ring
-//! indexes, branch-and-bound bounded distance, self-join memo) is a pure
+//! indexes, branch-and-bound bounded distance, and the relation entry
+//! point that stops relating once the relation is decided) is a pure
 //! accelerator: every observable output must be **bit-identical** to the
 //! brute-force kernel. These tests drive both paths with seeded random
 //! workloads from `geopattern-datagen` — smooth general-position shapes
@@ -10,8 +11,8 @@
 
 use geopattern_datagen::{lattice_geometry, lattice_polygon, random_linestring, star_polygon};
 use geopattern_geom::{
-    coord, geometry_distance, geometry_distance_within, relate, take_kernel_counters, Geometry,
-    PreparedGeometry, Ring, RingIndex,
+    classify, coord, geometry_distance, geometry_distance_within, relate, take_kernel_counters,
+    Geometry, PreparedGeometry, Ring, RingIndex,
 };
 use geopattern_testkit::Rng;
 
@@ -41,8 +42,9 @@ fn smooth_geometries(rng: &mut Rng, count: usize) -> Vec<Geometry> {
 
 /// Asserts the full kernel contract on one ordered pair:
 /// * indexed relate equals brute relate, exactly;
-/// * relate is transpose-symmetric (the property the self-join memo
-///   depends on);
+/// * relate is transpose-symmetric;
+/// * the relation entry point equals `classify` of the brute matrix, and
+///   the pair related the other way round gives its converse;
 /// * `geometry_distance_within` returns the brute distance bit-for-bit at
 ///   any sufficient bound, at the *exactly equal* bound, and `None` one
 ///   ulp below it.
@@ -52,6 +54,9 @@ fn assert_kernel_contract(a: &Geometry, b: &Geometry) {
     let pb = PreparedGeometry::new(b.clone());
     assert_eq!(pa.relate_to(&pb), brute, "indexed relate diverged from brute");
     assert_eq!(pb.relate_to(&pa), brute.transposed(), "relate transpose symmetry broken");
+    let rel = pa.relation(&pb);
+    assert_eq!(rel, classify(&brute, a.dimension(), b.dimension()), "relation diverged");
+    assert_eq!(pb.relation(&pa), rel.converse(), "relation converse symmetry broken");
 
     let d = geometry_distance(a, b);
     assert!(d >= 0.0 && d.is_finite());
@@ -195,40 +200,5 @@ fn ring_index_locate_matches_ring_locate() {
             let p = coord(v.x - 3.0, v.y);
             assert_eq!(index.locate(p), ring.locate(p), "vertex-ray point {p:?}");
         }
-    }
-}
-
-/// The self-join memo (reference layer re-used as a relevant layer, by
-/// pointer identity) must be invisible: extracting against the *same*
-/// allocation and against an equal-but-distinct copy yields identical
-/// predicate tables and stats, at every thread count.
-#[test]
-fn self_join_memo_is_invisible() {
-    use geopattern_par::Threads;
-    use geopattern_qsr::DistanceScheme;
-    use geopattern_sdb::{extract_predicates, ExtractionConfig, Layer};
-
-    let mut rng = Rng::seed_from_u64(42);
-    let layer = geopattern_datagen::random_layer(&mut rng, "parcel", 48, 10, 60.0);
-    let copy = Layer::new(layer.feature_type.clone(), layer.features().to_vec());
-
-    let scheme = DistanceScheme::new(vec![("near", 6.0), ("mid", 14.0)]).expect("bounded scheme");
-    let base = ExtractionConfig::topological_only().with_distance(scheme);
-
-    let config = base.clone().with_threads(Threads::Serial);
-    // Same allocation on both sides: the memo engages.
-    let (memo_table, memo_stats) = extract_predicates(&layer, &[&layer], &config).unwrap();
-    // Distinct allocation: pointer test fails, every pair computed directly.
-    let (direct_table, direct_stats) = extract_predicates(&layer, &[&copy], &config).unwrap();
-    assert_eq!(memo_table.predicates(), direct_table.predicates());
-    assert_eq!(memo_table.rows(), direct_table.rows());
-    assert_eq!(memo_stats, direct_stats);
-    assert!(!memo_table.predicates().is_empty(), "self-join should produce predicates");
-
-    for threads in [Threads::Fixed(1), Threads::Fixed(2), Threads::Fixed(8)] {
-        let (table, stats) = extract_predicates(&layer, &[&layer], &base.clone().with_threads(threads)).unwrap();
-        assert_eq!(table.predicates(), memo_table.predicates(), "{threads:?}");
-        assert_eq!(table.rows(), memo_table.rows(), "{threads:?}");
-        assert_eq!(stats, memo_stats, "{threads:?}");
     }
 }

@@ -1,10 +1,11 @@
 //! The warm candidate-pair path makes no heap allocation. Once a first
 //! call has built a pair's lazy indexes, `PreparedGeometry::relate_to`
-//! followed by `qsr::classify`, and `PreparedGeometry::distance_within`,
-//! allocate nothing, for every class pair: points, lines and polygons,
-//! two 256-vertex stars, pairs with collinear runs (split-cut overlap
-//! intervals, curve coverage), and a boundary probe that point location
-//! hands to the exact `RingIndex`.
+//! followed by `qsr::classify`, `PreparedGeometry::relation` (the entry
+//! point extraction calls, which stops once the relation is decided) and
+//! `PreparedGeometry::distance_within` allocate nothing, for every class
+//! pair: points, lines and polygons, two 256-vertex stars, pairs with
+//! collinear runs (split-cut overlap intervals, curve coverage), and a
+//! boundary probe that point location hands to the exact `RingIndex`.
 //!
 //! Preparation has budgets too: a 4-vertex polygon's lazy indexes take at
 //! most 8 heap blocks, a point's none, and a serial extraction over a
@@ -91,8 +92,8 @@ fn star(cx: f64, cy: f64, r: f64, n: usize) -> Geometry {
     Polygon::from_xy(&pts).unwrap().into()
 }
 
-/// Asserts that a warm `relate_to` + `classify` of `a` against `b`
-/// allocates nothing, and returns the relation.
+/// Asserts that a warm `relate_to` + `classify` of `a` against `b`, and a
+/// warm `relation`, allocate nothing and agree, and returns the relation.
 fn warm_relate_allocates_nothing(
     a: &PreparedGeometry,
     b: &PreparedGeometry,
@@ -105,6 +106,8 @@ fn warm_relate_allocates_nothing(
     assert_eq!(a.relate_to(b), relate(a.geometry(), b.geometry()), "{what}");
     let warm = allocations(|| assert_eq!(relate_and_classify(), rel));
     assert_eq!(warm, 0, "relate_to + classify: {what}");
+    let warm = allocations(|| assert_eq!(black_box(a.relation(b)), rel));
+    assert_eq!(warm, 0, "relation: {what}");
     rel
 }
 
@@ -236,7 +239,7 @@ fn preparing_a_point_allocates_nothing() {
 /// Allocations per reference row of one serial, topological extraction
 /// over a generated city, everything included: preparation, R-tree
 /// queries, rows and the merge into a table. The grid-20 city below
-/// takes 9,435 (23.6 per row), so the bound leaves a margin of about 6%.
+/// takes 9,429 (23.6 per row), so the bound leaves a margin of about 6%.
 const EXTRACTION_ALLOCATIONS_PER_ROW: u64 = 25;
 
 #[test]

@@ -134,8 +134,8 @@ fn random_scatter_tiled_matches_flat() {
 
 #[test]
 fn self_join_tiled_matches_flat() {
-    // Every tiling shares one prepared set, self-join memo included;
-    // tables and stats must agree exactly whichever tile reads it.
+    // Every tiling shares one prepared set; tables and stats must agree
+    // exactly whichever tile reads it.
     let (zones, _, _) = random_scatter(5);
     let config = ExtractionConfig::topological_only()
         .with_distance(DistanceScheme::new(vec![("near", 80.0)]).unwrap());
