@@ -882,12 +882,13 @@ fn print_scaling(grid: usize) {
 /// the same million `Feature`s and R-trees) and as the out-of-core
 /// one-tile windowed fetch the tiled extractor is designed around — and
 /// (2) the one-tile default ("flat" in the artifact's field names) vs
-/// tiled (`--tiles N` per axis) predicate extraction, with the tiled
-/// table verified bit-identical to the default one. With `--check`
-/// it exits non-zero unless the city reached one million features, the
-/// binary one-tile fetch beats the full WKT parse (the minimum a text
-/// dataset needs before any tile can start) by ≥ 5x, and tiled
-/// extraction is within 10% of the default's throughput.
+/// tiled (`--tiles N` per axis) predicate extraction, timed in three
+/// alternating pairs, with the tiled table verified bit-identical to the
+/// default one. With `--check` it exits non-zero unless the city reached
+/// one million features, the binary one-tile fetch beats the full WKT
+/// parse (the minimum a text dataset needs before any tile can start) by
+/// ≥ 5x, and the median tiled extraction is within 10% of the median
+/// default one.
 fn print_tiling(grid: usize, tiles: usize, check: bool) {
     use geopattern_sdb::{from_gpb, to_gpb, SpatialDataset, Tiling};
 
@@ -965,7 +966,10 @@ fn print_tiling(grid: usize, tiles: usize, check: bool) {
     );
 
     // Extraction: the one-tile default ("flat") vs tiled, same predicate
-    // selection as `scaling`.
+    // selection as `scaling`. Three alternating pairs, the default first
+    // in the first and last: a run reads slower right after the other
+    // side's, so the order must not always favour one side. The gate
+    // compares the two sides' medians.
     let extraction = ExtractionConfig::topological_only()
         .with_distance(
             DistanceScheme::new(vec![("veryCloseTo", 0.6 * cell), ("closeTo", 1.5 * cell)])
@@ -973,24 +977,51 @@ fn print_tiling(grid: usize, tiles: usize, check: bool) {
         )
         .with_threads(Threads::Auto);
     let refs = ds.relevant_refs();
-    let mut flat = None;
-    let flat_us = time_us_n(3, || {
-        flat = Some(extract_predicates(&ds.reference, &refs, &extraction).expect("uncontrolled"))
-    });
     let tiled_config = extraction.clone().with_tiling(Tiling::Grid { tiles_per_axis: tiles });
-    let mut tiled = None;
-    let tiled_us = time_us_n(3, || {
-        tiled =
-            Some(extract_predicates(&ds.reference, &refs, &tiled_config).expect("uncontrolled"))
-    });
+    let (mut flat, mut tiled) = (None, None);
+    let mut pairs: Vec<(bool, u128, u128)> = Vec::new();
+    for pair in 0..3 {
+        let mut time_flat = || {
+            time_us_n(1, || {
+                flat = Some(
+                    extract_predicates(&ds.reference, &refs, &extraction).expect("uncontrolled"),
+                )
+            })
+        };
+        let mut time_tiled = || {
+            time_us_n(1, || {
+                tiled = Some(
+                    extract_predicates(&ds.reference, &refs, &tiled_config).expect("uncontrolled"),
+                )
+            })
+        };
+        let flat_first = pair % 2 == 0;
+        pairs.push(if flat_first {
+            let f = time_flat();
+            (true, f, time_tiled())
+        } else {
+            let t = time_tiled();
+            (false, time_flat(), t)
+        });
+    }
+    let median_us = |side: fn(&(bool, u128, u128)) -> u128| {
+        let mut v: Vec<u128> = pairs.iter().map(side).collect();
+        v.sort_unstable();
+        v[v.len() / 2]
+    };
+    let (flat_us, tiled_us) = (median_us(|p| p.1), median_us(|p| p.2));
     let (flat_table, flat_stats) = flat.expect("timed at least once");
     let (tiled_table, tiled_stats) = tiled.expect("timed at least once");
     assert_eq!(tiled_table.predicates(), flat_table.predicates(), "tiled predicates differ");
     assert_eq!(tiled_table.rows(), flat_table.rows(), "tiled rows differ");
     assert_eq!(tiled_stats, flat_stats, "tiled stats differ");
     let tiled_over_flat = tiled_us as f64 / flat_us.max(1) as f64;
+    for (i, &(flat_first, f, t)) in pairs.iter().enumerate() {
+        let first = if flat_first { "one tile" } else { "tiled" };
+        println!("extract pair {i} ({first} first): one tile {f} µs | tiled {t} µs");
+    }
     println!(
-        "extract: one tile {flat_us} µs | {tiles}x{tiles} tiles {tiled_us} µs | ratio {:.2} \
+        "extract medians: one tile {flat_us} µs | {tiles}x{tiles} tiles {tiled_us} µs | ratio {:.2} \
          ({} rows, {} predicates, outputs bit-identical)",
         tiled_over_flat,
         flat_table.num_rows(),
@@ -1042,7 +1073,16 @@ fn print_tiling(grid: usize, tiles: usize, check: bool) {
     doc.raw(",");
     doc.key("tiled_over_flat");
     doc.raw(&json_f64(tiled_over_flat));
-    doc.raw("}");
+    doc.raw(",");
+    doc.key("extract_pairs");
+    let pairs: Vec<String> = pairs
+        .iter()
+        .map(|&(flat_first, f, t)| {
+            let first = if flat_first { "flat" } else { "tiled" };
+            format!("{{\"first\":\"{first}\",\"flat_extract_us\":{f},\"tiled_extract_us\":{t}}}")
+        })
+        .collect();
+    doc.raw(&format!("[{}]}}", pairs.join(",")));
     write_bench("tiling", &doc.into_string());
 
     if check {

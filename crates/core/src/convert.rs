@@ -10,17 +10,17 @@
 use geopattern_mining::{ItemCatalog, PairFilter, TransactionSet};
 use geopattern_sdb::{KnowledgeBase, PredicateTable};
 
-/// Converts a predicate table to a transaction set. Item ids equal
-/// predicate codes: item *i* is predicate *i*, even when two predicates
-/// render the same label.
-pub fn to_transactions(table: &PredicateTable) -> TransactionSet {
+/// Converts a predicate table to a transaction set, moving each row's
+/// codes into its transaction. Item ids equal predicate codes: item *i* is
+/// predicate *i*, even when two predicates render the same label.
+pub fn to_transactions(table: PredicateTable) -> TransactionSet {
     let mut catalog = ItemCatalog::new();
     for p in table.predicates() {
         catalog.push(p.to_string(), p.feature_type());
     }
     let mut ts = TransactionSet::new(catalog);
-    for (_, codes) in table.rows() {
-        ts.push(codes.clone());
+    for (_, codes) in table.into_rows() {
+        ts.push(codes);
     }
     ts
 }
@@ -50,7 +50,7 @@ mod tests {
     #[test]
     fn codes_align_with_item_ids() {
         let t = table();
-        let ts = to_transactions(&t);
+        let ts = to_transactions(t.clone());
         assert_eq!(ts.catalog.len(), t.num_predicates());
         for (code, p) in t.predicates().iter().enumerate() {
             assert_eq!(ts.catalog.label(code as u32), p.to_string());
@@ -74,7 +74,7 @@ mod tests {
         let b = t.intern(Predicate::Spatial(SpatialPredicate::topological(T::Contains, "x=y")));
         assert_eq!(t.predicate(a).to_string(), t.predicate(b).to_string());
         t.push_row("D1", vec![a, b]);
-        let ts = to_transactions(&t);
+        let ts = to_transactions(t.clone());
         assert_eq!(ts.catalog.len(), t.num_predicates());
         assert_eq!(ts.catalog.feature_type(a), None);
         assert_eq!(ts.catalog.feature_type(b), Some("x=y"));
@@ -86,7 +86,7 @@ mod tests {
         // The KC+ filter comes from the converted catalog, whose item ids
         // are the table's codes.
         let t = table();
-        let f = PairFilter::same_feature_type(&to_transactions(&t).catalog);
+        let f = PairFilter::same_feature_type(&to_transactions(t).catalog);
         assert_eq!(f.len(), 1);
         assert!(f.blocks(1, 2));
     }

@@ -304,8 +304,8 @@ impl MiningPipeline {
             self.cancel.cancel();
         }
         self.cancel.check()?;
-        let table = &extracted.table;
-        let dependencies = dependency_filter(&self.knowledge, table);
+        let ExtractedTable { table, stats } = extracted;
+        let dependencies = dependency_filter(&self.knowledge, &table);
         let transactions = to_transactions(table);
         let same_type = PairFilter::same_feature_type(&transactions.catalog);
         self.recorder.counter("encode.transactions", transactions.len() as u64);
@@ -316,7 +316,7 @@ impl MiningPipeline {
             transactions,
             dependencies,
             same_type,
-            extraction_stats: Some(extracted.stats),
+            extraction_stats: Some(stats),
         })
     }
 

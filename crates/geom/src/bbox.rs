@@ -3,7 +3,7 @@
 use crate::coord::Coord;
 
 /// An axis-aligned rectangle, used as the envelope of a geometry and as the
-/// key of the R-tree in `geopattern-sdb`.
+/// key of the packed STR tree ([`crate::StrTree`]).
 ///
 /// A `Rect` is always non-empty in the sense of containing at least one
 /// point (`min == max` degenerates to a point). An *empty* envelope — the
@@ -70,7 +70,9 @@ impl Rect {
         self.width() * self.height()
     }
 
-    /// Half the perimeter; the R-tree split heuristic minimises this.
+    /// Half the perimeter. The tree-to-tree distance search
+    /// ([`crate::StrTree::pair_distance_within`]) expands the node of the
+    /// pair with the larger margin.
     #[inline]
     pub fn margin(&self) -> f64 {
         self.width() + self.height()
@@ -170,13 +172,6 @@ impl Rect {
         let dy = (self.min.y - other.max.y).max(0.0).max(other.min.y - self.max.y);
         dx.hypot(dy)
     }
-
-    /// Area by which the union with `other` exceeds `self`'s own area.
-    /// The R-tree insertion heuristic minimises this enlargement.
-    #[inline]
-    pub fn enlargement(&self, other: &Rect) -> f64 {
-        self.union(other).area() - self.area()
-    }
 }
 
 #[cfg(test)]
@@ -267,12 +262,5 @@ mod tests {
         assert_eq!(a.margin(), 7.0);
         assert_eq!(a.center(), coord(1.5, 2.0));
         assert_eq!(a.buffered(1.0), r(-1.0, -1.0, 4.0, 5.0));
-    }
-
-    #[test]
-    fn enlargement_heuristic() {
-        let a = r(0.0, 0.0, 2.0, 2.0);
-        assert_eq!(a.enlargement(&r(1.0, 1.0, 2.0, 2.0)), 0.0);
-        assert_eq!(a.enlargement(&r(0.0, 0.0, 4.0, 2.0)), 4.0);
     }
 }

@@ -19,6 +19,8 @@
 //! * envelopes ([`Rect`]), segment intersection ([`segment`]),
 //!   point-in-polygon, interior points, centroids and minimum distances
 //!   ([`algorithms`]);
+//! * the packed STR tree ([`StrTree`]) that indexes a prepared geometry's
+//!   segments and a layer's feature envelopes;
 //! * the **DE-9IM `relate` engine** ([`mod@relate`]) producing full
 //!   [`IntersectionMatrix`] values for every geometry-class pair, the
 //!   Egenhofer [`TopologicalRelation`] [`classify`] reads off them, and a
@@ -73,7 +75,7 @@ pub use relate::{
 };
 pub use robust::{orient2d, orientation, Orientation};
 pub use segment::{SegSegIntersection, Segment};
-pub use segtree::{take_kernel_counters, KernelCounters, RingIndex, SegTree};
+pub use segtree::{take_kernel_counters, KernelCounters, RingIndex, StrTree};
 pub use tile::TileGrid;
 pub use transform::AffineTransform;
 pub use wkt::{from_wkt, to_wkt};

@@ -8,8 +8,8 @@
 //! disjoint matrix, never touching the exact relate machinery.
 //!
 //! Pairs that survive the envelope test run the exact relate machinery
-//! over a lazily built, cached `PreparedShape`: a packed segment R-tree
-//! ([`crate::segtree::SegTree`]) over the geometry's segments plus
+//! over a lazily built, cached `PreparedShape`: a packed STR tree
+//! ([`crate::segtree::StrTree`]) over the geometry's segments plus
 //! monotone-edge ring indexes ([`crate::segtree::RingIndex`]) for
 //! point-in-ring queries, making the per-pair kernel sublinear in the
 //! vertex count while staying bit-identical to the brute-force
@@ -42,7 +42,7 @@ use crate::relate::{
     classify, relate_shapes, Dim, IntersectionMatrix, Part, TopologicalRelation, Until,
 };
 use crate::segment::Segment;
-use crate::segtree::{self, SegTree};
+use crate::segtree::{self, StrTree};
 use std::borrow::Borrow;
 use std::sync::OnceLock;
 
@@ -241,7 +241,7 @@ fn any_not_outside(pa: &PreparedAreal, coords: impl IntoIterator<Item = Coord>) 
 }
 
 /// Minimum distance from a point set to an indexed segment set, bounded.
-fn points_to_tree(coords: &[Coord], tree: &SegTree, segments: &[Segment], bound: f64) -> f64 {
+fn points_to_tree(coords: &[Coord], tree: &StrTree, segments: &[Segment], bound: f64) -> f64 {
     let mut best = f64::INFINITY;
     for &c in coords {
         // Shrinking the limit to the best-so-far only prunes distances

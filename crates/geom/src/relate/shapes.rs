@@ -10,7 +10,7 @@
 //! views built by [`shape_of`] (used by the free [`crate::relate()`]
 //! function, always brute force — the test oracle), and *borrowed* views
 //! over a `PreparedShape` that additionally carry segment indexes
-//! ([`crate::segtree::SegTree`], [`crate::segtree::RingIndex`]). The
+//! ([`crate::segtree::StrTree`], [`crate::segtree::RingIndex`]). The
 //! indexes only narrow which segments are *inspected*; every skipped
 //! segment is one the exact tests would have rejected anyway (segment
 //! intersection starts with an envelope prefilter, point-in-ring crossing
@@ -35,7 +35,7 @@ use crate::geometry::Geometry;
 use crate::polygon::{MultiPolygon, PointLocation, Polygon, Ring};
 use crate::quant::PreparedRing;
 use crate::segment::{merge_intervals, SegSegIntersection, Segment};
-use crate::segtree::SegTree;
+use crate::segtree::StrTree;
 use std::borrow::Cow;
 use std::cell::Cell;
 
@@ -82,7 +82,7 @@ pub struct Lineal<'a> {
     /// The mod-2 boundary points.
     pub boundary: Cow<'a, [Coord]>,
     /// Optional segment index over `segments` (present on prepared views).
-    pub(crate) tree: Option<&'a SegTree>,
+    pub(crate) tree: Option<&'a StrTree>,
 }
 
 /// Where a coordinate lies relative to a lineal geometry.
@@ -147,7 +147,7 @@ pub fn segment_covered_by(s: &Segment, segs: &[Segment]) -> bool {
 pub(crate) fn segment_covered_by_indexed(
     s: &Segment,
     segs: &[Segment],
-    tree: Option<&SegTree>,
+    tree: Option<&StrTree>,
 ) -> bool {
     with_scratch(|Scratch { intervals, .. }| {
         let mut push = |t: &Segment| {
@@ -209,7 +209,7 @@ impl<'a> Areal<'a> {
     }
 
     /// Segment tree over [`Areal::boundary_cow`], when prepared.
-    pub(crate) fn boundary_tree(&self) -> Option<&SegTree> {
+    pub(crate) fn boundary_tree(&self) -> Option<&StrTree> {
         match self {
             Areal::Indexed(pa) => Some(&pa.tree),
             _ => None,
@@ -277,7 +277,7 @@ pub struct PreparedAreal {
     /// exterior ring first and then its holes (the order of
     /// [`Areal::boundary_cow`]).
     pub(crate) boundary: Vec<Segment>,
-    pub(crate) tree: SegTree,
+    pub(crate) tree: StrTree,
 }
 
 #[derive(Debug, Clone)]
@@ -334,7 +334,7 @@ impl PreparedAreal {
         let edges = members.iter().flat_map(Polygon::rings).map(Ring::num_points).sum();
         let mut boundary = Vec::with_capacity(edges);
         boundary.extend(members.iter().flat_map(Polygon::boundary_segments));
-        let tree = SegTree::build(&boundary);
+        let tree = StrTree::build(boundary.iter().map(Segment::envelope));
         PreparedAreal {
             first: PreparedPoly::build(first),
             rest: rest.iter().map(PreparedPoly::build).collect(),
@@ -416,7 +416,7 @@ pub(crate) enum Fragment {
 pub(crate) fn split_classify_indexed(
     segs: &[Segment],
     region_boundary: &[Segment],
-    tree: Option<&SegTree>,
+    tree: Option<&StrTree>,
     region: &Areal,
     mut found: impl FnMut(Fragment) -> bool,
 ) -> bool {
@@ -530,7 +530,7 @@ pub(crate) enum PreparedShape {
     L {
         segments: Vec<Segment>,
         boundary: Vec<Coord>,
-        tree: SegTree,
+        tree: StrTree,
     },
     A(Box<PreparedAreal>),
 }
@@ -551,12 +551,12 @@ impl PreparedShape {
             Geometry::Point(_) | Geometry::MultiPoint(_) => PreparedShape::P,
             Geometry::LineString(l) => {
                 let segments: Vec<Segment> = l.segments().collect();
-                let tree = SegTree::build(&segments);
+                let tree = StrTree::build(segments.iter().map(Segment::envelope));
                 PreparedShape::L { segments, boundary: l.boundary_points(), tree }
             }
             Geometry::MultiLineString(ml) => {
                 let segments: Vec<Segment> = ml.segments().collect();
-                let tree = SegTree::build(&segments);
+                let tree = StrTree::build(segments.iter().map(Segment::envelope));
                 PreparedShape::L { segments, boundary: ml.boundary_points(), tree }
             }
             Geometry::Polygon(p) => PreparedShape::A(Box::new(PreparedAreal::from_polygon(p))),

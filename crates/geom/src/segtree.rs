@@ -1,16 +1,16 @@
-//! Segment indexes for prepared geometries.
+//! Packed spatial indexes: the STR tree behind every envelope query in
+//! the workspace, and the ring index behind point location.
 //!
-//! Two complementary structures make the per-pair relate/distance kernel
-//! sublinear in the number of vertices:
-//!
-//! * [`SegTree`] — a flat, packed R-tree over a geometry's segments,
-//!   bulk-loaded with the Sort-Tile-Recursive (STR) heuristic. All nodes
-//!   live in one arena `Vec` (no per-node allocation, no pointers); leaf
-//!   entries keep their original segment indices. An envelope query hands
-//!   each hit to a visitor, and every caller's use of the hits is
-//!   order-free (flags are OR-ed, cuts and intervals sorted, `any`), so
-//!   downstream loops decide exactly like the brute-force scans they
-//!   replace. Besides envelope queries it supports branch-and-bound
+//! * [`StrTree`] — a flat, packed R-tree over envelopes, bulk-loaded with
+//!   the Sort-Tile-Recursive (STR) heuristic. All nodes live in one arena
+//!   `Vec` (no per-node allocation, no pointers); leaf entries keep their
+//!   original indices. A prepared geometry indexes its segments with one,
+//!   and a layer (`geopattern-sdb`) its features' envelopes. The segment
+//!   query hands each hit to a visitor, and every caller's use of the
+//!   hits is order-free (flags are OR-ed, cuts and intervals sorted,
+//!   `any`), so downstream loops decide exactly like the brute-force
+//!   scans they replace; a layer query sorts its hits ascending. Besides
+//!   envelope queries a segment tree supports branch-and-bound
 //!   minimum-distance searches (point-to-tree and tree-to-tree) that prune
 //!   any subtree pair whose box-to-box distance already exceeds the
 //!   caller's bound.
@@ -23,11 +23,14 @@
 //!   bit-identical to the linear scan.
 //!
 //! Every traversal keeps its pending nodes in one fixed-capacity stack
-//! on the call stack, so no query allocates.
+//! on the call stack, so no query allocates except into a layer query's
+//! output buffer.
 //!
 //! The module also hosts the thread-local kernel counters surfaced by the
 //! extraction pipeline (`geom/segtree_nodes_visited`, `geom/pairs_exact`,
-//! `geom/distance_early_exit`); see [`take_kernel_counters`].
+//! `geom/distance_early_exit`); see [`take_kernel_counters`]. Only the
+//! relate kernel's segment queries and distance searches count: a
+//! layer's envelope query counts nothing.
 
 use crate::bbox::Rect;
 use crate::coord::Coord;
@@ -166,7 +169,7 @@ pub(crate) fn exceeds(lb: f64, limit: f64) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// SegTree
+// StrTree
 // ---------------------------------------------------------------------------
 
 /// Leaf fan-out and internal fan-out of the packed tree.
@@ -233,36 +236,35 @@ struct Node {
     leaf: bool,
 }
 
-/// A flat, packed R-tree over a slice of segments (STR bulk-load).
+/// A flat, packed R-tree over envelopes (STR bulk-load): the index of a
+/// prepared geometry's segments and of a layer's features alike.
 ///
-/// The tree stores only envelopes plus original segment indices; distance
-/// traversals take the segment slice as a parameter so one index can be
-/// shared by borrowing views of the same geometry.
+/// The tree stores only envelopes plus their original indices. Distance
+/// traversals of a segment tree take the segment slice as a parameter,
+/// so one index can be shared by borrowing views of the same geometry.
 #[derive(Debug, Clone)]
-pub struct SegTree {
-    /// `(envelope, original segment index)`, in STR packing order.
+pub struct StrTree {
+    /// `(envelope, original index)`, in STR packing order.
     entries: Vec<(Rect, u32)>,
     /// Arena of nodes, packed level by level, root last.
     nodes: Vec<Node>,
 }
 
-impl SegTree {
-    /// Bulk-loads the tree over `segments` with the STR heuristic: entries
-    /// are sorted into vertical slices by envelope-center x, each slice is
-    /// sorted by center y, and consecutive runs of `NODE_CAPACITY` become
-    /// leaves; upper levels pack consecutive runs of child nodes until a
-    /// single root remains.
-    pub fn build(segments: &[Segment]) -> SegTree {
-        assert!(segments.len() <= u32::MAX as usize, "a SegTree indexes at most u32::MAX segments");
-        let mut entries: Vec<(Rect, u32)> = segments
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.envelope(), i as u32))
-            .collect();
+impl StrTree {
+    /// Bulk-loads the tree over `envelopes`, numbered in iteration order,
+    /// with the STR heuristic: entries are sorted into vertical slices by
+    /// envelope-center x, each slice is sorted by center y, and
+    /// consecutive runs of `NODE_CAPACITY` become leaves; upper levels
+    /// pack consecutive runs of child nodes until a single root remains.
+    /// Both sorts are stable, so equal centers keep their input order.
+    pub fn build(envelopes: impl IntoIterator<Item = Rect>) -> StrTree {
+        let mut entries: Vec<(Rect, u32)> =
+            envelopes.into_iter().enumerate().map(|(i, r)| (r, i as u32)).collect();
         let mut nodes: Vec<Node> = Vec::new();
         let n = entries.len();
+        assert!(n <= u32::MAX as usize, "a StrTree indexes at most u32::MAX entries");
         if n == 0 {
-            return SegTree { entries, nodes };
+            return StrTree { entries, nodes };
         }
 
         let num_leaves = n.div_ceil(NODE_CAPACITY);
@@ -301,31 +303,58 @@ impl SegTree {
             level_start = level_end;
             level_len = nodes.len() - level_start;
         }
-        SegTree { entries, nodes }
+        StrTree { entries, nodes }
     }
 
-    /// Number of indexed segments.
+    /// Number of indexed entries.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when no segments are indexed.
+    /// True when nothing is indexed.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// Root envelope of the indexed segments ([`Rect::EMPTY`] when empty).
+    /// Root envelope of the indexed entries ([`Rect::EMPTY`] when empty).
     pub fn envelope(&self) -> Rect {
         self.nodes.last().map(|n| n.rect).unwrap_or(Rect::EMPTY)
     }
 
-    /// Calls `hit` with the original index of every segment whose
-    /// envelope intersects `rect`, each once, in traversal order (not
-    /// ascending). Callers' use of the hits must not depend on their order.
-    /// Allocates nothing.
-    pub fn query(&self, rect: &Rect, mut hit: impl FnMut(u32)) {
+    /// Calls `hit` with the original index of every entry whose envelope
+    /// intersects `rect`, each once, in traversal order (not ascending).
+    /// Callers' use of the hits must not depend on their order. The nodes
+    /// it visits count under `segtree_nodes_visited`: this is the segment
+    /// query of the relate kernel. Allocates nothing.
+    pub fn query(&self, rect: &Rect, hit: impl FnMut(u32)) {
+        note_nodes(self.visit(rect, hit));
+    }
+
+    /// The original indices of every entry whose envelope intersects
+    /// `rect`, ascending, in `out`, which is cleared first: a caller that
+    /// keeps one buffer for many queries allocates only while it grows.
+    /// This is a layer's envelope query, and it counts nothing.
+    pub fn query_rect_into(&self, rect: &Rect, out: &mut Vec<usize>) {
+        out.clear();
+        self.visit(rect, |i| out.push(i as usize));
+        out.sort_unstable();
+    }
+
+    /// The original indices of every entry whose envelope intersects
+    /// `rect` buffered by `margin` on every side, ascending: the window
+    /// of bounded distance-band extraction (a geometry within distance
+    /// `d` of `rect` has an envelope intersecting `rect` buffered by `d`).
+    pub fn query_window(&self, rect: &Rect, margin: f64) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.query_rect_into(&rect.buffered(margin), &mut out);
+        out
+    }
+
+    /// The envelope traversal behind every query form: hands each hit to
+    /// `hit` and returns the number of nodes visited.
+    fn visit(&self, rect: &Rect, mut hit: impl FnMut(u32)) -> u64 {
         let Some(root) = self.nodes.len().checked_sub(1) else {
-            return;
+            return 0;
         };
         let mut visited = 0u64;
         let mut stack = Stack::new(root as u32);
@@ -348,7 +377,7 @@ impl SegTree {
                 }
             }
         }
-        note_nodes(visited);
+        visited
     }
 
     /// Branch-and-bound minimum distance from `p` to the indexed segments,
@@ -357,7 +386,8 @@ impl SegTree {
     /// whenever that minimum is `<= limit`; otherwise it is some value
     /// `> limit` (possibly `INFINITY`) that callers must discard.
     ///
-    /// `segments` must be the slice the tree was built over.
+    /// `segments` must be the slice whose envelopes the tree was built
+    /// over, in order.
     pub fn point_distance_within(&self, segments: &[Segment], p: Coord, limit: f64) -> f64 {
         let mut best = f64::INFINITY;
         let Some(root) = self.nodes.len().checked_sub(1) else {
@@ -405,7 +435,7 @@ impl SegTree {
     }
 
     /// Branch-and-bound minimum distance between two segment trees, with
-    /// the same bound semantics as [`SegTree::point_distance_within`]: the
+    /// the same bound semantics as [`StrTree::point_distance_within`]: the
     /// result equals the true minimum pair distance whenever that minimum
     /// is `<= limit`.
     ///
@@ -418,7 +448,7 @@ impl SegTree {
     pub fn pair_distance_within(
         &self,
         a_segs: &[Segment],
-        other: &SegTree,
+        other: &StrTree,
         b_segs: &[Segment],
         limit: f64,
     ) -> f64 {
@@ -627,36 +657,99 @@ mod tests {
             .collect()
     }
 
+    fn seg_tree(segs: &[Segment]) -> StrTree {
+        StrTree::build(segs.iter().map(Segment::envelope))
+    }
+
+    fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Rect {
+        Rect::new(coord(x0, y0), coord(x1, y1))
+    }
+
+    /// `n × n` boxes of side 5, 10 apart.
+    fn box_grid(n: usize) -> Vec<Rect> {
+        (0..n * n)
+            .map(|k| {
+                let (x, y) = ((k / n) as f64 * 10.0, (k % n) as f64 * 10.0);
+                rect(x, y, x + 5.0, y + 5.0)
+            })
+            .collect()
+    }
+
     #[test]
     fn query_matches_brute_force_envelope_scan() {
-        for n in [0usize, 1, 7, 8, 9, 64, 65, 300] {
-            let segs = grid_segments(n);
-            let tree = SegTree::build(&segs);
+        // (envelopes, queries): segment grids of every shape from one leaf
+        // to several levels, the empty tree, a 144-box multi-level grid,
+        // point-degenerate boxes and heavily overlapping boxes.
+        let seg_queries = vec![
+            rect(0.0, 0.0, 4.0, 4.0),
+            rect(10.0, 3.0, 25.0, 9.0),
+            rect(-5.0, -5.0, -1.0, -1.0),
+            rect(0.0, 0.0, 100.0, 100.0),
+        ];
+        let mut cases: Vec<(Vec<Rect>, Vec<Rect>)> = [0usize, 1, 7, 8, 9, 64, 65, 300]
+            .into_iter()
+            .map(|n| {
+                let envelopes = grid_segments(n).iter().map(Segment::envelope).collect();
+                (envelopes, seg_queries.clone())
+            })
+            .collect();
+        cases.push((
+            box_grid(12),
+            vec![
+                rect(0.0, 0.0, 25.0, 25.0),
+                rect(50.0, 50.0, 55.0, 55.0),
+                rect(-10.0, -10.0, -1.0, -1.0),
+                rect(0.0, 0.0, 1000.0, 1000.0),
+                rect(33.0, 33.0, 34.0, 34.0),
+            ],
+        ));
+        cases.push((
+            (0..50).map(|i| Rect::of_point(coord(i as f64, (i * 7 % 13) as f64))).collect(),
+            vec![rect(10.0, 0.0, 20.0, 20.0)],
+        ));
+        cases.push((
+            (0..80)
+                .map(|i| {
+                    let f = i as f64;
+                    rect(f * 0.5, f * 0.25, f * 0.5 + 20.0, f * 0.25 + 20.0)
+                })
+                .collect(),
+            vec![rect(10.0, 5.0, 12.0, 6.0)],
+        ));
+        for (envelopes, queries) in &cases {
+            let n = envelopes.len();
+            let tree = StrTree::build(envelopes.iter().copied());
             assert_eq!(tree.len(), n);
-            for rect in [
-                Rect::new(coord(0.0, 0.0), coord(4.0, 4.0)),
-                Rect::new(coord(10.0, 3.0), coord(25.0, 9.0)),
-                Rect::new(coord(-5.0, -5.0), coord(-1.0, -1.0)),
-                Rect::new(coord(0.0, 0.0), coord(100.0, 100.0)),
-            ] {
-                let brute: Vec<u32> = segs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.envelope().intersects(&rect))
-                    .map(|(i, _)| i as u32)
-                    .collect();
+            for q in queries {
+                let brute: Vec<usize> = (0..n).filter(|&i| envelopes[i].intersects(q)).collect();
                 let mut hits = Vec::new();
-                tree.query(&rect, |i| hits.push(i));
+                tree.query(q, |i| hits.push(i as usize));
                 hits.sort_unstable();
-                assert_eq!(hits, brute, "n={n} rect={rect:?}");
+                assert_eq!(hits, brute, "n={n} query={q:?}");
+                // The buffer form clears what the buffer held.
+                let mut out = vec![99];
+                tree.query_rect_into(q, &mut out);
+                assert_eq!(out, brute, "n={n} query={q:?}");
+                assert_eq!(tree.query_window(q, 0.0), brute, "n={n} query={q:?}");
             }
         }
+
+        // A window with a margin: around the (0,0) box of a 5 × 5 grid, a
+        // 6-unit margin reaches its right and upper neighbours, not beyond.
+        let items = box_grid(5);
+        let tree = StrTree::build(items.iter().copied());
+        let window = rect(0.0, 0.0, 5.0, 5.0);
+        let near = tree.query_window(&window, 6.0);
+        let brute: Vec<usize> =
+            (0..items.len()).filter(|&i| items[i].intersects(&window.buffered(6.0))).collect();
+        assert_eq!(near, brute);
+        assert_eq!(near, vec![0, 1, 5, 6]);
     }
 
     #[test]
     fn point_distance_matches_brute_force_when_within_limit() {
         let segs = grid_segments(120);
-        let tree = SegTree::build(&segs);
+        let tree = seg_tree(&segs);
         for p in [coord(5.0, 5.0), coord(-3.0, 2.0), coord(60.0, 20.0), coord(24.7, 7.1)] {
             let brute = segs
                 .iter()
@@ -682,8 +775,8 @@ mod tests {
             .iter()
             .map(|s| Segment::new(coord(s.a.x + 40.0, s.a.y + 3.0), coord(s.b.x + 40.0, s.b.y + 3.0)))
             .collect();
-        let ta = SegTree::build(&a);
-        let tb = SegTree::build(&b);
+        let ta = seg_tree(&a);
+        let tb = seg_tree(&b);
         let brute = a
             .iter()
             .flat_map(|sa| b.iter().map(move |sb| sa.distance_to_segment(sb)))
@@ -706,8 +799,8 @@ mod tests {
             .iter()
             .map(|s| Segment::new(coord(s.a.x + 500.0, s.a.y), coord(s.b.x + 500.0, s.b.y)))
             .collect();
-        let ta = SegTree::build(&a);
-        let tb = SegTree::build(&b);
+        let ta = seg_tree(&a);
+        let tb = seg_tree(&b);
         let _ = take_kernel_counters();
         let d = ta.pair_distance_within(&a, &tb, &b, 1.0);
         assert!(d > 1.0, "everything is farther than the bound");
@@ -731,7 +824,7 @@ mod tests {
         // Candidates from the tree are exactly the segments the envelope
         // prefilter inside Segment::intersect would not reject.
         let segs = grid_segments(50);
-        let tree = SegTree::build(&segs);
+        let tree = seg_tree(&segs);
         let probe = Segment::new(coord(2.0, 1.0), coord(20.0, 5.0));
         let mut candidates = Vec::new();
         tree.query(&probe.envelope(), |i| candidates.push(i));

@@ -2,11 +2,10 @@
 //!
 //! A *feature* is a geographic object instance: a geometry plus non-spatial
 //! attributes. A *layer* groups all instances of one feature type
-//! (`district`, `slum`, `school`, …) and owns an R-tree index over their
-//! envelopes, bulk-loaded when the layer is built.
+//! (`district`, `slum`, `school`, …) and owns a packed STR tree
+//! ([`StrTree`]) over their envelopes, bulk-loaded when the layer is built.
 
-use crate::rtree::RTree;
-use geopattern_geom::{Geometry, Rect};
+use geopattern_geom::{Geometry, Rect, StrTree};
 use std::collections::BTreeMap;
 
 /// A geographic object instance.
@@ -45,38 +44,29 @@ pub struct Layer {
     /// The feature-type name (`"district"`, `"slum"`, …).
     pub feature_type: String,
     features: Vec<Feature>,
-    index: RTree,
+    index: StrTree,
 }
 
 impl Layer {
     /// Builds a layer, bulk-loading the spatial index.
     pub fn new(feature_type: impl Into<String>, features: Vec<Feature>) -> Layer {
-        let envelopes: Vec<Rect> = features.iter().map(|f| f.envelope()).collect();
         Layer {
             feature_type: feature_type.into(),
-            index: RTree::bulk_load(&envelopes),
+            index: StrTree::build(features.iter().map(Feature::envelope)),
             features,
         }
     }
 
-    /// Builds a layer from features whose envelopes are already known
-    /// (e.g. stored in the binary dataset format), skipping the envelope
-    /// recomputation pass of [`Layer::new`]. The caller must supply one
-    /// envelope per feature, equal to `feature.envelope()`.
-    pub(crate) fn with_envelopes(
+    /// Builds a layer from features and a pre-built spatial index (used by
+    /// the binary-dataset decoder, which builds it from the stored
+    /// envelopes). The index must have been built from the features'
+    /// envelopes, in feature order.
+    pub(crate) fn with_index(
         feature_type: String,
         features: Vec<Feature>,
-        envelopes: &[Rect],
+        index: StrTree,
     ) -> Layer {
-        debug_assert_eq!(features.len(), envelopes.len());
-        Layer { feature_type, index: RTree::bulk_load(envelopes), features }
-    }
-
-    /// Builds a layer from features and a pre-built spatial index (used by
-    /// the parallel binary-dataset decoder, which bulk-loads indexes for
-    /// several layers concurrently). The index must have been built from
-    /// the features' envelopes, in feature order.
-    pub(crate) fn with_index(feature_type: String, features: Vec<Feature>, index: RTree) -> Layer {
+        debug_assert_eq!(features.len(), index.len());
         Layer { feature_type, index, features }
     }
 
@@ -95,13 +85,15 @@ impl Layer {
         self.features.is_empty()
     }
 
-    /// Indices of features whose envelope intersects `query`.
+    /// Indices of features whose envelope intersects `query`, ascending.
     pub fn query_envelope(&self, query: &Rect) -> Vec<usize> {
-        self.index.query_rect(query)
+        let mut out = Vec::new();
+        self.index.query_rect_into(query, &mut out);
+        out
     }
 
-    /// The spatial index (for callers needing raw access).
-    pub fn index(&self) -> &RTree {
+    /// The spatial index over the features' envelopes, in feature order.
+    pub fn index(&self) -> &StrTree {
         &self.index
     }
 
@@ -148,6 +140,23 @@ mod tests {
             let env = layer.features()[i].envelope();
             assert!(env.min.x <= 11.0 && env.min.y <= 11.0);
         }
+    }
+
+    #[test]
+    fn layer_queries_count_nothing() {
+        use geopattern_geom::{take_kernel_counters, KernelCounters};
+        let features: Vec<Feature> =
+            (0..100).map(|i| point_feature("p", (i % 10) as f64, (i / 10) as f64)).collect();
+        let layer = Layer::new("school", features);
+        let window = Rect::new(coord(2.0, 2.0), coord(5.0, 5.0));
+        let _ = take_kernel_counters();
+        let hits = layer.query_envelope(&window);
+        let mut out = Vec::new();
+        layer.index().query_rect_into(&window, &mut out);
+        assert_eq!(out, hits);
+        assert_eq!(layer.index().query_window(&window, 1.0).len(), 36);
+        assert_eq!(hits.len(), 16);
+        assert_eq!(take_kernel_counters(), KernelCounters::default());
     }
 
     #[test]

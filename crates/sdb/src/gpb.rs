@@ -37,17 +37,16 @@
 //! as a typed [`GpbError`] — never a panic. Geometries go through the
 //! same validating constructors as WKT parsing, and every assembled
 //! feature's stored envelope must equal its geometry's envelope
-//! ([`GpbError::EnvelopeMismatch`]) before it builds the layer's R-tree
-//! (see `Layer::with_envelopes`), so a decoded dataset upholds every
-//! invariant the rest of the system assumes, and WKT → `.gpb` → WKT
-//! round-trips are textually stable.
+//! ([`GpbError::EnvelopeMismatch`]) before the stored envelopes build the
+//! layer's spatial index (see `Layer::with_index`), so a decoded dataset
+//! upholds every invariant the rest of the system assumes, and WKT →
+//! `.gpb` → WKT round-trips are textually stable.
 
 use crate::dataset::SpatialDataset;
 use crate::feature::{Feature, Layer};
-use crate::rtree::RTree;
 use geopattern_geom::{
     coord, Coord, GeomError, Geometry, LineString, MultiLineString, MultiPoint, MultiPolygon,
-    Point, Polygon, Rect, Ring,
+    Point, Polygon, Rect, Ring, StrTree,
 };
 use geopattern_par::{par_map, Threads};
 use std::collections::HashMap;
@@ -525,7 +524,8 @@ impl<'a> GpbReader<'a> {
         }
 
         // Stage 3: spatial-index builds per layer.
-        let trees: Vec<RTree> = par_map(Threads::Auto, &envelopes, |_, envs| RTree::bulk_load(envs));
+        let trees: Vec<StrTree> =
+            par_map(Threads::Auto, &envelopes, |_, envs| StrTree::build(envs.iter().copied()));
 
         let mut reference = None;
         let mut relevant = Vec::new();
@@ -649,7 +649,7 @@ impl<'a> GpbReader<'a> {
             envelopes.push(envelope);
             features.push(feature);
         }
-        Ok(Layer::with_envelopes(self.layer_name(i).to_string(), features, &envelopes))
+        Ok(Layer::with_index(self.layer_name(i).to_string(), features, StrTree::build(envelopes)))
     }
 }
 

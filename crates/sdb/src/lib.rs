@@ -5,9 +5,9 @@
 //! consume.
 //!
 //! * [`feature`] — [`Feature`]s (geometry + categorical attributes) grouped
-//!   into [`Layer`]s per feature type, each with a spatial index;
-//! * [`rtree`] — the [`RTree`] index (STR bulk load + quadratic-split
-//!   insertion) used to prune candidate feature pairs;
+//!   into [`Layer`]s per feature type, each indexed by `geopattern-geom`'s
+//!   packed STR tree ([`geopattern_geom::StrTree`]), whose envelope
+//!   queries prune candidate feature pairs;
 //! * [`mod@extract`] — the qualitative predicate-extraction engine: reference
 //!   layer × relevant layers → [`PredicateTable`] rows of
 //!   `contains_slum`-style predicates at feature-type granularity;
@@ -32,7 +32,6 @@ pub mod feature;
 pub mod gpb;
 pub mod knowledge;
 pub mod predicate_table;
-pub mod rtree;
 pub mod taxonomy;
 pub(crate) mod tiled;
 
@@ -42,5 +41,11 @@ pub use gpb::{from_gpb, to_gpb, write_gpb, GpbError, GpbReader};
 pub use feature::{Feature, Layer};
 pub use knowledge::KnowledgeBase;
 pub use predicate_table::{Predicate, PredicateTable};
-pub use rtree::{HasEnvelope, RTree};
 pub use taxonomy::{FeatureTypeTaxonomy, TaxonomyError};
+
+/// The layers' R-tree index, seen through [`Layer`]: its envelope queries
+/// against a brute-force scan.
+#[cfg(test)]
+mod rtree {
+    mod tests;
+}

@@ -95,6 +95,11 @@ impl PredicateTable {
         &self.rows
     }
 
+    /// The rows, moved out of the table.
+    pub fn into_rows(self) -> Vec<(String, Vec<u32>)> {
+        self.rows
+    }
+
     /// Number of rows (transactions).
     pub fn num_rows(&self) -> usize {
         self.rows.len()

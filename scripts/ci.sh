@@ -13,6 +13,61 @@ cargo test --workspace -q
 echo "==> perfbench tests (the benchmark compiles against the public API, KernelCounters included)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> scripts/ab.sh self-test (txn tiny, HEAD against HEAD: BENCH_ab_txn.json parses and all four runs read correct: true)"
+# The committed artifact is kept aside and put back afterwards.
+AB_KEEP="$(mktemp -t geopattern-ci-XXXXXX.json)"
+had_ab=0
+if [ -f BENCH_ab_txn.json ]; then cp BENCH_ab_txn.json "$AB_KEEP"; had_ab=1; fi
+ab_ok=1
+scripts/ab.sh HEAD HEAD --workload txn --size tiny --pairs 2 --seconds 1 --seeds 1-2 || ab_ok=0
+test -s BENCH_ab_txn.json || ab_ok=0
+# A JSON validator without jq: recursive descent over the whole file,
+# exit 0 when it holds exactly one JSON value.
+awk '
+    function ws() { while (substr(s, i, 1) ~ /[ \t\r\n]/) i++ }
+    function str(   c) {
+        for (i++; i <= n; i++) {
+            c = substr(s, i, 1)
+            if (c == "\\") i++
+            else if (c == "\"") { i++; return 1 }
+        }
+        return 0
+    }
+    function val(   c, t) {
+        ws()
+        c = substr(s, i, 1)
+        if (c == "\"") return str()
+        if (c == "{" || c == "[") {
+            i++
+            ws()
+            if (substr(s, i, 1) == (c == "{" ? "}" : "]")) { i++; return 1 }
+            for (;;) {
+                if (c == "{") {
+                    ws()
+                    if (substr(s, i, 1) != "\"" || !str()) return 0
+                    ws()
+                    if (substr(s, i++, 1) != ":") return 0
+                }
+                if (!val()) return 0
+                ws()
+                t = substr(s, i++, 1)
+                if (t == (c == "{" ? "}" : "]")) return 1
+                if (t != ",") return 0
+            }
+        }
+        if (match(substr(s, i), /^(true|false|null|-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?)/)) {
+            i += RLENGTH
+            return 1
+        }
+        return 0
+    }
+    { s = s $0 "\n" }
+    END { n = length(s); i = 1; ok = val(); ws(); exit !(ok && i > n) }
+' BENCH_ab_txn.json || { echo "BENCH_ab_txn.json does not parse"; ab_ok=0; }
+test "$(grep -o '"correct": true' BENCH_ab_txn.json | wc -l)" -eq 4 || ab_ok=0
+if [ "$had_ab" -eq 1 ]; then mv "$AB_KEEP" BENCH_ab_txn.json; else rm -f "$AB_KEEP" BENCH_ab_txn.json; fi
+test "$ab_ok" -eq 1 || { echo "ab.sh self-test failed"; exit 1; }
+
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -107,7 +107,7 @@ fn extraction_produces_all_four_predicates_once_each() {
     }
     assert_eq!(stats.spatial_predicates, 4);
     // All four are same-feature-type pairs for KC+: C(4,2) = 6 pairs.
-    assert_eq!(to_transactions(&table).catalog.same_feature_type_pairs().len(), 6);
+    assert_eq!(to_transactions(table).catalog.same_feature_type_pairs().len(), 6);
 }
 
 #[test]
@@ -126,7 +126,7 @@ fn distance_relations_match_the_narrative() {
     assert!(row.contains(&"farTo_policeCenter".to_string()), "{row:?}");
     // The paper's point: the same feature type with two distance relations
     // is exactly what generates is_a_District → close ∧ far nonsense…
-    assert_eq!(to_transactions(&table).catalog.same_feature_type_pairs().len(), 1);
+    assert_eq!(to_transactions(table).catalog.same_feature_type_pairs().len(), 1);
 }
 
 #[test]

@@ -8,9 +8,10 @@
 //! boundary probe that point location hands to the exact `RingIndex`.
 //!
 //! Preparation has budgets too: a 4-vertex polygon's lazy indexes take at
-//! most 8 heap blocks, a point's none, and a serial extraction over a
+//! most 8 heap blocks, a point's none, a serial extraction over a
 //! generated city stays under a fixed number of allocations per
-//! reference row.
+//! reference row, and a 100,000-feature layer's spatial index is built
+//! in a fixed number of heap blocks, not one per node.
 //!
 //! A `#[global_allocator]` wraps `System` and counts on a thread-local,
 //! because the harness runs tests on parallel threads and a global count
@@ -23,10 +24,10 @@ use std::hint::black_box;
 
 use geopattern_datagen::{generate_city, CityConfig};
 use geopattern_geom::{
-    from_wkt, relate, take_kernel_counters, Geometry, Polygon, PreparedGeometry,
+    from_wkt, relate, take_kernel_counters, Geometry, Point, Polygon, PreparedGeometry,
 };
 use geopattern_qsr::{classify, TopologicalRelation};
-use geopattern_sdb::{extract_predicates, ExtractionConfig, Layer};
+use geopattern_sdb::{extract_predicates, ExtractionConfig, Feature, Layer};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -255,4 +256,26 @@ fn serial_extraction_stays_under_its_per_row_budget() {
         total <= EXTRACTION_ALLOCATIONS_PER_ROW * rows,
         "{total} allocations for {rows} rows"
     );
+}
+
+/// Allocations of `Layer::new` over 100,000 points, the size of perfbench
+/// `city`'s `illuminationPoint` layer: the layer's name, the index's entry
+/// array, the temporary buffers of its stable STR sorts (one for the x
+/// sort, one per vertical slice, ⌈√12,500⌉ = 112 slices) and the node
+/// arena's growth, 128 in all, so the bound leaves a margin of about 5%.
+/// The pointer tree it replaced took 16,357 for that layer.
+const LAYER_INDEX_ALLOCATIONS: u64 = 135;
+
+#[test]
+fn a_100k_feature_layer_index_takes_a_fixed_number_of_allocations() {
+    let features: Vec<Feature> = (0..100_000u32)
+        .map(|k| {
+            let (x, y) = ((k * 7919 % 100_000) as f64, (k / 1000) as f64);
+            Feature::new("", Point::xy(x, y).unwrap().into())
+        })
+        .collect();
+    let mut layer = None;
+    let built = allocations(|| layer = Some(Layer::new("illuminationPoint", features)));
+    assert_eq!(black_box(layer).map(|l| l.len()), Some(100_000));
+    assert!(built <= LAYER_INDEX_ALLOCATIONS, "{built} allocations");
 }

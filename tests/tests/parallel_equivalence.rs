@@ -66,7 +66,7 @@ fn counting_backends_identical_across_thread_counts() {
     let refs = ds.relevant_refs();
     let (table, _) =
         extract_predicates(&ds.reference, &refs, &distance_config().with_threads(Threads::Serial)).unwrap();
-    let data = geopattern::to_transactions(&table);
+    let data = geopattern::to_transactions(table);
     let minsup = MinSupport::Fraction(0.3);
 
     let strategies =

@@ -87,7 +87,7 @@ fn kc_plus_never_pairs_same_feature_type() {
 fn fp_growth_matches_apriori_on_city_data() {
     let ds = city();
     let (table, _) = extract_predicates(&ds.reference, &ds.relevant_refs(), &ExtractionConfig::default()).unwrap();
-    let ts = to_transactions(&table);
+    let ts = to_transactions(table);
     let sets = |alg: Algorithm| {
         let mut v: Vec<(Vec<u32>, u64)> = MiningPipeline::new()
             .algorithm(alg)

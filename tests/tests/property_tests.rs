@@ -5,7 +5,7 @@
 //! needs no external property-testing framework. On failure the panic
 //! message includes the iteration index; rerunning reproduces it exactly.
 
-use geopattern_geom::{coord, relate, Coord, Geometry, Polygon, Rect, Segment};
+use geopattern_geom::{coord, relate, Coord, Geometry, Polygon, Rect, Segment, StrTree};
 use geopattern_mining::{
     mine, mine_fp, AprioriConfig, FpGrowthConfig, ItemCatalog, MinSupport, PairFilter,
     TransactionSet,
@@ -13,7 +13,6 @@ use geopattern_mining::{
 use geopattern_qsr::{
     classify, Consistency, ConstraintNetwork, Rcc8, Rcc8Set, TopologicalRelation,
 };
-use geopattern_sdb::RTree;
 use geopattern_testkit::Rng;
 
 // ---------- generators ----------
@@ -220,7 +219,8 @@ fn relate_triangle_vs_rect() {
 
 // ---------- R-tree ----------
 
-/// Bulk-loaded R-tree envelope queries always equal the brute-force scan.
+/// The packed STR tree's envelope and window queries always equal the
+/// brute-force scan.
 #[test]
 fn rtree_matches_brute_force() {
     let mut rng = Rng::seed_from_u64(0xA008);
@@ -241,15 +241,25 @@ fn rtree_matches_brute_force() {
         let qh = rng.range_i32(1, 40);
         let query =
             Rect::new(coord(qx as f64, qy as f64), coord((qx + qw) as f64, (qy + qh) as f64));
-        let expected: Vec<usize> = items
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.intersects(&query))
-            .map(|(i, _)| i)
-            .collect();
+        let margin = rng.range_i32(0, 10) as f64;
+        let scan = |q: &Rect| -> Vec<usize> {
+            items
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| r.intersects(q))
+                .map(|(i, _)| i)
+                .collect()
+        };
 
-        let bulk = RTree::bulk_load(&items);
-        assert_eq!(bulk.query_rect(&query), expected, "case {case}");
+        let tree = StrTree::build(items.iter().copied());
+        let mut hits = vec![usize::MAX];
+        tree.query_rect_into(&query, &mut hits);
+        assert_eq!(hits, scan(&query), "case {case}");
+        assert_eq!(
+            tree.query_window(&query, margin),
+            scan(&query.buffered(margin)),
+            "case {case} margin {margin}"
+        );
     }
 }
 
