@@ -91,24 +91,18 @@ impl LineString {
         }
     }
 
-    /// True when no two non-adjacent segments intersect and adjacent
-    /// segments meet only at their shared vertex (i.e. the polyline is
-    /// *simple* in the OGC sense, except that closure at the endpoints is
-    /// permitted). Uses the x-sweep of [`crate::algorithms::sweep`].
+    /// True when no two non-adjacent segments share a point, no two
+    /// adjacent segments fold back over each other, and no vertex is
+    /// visited twice, except that a closed polyline's first and last
+    /// vertices coincide (i.e. the polyline is *simple* in the OGC sense,
+    /// closure at the endpoints permitted). One Shamos–Hoey sweep
+    /// ([`crate::algorithms`]); a closed polyline is swept as a ring.
     pub fn is_simple(&self) -> bool {
-        let segs: Vec<Segment> = self.segments().collect();
-        let closed = self.is_closed();
-        let n = segs.len();
-        !crate::algorithms::sweep::any_forbidden_intersection(&segs, |i, j, x| {
-            use crate::segment::SegSegIntersection as I;
-            match x {
-                I::Point(p) => {
-                    (j == i + 1 && *p == segs[i].b)
-                        || (closed && i == 0 && j == n - 1 && *p == segs[0].a)
-                }
-                _ => false,
-            }
-        })
+        if self.is_closed() {
+            crate::algorithms::sweep::is_simple(&self.coords[..self.coords.len() - 1], true)
+        } else {
+            crate::algorithms::sweep::is_simple(&self.coords, false)
+        }
     }
 
     /// The polyline traversed in reverse.

@@ -128,29 +128,14 @@ impl Ring {
         }
     }
 
-    /// True when no two non-adjacent segments intersect.
+    /// True when no two non-adjacent edges share a point, no two adjacent
+    /// edges fold back over each other, and no vertex is visited twice.
     ///
-    /// Uses the x-sweep of [`crate::algorithms::sweep`], so sparse
-    /// digitised boundaries validate in near-linear time.
+    /// One Shamos–Hoey sweep over the vertices ([`crate::algorithms`]),
+    /// every contact decided by the exact orientation predicate; warm
+    /// calls allocate nothing.
     pub fn is_simple(&self) -> bool {
-        let segs: Vec<Segment> = self.segments().collect();
-        let n = segs.len();
-        !crate::algorithms::sweep::any_forbidden_intersection(&segs, |i, j, x| {
-            // Adjacent segments (including the closing wrap) may meet at
-            // exactly their shared vertex.
-            match x {
-                SegSegIntersection::Point(p) => {
-                    if j == i + 1 {
-                        *p == segs[i].b
-                    } else if i == 0 && j == n - 1 {
-                        *p == segs[0].a
-                    } else {
-                        false
-                    }
-                }
-                _ => false,
-            }
-        })
+        crate::algorithms::sweep::is_simple(&self.coords, true)
     }
 
     /// Classifies `p` against the *region enclosed by the ring* (ignoring

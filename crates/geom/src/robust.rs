@@ -123,30 +123,37 @@ const CCW_ERRBOUND_A: f64 = (3.0 + 16.0 * (f64::EPSILON / 2.0)) * (f64::EPSILON 
 /// Positive ⇒ counter-clockwise, negative ⇒ clockwise, zero ⇒ collinear.
 /// The magnitude is twice the triangle area when the fast path is taken, but
 /// only the sign is meaningful in general.
+///
+/// The filter is one comparison, `|det| ≥ A·(|detleft| + |detright|)`,
+/// where Shewchuk's `orient2d` splits on the signs of `detleft` and
+/// `detright` first. The value returned cannot differ from the split's:
+/// * when `detleft` and `detright` have opposite signs, or `detleft` is
+///   zero, `|det|` is the same rounded sum of magnitudes as the bound's
+///   sum (or equals `|detright|`), so the comparison holds and both return
+///   `det`;
+/// * when they share a sign, the two tests are the same comparison;
+/// * a NaN `det` (a coordinate difference overflowed) fails the
+///   comparison. The split returned it at once when `detleft` was zero or
+///   NaN, and the second test keeps that; otherwise both take the exact
+///   path.
+///
+/// The one comparison is the fast path's only branch, so it is not
+/// mispredicted on the sign pattern of random triples.
 pub fn orient2d(a: Coord, b: Coord, c: Coord) -> f64 {
     let detleft = (a.x - c.x) * (b.y - c.y);
     let detright = (a.y - c.y) * (b.x - c.x);
     let det = detleft - detright;
-
-    let detsum = if detleft > 0.0 {
-        if detright <= 0.0 {
-            return det;
-        }
-        detleft + detright
-    } else if detleft < 0.0 {
-        if detright >= 0.0 {
-            return det;
-        }
-        -detleft - detright
-    } else {
-        return det;
-    };
-
-    let errbound = CCW_ERRBOUND_A * detsum;
-    if det >= errbound || -det >= errbound {
+    if det.abs() >= CCW_ERRBOUND_A * (detleft.abs() + detright.abs()) {
         return det;
     }
+    if det.is_nan() && (detleft == 0.0 || detleft.is_nan()) {
+        return det;
+    }
+    orient2d_exact(a, b, c)
+}
 
+/// The exact fallback of [`orient2d`].
+fn orient2d_exact(a: Coord, b: Coord, c: Coord) -> f64 {
     // Exact fallback. The subtractions (a - c), (b - c) may themselves round;
     // compute them as expansions and evaluate the determinant of the rounded
     // parts exactly, then account for the tails. For the coordinate
@@ -281,6 +288,92 @@ mod tests {
         let a = coord(1e-300, 2e-300);
         let b = coord(2e-300, 4e-300);
         assert_eq!(orientation(a, b, coord(0.0, 0.0)), Orientation::Collinear);
+    }
+}
+
+#[cfg(test)]
+mod filter_tests {
+    use super::*;
+    use crate::coord::coord;
+
+    /// Shewchuk's sign case split, the filter `orient2d` had before its
+    /// one comparison: the reference the new filter must match bit for
+    /// bit.
+    fn orient2d_case_split(a: Coord, b: Coord, c: Coord) -> f64 {
+        let detleft = (a.x - c.x) * (b.y - c.y);
+        let detright = (a.y - c.y) * (b.x - c.x);
+        let det = detleft - detright;
+        let detsum = if detleft > 0.0 {
+            if detright <= 0.0 {
+                return det;
+            }
+            detleft + detright
+        } else if detleft < 0.0 {
+            if detright >= 0.0 {
+                return det;
+            }
+            -detleft - detright
+        } else {
+            return det;
+        };
+        let errbound = CCW_ERRBOUND_A * detsum;
+        if det >= errbound || -det >= errbound {
+            return det;
+        }
+        orient2d_exact(a, b, c)
+    }
+
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            self.0 >> 11
+        }
+
+        /// Uniform in `[-1, 1)`.
+        fn unit(&mut self) -> f64 {
+            self.next() as f64 / (1u64 << 52) as f64 - 1.0
+        }
+
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[self.next() as usize % from.len()]
+        }
+    }
+
+    #[test]
+    fn one_comparison_returns_the_case_splits_bits() {
+        let mut rng = Lcg(0x0123_4567_89AB_CDEF);
+        let scales = [1e-300, 1e-160, 1e-10, 1.0, 1e10, 1e150, 1e300, 1.5e308];
+        let mut checked = 0u64;
+        for case in 0..400_000u64 {
+            let s = rng.pick(&scales);
+            let mut p = || coord(rng.unit() * s, rng.unit() * s);
+            let (a, b, mut c) = (p(), p(), p());
+            match case % 5 {
+                // Random triples.
+                0 => {}
+                // Near-collinear: `c` on the line through `a` and `b`,
+                // nudged by a few ulps.
+                1 => {
+                    let t = rng.unit();
+                    let on = a.lerp(b, t);
+                    let nudge = |v: f64, k: u64| f64::from_bits(v.to_bits().wrapping_add(k % 5));
+                    c = coord(nudge(on.x, rng.next()), nudge(on.y, rng.next()));
+                }
+                // Zero products: a shared ordinate or abscissa.
+                2 => c = coord(a.x, b.y),
+                3 => c = coord(b.x, rng.pick(&[a.y, b.y, 0.0, -0.0])),
+                // Huge, tiny and overflowing differences mixed in one triple.
+                _ => c = coord(rng.pick(&[1.7e308, -1.7e308, 1e-310, 0.0]), c.y),
+            }
+            for (x, y, z) in [(a, b, c), (b, c, a), (c, a, b), (a, c, b)] {
+                let (got, want) = (orient2d(x, y, z), orient2d_case_split(x, y, z));
+                assert_eq!(got.to_bits(), want.to_bits(), "case {case}: {x:?} {y:?} {z:?}");
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 1_600_000);
     }
 }
 

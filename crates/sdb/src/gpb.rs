@@ -458,7 +458,8 @@ impl<'a> GpbReader<'a> {
     ///
     /// Unlike the streaming [`GpbReader::read_layer`] path this decodes
     /// *in parallel* — feature-record passes per layer, geometry assembly
-    /// over fixed chunks, spatial-index builds per layer — on the in-tree
+    /// and validation over chunks of about equal work (coordinates plus
+    /// one per feature), spatial-index builds per layer — on the in-tree
     /// pool (serially on one worker). Chunks and layers are recombined in
     /// input order, so the result, first error included, is the serial
     /// reads' (`read_layer` on each layer in order) at any thread count.
@@ -485,17 +486,25 @@ impl<'a> GpbReader<'a> {
             }
         }
 
-        // Stage 2: geometry assembly over fixed-size chunks of every
-        // layer, flattened into one work list so a huge layer does not
-        // serialise behind the others.
-        const CHUNK: usize = 4096;
+        // Stage 2: geometry assembly over chunks of every layer, flattened
+        // into one work list so a huge layer does not serialise behind the
+        // others. A chunk is cut once its coordinates plus its features
+        // reach `CHUNK_WORK`, so a layer of few, large geometries (ring
+        // validation is the cost) spreads over the workers as a layer of
+        // many points does.
+        const CHUNK_WORK: usize = 16_384;
         let mut chunks: Vec<(usize, usize, usize)> = Vec::new();
         for (li, pl) in records.iter().enumerate() {
-            let mut start = 0;
-            while start < pl.pending.len() {
-                let end = (start + CHUNK).min(pl.pending.len());
-                chunks.push((li, start, end));
-                start = end;
+            let (mut start, mut work) = (0, 0);
+            for (i, p) in pl.pending.iter().enumerate() {
+                work += p.structure.coord_count() + 1;
+                if work >= CHUNK_WORK {
+                    chunks.push((li, start, i + 1));
+                    (start, work) = (i + 1, 0);
+                }
+            }
+            if start < pl.pending.len() {
+                chunks.push((li, start, pl.pending.len()));
             }
         }
         let assembled = par_map(Threads::Auto, &chunks, |_, &(li, start, end)| {

@@ -13,11 +13,12 @@
 //! round trip verbatim, and PRNG-corrupted binary bytes must produce a
 //! typed `GpbError` — never a panic, never an unbounded allocation — and
 //! the same result, error text included, as reading the layers one by
-//! one.
+//! one. So must a layer of large stars that the decoder splits across
+//! several assembly chunks, with an invalid ring in two of them.
 
 use geopattern::{from_gpb, to_gpb, SpatialDataset};
 use geopattern_geom::Geometry;
-use geopattern_datagen::{generate_city, CityConfig};
+use geopattern_datagen::{generate_city, random_layer, CityConfig};
 use geopattern_sdb::{GpbError, GpbReader};
 use geopattern_testkit::Rng;
 
@@ -216,6 +217,57 @@ fn city_with_an_early_geometry_and_a_late_tag_error() -> Vec<u8> {
     let tag_at = bodies[bodies.len() - 1].start + 4 + 4 + river.features()[0].id.len() + 32;
     bytes[tag_at] = 99;
     bytes
+}
+
+/// A `stars`-like dataset with bow-tie rings planted in its reference
+/// layer. The layer holds 300 stars of 256 vertices, so `from_gpb` cuts
+/// it into five assembly chunks of 64 stars: a chunk closes once its
+/// coordinates plus its features reach 16,384. Each star at `bow_ties`
+/// has its coordinates overwritten by a bow-tie with unequal lobes, its
+/// four corners joined by straight runs of 64 vertices, so the ring is
+/// rejected as self-intersecting.
+fn stars_with_bow_ties(bow_ties: &[usize]) -> Vec<u8> {
+    let (stars, vertices) = (300, 256);
+    let mut rng = Rng::seed_from_u64(23);
+    let reference = random_layer(&mut rng, "star", stars, vertices, 1000.0);
+    let blobs = random_layer(&mut rng, "blob", 20, 16, 1000.0);
+    let mut bytes = to_gpb(&SpatialDataset::new(reference, vec![blobs]));
+    // The reference layer is the first; its body ends with the x and the
+    // y column.
+    let end = layer_bodies(&bytes)[0].end;
+    let n = stars * vertices;
+    let corners = [(0.0, 0.0), (4.0, 4.0), (4.0, 0.0), (0.0, 2.0)];
+    for &star in bow_ties {
+        for v in 0..vertices {
+            let (from, to) = (corners[v / 64], corners[(v / 64 + 1) % 4]);
+            let t = (v % 64) as f64 / 64.0;
+            let at = 8 * (star * vertices + v);
+            let x = from.0 + (to.0 - from.0) * t;
+            let y = from.1 + (to.1 - from.1) * t;
+            bytes[end - 16 * n + at..][..8].copy_from_slice(&x.to_le_bytes());
+            bytes[end - 8 * n + at..][..8].copy_from_slice(&y.to_le_bytes());
+        }
+    }
+    bytes
+}
+
+#[test]
+fn the_first_bow_tie_across_work_sized_chunks_is_the_serial_reads_error() {
+    // A real two-worker pool, as in the corruption test below.
+    std::env::set_var("GEOPATTERN_THREADS", "2");
+    std::env::set_var("GEOPATTERN_HOST_PARALLELISM", "2");
+    // Star 70 sits in the second chunk, star 290 in the fifth.
+    let late = serial_reads(&stars_with_bow_ties(&[290])).expect_err("a bow-tie is an error");
+    let both = stars_with_bow_ties(&[70, 290]);
+    let want = serial_reads(&both).expect_err("bow-ties are errors");
+    assert!(want.starts_with("invalid geometry at byte"), "{want}");
+    assert!(want.ends_with("ring intersects itself"), "{want}");
+    assert_ne!(want, late, "the earlier bow-tie is the serial reads' first error");
+    assert_eq!(from_gpb(&both).map(|d| d.to_text()).map_err(|e| e.to_string()), Err(want));
+    assert_eq!(
+        from_gpb(&stars_with_bow_ties(&[290])).map(|d| d.to_text()).map_err(|e| e.to_string()),
+        Err(late)
+    );
 }
 
 #[test]

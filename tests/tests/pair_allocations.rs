@@ -7,6 +7,10 @@
 //! collinear runs (split-cut overlap intervals, curve coverage), and a
 //! boundary probe that point location hands to the exact `RingIndex`.
 //!
+//! Ring validation allocates nothing once warm: `Ring::new` on a 4-vertex
+//! ring or a 256-vertex star makes no allocation beyond the `Vec` it is
+//! handed.
+//!
 //! Preparation has budgets too: a 4-vertex polygon's lazy indexes take at
 //! most 8 heap blocks, a point's none, a serial extraction over a
 //! generated city stays under a fixed number of allocations per
@@ -24,7 +28,8 @@ use std::hint::black_box;
 
 use geopattern_datagen::{generate_city, CityConfig};
 use geopattern_geom::{
-    from_wkt, relate, take_kernel_counters, Geometry, Point, Polygon, PreparedGeometry,
+    coord, from_wkt, relate, take_kernel_counters, Coord, Geometry, Point, Polygon,
+    PreparedGeometry, Ring,
 };
 use geopattern_qsr::{classify, TopologicalRelation};
 use geopattern_sdb::{extract_predicates, ExtractionConfig, Feature, Layer};
@@ -80,17 +85,21 @@ fn prep(wkt: &str) -> PreparedGeometry {
     PreparedGeometry::new(from_wkt(wkt).unwrap())
 }
 
-/// A star with `n` points around `(cx, cy)`: `2n` vertices alternating
-/// between radius `r` and `r / 2`.
-fn star(cx: f64, cy: f64, r: f64, n: usize) -> Geometry {
-    let pts: Vec<(f64, f64)> = (0..2 * n)
+/// The ring of a star with `n` points around `(cx, cy)`: `2n` vertices
+/// alternating between radius `r` and `r / 2`.
+fn star_ring(cx: f64, cy: f64, r: f64, n: usize) -> Vec<Coord> {
+    (0..2 * n)
         .map(|k| {
             let radius = if k % 2 == 0 { r } else { r / 2.0 };
             let angle = TAU * k as f64 / (2 * n) as f64;
-            (cx + radius * angle.cos(), cy + radius * angle.sin())
+            coord(cx + radius * angle.cos(), cy + radius * angle.sin())
         })
-        .collect();
-    Polygon::from_xy(&pts).unwrap().into()
+        .collect()
+}
+
+/// That star as a polygon.
+fn star(cx: f64, cy: f64, r: f64, n: usize) -> Geometry {
+    Polygon::from_exterior(Ring::new(star_ring(cx, cy, r, n)).unwrap()).into()
 }
 
 /// Asserts that a warm `relate_to` + `classify` of `a` against `b`, and a
@@ -211,6 +220,23 @@ fn warm_distance_within_allocates_nothing() {
         }
     }
     assert!(take_kernel_counters().pairs_exact > 0, "the tree traversals ran");
+}
+
+/// A warm `Ring::new` allocates nothing beyond the `Vec` it is handed:
+/// the simplicity sweep keeps its buffers on the thread.
+#[test]
+fn a_warm_ring_validation_allocates_nothing() {
+    let square = || vec![coord(0.0, 0.0), coord(4.0, 0.0), coord(4.0, 4.0), coord(0.0, 4.0)];
+    let star = || star_ring(0.0, 0.0, 10.0, 128);
+    for (make, what) in [(&square as &dyn Fn() -> Vec<Coord>, "square"), (&star, "star")] {
+        // The first validation on this thread sizes the sweep's buffers.
+        black_box(Ring::new(make()).unwrap());
+        let coords = make();
+        let warm = allocations(|| {
+            black_box(Ring::new(coords).unwrap());
+        });
+        assert_eq!(warm, 0, "{what}");
+    }
 }
 
 /// A cold `relate_to` that prepares `wkt`'s geometry (borrowed, not

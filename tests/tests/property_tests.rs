@@ -263,34 +263,113 @@ fn rtree_matches_brute_force() {
     }
 }
 
-/// The plane-sweep intersection finder agrees with the all-pairs oracle
-/// on random segment soups.
+/// The all-pairs oracle for simplicity: every pair of edges of the path
+/// through `coords` (closed back to the first vertex when `closed`)
+/// against the contact rules, each decided by exact predicates. Adjacent
+/// edges may share only their common vertex, unless they are collinear
+/// and fold back; non-adjacent edges may share no point. It has no
+/// repeated-vertex rule of its own: two visits of one point put it on two
+/// non-adjacent edges.
+fn brute_force_simple(coords: &[Coord], closed: bool) -> bool {
+    use geopattern_geom::{orientation, Orientation::Collinear};
+    let n = coords.len();
+    let m = if closed { n } else { n - 1 };
+    let edge = |i: usize| Segment::new(coords[i], coords[(i + 1) % n]);
+    for i in 0..m {
+        for j in i + 1..m {
+            let (s, t) = (edge(i), edge(j));
+            let forbidden = if j == i + 1 || (closed && i == 0 && j == m - 1) {
+                // `p` and `q` are the ends away from the shared `v`.
+                let (p, v, q) = if j == i + 1 { (s.a, s.b, t.b) } else { (t.a, s.a, s.b) };
+                Segment::new(v, p).contains_point(q) || Segment::new(v, q).contains_point(p)
+            } else {
+                let (o1, o2) = (orientation(s.a, s.b, t.a), orientation(s.a, s.b, t.b));
+                let (o3, o4) = (orientation(t.a, t.b, s.a), orientation(t.a, t.b, s.b));
+                let proper =
+                    o1 != o2 && o3 != o4 && [o1, o2, o3, o4].iter().all(|&o| o != Collinear);
+                proper
+                    || s.contains_point(t.a)
+                    || s.contains_point(t.b)
+                    || t.contains_point(s.a)
+                    || t.contains_point(s.b)
+            };
+            if forbidden {
+                return false;
+            }
+        }
+    }
+    true
+}
+
+/// A random walk of 3–12 vertices on a 3×3 to 5×5 integer lattice: unit
+/// steps in the eight directions, with an occasional jump anywhere. On so
+/// small a lattice, collinear runs, T-junctions, pinches and fold-backs
+/// are common; sparser random points almost never make them.
+fn lattice_walk(rng: &mut Rng) -> Vec<Coord> {
+    let side = rng.range_i32(3, 6);
+    let len = 3 + rng.below_usize(10);
+    let mut at = (rng.range_i32(0, side), rng.range_i32(0, side));
+    let mut walk = vec![coord(at.0 as f64, at.1 as f64)];
+    while walk.len() < len {
+        let next = if rng.below(6) == 0 {
+            (rng.range_i32(0, side), rng.range_i32(0, side))
+        } else {
+            (
+                (at.0 + rng.range_i32(-1, 2)).clamp(0, side - 1),
+                (at.1 + rng.range_i32(-1, 2)).clamp(0, side - 1),
+            )
+        };
+        if next != at {
+            at = next;
+            walk.push(coord(at.0 as f64, at.1 as f64));
+        }
+    }
+    walk
+}
+
+/// `Ring::new` and `LineString::is_simple` agree with the all-pairs
+/// oracle on lattice walks: every accepted ring is simple under it, every
+/// `SelfIntersection` rejection is not, and every open and closed
+/// polyline gets the oracle's verdict.
 #[test]
 fn sweep_matches_bruteforce() {
-    use geopattern_geom::algorithms::sweep::intersecting_pairs;
-    use geopattern_geom::SegSegIntersection;
+    use geopattern_geom::{GeomError, LineString, Ring};
     let mut rng = Rng::seed_from_u64(0xA009);
-    for case in 0..150 {
-        let n = rng.below_usize(40);
-        let segs: Vec<Segment> = (0..n)
-            .map(|_| {
-                let mut c = || rng.range_i32(0, 50) as f64;
-                Segment::new(coord(c(), c()), coord(c(), c()))
-            })
-            .collect();
-        let mut swept: Vec<(usize, usize)> =
-            intersecting_pairs(&segs).into_iter().map(|(i, j, _)| (i, j)).collect();
-        swept.sort_unstable();
-        let mut brute = Vec::new();
-        for i in 0..segs.len() {
-            for j in (i + 1)..segs.len() {
-                if segs[i].intersect(&segs[j]) != SegSegIntersection::None {
-                    brute.push((i, j));
+    let (mut accepted, mut self_intersecting, mut lines) = (0usize, 0usize, 0usize);
+    for case in 0..600_000 {
+        let walk = lattice_walk(&mut rng);
+        // `Ring::new` drops a closing duplicate; so does the oracle's ring.
+        let ring = if walk[0] == walk[walk.len() - 1] { &walk[..walk.len() - 1] } else { &walk };
+        match Ring::new(walk.clone()) {
+            Ok(_) => {
+                assert!(brute_force_simple(ring, true), "case {case}: accepted {walk:?}");
+                accepted += 1;
+            }
+            Err(GeomError::SelfIntersection) => {
+                assert!(!brute_force_simple(ring, true), "case {case}: rejected {walk:?}");
+                self_intersecting += 1;
+            }
+            Err(_) => {}
+        }
+        if case % 4 == 0 {
+            // The walk as an open polyline, and closed back to its start.
+            let mut closed = walk.clone();
+            closed.push(walk[0]);
+            for (coords, is_closed) in [(walk, false), (closed, true)] {
+                if let Ok(line) = LineString::new(coords.clone()) {
+                    let n = if line.is_closed() { coords.len() - 1 } else { coords.len() };
+                    let want = brute_force_simple(&coords[..n], line.is_closed());
+                    let what = format!("case {case}: {coords:?} closed={is_closed}");
+                    assert_eq!(line.is_simple(), want, "{what}");
+                    lines += 1;
                 }
             }
         }
-        assert_eq!(swept, brute, "case {case}");
     }
+    // 92,939 accepted and 398,251 self-intersecting rings, 287,294 polylines.
+    assert!(accepted > 50_000, "{accepted} rings accepted");
+    assert!(self_intersecting > 200_000, "{self_intersecting} rings self-intersecting");
+    assert!(lines > 100_000, "{lines} polylines");
 }
 
 // ---------- mining ----------
