@@ -964,8 +964,8 @@ fn print_scaling(grid: usize) {
 /// one-tile windowed fetch the tiled extractor is designed around — and
 /// (2) the one-tile default ("flat" in the artifact's field names) vs
 /// tiled (`--tiles N` per axis) predicate extraction, timed in three
-/// alternating pairs, with the tiled table verified bit-identical to the
-/// default one. With `--check` it exits non-zero unless the city reached
+/// alternating pairs after one untimed warm-up extraction, with the tiled
+/// table verified bit-identical to the default one. With `--check` it exits non-zero unless the city reached
 /// one million features, the binary one-tile fetch beats the full WKT
 /// parse (the minimum a text dataset needs before any tile can start) by
 /// ≥ 5x, and the median tiled extraction is within 10% of the median
@@ -1059,6 +1059,11 @@ fn print_tiling(grid: usize, tiles: usize, check: bool) {
         .with_threads(Threads::Auto);
     let refs = ds.relevant_refs();
     let tiled_config = extraction.clone().with_tiling(Tiling::Grid { tiles_per_axis: tiles });
+    // One untimed extraction first: a process's first extraction reads
+    // faster than every later one, and without the warm-up it would
+    // always be pair 0's one-tile run.
+    let warm_up = extract_predicates(&ds.reference, &refs, &extraction).expect("uncontrolled");
+    std::hint::black_box(warm_up);
     let (mut flat, mut tiled) = (None, None);
     let time_flat = || {
         time_us_n(1, || {

@@ -124,6 +124,13 @@ const CCW_ERRBOUND_A: f64 = (3.0 + 16.0 * (f64::EPSILON / 2.0)) * (f64::EPSILON 
 /// The magnitude is twice the triangle area when the fast path is taken, but
 /// only the sign is meaningful in general.
 ///
+/// The sign is exact while no product the filter or the exact path forms
+/// overflows or underflows. A sufficient condition: every coordinate, and
+/// every nonzero difference of two coordinates, is zero or between 1e-140
+/// and 1e150 in magnitude. Outside that range neither path is exact:
+/// near 1e200 the products overflow to infinity or NaN, and near 1e-300
+/// they underflow to zero, so the sign there may be wrong.
+///
 /// The filter is one comparison, `|det| ≥ A·(|detleft| + |detright|)`,
 /// where Shewchuk's `orient2d` splits on the signs of `detleft` and
 /// `detright` first. The value returned cannot differ from the split's:

@@ -200,14 +200,13 @@ impl Segment {
             return SegSegIntersection::None;
         }
         if lo == hi {
-            // Snap to exact endpoint coordinates when possible to avoid
-            // rounding drift at shared vertices.
-            let p = self.a.lerp(self.b, lo);
-            let p = [self.a, self.b, other.a, other.b]
+            // Collinear segments that share a point share an operand
+            // endpoint, so the point is the endpoint both contain exactly,
+            // never a rounded `lerp` (`a.lerp(b, 1.0)` need not be `b`).
+            return [self.a, self.b, other.a, other.b]
                 .into_iter()
-                .find(|&q| q == p || (self.contains_point(q) && other.contains_point(q) && q.distance(p) == 0.0))
-                .unwrap_or(p);
-            return SegSegIntersection::Point(p);
+                .find(|&q| self.contains_point(q) && other.contains_point(q))
+                .map_or(SegSegIntersection::None, SegSegIntersection::Point);
         }
         let pa = self.exact_point_at(lo, other);
         let pb = self.exact_point_at(hi, other);
@@ -368,6 +367,20 @@ mod tests {
         // Collinear but apart.
         let s3 = seg(3.0, 0.0, 5.0, 0.0);
         assert_eq!(s1.intersect(&s3), SegSegIntersection::None);
+    }
+
+    #[test]
+    fn collinear_touch_off_the_lattice_returns_the_shared_vertex() {
+        // `a.lerp(b, 1.0)` rounds to -9.999999999999999e-11 here.
+        let s1 = seg(2e-10, 0.0, -1e-10, 0.0);
+        let s2 = seg(-1e-10, 0.0, -2e-10, 0.0);
+        let shared = coord(-1e-10, 0.0);
+        for got in [s1.intersect(&s2), s2.intersect(&s1)] {
+            let SegSegIntersection::Point(p) = got else {
+                panic!("expected a point, got {got:?}");
+            };
+            assert_eq!((p.x.to_bits(), p.y.to_bits()), (shared.x.to_bits(), shared.y.to_bits()));
+        }
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! followed by `qsr::classify`, `PreparedGeometry::relation` (the entry
 //! point extraction calls, which stops once the relation is decided) and
 //! `PreparedGeometry::distance_within` allocate nothing, for every class
-//! pair: points, lines and polygons, two 256-vertex stars, pairs with
-//! collinear runs (split-cut overlap intervals, curve coverage), and a
-//! boundary probe that point location hands to the exact `RingIndex`.
+//! pair: points, lines and polygons, two 256-vertex stars (overlapping,
+//! nested, and apart with overlapping envelopes), pairs with collinear
+//! runs (split-cut overlap intervals, curve coverage), and a boundary
+//! probe that point location hands to the exact `RingIndex`.
 //!
 //! Ring validation allocates nothing once warm: `Ring::new` on a 4-vertex
 //! ring or a 256-vertex star makes no allocation beyond the `Vec` it is
@@ -169,6 +170,25 @@ fn warm_relate_of_two_256_vertex_stars_allocates_nothing() {
     let b = PreparedGeometry::new(star(1.5, 0.5, 10.0, 128));
     for (x, y) in [(&a, &b), (&b, &a)] {
         assert_eq!(warm_relate_allocates_nothing(x, y, "stars"), TopologicalRelation::Overlaps);
+    }
+}
+
+/// Pairs whose boundaries never meet take the contact search and one
+/// located vertex per ring instead of the fragment scan: a pair of
+/// 256-vertex stars whose envelopes overlap along the diagonal but whose
+/// tips stay apart (22.6 between centres, tips of radius 10), and a
+/// nested pair.
+#[test]
+fn warm_relate_of_contact_free_256_vertex_stars_allocates_nothing() {
+    use TopologicalRelation::*;
+    let outer = PreparedGeometry::new(star(0.0, 0.0, 10.0, 128));
+    let apart = PreparedGeometry::new(star(16.0, 16.0, 10.0, 128));
+    let nested = PreparedGeometry::new(star(0.0, 0.0, 2.0, 128));
+    assert!(outer.envelope().intersects(&apart.envelope()));
+    for (a, b, want) in [(&outer, &apart, Disjoint), (&outer, &nested, Contains)] {
+        assert_eq!(warm_relate_allocates_nothing(a, b, "stars"), want);
+        let swapped = warm_relate_allocates_nothing(b, a, "stars");
+        assert_eq!(swapped, want.converse());
     }
 }
 
