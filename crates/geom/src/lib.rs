@@ -50,7 +50,6 @@ pub mod linestring;
 pub mod point;
 pub mod polygon;
 pub mod prepared;
-pub mod quant;
 pub mod relate;
 pub mod robust;
 pub mod segment;
@@ -68,7 +67,6 @@ pub use linestring::{LineString, MultiLineString};
 pub use point::{MultiPoint, Point};
 pub use polygon::{MultiPolygon, PointLocation, Polygon, Ring};
 pub use prepared::PreparedGeometry;
-pub use quant::{PreparedRing, QuantRing, Quantizer};
 pub use relate::{
     classify, classify_lower_bound, intersects, relate, CellWords, Dim, IntersectionMatrix, Part,
     Pattern, TopologicalRelation,

@@ -585,13 +585,12 @@ mod tests {
     #[test]
     fn ring_locate_is_exact_next_to_an_edge() {
         // Points one ulp either side of the slanted edge (0,0)-(3,1): the
-        // side the orientation predicate gives is the answer, for the scan,
-        // the ring index and the quantized grid alike. A rounded ray
-        // intercept put about one in ten of the points below it inside.
+        // side the orientation predicate gives is the answer, for the scan
+        // and the ring index alike. A rounded ray intercept put about one
+        // in ten of the points below it inside.
         let (a, b) = (coord(0.0, 0.0), coord(3.0, 1.0));
         let ring = Ring::new(vec![a, b, coord(0.0, 1.0)]).unwrap();
         let index = crate::segtree::RingIndex::build(&ring);
-        let prepared = crate::quant::PreparedRing::build(&ring);
         let next_to_edge = |x: f64, side: Orientation, step: i64| {
             let mut y = x / 3.0;
             while orientation(a, b, coord(x, y)) != side {
@@ -609,7 +608,6 @@ mod tests {
             ] {
                 assert_eq!(ring.locate(p), want, "{p:?}");
                 assert_eq!(index.locate(p), want, "{p:?}");
-                assert_eq!(prepared.locate(p), want, "{p:?}");
             }
         }
     }

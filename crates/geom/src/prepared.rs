@@ -38,7 +38,7 @@
 //! keeps its features copies none. A point or multi-point prepares
 //! nothing: its coordinates are read from the geometry. A region's
 //! indexes sit in one boxed block with its first member polygon inline;
-//! a polygon without holes takes 8 heap blocks in all (see
+//! a polygon without holes takes 6 heap blocks in all (see
 //! [`crate::relate::shapes::PreparedAreal`]), and the boxing keeps
 //! `PreparedGeometry` itself small.
 

@@ -561,9 +561,6 @@ fn record_kernel_counters(metrics: &mut Metrics, k: &KernelCounters) {
     metrics.add_counter("geom/distance_early_exit", k.distance_early_exit);
     metrics.add_counter("geom/simd_lanes_tested", k.simd_lanes_tested);
     metrics.add_counter("geom/simd_fallback_exact", k.simd_fallback_exact);
-    metrics.add_counter("geom/quant_cells_resolved", k.quant_cells_resolved);
-    metrics.add_counter("geom/quant_fallback_exact", k.quant_fallback_exact);
-    metrics.add_counter("geom/quant_lanes_tested", k.quant_lanes_tested);
 }
 
 thread_local! {
