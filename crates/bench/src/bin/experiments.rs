@@ -17,11 +17,12 @@
 //! The `kernel` subcommand benchmarks the segment-indexed geometry kernel
 //! against the brute-force one on layers of growing vertex count, the
 //! relation entry point (which stops once the relation is decided)
-//! against the full matrix, plus the exact ring index's point location
-//! against the reference ring scan, and re-runs a small extraction across
-//! thread counts to prove the outputs bit-identical; any output that
-//! differs from its reference aborts it, and with `--check` it exits
-//! non-zero unless the ring index beats the scan by ≥ 2x on the largest
+//! against the full matrix, plus a prepared region's point location
+//! (through its boundary tree) against the reference ring scan, and
+//! re-runs a small extraction across thread counts to prove the outputs
+//! bit-identical; any output that differs from its reference aborts it,
+//! and with `--check` it exits non-zero unless the prepared locate beats
+//! the scan by ≥ 2x, in medians of alternating pairs, on the largest
 //! layer in the run. The
 //! `counting` subcommand races the support-counting strategies
 //! (hash-subset, bitmap and the default auto) on two workloads — the
@@ -1183,8 +1184,12 @@ fn print_tiling(grid: usize, tiles: usize, check: bool) {
     }
 }
 
+/// Alternating pairs behind each point-location row of `kernel`.
+const LOCATE_PAIRS: usize = 11;
+
 /// One vertex-size row of the point-location comparison: the reference
-/// ring scan vs the exact ring index.
+/// ring scan vs the prepared region's locate, medians of
+/// [`LOCATE_PAIRS`] alternating pairs.
 struct LocateRow {
     vertices: usize,
     probes: usize,
@@ -1207,10 +1212,12 @@ struct LocateRow {
 ///   `geometry_distance` + threshold over a fixed pair sample (the
 ///   extraction workload for a bounded distance scheme), where the
 ///   branch-and-bound index can discard most pairs from envelopes alone;
-/// * **point location** — the exact `RingIndex::locate` (the prepared
-///   path) against the reference `Ring::locate` scan, on dense probe
-///   grids over each polygon's envelope (the containment sweeps inside
-///   every areal relate and distance call).
+/// * **point location** — `PreparedAreal::locate` (the prepared path: a
+///   query along the ray from the probe in the region's boundary tree)
+///   against the reference `Ring::locate` scan, on dense probe grids over
+///   each polygon's envelope (the containment sweeps inside every areal
+///   relate and distance call), timed in [`LOCATE_PAIRS`] alternating
+///   pairs, whose medians make the row.
 ///
 /// The first layer runs once untimed before it is timed, so that no timed
 /// row pays for the process's first pass over the code and the
@@ -1218,11 +1225,12 @@ struct LocateRow {
 /// threads and asserts the predicate tables, rows and stats identical.
 /// Any output that differs from its reference aborts the run, with or
 /// without `check`. With `check`, the run also exits non-zero unless the
-/// ring index beats the scan by ≥ 2x on the largest layer.
+/// prepared locate beats the scan by ≥ 2x on the largest layer.
 fn print_kernel(max_vertices: usize, check: bool) {
+    use geopattern_geom::relate::shapes::PreparedAreal;
     use geopattern_geom::{
         classify, geometry_distance, relate, take_kernel_counters, Coord, Geometry,
-        PreparedGeometry, Ring, RingIndex,
+        PreparedGeometry, Ring,
     };
 
     header("Geometry kernel — segment-indexed vs brute-force");
@@ -1324,15 +1332,15 @@ fn print_kernel(max_vertices: usize, check: bool) {
         });
         let counters = take_kernel_counters();
 
-        // Point-location workload: the exact ring index vs the
-        // reference scan, on a dense probe grid over each polygon's
+        // Point-location workload: the prepared region vs the reference
+        // scan of its ring, on a dense probe grid over each polygon's
         // envelope (every probe does real parity work). Identity first,
         // then throughput.
         const PROBE_GRID: usize = 16;
-        let rings: Vec<(&Ring, RingIndex)> = ga
+        let rings: Vec<(&Ring, PreparedAreal)> = ga
             .iter()
             .filter_map(|g| match g {
-                Geometry::Polygon(p) => Some((p.exterior(), RingIndex::build(p.exterior()))),
+                Geometry::Polygon(p) => Some((p.exterior(), PreparedAreal::from_polygon(p))),
                 _ => None,
             })
             .collect();
@@ -1351,19 +1359,25 @@ fn print_kernel(max_vertices: usize, check: bool) {
             })
             .collect();
         for &(i, p) in &probes {
-            let (ring, index) = &rings[i];
-            assert_eq!(index.locate(p), ring.locate(p), "locate diverged at {p:?}");
+            let (ring, region) = &rings[i];
+            assert_eq!(region.locate(p), ring.locate(p), "locate diverged at {p:?}");
         }
-        let locate_scan_us = time_us_n(reps, || {
-            for &(i, p) in &probes {
-                std::hint::black_box(rings[i].0.locate(p));
-            }
-        });
-        let locate_index_us = time_us_n(reps, || {
-            for &(i, p) in &probes {
-                std::hint::black_box(rings[i].1.locate(p));
-            }
-        });
+        let time_scan = || {
+            time_us_n(1, || {
+                for &(i, p) in &probes {
+                    std::hint::black_box(rings[i].0.locate(p));
+                }
+            })
+        };
+        let time_index = || {
+            time_us_n(1, || {
+                for &(i, p) in &probes {
+                    std::hint::black_box(rings[i].1.locate(p));
+                }
+            })
+        };
+        let (locate_scan_us, locate_index_us) =
+            pair_medians(&alternating_pairs(LOCATE_PAIRS, time_scan, time_index));
         if warm_up {
             continue;
         }
@@ -1429,7 +1443,8 @@ fn print_kernel(max_vertices: usize, check: bool) {
     }
 
     println!(
-        "\npoint location — the ring index vs the reference scan (identity verified per probe)"
+        "\npoint location — the prepared region vs the reference scan (identity verified per \
+         probe; medians of {LOCATE_PAIRS} alternating pairs)"
     );
     println!(
         "{:>9} {:>8} {:>12} {:>12} {:>8}",
@@ -1483,6 +1498,9 @@ fn print_kernel(max_vertices: usize, check: bool) {
     doc.key("distance_bound");
     doc.raw(&json_f64(BOUND));
     doc.raw(",");
+    doc.key("locate_pairs");
+    doc.raw(&LOCATE_PAIRS.to_string());
+    doc.raw(",");
     doc.key("series");
     doc.raw(&format!("[{}]}}", rows.join(",")));
     write_bench("kernel", &doc.into_string());
@@ -1492,13 +1510,13 @@ fn print_kernel(max_vertices: usize, check: bool) {
         let (vertices, speedup) = (row.vertices, row.speedup);
         if speedup < 2.0 {
             eprintln!(
-                "\nCHECK FAILED: ring-index point location {speedup:.2}x on the \
+                "\nCHECK FAILED: prepared point location {speedup:.2}x on the \
                  {vertices}-vertex layer (need ≥ 2x over the reference scan)"
             );
             std::process::exit(1);
         }
         println!(
-            "\ncheck passed: ring-index locate {speedup:.2}x ≥ 2x over the reference scan on \
+            "\ncheck passed: prepared locate {speedup:.2}x ≥ 2x over the reference scan on \
              the {vertices}-vertex layer; extraction bit-identical at 1/2/8 threads"
         );
     }

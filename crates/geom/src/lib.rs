@@ -73,7 +73,7 @@ pub use relate::{
 };
 pub use robust::{orient2d, orientation, Orientation};
 pub use segment::{SegSegIntersection, Segment};
-pub use segtree::{take_kernel_counters, KernelCounters, RingIndex, StrTree};
+pub use segtree::{take_kernel_counters, KernelCounters, StrTree};
 pub use tile::TileGrid;
 pub use transform::AffineTransform;
 pub use wkt::{from_wkt, to_wkt};

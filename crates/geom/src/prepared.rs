@@ -9,12 +9,13 @@
 //!
 //! Pairs that survive the envelope test run the exact relate machinery
 //! over a lazily built, cached `PreparedShape`: a packed STR tree
-//! ([`crate::segtree::StrTree`]) over the geometry's segments plus
-//! monotone-edge ring indexes ([`crate::segtree::RingIndex`]) for
-//! point-in-ring queries, making the per-pair kernel sublinear in the
-//! vertex count while staying bit-identical to the brute-force
-//! [`crate::relate()`]. The same indexes power [`PreparedGeometry::distance_within`],
-//! a branch-and-bound bounded minimum distance.
+//! ([`crate::segtree::StrTree`]) over the geometry's segments, which for
+//! a region also answers point location (a query along the ray from the
+//! point, under one even-odd rule over all the region's rings), making
+//! the per-pair kernel sublinear in the vertex count while staying
+//! bit-identical to the brute-force [`crate::relate()`]. The same index
+//! powers [`PreparedGeometry::distance_within`], a branch-and-bound
+//! bounded minimum distance.
 //!
 //! The envelope fast path has a sibling one level down, for two regions:
 //! a tree-to-tree search over the two boundaries' segment trees
@@ -37,8 +38,8 @@
 //! owned or borrowed (`PreparedGeometry<&Geometry>`), so a caller that
 //! keeps its features copies none. A point or multi-point prepares
 //! nothing: its coordinates are read from the geometry. A region's
-//! indexes sit in one boxed block with its first member polygon inline;
-//! a polygon without holes takes 6 heap blocks in all (see
+//! boundary and tree sit in one boxed block with its first member polygon
+//! inline; a polygon without holes takes 4 heap blocks in all (see
 //! [`crate::relate::shapes::PreparedAreal`]), and the boxing keeps
 //! `PreparedGeometry` itself small.
 

@@ -19,11 +19,11 @@
 //!   reference envelope buffered by the largest bounded band — instead of
 //!   a full scan, whenever the scheme's last band is bounded and direction
 //!   predicates (which have no range cutoff) are off;
-//! * [`PreparedGeometry`] caches envelopes, part dimensions *and lazily
-//!   built segment indexes* (packed R-tree over segments, monotone-edge
-//!   ring indexes), prepared once per relevant feature per extraction and
-//!   shared by every row, so repeated relates against one feature's
-//!   candidate set run the sublinear indexed kernel;
+//! * [`PreparedGeometry`] caches envelopes, part dimensions *and a lazily
+//!   built segment index* (a packed R-tree over segments, which also
+//!   locates points in a region), prepared once per relevant feature per
+//!   extraction and shared by every row, so repeated relates against one
+//!   feature's candidate set run the sublinear indexed kernel;
 //! * surviving distance pairs use the branch-and-bound
 //!   [`PreparedGeometry::distance_within`] with the scheme's largest
 //!   bounded band as cutoff, instead of the full minimum distance.

@@ -242,10 +242,10 @@ echo "==> strategy-equivalence gate (hash-subset, bitmap by joins and by scan, a
 cargo test --release -q -p geopattern-integration --test strategy_equivalence
 cargo test --release -q -p geopattern-integration --test bitmap_properties
 
-echo "==> point-location gate (RingIndex::locate equals the reference Ring::locate on star, lattice and city rings; extraction bit-identical across threads and tiles)"
+echo "==> point-location gate (a prepared region's locate through its boundary tree equals the reference Ring::locate on star, lattice and city rings, and the per-member loop where holes and members touch at vertices; extraction bit-identical across threads and tiles)"
 cargo test --release -q -p geopattern-integration --test point_location_properties
 
-echo "==> candidate-pair gate (classify on compiled patterns equals the string-pattern version on all 4^9 matrices x 9 dimension pairs; the stop-rule proof on the same sweep: a decided matrix keeps its class under every one-cell raise; the differential suite: relation equals classify(relate_to) and its converse on every R-tree candidate pair of stars-shaped layers and generated cities; warm relate_to + classify, relation and distance_within allocate nothing; preparation budgets: a 4-vertex polygon in <= 6 allocations, a point in 0, a serial grid-20 city extraction in <= 21 per reference row)"
+echo "==> candidate-pair gate (classify on compiled patterns equals the string-pattern version on all 4^9 matrices x 9 dimension pairs; the stop-rule proof on the same sweep: a decided matrix keeps its class under every one-cell raise; the differential suite: relation equals classify(relate_to) and its converse on every R-tree candidate pair of stars-shaped layers and generated cities; warm relate_to + classify, relation and distance_within allocate nothing; preparation budgets: a 4-vertex polygon in <= 4 allocations, a point in 0, a serial grid-20 city extraction in <= 16 per reference row)"
 cargo test --release -q -p geopattern-qsr --test classify_exhaustive
 cargo test --release -q -p geopattern-integration --test relation_differential
 cargo test --release -q -p geopattern-integration --test pair_allocations
@@ -261,7 +261,7 @@ echo "==> experiments counting smoke (emits BENCH_counting.json; dense and spars
 cargo run --release -q -p geopattern-bench --bin experiments -- counting --check
 test -s BENCH_counting.json
 
-echo "==> experiments kernel (emits BENCH_kernel.json; RingIndex::locate ≥2x the reference Ring::locate scan, extraction bit-identical at 1/2/8 threads)"
+echo "==> experiments kernel (emits BENCH_kernel.json; the prepared region's locate ≥2x the reference Ring::locate scan in medians of 11 alternating pairs, extraction bit-identical at 1/2/8 threads)"
 cargo run --release -q -p geopattern-bench --bin experiments -- kernel --max 256 --check
 test -s BENCH_kernel.json
 

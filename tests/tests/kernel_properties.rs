@@ -1,7 +1,7 @@
 //! Property tests for the segment-indexed geometry kernel.
 //!
-//! The prepared-geometry path (lazy segment R-trees, monotone ring
-//! indexes, branch-and-bound bounded distance, and the relation entry
+//! The prepared-geometry path (lazy segment R-trees, point location
+//! through them, branch-and-bound bounded distance, and the relation entry
 //! point that stops relating once the relation is decided) is a pure
 //! accelerator: every observable output must be **bit-identical** to the
 //! brute-force kernel. These tests drive both paths with seeded random
@@ -10,9 +10,10 @@
 //! touching boundaries) — and assert exact agreement.
 
 use geopattern_datagen::{lattice_geometry, lattice_polygon, random_linestring, star_polygon};
+use geopattern_geom::relate::shapes::PreparedAreal;
 use geopattern_geom::{
     classify, coord, geometry_distance, geometry_distance_within, relate, take_kernel_counters,
-    Geometry, PreparedGeometry, Ring, RingIndex,
+    Geometry, Polygon, PreparedGeometry, Ring,
 };
 use geopattern_testkit::Rng;
 
@@ -168,7 +169,7 @@ fn kernel_counters_surface_in_pipeline_metrics() {
 }
 
 #[test]
-fn ring_index_locate_matches_ring_locate() {
+fn prepared_locate_matches_ring_locate() {
     let mut rng = Rng::seed_from_u64(42);
     let mut rings: Vec<Ring> = (0..12)
         .map(|i| {
@@ -179,7 +180,7 @@ fn ring_index_locate_matches_ring_locate() {
     rings.extend((0..12).map(|_| lattice_polygon(&mut rng, 12).exterior().clone()));
 
     for ring in &rings {
-        let index = RingIndex::build(ring);
+        let region = PreparedAreal::from_polygon(&Polygon::from_exterior(ring.clone()));
         // Exact boundary points: every vertex and every edge midpoint.
         let coords = ring.coords();
         for i in 0..coords.len() {
@@ -187,18 +188,18 @@ fn ring_index_locate_matches_ring_locate() {
             let b = coords[(i + 1) % coords.len()];
             let mid = coord((a.x + b.x) / 2.0, (a.y + b.y) / 2.0);
             for p in [a, mid] {
-                assert_eq!(index.locate(p), ring.locate(p), "boundary point {p:?}");
+                assert_eq!(region.locate(p), ring.locate(p), "boundary point {p:?}");
             }
         }
         // A dense random cloud spanning inside, outside and rays through
         // vertices (y equal to a vertex y exercises the parity edge rules).
         for _ in 0..200 {
             let p = coord(rng.f64() * 14.0 - 1.0, rng.f64() * 14.0 - 1.0);
-            assert_eq!(index.locate(p), ring.locate(p), "random point {p:?}");
+            assert_eq!(region.locate(p), ring.locate(p), "random point {p:?}");
         }
         for &v in coords {
             let p = coord(v.x - 3.0, v.y);
-            assert_eq!(index.locate(p), ring.locate(p), "vertex-ray point {p:?}");
+            assert_eq!(region.locate(p), ring.locate(p), "vertex-ray point {p:?}");
         }
     }
 }

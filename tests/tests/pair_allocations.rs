@@ -6,14 +6,14 @@
 //! pair: points, lines and polygons, two 256-vertex stars (overlapping,
 //! nested, and apart with overlapping envelopes), pairs with collinear
 //! runs (split-cut overlap intervals, curve coverage), and a boundary
-//! probe located by the exact `RingIndex`.
+//! probe located through the region's boundary tree.
 //!
 //! Ring validation allocates nothing once warm: `Ring::new` on a 4-vertex
 //! ring or a 256-vertex star makes no allocation beyond the `Vec` it is
 //! handed.
 //!
 //! Preparation has budgets too: a 4-vertex polygon's lazy indexes take at
-//! most 6 heap blocks, a point's none, a serial extraction over a
+//! most 4 heap blocks, a point's none, a serial extraction over a
 //! generated city stays under a fixed number of allocations per
 //! reference row, and a 100,000-feature layer's spatial index is built
 //! in a fixed number of heap blocks, not one per node.
@@ -193,7 +193,7 @@ fn warm_relate_of_contact_free_256_vertex_stars_allocates_nothing() {
 }
 
 #[test]
-fn warm_boundary_probe_through_the_ring_index_allocates_nothing() {
+fn warm_boundary_probe_through_the_boundary_tree_allocates_nothing() {
     let shape = star(0.0, 0.0, 10.0, 128);
     let Geometry::Polygon(poly) = &shape else { unreachable!() };
     let vertex = poly.exterior().coords()[7];
@@ -269,10 +269,11 @@ fn cold_preparation(wkt: &str) -> u64 {
     })
 }
 
+/// The box, the boundary and the boundary tree's entries and nodes.
 #[test]
-fn preparing_a_4_vertex_polygon_takes_at_most_6_allocations() {
+fn preparing_a_4_vertex_polygon_takes_at_most_4_allocations() {
     let cold = cold_preparation("POLYGON ((2 2, 4 2, 4 4, 2 4, 2 2))");
-    assert!(cold <= 6, "{cold} allocations");
+    assert!(cold <= 4, "{cold} allocations");
 }
 
 #[test]
@@ -283,8 +284,8 @@ fn preparing_a_point_allocates_nothing() {
 /// Allocations per reference row of one serial, topological extraction
 /// over a generated city, everything included: preparation, R-tree
 /// queries, rows and the merge into a table. The grid-20 city below
-/// takes 7,725 (19.3 per row), so the bound leaves a margin of about 9%.
-const EXTRACTION_ALLOCATIONS_PER_ROW: u64 = 21;
+/// takes 6,021 (15.1 per row), so the bound leaves a margin of about 6%.
+const EXTRACTION_ALLOCATIONS_PER_ROW: u64 = 16;
 
 #[test]
 fn serial_extraction_stays_under_its_per_row_budget() {
